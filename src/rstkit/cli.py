@@ -1,9 +1,14 @@
 """Command-line entry point: one subcommand per pipeline stage.
 
-Documents are processed one at a time and written in sorted id order, so
-every subcommand is deterministic for identical inputs and seeds and memory
-stays bounded by the largest single document.  Exit codes: 0 success,
-1 user error (bad flags, malformed input), 2 internal error.
+Every subcommand is deterministic for identical inputs and seeds.
+``convert`` and ``preprocess`` write documents in sorted id order;
+``segment`` and ``parse`` keep the input order.  ``stats`` (without
+``--by-genre``), ``segment`` and ``parse`` stream documents one at a time,
+so their memory stays bounded by the largest single document; ``eval``
+holds the predictions, and ``train-segmenter`` and ``stats --by-genre``
+hold the whole corpus.  A document id may occur only once per input file.
+Exit codes: 0 success, 1 user error (bad flags, malformed input),
+2 internal error.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ import argparse
 import csv
 import os
 import sys
-from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .core import Corpus, DocumentRecord, RstError, Split
+from .core import Corpus, RstError, Split
 from . import crf as crf_mod
 from . import dwa as dwa_mod
 from . import metrics as metrics_mod
@@ -24,10 +29,10 @@ from . import preprocess as prep_mod
 from . import treebank as tb_mod
 from .decoder import (
     DecodeConfig,
+    OracleProvider,
+    RightBranchingProvider,
     ScoreTable,
     decode,
-    oracle_provider,
-    right_branching_provider,
 )
 
 DATA_DIR_ENV = "RSTKIT_DATA_DIR"
@@ -80,14 +85,20 @@ def _read_split_map(path: str | None) -> dict[str, Split]:
         return {}
     table = {}
     with open(_input_path(path), "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             doc_id, _, split = line.partition("\t")
             if not split:
                 doc_id, _, split = line.partition(" ")
-            table[doc_id.strip()] = Split(split.strip())
+            try:
+                table[doc_id.strip()] = Split(split.strip())
+            except ValueError:
+                raise RstError(
+                    f"{path}: line {line_number}: split must be train, dev or "
+                    f"test, got {split.strip()!r}"
+                ) from None
     return table
 
 
@@ -119,8 +130,19 @@ def _load_rs3_corpus(args, drop_single_edu: bool, table, split_forests: bool = T
 
 
 def _write_sorted(corpus: Corpus, path: str) -> None:
-    docs = sorted(corpus.documents, key=lambda d: d.doc_id)
-    tb_mod.write_canonical(Corpus.from_documents(corpus.name, docs), path)
+    with open(path, "w", encoding="utf-8") as out:
+        for doc in sorted(corpus.documents, key=lambda d: d.doc_id):
+            tb_mod.write_record(out, doc)
+
+
+def _unique_records(path: Path):
+    """Stream a canonical file, rejecting a document id seen before."""
+    seen: set[str] = set()
+    for doc in tb_mod.iter_canonical(path):
+        if doc.doc_id in seen:
+            raise RstError(f"{path}: duplicate document id {doc.doc_id}")
+        seen.add(doc.doc_id)
+        yield doc
 
 
 def _add_rs3_input_flags(parser) -> None:
@@ -165,35 +187,13 @@ def cmd_preprocess(args) -> int:
             split_forests=args.split_forests,
         )
     else:
-        source = tb_mod.read_canonical(in_path)
-        records = []
-        counter: Counter = Counter()
-        for doc in source.documents:
-            if table is not None:
-                doc, counts = prep_mod.remap_document(doc, table)
-                counter.update(counts)
-            records.append(doc)
-        corpus = Corpus.from_documents(source.name, records)
-        dropped = 0
-        if args.drop_single_edu:
-            corpus, dropped = prep_mod.filter_single_edu(corpus)
-        report = prep_mod.PreprocessReport(
-            documents_in=len(source.documents),
-            documents_out=len(corpus.documents),
-            trees_extracted=len(source.documents),
-            single_edu_dropped=dropped,
-            rewrites=tuple(
-                (rule.as_text().replace("\t", " -> "), counter.get(i, 0))
-                for i, rule in enumerate(table.rules)
-            )
-            if table is not None
-            else (),
-            histogram_before=tuple(
-                sorted(prep_mod.label_histogram(source.documents).items())
-            ),
-            histogram_after=tuple(
-                sorted(prep_mod.label_histogram(corpus.documents).items())
-            ),
+        records = list(tb_mod.iter_canonical(in_path))
+        corpus, report = prep_mod.preprocess_records(
+            records,
+            len(records),
+            name=in_path.stem,
+            table=table,
+            drop_single_edu=args.drop_single_edu,
         )
     _write_sorted(corpus, args.output)
     print(report.render())
@@ -228,7 +228,7 @@ def cmd_stats(args) -> int:
     else:
         # streaming pass; memory stays bounded by the largest document
         rows[name] = metrics_mod.corpus_stats(
-            tb_mod.iter_canonical(in_path), sentences, spanned
+            _unique_records(in_path), sentences, spanned
         )
     if args.csv:
         sys.stdout.write(metrics_mod.stats_csv(rows))
@@ -243,14 +243,14 @@ def cmd_train_segmenter(args) -> int:
     if not docs:
         raise RstError(f"no documents in split {args.split!r}")
     extractor = crf_mod.HashedWindowFeatures(args.buckets)
-    dataset = crf_mod.dataset_from_corpus(docs, extractor)
-    model = crf_mod.CrfModel.create(extractor.dim)
     config = crf_mod.TrainConfig(
         epochs=args.epochs,
         learning_rate=args.lr,
         l2=args.l2,
         seed=args.seed,
     )
+    dataset = crf_mod.dataset_from_corpus(docs, extractor)
+    model = crf_mod.CrfModel.create(extractor.dim)
     model, curve = crf_mod.train(model, dataset, config)
     crf_mod.save_model(model, args.output, extractor)
     print(
@@ -266,22 +266,10 @@ def cmd_segment(args) -> int:
         raise RstError("model file does not carry feature settings")
     count = 0
     with open(args.output, "w", encoding="utf-8") as out:
-        for doc in tb_mod.iter_canonical(_input_path(args.input)):
+        for doc in _unique_records(_input_path(args.input)):
             labels = crf_mod.viterbi(model, extractor(doc.token_texts()))
             edus = crf_mod.labels_to_edus(labels)
-            tb_mod.write_record(
-                out,
-                DocumentRecord(
-                    doc_id=doc.doc_id,
-                    genre=doc.genre,
-                    lang=doc.lang,
-                    tokens=doc.tokens,
-                    edus=edus,
-                    tree=None,
-                    sentence_boundaries=doc.sentence_boundaries,
-                    split=doc.split,
-                ),
-            )
+            tb_mod.write_record(out, replace(doc, edus=edus, tree=None))
             count += 1
     print(f"segmented {count} documents -> {args.output}")
     return 0
@@ -318,29 +306,17 @@ def cmd_parse(args) -> int:
 
     count = 0
     with open(args.output, "w", encoding="utf-8") as out:
-        for doc in tb_mod.iter_canonical(in_path):
+        for doc in _unique_records(in_path):
             if args.oracle:
                 if doc.tree is None:
                     raise RstError(f"{doc.doc_id}: oracle mode needs gold trees")
-                provider = oracle_provider(doc.tree, labels)
+                provider = OracleProvider(doc.tree, labels)
             elif args.baseline is not None:
-                provider = right_branching_provider(args.baseline, labels)
+                provider = RightBranchingProvider(args.baseline, labels)
             else:
                 provider = score_table.provider(doc.doc_id)  # type: ignore[union-attr]
             tree = decode(len(doc.edus), provider, config)
-            tb_mod.write_record(
-                out,
-                DocumentRecord(
-                    doc_id=doc.doc_id,
-                    genre=doc.genre,
-                    lang=doc.lang,
-                    tokens=doc.tokens,
-                    edus=doc.edus,
-                    tree=tree,
-                    sentence_boundaries=doc.sentence_boundaries,
-                    split=doc.split,
-                ),
-            )
+            tb_mod.write_record(out, replace(doc, tree=tree))
             count += 1
     print(f"parsed {count} documents -> {args.output}")
     return 0
@@ -348,9 +324,7 @@ def cmd_parse(args) -> int:
 
 def cmd_eval(args) -> int:
     # predictions are indexed in memory; gold documents stream past them
-    pred_by_id = {
-        doc.doc_id: doc for doc in tb_mod.iter_canonical(_input_path(args.pred))
-    }
+    pred_by_id = {doc.doc_id: doc for doc in _unique_records(_input_path(args.pred))}
 
     def score_pair(gold_doc, pred_doc):
         if pred_doc.tree is None:
@@ -370,27 +344,29 @@ def cmd_eval(args) -> int:
             gold_doc.tree, pred_doc.tree, gold_doc.edus, pred_doc.edus
         )
 
-    total_seg = metrics_mod.SegScores(metrics_mod.MetricCounts())
+    total_seg = metrics_mod.MetricCounts()
     total = metrics_mod.ParsevalScores.zero()
     by_genre: dict[str, tuple] = {}
     scored = 0
-    for gold_doc in tb_mod.iter_canonical(_input_path(args.gold)):
+    for gold_doc in _unique_records(_input_path(args.gold)):
+        pred_doc = pred_by_id.pop(gold_doc.doc_id, None)
         if args.genre is not None and gold_doc.genre != args.genre:
             continue
-        if gold_doc.doc_id not in pred_by_id:
+        if pred_doc is None:
             raise RstError(f"prediction missing for document {gold_doc.doc_id}")
-        seg, scores = score_pair(gold_doc, pred_by_id[gold_doc.doc_id])
+        seg, scores = score_pair(gold_doc, pred_doc)
         scored += 1
         total_seg += seg
         total += scores
         if args.by_genre:
             prev_seg, prev = by_genre.get(
                 gold_doc.genre,
-                (metrics_mod.SegScores(metrics_mod.MetricCounts()),
-                 metrics_mod.ParsevalScores.zero()),
+                (metrics_mod.MetricCounts(), metrics_mod.ParsevalScores.zero()),
             )
             by_genre[gold_doc.genre] = (prev_seg + seg, prev + scores)
 
+    if pred_by_id:
+        raise RstError(f"predictions without a gold document: {sorted(pred_by_id)}")
     if not scored:
         raise RstError("no documents matched the evaluation filter")
     rows = {"all": (total_seg if args.end_to_end else None, total)}
@@ -409,14 +385,18 @@ def cmd_dwa_sim(args) -> int:
     with open(_input_path(args.losses), "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = []
+        first = True
         for row in reader:
             if not row or row[0].strip().startswith("#"):
                 continue
             try:
                 rows.append([float(x) for x in row])
             except ValueError:
-                if rows:  # a header is only allowed on the first line
+                if not first:  # a header is only allowed on the first line
                     raise RstError(f"non-numeric loss row: {row}") from None
+            first = False
+    if not rows:
+        raise RstError(f"{args.losses}: no loss rows")
     trajectory = dwa_mod.simulate(rows, args.tasks, args.window, args.temp)
     out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
     try:

@@ -42,6 +42,10 @@ class LabelParseError(RstError):
     """A merged ``relation_NUC`` label string could not be parsed."""
 
 
+class DimensionMismatch(RstError):
+    """Array or vector sizes disagree with the expected dimensions."""
+
+
 class Nuclearity(str, Enum):
     """Nuclearity pattern of a binary discourse relation."""
 

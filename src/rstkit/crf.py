@@ -26,7 +26,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .core import DocumentRecord, EduSpan, RstError
+from .core import DimensionMismatch, DocumentRecord, EduSpan, RstError
 
 __all__ = [
     "CrfModel",
@@ -49,10 +49,6 @@ __all__ = [
 ]
 
 DEFAULT_LABELS = ("B", "I")
-
-
-class DimensionMismatch(RstError):
-    """Array shapes disagree with the model dimensions."""
 
 
 class EmptyDataset(RstError):
@@ -143,14 +139,6 @@ class CrfGradients:
     transition: np.ndarray
     start: np.ndarray
     stop: np.ndarray
-
-    def scaled(self, factor: float) -> "CrfGradients":
-        return CrfGradients(
-            self.emission * factor,
-            self.transition * factor,
-            self.start * factor,
-            self.stop * factor,
-        )
 
 
 def _check_features(model: CrfModel, features: np.ndarray) -> np.ndarray:
@@ -264,29 +252,31 @@ class TrainConfig:
     learning_rate: float = 0.2
     l2: float = 0.0
     seed: int = 13
-    shuffle: bool = True
-    optimizer: str = "adam"  # "adam" | "sgd"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise RstError(f"epochs must be >= 1, got {self.epochs}")
 
 
 class _Adam:
-    def __init__(self, shapes: list[tuple[int, ...]], config: TrainConfig) -> None:
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, shapes: list[tuple[int, ...]], learning_rate: float) -> None:
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
         self.t = 0
-        self.config = config
+        self.learning_rate = learning_rate
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        cfg = self.config
         self.t += 1
         for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = cfg.adam_beta1 * self.m[i] + (1 - cfg.adam_beta1) * g
-            self.v[i] = cfg.adam_beta2 * self.v[i] + (1 - cfg.adam_beta2) * g * g
-            m_hat = self.m[i] / (1 - cfg.adam_beta1**self.t)
-            v_hat = self.v[i] / (1 - cfg.adam_beta2**self.t)
-            p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            self.m[i] = self.BETA1 * self.m[i] + (1 - self.BETA1) * g
+            self.v[i] = self.BETA2 * self.v[i] + (1 - self.BETA2) * g * g
+            m_hat = self.m[i] / (1 - self.BETA1**self.t)
+            v_hat = self.v[i] / (1 - self.BETA2**self.t)
+            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 def train(
@@ -294,7 +284,7 @@ def train(
     dataset: Sequence[tuple[np.ndarray, Sequence[str]]],
     config: TrainConfig = TrainConfig(),
 ) -> tuple[CrfModel, list[float]]:
-    """Minimize the per-sequence negative log-likelihood.
+    """Minimize the per-sequence negative log-likelihood with Adam.
 
     Updates are applied sequence by sequence in a seeded shuffle order, so
     runs with the same seed produce bit-identical loss curves.  Returns the
@@ -305,11 +295,11 @@ def train(
         raise EmptyDataset("no training sequences")
     model = model.clone()
     params = [model.emission, model.transition, model.start, model.stop]
-    opt = _Adam([p.shape for p in params], config) if config.optimizer == "adam" else None
+    opt = _Adam([p.shape for p in params], config.learning_rate)
     rng = np.random.default_rng(config.seed)
     curve = []
     for _ in range(config.epochs):
-        order = rng.permutation(len(dataset)) if config.shuffle else np.arange(len(dataset))
+        order = rng.permutation(len(dataset))
         total = 0.0
         for i in order:
             features, gold = dataset[i]
@@ -321,11 +311,7 @@ def train(
                 -grads.start + config.l2 * model.start,
                 -grads.stop + config.l2 * model.stop,
             ]
-            if opt is not None:
-                opt.step(params, steps)
-            else:
-                for p, g in zip(params, steps):
-                    p -= config.learning_rate * g
+            opt.step(params, steps)
         curve.append(total / len(dataset))
     return model, curve
 
@@ -396,6 +382,10 @@ class HashedWindowFeatures:
     n_buckets: int = 1024
 
     N_FLAGS = 5
+
+    def __post_init__(self) -> None:
+        if self.n_buckets < 1:
+            raise RstError(f"buckets must be >= 1, got {self.n_buckets}")
 
     @property
     def dim(self) -> int:

@@ -48,9 +48,7 @@ __all__ = [
     "decode_with_segmentation",
     "tree_score",
     "OracleProvider",
-    "oracle_provider",
     "RightBranchingProvider",
-    "right_branching_provider",
     "ScoreTable",
 ]
 
@@ -307,7 +305,10 @@ def tree_score(
 
 
 class OracleProvider(ScoreProvider):
-    """Scores the gold tree's splits and labels 1.0 and everything else 0."""
+    """Scores the gold tree's splits and labels 1.0 and everything else 0.
+
+    Test instrument: decoding with it reproduces the gold tree exactly.
+    """
 
     def __init__(self, gold: RstTree, labels: Sequence[str]) -> None:
         self.labels = tuple(labels)
@@ -339,11 +340,6 @@ class OracleProvider(ScoreProvider):
         return scores
 
 
-def oracle_provider(gold: RstTree, labels: Sequence[str]) -> OracleProvider:
-    """Test instrument: decode(oracle_provider(t)) reproduces t exactly."""
-    return OracleProvider(gold, labels)
-
-
 class RightBranchingProvider(ScoreProvider):
     """Baseline: always prefer the leftmost split and one majority label."""
 
@@ -364,12 +360,6 @@ class RightBranchingProvider(ScoreProvider):
         scores = np.zeros(len(self.labels))
         scores[self._label] = 1.0
         return scores
-
-
-def right_branching_provider(
-    majority_label: str, labels: Sequence[str]
-) -> RightBranchingProvider:
-    return RightBranchingProvider(majority_label, labels)
 
 
 class _TableProvider(ScoreProvider):

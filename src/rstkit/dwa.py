@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import RstError
+from .core import DimensionMismatch, RstError
 
 __all__ = [
     "DwaScheduler",
@@ -41,10 +41,6 @@ __all__ = [
 # trees) and a softening temperature of 2.
 DEFAULT_WINDOW = 12
 DEFAULT_TEMPERATURE = 2.0
-
-
-class DimensionMismatch(RstError):
-    """A loss vector has the wrong number of tasks."""
 
 
 class NonPositiveLoss(RstError):

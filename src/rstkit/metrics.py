@@ -39,7 +39,6 @@ from .core import (
 __all__ = [
     "MetricCounts",
     "ParsevalScores",
-    "SegScores",
     "CorpusStats",
     "SpanRangeMismatch",
     "NotAPartition",
@@ -131,28 +130,6 @@ class ParsevalScores:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class SegScores:
-    """Boundary-token precision/recall/F1 (token 0 is never a positive)."""
-
-    counts: MetricCounts
-
-    def __add__(self, other: "SegScores") -> "SegScores":
-        return SegScores(self.counts + other.counts)
-
-    @property
-    def precision(self) -> float:
-        return self.counts.precision
-
-    @property
-    def recall(self) -> float:
-        return self.counts.recall
-
-    @property
-    def f1(self) -> float:
-        return self.counts.f1
-
-
 def _constituent_index(
     entries: Sequence[Constituent],
 ) -> dict[tuple[int, int], Constituent]:
@@ -169,7 +146,6 @@ def parseval(
     pred: RstTree,
     gold_edus: Sequence[EduSpan] | None = None,
     pred_edus: Sequence[EduSpan] | None = None,
-    include_root: bool = False,
 ) -> ParsevalScores:
     """Score one predicted tree against gold over token-offset constituents.
 
@@ -182,12 +158,8 @@ def parseval(
             f"gold covers {gold.token_span(gold_edus)}, "
             f"predicted covers {pred.token_span(pred_edus)}"
         )
-    gold_index = _constituent_index(
-        enumerate_constituents(gold, gold_edus, include_root)
-    )
-    pred_index = _constituent_index(
-        enumerate_constituents(pred, pred_edus, include_root)
-    )
+    gold_index = _constituent_index(enumerate_constituents(gold, gold_edus))
+    pred_index = _constituent_index(enumerate_constituents(pred, pred_edus))
     span = nuc = rel = full = 0
     for key, entry in pred_index.items():
         other = gold_index.get(key)
@@ -224,16 +196,14 @@ def segmentation_f1(
     gold_edus: Sequence[EduSpan],
     pred_edus: Sequence[EduSpan],
     n_tokens: int,
-) -> SegScores:
+) -> MetricCounts:
     """Boundary F1 over EDU-initial tokens, excluding the forced token 0."""
     _check_partition(gold_edus, n_tokens, "gold")
     _check_partition(pred_edus, n_tokens, "predicted")
     gold_bounds = {e.first_token for e in gold_edus} - {0}
     pred_bounds = {e.first_token for e in pred_edus} - {0}
-    return SegScores(
-        MetricCounts(
-            len(gold_bounds & pred_bounds), len(gold_bounds), len(pred_bounds)
-        )
+    return MetricCounts(
+        len(gold_bounds & pred_bounds), len(gold_bounds), len(pred_bounds)
     )
 
 
@@ -241,8 +211,7 @@ def end_to_end_eval(
     gold_doc: DocumentRecord,
     pred_edus: Sequence[EduSpan],
     pred_tree: RstTree,
-    include_root: bool = False,
-) -> tuple[SegScores, ParsevalScores]:
+) -> tuple[MetricCounts, ParsevalScores]:
     """Score predicted segmentation plus tree against a gold document."""
     if gold_doc.tree is None:
         raise MissingTree(f"{gold_doc.doc_id} has no gold tree")
@@ -257,7 +226,6 @@ def end_to_end_eval(
         pred_tree,
         gold_edus=gold_doc.edus,
         pred_edus=pred_edus,
-        include_root=include_root,
     )
     return seg, scores
 
@@ -425,7 +393,7 @@ def _select_metrics(metrics: Sequence[str] | None) -> tuple[str, ...]:
 
 
 def format_parseval_table(
-    rows: Mapping[str, tuple[SegScores | None, ParsevalScores]],
+    rows: Mapping[str, tuple[MetricCounts | None, ParsevalScores]],
     metrics: Sequence[str] | None = None,
 ) -> str:
     """Aligned text table; one row per system/genre, percentages to 0.1."""
@@ -450,7 +418,7 @@ def format_parseval_table(
 
 
 def parseval_csv(
-    rows: Mapping[str, tuple[SegScores | None, ParsevalScores]],
+    rows: Mapping[str, tuple[MetricCounts | None, ParsevalScores]],
     metrics: Sequence[str] | None = None,
 ) -> str:
     selected = _select_metrics(metrics)
@@ -461,10 +429,9 @@ def parseval_csv(
     )
     for name, (seg, scores) in rows.items():
         if seg is not None:
-            c = seg.counts
             writer.writerow(
-                [name, "Segm.", f"{c.precision:.4f}", f"{c.recall:.4f}",
-                 f"{c.f1:.4f}", c.matched, c.gold, c.predicted]
+                [name, "Segm.", f"{seg.precision:.4f}", f"{seg.recall:.4f}",
+                 f"{seg.f1:.4f}", seg.matched, seg.gold, seg.predicted]
             )
         mapping = scores.as_mapping()
         for metric in selected:

@@ -14,7 +14,7 @@ parallel is safe.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -26,7 +26,6 @@ from .core import (
     RstTree,
     Split,
 )
-from .core import merge_label, split_label  # re-exported API
 from .treebank import Rs3Component, component_to_record
 
 __all__ = [
@@ -42,10 +41,9 @@ __all__ = [
     "remap_document",
     "split_forest",
     "filter_single_edu",
+    "preprocess_records",
     "preprocess_corpus",
     "label_histogram",
-    "merge_label",
-    "split_label",
 ]
 
 
@@ -219,19 +217,7 @@ def remap_document(
     if doc.tree is None:
         return doc, Counter()
     tree, counts = remap_tree_counting(doc.tree, table, inventory)
-    return (
-        DocumentRecord(
-            doc_id=doc.doc_id,
-            genre=doc.genre,
-            lang=doc.lang,
-            tokens=doc.tokens,
-            edus=doc.edus,
-            tree=tree,
-            sentence_boundaries=doc.sentence_boundaries,
-            split=doc.split,
-        ),
-        counts,
-    )
+    return replace(doc, tree=tree), counts
 
 
 def split_forest(
@@ -318,36 +304,19 @@ class PreprocessReport:
         return "\n".join(lines)
 
 
-def preprocess_corpus(
-    files: Sequence[tuple[str, Sequence[Rs3Component]]],
+def preprocess_records(
+    records: Sequence[DocumentRecord],
+    documents_in: int,
     name: str = "corpus",
-    genre: str | Mapping[str, str] = "unknown",
-    lang: str = "en",
-    splits: Mapping[str, Split | str] | None = None,
     table: RemapTable | None = None,
     inventory: set[str] | None = None,
     drop_single_edu: bool = True,
-    split_forests: bool = True,
 ) -> tuple[Corpus, PreprocessReport]:
-    """Run the full preprocessing pipeline over parsed rs3 files.
+    """Remap labels, build the corpus and drop single-EDU documents.
 
-    ``files`` pairs a file id with its extracted components.  ``genre`` is a
-    constant or a per-file mapping; ``splits`` optionally assigns train/dev/
-    test per file id (defaulting to train).
+    ``records`` holds one document per extracted tree, read from
+    ``documents_in`` input files.
     """
-    records: list[DocumentRecord] = []
-    trees_extracted = 0
-    for file_id, components in files:
-        trees_extracted += len(components)
-        file_genre = genre if isinstance(genre, str) else genre.get(file_id, "unknown")
-        file_split = Split.TRAIN if splits is None else splits.get(file_id, Split.TRAIN)
-        if not split_forests and len(components) > 1:
-            raise RstError(
-                f"{file_id} holds {len(components)} trees; "
-                "enable forest splitting to process it"
-            )
-        records.extend(split_forest(file_id, components, file_genre, lang, file_split))
-
     histogram_before = label_histogram(records)
 
     rewrites: Counter = Counter()
@@ -369,12 +338,50 @@ def preprocess_corpus(
         for i, rule in enumerate(table.rules)
     ) if table is not None else ()
     report = PreprocessReport(
-        documents_in=len(files),
+        documents_in=documents_in,
         documents_out=len(corpus.documents),
-        trees_extracted=trees_extracted,
+        trees_extracted=len(records),
         single_edu_dropped=dropped,
         rewrites=rule_counts,
         histogram_before=tuple(sorted(histogram_before.items())),
         histogram_after=tuple(sorted(label_histogram(corpus.documents).items())),
     )
     return corpus, report
+
+
+def preprocess_corpus(
+    files: Sequence[tuple[str, Sequence[Rs3Component]]],
+    name: str = "corpus",
+    genre: str | Mapping[str, str] = "unknown",
+    lang: str = "en",
+    splits: Mapping[str, Split | str] | None = None,
+    table: RemapTable | None = None,
+    inventory: set[str] | None = None,
+    drop_single_edu: bool = True,
+    split_forests: bool = True,
+) -> tuple[Corpus, PreprocessReport]:
+    """Run the full preprocessing pipeline over parsed rs3 files.
+
+    ``files`` pairs a file id with its extracted components.  ``genre`` is a
+    constant or a per-file mapping; ``splits`` optionally assigns train/dev/
+    test per file id (defaulting to train).  The records split out of the
+    files go through :func:`preprocess_records`.
+    """
+    records: list[DocumentRecord] = []
+    for file_id, components in files:
+        file_genre = genre if isinstance(genre, str) else genre.get(file_id, "unknown")
+        file_split = Split.TRAIN if splits is None else splits.get(file_id, Split.TRAIN)
+        if not split_forests and len(components) > 1:
+            raise RstError(
+                f"{file_id} holds {len(components)} trees; "
+                "enable forest splitting to process it"
+            )
+        records.extend(split_forest(file_id, components, file_genre, lang, file_split))
+    return preprocess_records(
+        records,
+        len(files),
+        name=name,
+        table=table,
+        inventory=inventory,
+        drop_single_edu=drop_single_edu,
+    )

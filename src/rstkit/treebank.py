@@ -35,6 +35,7 @@ from .core import (
     Corpus,
     DocumentRecord,
     EduSpan,
+    MissingTree,
     Nuclearity,
     RelationLabel,
     RstError,

@@ -26,9 +26,9 @@ from rstkit.core import enumerate_constituents
 from rstkit.crf import CrfModel, TrainConfig, log_likelihood, train, viterbi
 from rstkit.decoder import (
     DecodeConfig,
+    OracleProvider,
     ScoreProvider,
     decode,
-    oracle_provider,
     tree_score,
 )
 from rstkit.dwa import DwaScheduler
@@ -217,7 +217,7 @@ def test_criterion_4_matcher_equivalence_and_oracle_decode():
             assert scores.nuclearity.matched == oracle["N"]
             assert scores.relation.matched == oracle["R"]
             assert scores.full.matched == oracle["Full"]
-            decoded = decode(n, oracle_provider(gold, TEST_LABELS), config)
+            decoded = decode(n, OracleProvider(gold, TEST_LABELS), config)
             assert decoded == gold
             full = parseval(gold, decoded, edus, edus).full
             assert full.f1 == 100.0

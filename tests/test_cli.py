@@ -45,6 +45,14 @@ def gold_file(tmp_path):
     return path
 
 
+def _with_repeated_line(path, tmp_path, index=0):
+    """Copy of a canonical file with line ``index`` written twice."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    copy = tmp_path / f"dup_{path.name}"
+    copy.write_text("".join(lines + [lines[index]]), encoding="utf-8")
+    return copy
+
+
 class TestConvert:
     def test_rs3_directory_to_canonical(self, rs3_dir, tmp_path, capsys):
         out = tmp_path / "out.jsonl"
@@ -65,6 +73,15 @@ class TestConvert:
         code = main(["convert", str(tmp_path / "nope"), "-o", str(tmp_path / "x")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_bad_split_map_value_is_a_user_error(self, rs3_dir, tmp_path, capsys):
+        split_map = tmp_path / "splits.tsv"
+        split_map.write_text("# id\tsplit\ndemo_news_0\tdev\ndemo_news_1\tbogus\n")
+        code = main(["convert", str(rs3_dir), "-o", str(tmp_path / "x"),
+                     "--split-map", str(split_map)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 3" in err and "'bogus'" in err
 
 
 class TestPreprocess:
@@ -123,6 +140,12 @@ class TestStats:
         assert main(["stats", str(path)]) == 1  # boundaries required
         assert main(["stats", str(path), "--no-spanned"]) == 0
 
+    @pytest.mark.parametrize("by_genre", [[], ["--by-genre"]])
+    def test_repeated_id_is_a_user_error(self, gold_file, tmp_path, by_genre, capsys):
+        dup = _with_repeated_line(gold_file, tmp_path)
+        assert main(["stats", str(dup), *by_genre]) == 1
+        assert "doc0" in capsys.readouterr().err
+
 
 class TestSegmenterCommands:
     def test_train_then_segment(self, tmp_path, capsys):
@@ -168,6 +191,23 @@ class TestSegmenterCommands:
         for doc in segmented.documents:
             assert doc.tree is None
             assert doc.edus == gold.get(doc.doc_id).edus  # perfectly learnable
+
+    @pytest.mark.parametrize("flag", [["--epochs", "0"], ["--epochs", "-1"],
+                                      ["--buckets", "0"], ["--buckets", "-3"]])
+    def test_non_positive_settings_are_user_errors(self, gold_file, tmp_path, flag,
+                                                   capsys):
+        out = tmp_path / "model.npz"
+        assert main(["train-segmenter", str(gold_file), "-o", str(out), *flag]) == 1
+        assert f"{flag[0][2:]} must be >= 1, got {flag[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_segment_rejects_repeated_input_id(self, gold_file, tmp_path, capsys):
+        model = tmp_path / "model.npz"
+        assert main(["train-segmenter", str(gold_file), "-o", str(model),
+                     "--epochs", "1", "--buckets", "8"]) == 0
+        dup = _with_repeated_line(gold_file, tmp_path)
+        assert main(["segment", str(model), str(dup), "-o", str(tmp_path / "s")]) == 1
+        assert "duplicate document id doc0" in capsys.readouterr().err
 
 
 class TestParseAndEval:
@@ -235,6 +275,30 @@ class TestParseAndEval:
         )
         assert main(["parse", str(gold_file), "-o", str(tmp_path / "x")]) == 1
 
+    def test_parse_rejects_repeated_input_id(self, gold_file, tmp_path, capsys):
+        dup = _with_repeated_line(gold_file, tmp_path, index=2)
+        assert main(["parse", str(dup), "-o", str(tmp_path / "x"), "--oracle"]) == 1
+        assert "duplicate document id doc2" in capsys.readouterr().err
+
+    def test_eval_rejects_repeated_gold_id(self, gold_file, tmp_path, capsys):
+        dup = _with_repeated_line(gold_file, tmp_path, index=1)
+        assert main(["eval", str(dup), str(gold_file)]) == 1
+        assert "duplicate document id doc1" in capsys.readouterr().err
+
+    def test_eval_rejects_repeated_prediction_id(self, gold_file, tmp_path, capsys):
+        dup = _with_repeated_line(gold_file, tmp_path, index=3)
+        assert main(["eval", str(gold_file), str(dup)]) == 1
+        assert "duplicate document id doc3" in capsys.readouterr().err
+
+    def test_eval_rejects_prediction_without_gold(self, gold_file, tmp_path, capsys):
+        lines = gold_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        gold = tmp_path / "gold_part.jsonl"
+        gold.write_text("".join(lines[1:]), encoding="utf-8")
+        assert main(["eval", str(gold), str(gold_file)]) == 1
+        assert "doc0" in capsys.readouterr().err
+        # --genre skips documents of other genres, predictions included
+        assert main(["eval", str(gold_file), str(gold), "--genre", "news"]) == 0
+
     def test_mismatched_edus_need_end_to_end(self, gold_file, tmp_path, capsys):
         gold = read_canonical(gold_file)
         docs = []
@@ -297,6 +361,18 @@ class TestDwaSim:
         losses = tmp_path / "losses.csv"
         losses.write_text("seg,tree,rel\n1.0,1.0,1.0\n2.0,1.0,1.0\n")
         assert main(["dwa-sim", str(losses)]) == 0
+
+    @pytest.mark.parametrize("text", [
+        "seg,tree,rel\n",
+        "not a loss log\njust prose\n",
+        "# comment\nseg,tree,rel\nseg,tree,rel\n1.0,1.0,1.0\n",
+    ])
+    def test_malformed_loss_file_is_a_user_error(self, tmp_path, capsys, text):
+        losses = tmp_path / "losses.csv"
+        losses.write_text(text)
+        assert main(["dwa-sim", str(losses)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err
 
 
 class TestCliContract:

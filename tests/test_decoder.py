@@ -6,13 +6,13 @@ from rstkit.core import RstError, RstTree, build_tree
 from rstkit.decoder import (
     DecodeConfig,
     MissingScore,
+    OracleProvider,
     ProviderLengthMismatch,
+    RightBranchingProvider,
     ScoreProvider,
     ScoreTable,
     decode,
     decode_with_segmentation,
-    oracle_provider,
-    right_branching_provider,
     tree_score,
 )
 from rstkit.metrics import parseval
@@ -141,11 +141,11 @@ class TestOracleProvider:
             build_tree((0, ((1, 2, "sequence_NN"), 3, "condition_SN"), "joint_NN")),
         ]
         for gold in fixtures:
-            provider = oracle_provider(gold, TEST_LABELS)
+            provider = OracleProvider(gold, TEST_LABELS)
             assert decode(gold.n_leaves, provider, CONFIG) == gold
 
     def test_split_vector_length(self):
-        provider = oracle_provider(build_tree((0, 1, "joint_NN")), TEST_LABELS)
+        provider = OracleProvider(build_tree((0, 1, "joint_NN")), TEST_LABELS)
         assert len(provider.split_scores(0, 2)) == 1
 
     def test_round_trip_random_trees_with_full_f1(self):
@@ -153,7 +153,7 @@ class TestOracleProvider:
         for _ in range(60):
             n = rng.randint(1, 12)
             gold = random_tree(rng, n)
-            predicted = decode(n, oracle_provider(gold, TEST_LABELS), CONFIG)
+            predicted = decode(n, OracleProvider(gold, TEST_LABELS), CONFIG)
             assert predicted == gold
             if n > 1:
                 scores = parseval(gold, predicted)
@@ -164,23 +164,23 @@ class TestOracleProvider:
         for width in (1, 2, 5):
             config = DecodeConfig(labels=TEST_LABELS, strategy="beam", beam_width=width)
             gold = random_tree(rng, 7)
-            assert decode(7, oracle_provider(gold, TEST_LABELS), config) == gold
+            assert decode(7, OracleProvider(gold, TEST_LABELS), config) == gold
 
     def test_gold_label_must_be_in_inventory(self):
         with pytest.raises(RstError):
-            oracle_provider(build_tree((0, 1, "mystery_NS")), TEST_LABELS)
+            OracleProvider(build_tree((0, 1, "mystery_NS")), TEST_LABELS)
 
 
 class TestRightBranchingProvider:
     def test_shape_for_four_edus(self):
-        provider = right_branching_provider("elaboration_NS", TEST_LABELS)
+        provider = RightBranchingProvider("elaboration_NS", TEST_LABELS)
         tree = decode(4, provider, CONFIG)
         assert tree == build_tree(
             (0, (1, (2, 3, "elaboration_NS"), "elaboration_NS"), "elaboration_NS")
         )
 
     def test_every_internal_node_has_the_majority_label(self):
-        provider = right_branching_provider("elaboration_NS", TEST_LABELS)
+        provider = RightBranchingProvider("elaboration_NS", TEST_LABELS)
         tree = decode(6, provider, CONFIG)
         assert all(n.label.merged == "elaboration_NS" for n in tree.internal_nodes())
 
@@ -190,16 +190,16 @@ class TestRightBranchingProvider:
             n = rng.randint(2, 9)
             gold = random_tree(rng, n)
             baseline = decode(
-                n, right_branching_provider("elaboration_NS", TEST_LABELS), CONFIG
+                n, RightBranchingProvider("elaboration_NS", TEST_LABELS), CONFIG
             )
-            oracle = decode(n, oracle_provider(gold, TEST_LABELS), CONFIG)
+            oracle = decode(n, OracleProvider(gold, TEST_LABELS), CONFIG)
             full_base = parseval(gold, baseline).full.f1
             full_oracle = parseval(gold, oracle).full.f1
             assert full_oracle == 100.0 >= full_base
 
     def test_unknown_majority_label(self):
         with pytest.raises(RstError):
-            right_branching_provider("nope_NS", TEST_LABELS)
+            RightBranchingProvider("nope_NS", TEST_LABELS)
 
 
 class TestBeam:
@@ -257,7 +257,7 @@ class TestDecodeWithSegmentation:
     def test_gold_labels_reduce_to_plain_decode(self):
         rng = random.Random(13)
         gold = random_tree(rng, 3)
-        provider = oracle_provider(gold, TEST_LABELS)
+        provider = OracleProvider(gold, TEST_LABELS)
         tokens = ["t0", "t1", "t2", "t3", "t4"]
         labels = ["B", "I", "B", "B", "I"]
         edus, tree = decode_with_segmentation(tokens, labels, provider, CONFIG)
@@ -282,7 +282,7 @@ class TestScoreTable:
         import json
 
         gold = build_tree(((0, 1, "joint_NN"), 2, "elaboration_NS"))
-        provider = oracle_provider(gold, TEST_LABELS)
+        provider = OracleProvider(gold, TEST_LABELS)
         lines = []
         for start, end in [(0, 3), (0, 2), (1, 3)]:
             lines.append(

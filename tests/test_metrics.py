@@ -141,8 +141,8 @@ class TestSegmentationF1:
         gold = (EduSpan(0, 1), EduSpan(2, 3))
         pred = (EduSpan(0, 3),)
         scores = segmentation_f1(gold, pred, 4)
-        assert scores.counts.predicted == 0  # only the forced boundary
-        assert scores.counts.gold == 1
+        assert scores.predicted == 0  # only the forced boundary
+        assert scores.gold == 1
 
     def test_not_a_partition(self):
         with pytest.raises(NotAPartition):
@@ -257,7 +257,7 @@ class TestHandScoredFixtures:
         pred_tree = build_tree((0, 1, "joint_NN"))
         seg, scores = end_to_end_eval(doc, pred_edus, pred_tree)
         # segmentation: gold boundaries {2, 3}, predicted {2}
-        assert (seg.counts.matched, seg.counts.gold, seg.counts.predicted) == (1, 2, 1)
+        assert (seg.matched, seg.gold, seg.predicted) == (1, 2, 1)
         assert seg.precision == 100.0 and seg.recall == 50.0
         assert seg.f1 == 200.0 / 3.0
         # spans [0,1] and [2,3] both exist in gold; roles match only on [0,1]

@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from rstkit.core import (
-    LabelParseError,
     Nuclearity,
     RelationLabel,
     RstError,
@@ -20,13 +19,11 @@ from rstkit.preprocess import (
     dump_remap_table,
     filter_single_edu,
     label_histogram,
-    merge_label,
     parse_remap_rules,
     preprocess_corpus,
     remap_rrt_labels,
     remap_tree_counting,
     split_forest,
-    split_label,
 )
 from rstkit.treebank import extract_forest, parse_rs3, serialize_rs3_forest
 
@@ -192,18 +189,6 @@ class TestFilterSingleEdu:
         corpus = Corpus.from_documents("c", docs)
         filtered, dropped = filter_single_edu(corpus)
         assert dropped == 0 and filtered == corpus
-
-
-class TestMergeLabel:
-    def test_merge(self):
-        assert merge_label("elaboration", Nuclearity.NS) == "elaboration_NS"
-
-    def test_inverse(self):
-        assert split_label("joint_NN") == ("joint", Nuclearity.NN)
-
-    def test_inverse_error(self):
-        with pytest.raises(LabelParseError):
-            split_label("not-a-label")
 
 
 class TestPreprocessCorpus:

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from rstkit.core import (
     EduSpan,
+    MissingTree,
     Nuclearity,
     RelationLabel,
     RstError,
@@ -262,6 +264,11 @@ class TestSerializeRs3:
         text = data.decode("utf-8")
         assert text.count("<segment") == 2
         assert text.count("<group") == 1
+
+    def test_record_without_tree_is_rejected(self):
+        doc = replace(make_document("d", build_tree((0, 1, "joint_NN"))), tree=None)
+        with pytest.raises(MissingTree):
+            serialize_rs3(doc)
 
     def test_round_trip_on_random_documents(self):
         rng = random.Random(23)
