@@ -282,11 +282,7 @@ def _read_inventory(args, in_path) -> tuple[str, ...]:
         if not labels:
             raise RstError("inventory file is empty")
         return labels
-    observed: set[str] = set()
-    for doc in tb_mod.iter_canonical(in_path):
-        if doc.tree is not None:
-            for node in doc.tree.internal_nodes():
-                observed.add(node.label.merged)
+    observed = set(prep_mod.label_histogram(tb_mod.iter_canonical(in_path)))
     if args.baseline:
         observed.add(args.baseline)
     if not observed:

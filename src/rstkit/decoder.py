@@ -11,17 +11,21 @@ ScoreProvider, which answers two queries over half-open EDU ranges:
 Scores are treated as log-domain values and summed along decisions;
 providers emitting probabilities must pre-log them.
 
-Greedy decoding recursively takes the argmax split and then the argmax
-label.  Beam decoding keeps the top-w partial trees by accumulated score,
-expanding one pending range per step (leftmost first) in two stages: split
-candidates are pruned to the beam width, then each survivor commits to its
-best label.  Labelings other than the per-node argmax are dominated (label
-scores are additive and local), so dropping them loses nothing; with a beam
-at least as wide as the number of binary shapes, the search is exhaustive.
-The greedy solution is always kept as a fallback hypothesis, so widening
-the beam never returns a lower-scoring tree than greedy, and a beam of
-width 1 is exactly greedy.  Ties break deterministically: earlier split
-point first, then lower label index.
+Greedy and beam decoding are one search.  A path is a partial tree that
+grows by splitting its leftmost pending range; every tree over n EDUs has
+n-1 internal nodes, so the search runs exactly n-1 steps.  Each step
+expands every path over its split points, keeps the top-w candidates by
+accumulated score, and commits each survivor to its argmax label.  Other
+labelings are dominated (label scores are additive and local), so dropping
+them loses nothing; with a beam at least as wide as the number of binary
+shapes, the search is exhaustive.  Greedy decoding is width 1.  Ties break
+deterministically: earlier split point first, then lower label index;
+across paths, the earlier decision sequence wins.  Paths share their
+history through parent pointers, so no step copies it.
+
+Pruning on partial scores can drop the greedy path, so a beam may end below
+greedy.  decode() therefore also runs width 1 and keeps that tree when it
+scores strictly higher: widening the beam never loses to greedy.
 
 decode() is pure; documents can be decoded in parallel as long as the
 provider is safe for concurrent read-only queries.
@@ -31,8 +35,8 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,11 +81,18 @@ class ScoreProvider(ABC):
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Decoding strategy plus the merged label inventory."""
+    """Decoding strategy plus the merged label inventory.
+
+    ``relations`` holds the inventory parsed once, so a malformed label is
+    rejected here rather than when a tree first uses it.
+    """
 
     labels: tuple[str, ...]
     strategy: str = "greedy"  # "greedy" | "beam"
     beam_width: int = 1
+    relations: tuple[RelationLabel, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -91,6 +102,13 @@ class DecodeConfig:
             raise RstError(f"unknown strategy {self.strategy!r}")
         if self.beam_width < 1:
             raise RstError("beam width must be >= 1")
+        if self.strategy == "greedy" and self.beam_width > 1:
+            raise RstError(
+                f"greedy decoding has beam width 1, got {self.beam_width}"
+            )
+        object.__setattr__(
+            self, "relations", tuple(map(RelationLabel.from_merged, self.labels))
+        )
 
 
 def _splits(provider: ScoreProvider, start: int, end: int) -> np.ndarray:
@@ -118,125 +136,63 @@ def _labels(
     return scores
 
 
-Decisions = dict[tuple[int, int], tuple[int, int]]  # range -> (split, label index)
+class _Path(NamedTuple):
+    """A partial tree: its last decision and the path it extends."""
 
-
-def _greedy_decisions(
-    n: int, provider: ScoreProvider, labels: Sequence[str]
-) -> tuple[Decisions, float]:
-    decisions: Decisions = {}
-    total = 0.0
-    agenda = [(0, n)]
-    while agenda:
-        start, end = agenda.pop()
-        if end - start < 2:
-            continue
-        split_scores = _splits(provider, start, end)
-        split = start + 1 + int(np.argmax(split_scores))
-        label_scores = _labels(provider, (start, split), (split, end), len(labels))
-        label = int(np.argmax(label_scores))
-        decisions[(start, end)] = (split, label)
-        total += float(split_scores[split - start - 1]) + float(label_scores[label])
-        agenda.append((split, end))
-        agenda.append((start, split))
-    return decisions, total
-
-
-def _build_tree(n: int, decisions: Decisions, labels: Sequence[str]) -> RstTree:
-    # Bottom-up assembly over the ranges reachable from (0, n).
-    memo: dict[tuple[int, int], RstTree] = {}
-    order: list[tuple[int, int]] = []
-    stack = [(0, n)]
-    while stack:
-        rng = stack.pop()
-        order.append(rng)
-        if rng[1] - rng[0] >= 2:
-            split = decisions[rng][0]
-            stack.append((rng[0], split))
-            stack.append((split, rng[1]))
-    for start, end in reversed(order):
-        if end - start == 1:
-            memo[(start, end)] = RstTree.leaf(start)
-        else:
-            split, label = decisions[(start, end)]
-            memo[(start, end)] = RstTree.internal(
-                memo[(start, split)],
-                memo[(split, end)],
-                RelationLabel.from_merged(labels[label]),
-            )
-    return memo[(0, n)]
-
-
-@dataclass(frozen=True)
-class _Hypothesis:
     score: float
-    trace: tuple[int, ...]  # alternating split point, label index
-    pending: tuple[tuple[int, int], ...]  # unexpanded ranges, leftmost first
-    decisions: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-    @property
-    def complete(self) -> bool:
-        return not self.pending
-
-    def sort_key(self) -> tuple:
-        return (-self.score, self.trace)
+    decision: tuple[int, int, int, int] | None  # (start, end, split, label)
+    parent: _Path | None
+    pending: tuple | None  # cons list ((start, end), rest), leftmost first
+    rank: int  # position in lexicographic decision order within its beam
 
 
-def _beam_decisions(
+def _search(
     n: int, provider: ScoreProvider, labels: Sequence[str], width: int
-) -> tuple[Decisions, float]:
-    beam = [_Hypothesis(0.0, (), ((0, n),), ())]
-    while any(not h.complete for h in beam):
-        # Stage 1: expand the leftmost pending range of every live
-        # hypothesis over all split points, prune to the beam width.
-        candidates: list[_Hypothesis] = []
-        for hyp in beam:
-            if hyp.complete:
-                candidates.append(hyp)
-                continue
-            start, end = hyp.pending[0]
-            rest = hyp.pending[1:]
-            split_scores = _splits(provider, start, end)
-            for k, split_score in enumerate(split_scores):
-                split = start + 1 + k
-                new_pending = []
-                if split - start >= 2:
-                    new_pending.append((start, split))
-                if end - split >= 2:
-                    new_pending.append((split, end))
-                candidates.append(
-                    _Hypothesis(
-                        hyp.score + float(split_score),
-                        hyp.trace + (split,),
-                        tuple(new_pending) + rest,
-                        hyp.decisions + (((start, end), (split, -1)),),
-                    )
-                )
-        candidates.sort(key=_Hypothesis.sort_key)
+) -> _Path:
+    """Best complete path over n >= 2 EDUs among the top ``width`` kept
+    at each step."""
+    beam = [_Path(0.0, None, None, ((0, n), None), 0)]
+    for _ in range(n - 1):
+        # All paths have taken the same number of decisions, so ordering
+        # by (-score, decision sequence) is ordering by (-score, parent
+        # rank, split).  Only a path's own top-w splits can survive.
+        candidates = []
+        for path in beam:
+            (start, end), _ = path.pending
+            neg = -path.score - _splits(provider, start, end)
+            for k in neg.argsort(kind="stable")[:width].tolist():
+                candidates.append((float(neg[k]), path.rank, start + 1 + k, path))
+        candidates.sort()
         survivors = candidates[:width]
-        # Stage 2: survivors that just chose a split commit to the argmax
-        # label; other labelings are dominated and never needed.
+        ranks = sorted((parent_rank, split) for _, parent_rank, split, _ in survivors)
+        rank_of = {key: rank for rank, key in enumerate(ranks)}
         beam = []
-        for hyp in survivors:
-            if hyp.decisions and hyp.decisions[-1][1][1] == -1:
-                rng, (split, _) = hyp.decisions[-1]
-                label_scores = _labels(
-                    provider, (rng[0], split), (split, rng[1]), len(labels)
-                )
-                label = int(np.argmax(label_scores))
-                beam.append(
-                    _Hypothesis(
-                        hyp.score + float(label_scores[label]),
-                        hyp.trace + (label,),
-                        hyp.pending,
-                        hyp.decisions[:-1] + ((rng, (split, label)),),
-                    )
-                )
-            else:
-                beam.append(hyp)
-        beam.sort(key=_Hypothesis.sort_key)
-    best = beam[0]
-    return dict(best.decisions), best.score
+        for neg_score, parent_rank, split, parent in survivors:
+            (start, end), pending = parent.pending
+            label_scores = _labels(provider, (start, split), (split, end), len(labels))
+            label = int(label_scores.argmax())
+            if end - split >= 2:
+                pending = ((split, end), pending)
+            if split - start >= 2:
+                pending = ((start, split), pending)
+            score = -neg_score + float(label_scores[label])
+            beam.append(_Path(score, (start, end, split, label), parent, pending,
+                              rank_of[(parent_rank, split)]))
+        beam.sort(key=lambda p: (-p.score, p.parent.rank, p.decision[2]))
+    return beam[0]
+
+
+def _tree(path: _Path, relations: Sequence[RelationLabel]) -> RstTree:
+    # The parent chain yields decisions in reverse pre-order: a node comes
+    # after both its subtrees, and its left subtree was finished last.
+    built: list[RstTree] = []
+    while path.decision is not None:
+        start, end, split, label = path.decision
+        left = built.pop() if split - start >= 2 else RstTree.leaf(start)
+        right = built.pop() if end - split >= 2 else RstTree.leaf(split)
+        built.append(RstTree.internal(left, right, relations[label]))
+        path = path.parent
+    return built.pop()
 
 
 def decode(n: int, provider: ScoreProvider, config: DecodeConfig) -> RstTree:
@@ -249,13 +205,12 @@ def decode(n: int, provider: ScoreProvider, config: DecodeConfig) -> RstTree:
         raise RstError("cannot decode an empty document")
     if n == 1:
         return RstTree.leaf(0)
-    greedy_decisions, greedy_score = _greedy_decisions(n, provider, config.labels)
-    if config.strategy == "greedy":
-        return _build_tree(n, greedy_decisions, config.labels)
-    decisions, score = _beam_decisions(n, provider, config.labels, config.beam_width)
-    if greedy_score > score:
-        decisions = greedy_decisions
-    return _build_tree(n, decisions, config.labels)
+    best = _search(n, provider, config.labels, 1)
+    if config.beam_width > 1:
+        beam = _search(n, provider, config.labels, config.beam_width)
+        if not best.score > beam.score:  # greedy wins only when strictly better
+            best = beam
+    return _tree(best, config.relations)
 
 
 def decode_with_segmentation(

@@ -202,3 +202,84 @@ def enumerate_trees(
 
 def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
+
+
+# ---------------------------------------------------------------------------
+# Decoder tie-order oracle: a plain beam that copies full decision tuples
+# into every hypothesis
+# ---------------------------------------------------------------------------
+
+
+def reference_decode(
+    n: int, provider, labels: Sequence[str], width: int
+) -> RstTree:
+    """Greedy recursion plus a separate beam whose hypotheses carry their
+    whole split/label trace and sort by (-score, trace); the beam result is
+    replaced by greedy's only when greedy scores strictly higher."""
+
+    def label_argmax(start: int, split: int, end: int) -> tuple[int, float]:
+        scores = [float(x) for x in provider.label_scores((start, split), (split, end))]
+        best = max(scores)
+        return scores.index(best), best
+
+    def greedy() -> tuple[float, dict]:
+        decisions, total, agenda = {}, 0.0, [(0, n)]
+        while agenda:
+            start, end = agenda.pop()
+            if end - start < 2:
+                continue
+            splits = [float(x) for x in provider.split_scores(start, end)]
+            split = start + 1 + splits.index(max(splits))
+            label, label_score = label_argmax(start, split, end)
+            decisions[(start, end)] = (split, label)
+            total += splits[split - start - 1] + label_score
+            agenda += [(split, end), (start, split)]
+        return total, decisions
+
+    def beam() -> tuple[float, dict]:
+        # (score, trace, pending ranges, decisions); candidates add the
+        # freshly split range that still awaits its label
+        hyps = [(0.0, (), ((0, n),), ())]
+        while any(h[2] for h in hyps):
+            candidates = []
+            for score, trace, pending, decisions in hyps:
+                if not pending:
+                    candidates.append((score, trace, pending, decisions, None))
+                    continue
+                (start, end), rest = pending[0], pending[1:]
+                for k, split_score in enumerate(provider.split_scores(start, end)):
+                    split = start + 1 + k
+                    halves = tuple(
+                        r for r in ((start, split), (split, end)) if r[1] - r[0] >= 2
+                    )
+                    candidates.append((score + float(split_score), trace + (split,),
+                                       halves + rest, decisions, (start, split, end)))
+            candidates.sort(key=lambda h: (-h[0], h[1]))
+            hyps = []
+            for score, trace, pending, decisions, fresh in candidates[:width]:
+                if fresh is not None:
+                    start, split, end = fresh
+                    label, label_score = label_argmax(start, split, end)
+                    score += label_score
+                    trace += (label,)
+                    decisions += (((start, end), (split, label)),)
+                hyps.append((score, trace, pending, decisions))
+            hyps.sort(key=lambda h: (-h[0], h[1]))
+        return hyps[0][0], dict(hyps[0][3])
+
+    def build(start: int, end: int, decisions: dict) -> RstTree:
+        if end - start == 1:
+            return RstTree.leaf(start)
+        split, label = decisions[(start, end)]
+        return RstTree.internal(
+            build(start, split, decisions),
+            build(split, end, decisions),
+            RelationLabel.from_merged(labels[label]),
+        )
+
+    greedy_score, decisions = greedy()
+    if width > 1:
+        beam_score, beam_decisions = beam()
+        if not greedy_score > beam_score:
+            decisions = beam_decisions
+    return build(0, n, decisions)

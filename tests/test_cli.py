@@ -8,7 +8,7 @@ from rstkit.cli import main
 from rstkit.core import Corpus, EduSpan
 from rstkit.treebank import read_canonical, serialize_rs3, write_canonical
 
-from helpers import make_document, random_edus, random_tree
+from helpers import TEST_LABELS, make_document, random_edus, random_tree
 
 
 @pytest.fixture()
@@ -279,6 +279,18 @@ class TestParseAndEval:
         dup = _with_repeated_line(gold_file, tmp_path, index=2)
         assert main(["parse", str(dup), "-o", str(tmp_path / "x"), "--oracle"]) == 1
         assert "duplicate document id doc2" in capsys.readouterr().err
+
+    def test_malformed_inventory_is_rejected_before_output(
+        self, gold_file, tmp_path, capsys
+    ):
+        inventory = tmp_path / "inventory.txt"
+        inventory.write_text("\n".join([*TEST_LABELS, "foo"]) + "\n", encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        code = main(["parse", str(gold_file), "-o", str(pred), "--oracle",
+                     "--inventory", str(inventory)])
+        assert code == 1
+        assert "'foo'" in capsys.readouterr().err
+        assert not pred.exists()
 
     def test_eval_rejects_repeated_gold_id(self, gold_file, tmp_path, capsys):
         dup = _with_repeated_line(gold_file, tmp_path, index=1)

@@ -17,7 +17,13 @@ from rstkit.decoder import (
 )
 from rstkit.metrics import parseval
 
-from helpers import TEST_LABELS, catalan, enumerate_trees, random_tree
+from helpers import (
+    TEST_LABELS,
+    catalan,
+    enumerate_trees,
+    random_tree,
+    reference_decode,
+)
 
 
 class RandomProvider(ScoreProvider):
@@ -38,6 +44,22 @@ class RandomProvider(ScoreProvider):
     def label_scores(self, left, right):
         rng = self._rng("label", left, right)
         return [rng.uniform(-self.scale, self.scale) for _ in range(len(self.labels))]
+
+
+class IntegerProvider(ScoreProvider):
+    """Scores in {0, 1, 2}: sums are exact and ties are everywhere."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def _score(self, *key):
+        return float(hash((self.seed, *key)) % 3)
+
+    def split_scores(self, start, end):
+        return [self._score(start, end, k) for k in range(end - start - 1)]
+
+    def label_scores(self, left, right):
+        return [self._score(left, right, k) for k in range(len(TEST_LABELS))]
 
 
 class CountingProvider(RandomProvider):
@@ -244,9 +266,21 @@ class TestBeam:
                 )
                 assert beam_score >= greedy_score - 1e-12
 
+    def test_tie_order_matches_reference_beam(self):
+        for seed in range(330):
+            n = 2 + seed % 11  # up to 12 EDUs
+            provider = IntegerProvider(seed)
+            for width in (1, 2, 3, 5, 16):
+                strategy = "beam" if width > 1 else "greedy"
+                config = DecodeConfig(TEST_LABELS, strategy, width)
+                expected = reference_decode(n, provider, TEST_LABELS, width)
+                assert decode(n, provider, config) == expected, (seed, width)
+
     def test_beam_width_validation(self):
         with pytest.raises(RstError):
             DecodeConfig(labels=TEST_LABELS, strategy="beam", beam_width=0)
+        with pytest.raises(RstError):
+            DecodeConfig(labels=TEST_LABELS, strategy="greedy", beam_width=2)
         with pytest.raises(RstError):
             DecodeConfig(labels=TEST_LABELS, strategy="sideways")
         with pytest.raises(RstError):
