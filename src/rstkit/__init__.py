@@ -3,7 +3,8 @@
 Subpackages by pipeline stage:
 
 * :mod:`rstkit.core`       domain types (trees, documents, corpora)
-* :mod:`rstkit.treebank`   .rs3 parsing/serialization, binarization,
+* :mod:`rstkit.treebank`   .rs3 parsing/serialization (a multinuclear group
+                           is read as a right-branching binary cascade),
                            canonical JSON-lines corpus format
 * :mod:`rstkit.preprocess` relation remapping, forest splitting, filtering
 * :mod:`rstkit.crf`        linear-chain CRF EDU segmenter
@@ -30,8 +31,6 @@ from .core import (
     build_tree,
     describe,
     enumerate_constituents,
-    merge_label,
-    split_label,
     tree_stats,
 )
 
@@ -50,7 +49,5 @@ __all__ = [
     "build_tree",
     "describe",
     "enumerate_constituents",
-    "merge_label",
-    "split_label",
     "tree_stats",
 ]

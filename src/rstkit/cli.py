@@ -92,8 +92,11 @@ def _read_split_map(path: str | None) -> dict[str, Split]:
             doc_id, _, split = line.partition("\t")
             if not split:
                 doc_id, _, split = line.partition(" ")
+            doc_id = doc_id.strip()
+            if doc_id in table:
+                raise RstError(f"{path}: line {line_number}: repeated file id {doc_id!r}")
             try:
-                table[doc_id.strip()] = Split(split.strip())
+                table[doc_id] = Split(split.strip())
             except ValueError:
                 raise RstError(
                     f"{path}: line {line_number}: split must be train, dev or "
@@ -264,6 +267,8 @@ def cmd_segment(args) -> int:
     model, extractor = crf_mod.load_model(_input_path(args.model))
     if extractor is None:
         raise RstError("model file does not carry feature settings")
+    if model.labels != crf_mod.DEFAULT_LABELS:
+        raise RstError(f"{args.model}: segmenter labels must be B, I; got {model.labels}")
     count = 0
     with open(args.output, "w", encoding="utf-8") as out:
         for doc in _unique_records(_input_path(args.input)):

@@ -100,17 +100,6 @@ class RelationLabel:
         return self.merged
 
 
-def merge_label(relation: str, nuclearity: Union[Nuclearity, str]) -> str:
-    """Merge a relation name and nuclearity into a single label string."""
-    return RelationLabel(relation, Nuclearity(nuclearity)).merged
-
-
-def split_label(merged: str) -> tuple[str, Nuclearity]:
-    """Inverse of :func:`merge_label`; raises LabelParseError if malformed."""
-    label = RelationLabel.from_merged(merged)
-    return label.relation, label.nuclearity
-
-
 @dataclass(frozen=True, slots=True)
 class Token:
     text: str

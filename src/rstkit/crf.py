@@ -20,6 +20,7 @@ Russian EDUs lean heavily on commas.  Externally computed dense vectors
 
 from __future__ import annotations
 
+import zipfile
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
@@ -461,18 +462,34 @@ def save_model(
 
 
 def load_model(path) -> tuple[CrfModel, HashedWindowFeatures | None]:
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"])
-        if version != _FORMAT_VERSION:
-            raise RstError(f"unsupported model format version {version}")
-        model = CrfModel(
-            labels=tuple(str(x) for x in data["labels"]),
-            emission=data["emission"],
-            transition=data["transition"],
-            start=data["start"],
-            stop=data["stop"],
-        )
-        extractor = (
-            HashedWindowFeatures(int(data["n_buckets"])) if "n_buckets" in data else None
+    """Read a model written by :func:`save_model`.
+
+    Raises RstError naming ``path`` when the file is not a model archive,
+    lacks a key, or stores an ``n_buckets`` whose feature width differs
+    from the emission weights'.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            version = int(data["version"])
+            if version != _FORMAT_VERSION:
+                raise RstError(f"unsupported model format version {version}")
+            model = CrfModel(
+                labels=tuple(str(x) for x in data["labels"]),
+                emission=data["emission"],
+                transition=data["transition"],
+                start=data["start"],
+                stop=data["stop"],
+            )
+            extractor = (
+                HashedWindowFeatures(int(data["n_buckets"]))
+                if "n_buckets" in data
+                else None
+            )
+    except (RstError, KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise RstError(f"{path}: cannot read model: {exc}") from None
+    if extractor is not None and extractor.dim != model.feature_dim:
+        raise RstError(
+            f"{path}: n_buckets {extractor.n_buckets} gives {extractor.dim} "
+            f"features, but emission has {model.feature_dim}"
         )
     return model, extractor

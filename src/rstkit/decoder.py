@@ -98,6 +98,9 @@ class DecodeConfig:
         object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels:
             raise RstError("decode config needs a label inventory")
+        if len(set(self.labels)) != len(self.labels):
+            repeated = sorted({x for x in self.labels if self.labels.count(x) > 1})
+            raise RstError(f"label inventory repeats {repeated}")
         if self.strategy not in ("greedy", "beam"):
             raise RstError(f"unknown strategy {self.strategy!r}")
         if self.beam_width < 1:

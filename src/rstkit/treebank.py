@@ -10,8 +10,10 @@ A child's ``relname`` decides how it attaches to its parent:
 * an rst-typed relname      -- the child is a satellite of the parent node.
 
 Under-annotated files contain several disconnected trees; parsing yields the
-whole forest, ordered by first segment position.  N-ary multinuclear nodes
-are binarized into right-branching cascades.
+whole forest, ordered by first segment position, as binary
+:class:`~rstkit.core.RstTree` trees: a multinuclear group with k nuclei is
+read as a right-branching cascade of k-1 nodes with the same NN label, and
+such a cascade is written back as one group.
 
 The canonical corpus format is UTF-8 JSON-lines, one document per line with
 the fixed fields ``id, genre, lang, tokens, edus, tree, sents, split``;
@@ -59,10 +61,6 @@ class UnknownRelname(RstError):
 
 class EmptySegmentText(RstError):
     """A segment carries no text."""
-
-
-class UnaryChain(RstError):
-    """An internal node was left with a single child."""
 
 
 class SchemaViolation(RstError):
@@ -238,73 +236,15 @@ def _validate_rs3(doc: Rs3Document) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Forest extraction: rs3 node table -> n-ary constituent trees
+# Forest extraction: rs3 node table -> binary constituent trees
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class NaryNode:
-    """Ordered constituent tree prior to binarization.
-
-    Leaves carry an ``edu_index``; internal nodes carry a label and two or
-    more children (only multinuclear nodes may have more than two).
-    """
-
-    label: RelationLabel | None
-    children: tuple["NaryNode", ...]
-    edu_index: int | None = None
-    first_edu: int = 0
-    last_edu: int = 0
-
-    @classmethod
-    def leaf(cls, edu_index: int) -> "NaryNode":
-        return cls(None, (), edu_index, edu_index, edu_index)
-
-    @classmethod
-    def internal(
-        cls, label: RelationLabel, children: Sequence["NaryNode"]
-    ) -> "NaryNode":
-        children = tuple(children)
-        if not children:
-            raise UnaryChain("internal node without children")
-        for prev, cur in zip(children, children[1:]):
-            if prev.last_edu + 1 != cur.first_edu:
-                raise RstError(
-                    "children are not contiguous in text order: "
-                    f"EDUs {prev.last_edu} -> {cur.first_edu}"
-                )
-        return cls(label, children, None, children[0].first_edu, children[-1].last_edu)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.edu_index is not None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NaryNode):
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if (
-                a.label != b.label
-                or a.edu_index != b.edu_index
-                or len(a.children) != len(b.children)
-            ):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
-
-    def __repr__(self) -> str:
-        if self.is_leaf:
-            return f"NaryNode<#{self.edu_index}>"
-        return f"NaryNode<{self.label} x{len(self.children)}>"
 
 
 @dataclass(frozen=True, slots=True)
 class Rs3Component:
     """One connected tree of an rs3 forest, with its EDU texts."""
 
-    tree: NaryNode
+    tree: RstTree
     edu_texts: tuple[str, ...]
 
 
@@ -391,7 +331,7 @@ def _resolve_component(
     children: dict[str, list[str]],
     kinds: dict[str, set[str]],
     edu_index: dict[str, int],
-) -> NaryNode:
+) -> RstTree:
     # Bottom-up resolution in dependency order (children before parents).
     stack = [root]
     topo: list[str] = []
@@ -399,7 +339,7 @@ def _resolve_component(
         nid = stack.pop()
         topo.append(nid)
         stack.extend(children[nid])
-    resolved: dict[str, NaryNode] = {}
+    resolved: dict[str, RstTree] = {}
     for nid in reversed(topo):
         resolved[nid] = _resolve_node(nid, nodes, children, kinds, edu_index, resolved)
     return resolved[root]
@@ -411,8 +351,8 @@ def _resolve_node(
     children: dict[str, list[str]],
     kinds: dict[str, set[str]],
     edu_index: dict[str, int],
-    resolved: dict[str, NaryNode],
-) -> NaryNode:
+    resolved: dict[str, RstTree],
+) -> RstTree:
     node = nodes[nid]
     span_children: list[str] = []
     multinuc_children: list[str] = []
@@ -429,7 +369,7 @@ def _resolve_node(
     if isinstance(node, Rs3Segment):
         if span_children or multinuc_children:
             raise MalformedXml(f"segment {nid} has span/multinuc children")
-        base = NaryNode.leaf(edu_index[nid])
+        base = RstTree.leaf(edu_index[nid])
     elif node.kind == "span":
         if len(span_children) != 1:
             raise MalformedXml(
@@ -441,13 +381,12 @@ def _resolve_node(
             raise MalformedXml(
                 f"multinuc group {nid} has {len(multinuc_children)} nuclei"
             )
-        parts = sorted(
-            (resolved[cid] for cid in multinuc_children),
-            key=lambda n: n.first_edu,
-        )
-        relname = nodes[min(multinuc_children, key=lambda c: resolved[c].first_edu)].relname
-        label = RelationLabel(relname or "joint", Nuclearity.NN)
-        base = NaryNode.internal(label, parts)
+        nuclei = sorted(multinuc_children, key=lambda c: resolved[c].first_edu)
+        label = RelationLabel(nodes[nuclei[0]].relname or "joint", Nuclearity.NN)
+        # k nuclei become a right-branching cascade of k-1 NN nodes
+        base = resolved[nuclei[-1]]
+        for cid in nuclei[-2::-1]:
+            base = RstTree.internal(resolved[cid], base, label)
 
     pending = [(resolved[cid], nodes[cid].relname or "") for cid in satellites]
     while pending:
@@ -455,13 +394,13 @@ def _resolve_node(
         left = [p for p in pending if p[0].last_edu == base.first_edu - 1]
         if right:
             sat, relname = right[0]
-            base = NaryNode.internal(
-                RelationLabel(relname, Nuclearity.NS), (base, sat)
+            base = RstTree.internal(
+                base, sat, RelationLabel(relname, Nuclearity.NS)
             )
         elif left:
             sat, relname = left[0]
-            base = NaryNode.internal(
-                RelationLabel(relname, Nuclearity.SN), (sat, base)
+            base = RstTree.internal(
+                sat, base, RelationLabel(relname, Nuclearity.SN)
             )
         else:
             raise MalformedXml(
@@ -469,94 +408,6 @@ def _resolve_node(
             )
         pending = [p for p in pending if p[0] is not sat]
     return base
-
-
-# ---------------------------------------------------------------------------
-# Binarization
-# ---------------------------------------------------------------------------
-
-
-def binarize(tree: Union[NaryNode, RstTree]) -> RstTree:
-    """Binarize an n-ary constituent tree.
-
-    Multinuclear nodes with more than two children become right-branching
-    cascades; every intermediate node repeats the same NN label.  Binary
-    input (including an already-binary RstTree) is returned unchanged, so
-    ``binarize`` is idempotent.  Raises UnaryChain for one-child nodes.
-    """
-    if isinstance(tree, RstTree):
-        return tree
-    results: list[RstTree] = []
-    stack: list[tuple[str, NaryNode]] = [("visit", tree)]
-    while stack:
-        op, node = stack.pop()
-        if op == "visit":
-            if node.is_leaf:
-                results.append(RstTree.leaf(node.edu_index))  # type: ignore[arg-type]
-            else:
-                if len(node.children) == 1:
-                    raise UnaryChain(
-                        f"internal node over EDUs {node.first_edu}.."
-                        f"{node.last_edu} has a single child"
-                    )
-                stack.append(("combine", node))
-                for child in reversed(node.children):
-                    stack.append(("visit", child))
-        else:
-            label = node.label
-            assert label is not None
-            k = len(node.children)
-            if k > 2 and label.nuclearity is not Nuclearity.NN:
-                raise RstError(
-                    f"mononuclear node over EDUs {node.first_edu}.."
-                    f"{node.last_edu} has {k} children"
-                )
-            parts = results[-k:]
-            del results[-k:]
-            acc = parts[-1]
-            for child in parts[-2::-1]:
-                acc = RstTree.internal(child, acc, label)
-            results.append(acc)
-    (result,) = results
-    return result
-
-
-def unbinarize(tree: RstTree) -> NaryNode:
-    """Merge right-branching same-relation NN cascades back into n-ary nodes.
-
-    Exact inverse of :func:`binarize` for trees it produced; any other tree
-    is returned with only genuine right-cascades collapsed, so a later
-    re-binarization reproduces the input tree.
-    """
-    results: list[NaryNode] = []
-    stack: list[tuple[str, RstTree]] = [("visit", tree)]
-    while stack:
-        op, node = stack.pop()
-        if op == "visit":
-            if node.is_leaf:
-                results.append(NaryNode.leaf(node.edu_index))
-            else:
-                stack.append(("combine", node))
-                stack.append(("visit", node.right))  # type: ignore[arg-type]
-                stack.append(("visit", node.left))  # type: ignore[arg-type]
-        else:
-            right = results.pop()
-            left = results.pop()
-            label = node.label
-            assert label is not None
-            merge = (
-                label.nuclearity is Nuclearity.NN
-                and node.right is not None
-                and not node.right.is_leaf
-                and node.right.label == label
-            )
-            if merge:
-                children = (left,) + right.children
-            else:
-                children = (left, right)
-            results.append(NaryNode.internal(label, children))
-    (result,) = results
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +422,7 @@ def component_to_record(
     lang: str = "en",
     split: Split | str = Split.TRAIN,
 ) -> DocumentRecord:
-    """Tokenize one forest component and binarize its tree."""
+    """Tokenize one forest component into a document record with its tree."""
     tokens: list[Token] = []
     edus: list[EduSpan] = []
     char_offset = 0
@@ -588,7 +439,7 @@ def component_to_record(
         lang=lang,
         tokens=tuple(tokens),
         edus=tuple(edus),
-        tree=binarize(component.tree),
+        tree=component.tree,
         split=Split(split),
     )
 
@@ -599,27 +450,26 @@ def component_to_record(
 
 
 def serialize_rs3(doc: DocumentRecord) -> bytes:
-    """Emit rs3 XML for one document; parse + binarize maps it back to an
-    equal tree.  Raises MissingTree when the record has no tree."""
+    """Emit rs3 XML for one document; :func:`extract_forest` reads it back
+    as an equal tree.  Raises MissingTree when the record has no tree."""
     return serialize_rs3_forest([doc])
 
 
 def serialize_rs3_forest(docs: Sequence[DocumentRecord]) -> bytes:
-    """Emit one rs3 file holding several trees (an under-annotated forest)."""
+    """Emit one rs3 file holding several trees (an under-annotated forest).
+
+    A right cascade of nodes with the same NN label is written as one
+    multinuc group, the inverse of how :func:`extract_forest` reads it.
+    """
     for doc in docs:
         if doc.tree is None:
             raise MissingTree(f"{doc.doc_id} has no tree")
-    nary = [unbinarize(doc.tree) for doc in docs]  # type: ignore[arg-type]
 
-    relations: set[tuple[str, str]] = set()
-    for tree in nary:
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if node.label is not None:
-                kind = "multinuc" if node.label.nuclearity is Nuclearity.NN else "rst"
-                relations.add((node.label.relation, kind))
-            stack.extend(node.children)
+    relations = {
+        (node.label.relation, "multinuc" if node.label.nuclearity is Nuclearity.NN else "rst")
+        for doc in docs
+        for node in doc.tree.internal_nodes()  # type: ignore[union-attr]
+    }
 
     root = ET.Element("rst")
     header = ET.SubElement(root, "header")
@@ -630,18 +480,13 @@ def serialize_rs3_forest(docs: Sequence[DocumentRecord]) -> bytes:
 
     next_group_id = sum(len(doc.edus) for doc in docs) + 1
     segment_base = 1
-    entries: list[dict] = []
-    for doc, tree in zip(docs, nary):
-        next_group_id = _emit_component(
-            doc, tree, segment_base, next_group_id, entries
-        )
+    segments: list[ET.Element] = []
+    groups: list[ET.Element] = []
+    for doc in docs:
+        next_group_id = _emit_component(doc, segment_base, next_group_id, segments, groups)
         segment_base += len(doc.edus)
-
     # Segments first, in text order, then groups; editors expect this layout.
-    entries.sort(key=lambda e: (e["tag"] != "segment", int(e["attrib"]["id"])))
-    for entry in entries:
-        elem = ET.SubElement(body, entry["tag"], entry["attrib"])
-        elem.text = entry.get("text")
+    body.extend(segments + groups)
 
     buffer = io.BytesIO()
     ET.indent(root)
@@ -649,79 +494,80 @@ def serialize_rs3_forest(docs: Sequence[DocumentRecord]) -> bytes:
     return buffer.getvalue()
 
 
+def _group_children(node: RstTree) -> list[RstTree]:
+    """Children of the rs3 group written for an internal node: an NN node
+    absorbs the right cascade of nodes that carry its label."""
+    label = node.label
+    assert label is not None and node.left is not None and node.right is not None
+    if label.nuclearity is not Nuclearity.NN:
+        return [node.left, node.right]
+    children = []
+    while not node.is_leaf and node.label == label:
+        children.append(node.left)
+        node = node.right  # type: ignore[assignment]
+    children.append(node)
+    return children
+
+
 def _emit_component(
     doc: DocumentRecord,
-    tree: NaryNode,
     segment_base: int,
     next_group_id: int,
-    entries: list[dict],
+    segments: list[ET.Element],
+    groups: list[ET.Element],
 ) -> int:
-    """Append segment/group entries for one tree; returns next free group id."""
-
-    def edu_text(edu_idx: int) -> str:
-        span = doc.edus[edu_idx]
-        return " ".join(t.text for t in doc.tokens[span.first_token : span.last_token + 1])
-
-    # First pass: assign an rs3 id to every tree node.
+    """Append one tree's segments and groups, each in id order; returns the
+    next free group id."""
+    # First pass: rs3 ids for every group (pre-order, last child first) and
+    # segment, and the children of each group.
     node_ids: dict[int, str] = {}
+    group_nodes: list[tuple[RstTree, list[RstTree]]] = []
     group_id = next_group_id
-    stack = [tree]
-    ordered: list[NaryNode] = []
+    stack = [doc.tree]
     while stack:
         node = stack.pop()
-        ordered.append(node)
+        assert node is not None
         if node.is_leaf:
-            node_ids[id(node)] = str(segment_base + node.edu_index)  # type: ignore[operator]
+            node_ids[id(node)] = str(segment_base + node.edu_index)
         else:
             node_ids[id(node)] = str(group_id)
             group_id += 1
-        stack.extend(node.children)
+            children = _group_children(node)
+            group_nodes.append((node, children))
+            stack.extend(children)
 
-    # Second pass: emit nodes with their attachment edges.
-    attach: dict[str, tuple[str, str]] = {}  # node id -> (parent id, relname)
-
-    def representative(node: NaryNode) -> str:
-        return node_ids[id(node)]
-
-    for node in ordered:
-        if node.is_leaf:
-            continue
+    # Second pass: attachment edges, rs3 id -> (parent id, relname).
+    attach: dict[str, tuple[str, str]] = {}
+    for node, children in group_nodes:
         label = node.label
         assert label is not None
         gid = node_ids[id(node)]
         if label.nuclearity is Nuclearity.NN:
-            for child in node.children:
-                attach[representative(child)] = (gid, label.relation)
+            for child in children:
+                attach[node_ids[id(child)]] = (gid, label.relation)
         else:
             nucleus, satellite = (
-                (node.children[0], node.children[1])
-                if label.nuclearity is Nuclearity.NS
-                else (node.children[1], node.children[0])
+                children if label.nuclearity is Nuclearity.NS else children[::-1]
             )
-            attach[representative(nucleus)] = (gid, "span")
-            attach[representative(satellite)] = (representative(nucleus), label.relation)
+            attach[node_ids[id(nucleus)]] = (gid, "span")
+            attach[node_ids[id(satellite)]] = (node_ids[id(nucleus)], label.relation)
 
-    for node in ordered:
-        nid = node_ids[id(node)]
-        attrib = {"id": nid}
+    def attrib(nid: str, **extra: str) -> dict[str, str]:
+        # id/type first, then attachment, mirrors common rs3 layout
+        out = {"id": nid, **extra}
         if nid in attach:
-            parent, relname = attach[nid]
-            attrib["parent"] = parent
-            attrib["relname"] = relname
-        if node.is_leaf:
-            entries.append(
-                {"tag": "segment", "attrib": attrib, "text": edu_text(node.edu_index)}  # type: ignore[arg-type]
-            )
-        else:
-            attrib["type"] = (
-                "multinuc" if node.label.nuclearity is Nuclearity.NN else "span"  # type: ignore[union-attr]
-            )
-            # id/type first, then attachment, mirrors common rs3 layout
-            ordered_attrib = {"id": attrib["id"], "type": attrib["type"]}
-            ordered_attrib.update(
-                {k: v for k, v in attrib.items() if k in ("parent", "relname")}
-            )
-            entries.append({"tag": "group", "attrib": ordered_attrib, "text": None})
+            out["parent"], out["relname"] = attach[nid]
+        return out
+
+    for i, span in enumerate(doc.edus):
+        segment = ET.Element("segment", attrib(str(segment_base + i)))
+        segment.text = " ".join(
+            t.text for t in doc.tokens[span.first_token : span.last_token + 1]
+        )
+        segments.append(segment)
+    for node, _ in group_nodes:
+        kind = "multinuc" if node.label.nuclearity is Nuclearity.NN else "span"  # type: ignore[union-attr]
+        groups.append(ET.Element("group", attrib(node_ids[id(node)], type=kind)))
     return group_id
 
 
@@ -921,5 +767,7 @@ def read_sentence_file(path) -> dict[str, tuple[int, ...]]:
                 bounds = tuple(int(x) for x in parts[1].split())
             except ValueError:
                 raise SchemaViolation(line_number, "boundary indices must be ints") from None
+            if parts[0] in table:
+                raise SchemaViolation(line_number, f"repeated document id {parts[0]!r}")
             table[parts[0]] = bounds
     return table

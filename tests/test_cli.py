@@ -2,8 +2,10 @@ import csv
 import io
 import random
 
+import numpy as np
 import pytest
 
+from rstkit import crf as crf_mod
 from rstkit.cli import main
 from rstkit.core import Corpus, EduSpan
 from rstkit.treebank import read_canonical, serialize_rs3, write_canonical
@@ -83,6 +85,16 @@ class TestConvert:
         err = capsys.readouterr().err
         assert "line 3" in err and "'bogus'" in err
 
+    def test_repeated_split_map_id_is_a_user_error(self, rs3_dir, tmp_path, capsys):
+        split_map = tmp_path / "splits.tsv"
+        split_map.write_text("demo_news_0\tdev\ndemo_news_1\ttest\ndemo_news_0 train\n")
+        out = tmp_path / "x"
+        code = main(["convert", str(rs3_dir), "-o", str(out), "--split-map", str(split_map)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 3" in err and "'demo_news_0'" in err
+        assert not out.exists()
+
 
 class TestPreprocess:
     def test_forest_pipeline_via_cli(self, forest_corpus, tmp_path, capsys):
@@ -139,6 +151,13 @@ class TestStats:
         write_canonical(Corpus.from_documents("c", [doc]), path)
         assert main(["stats", str(path)]) == 1  # boundaries required
         assert main(["stats", str(path), "--no-spanned"]) == 0
+
+    def test_repeated_sentence_file_id_is_a_user_error(self, gold_file, tmp_path, capsys):
+        sents = tmp_path / "gold.sents"
+        sents.write_text("doc0\t0\ndoc1\t0\ndoc0\t0\n", encoding="utf-8")
+        assert main(["stats", str(gold_file), "--sents", str(sents)]) == 1
+        err = capsys.readouterr().err
+        assert "line 3" in err and "'doc0'" in err
 
     @pytest.mark.parametrize("by_genre", [[], ["--by-genre"]])
     def test_repeated_id_is_a_user_error(self, gold_file, tmp_path, by_genre, capsys):
@@ -208,6 +227,29 @@ class TestSegmenterCommands:
         dup = _with_repeated_line(gold_file, tmp_path)
         assert main(["segment", str(model), str(dup), "-o", str(tmp_path / "s")]) == 1
         assert "duplicate document id doc0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", ["labels", "no_emission", "not_npz", "buckets"])
+    def test_unusable_model_is_a_user_error(self, gold_file, tmp_path, defect, capsys):
+        model = tmp_path / "model.npz"
+        extractor = crf_mod.HashedWindowFeatures(8)
+        if defect == "not_npz":
+            model.write_text("not a model archive\n", encoding="utf-8")
+        elif defect == "labels":
+            crf_mod.save_model(
+                crf_mod.CrfModel.create(extractor.dim, labels=("X", "Y")), model, extractor
+            )
+        elif defect == "buckets":
+            wider = crf_mod.HashedWindowFeatures(16)
+            crf_mod.save_model(crf_mod.CrfModel.create(wider.dim), model, extractor)
+        else:
+            crf_mod.save_model(crf_mod.CrfModel.create(extractor.dim), model, extractor)
+            with np.load(model) as data:
+                kept = {k: data[k] for k in data.files if k != "emission"}
+            np.savez(model, **kept)
+        out = tmp_path / "segd.jsonl"
+        assert main(["segment", str(model), str(gold_file), "-o", str(out)]) == 1
+        assert str(model) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParseAndEval:
@@ -290,6 +332,18 @@ class TestParseAndEval:
                      "--inventory", str(inventory)])
         assert code == 1
         assert "'foo'" in capsys.readouterr().err
+        assert not pred.exists()
+
+    def test_repeated_inventory_label_is_rejected_before_output(
+        self, gold_file, tmp_path, capsys
+    ):
+        inventory = tmp_path / "inventory.txt"
+        inventory.write_text("\n".join([*TEST_LABELS, "elaboration_NS"]) + "\n",
+                             encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        assert main(["parse", str(gold_file), "-o", str(pred), "--oracle",
+                     "--inventory", str(inventory)]) == 1
+        assert "elaboration_NS" in capsys.readouterr().err
         assert not pred.exists()
 
     def test_eval_rejects_repeated_gold_id(self, gold_file, tmp_path, capsys):

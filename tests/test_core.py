@@ -21,8 +21,6 @@ from rstkit.core import (
     build_tree,
     describe,
     enumerate_constituents,
-    merge_label,
-    split_label,
     tree_stats,
 )
 
@@ -44,12 +42,6 @@ class TestRelationLabel:
     def test_malformed_merged(self, bad):
         with pytest.raises(LabelParseError):
             RelationLabel.from_merged(bad)
-
-    def test_merge_split_helpers(self):
-        assert merge_label("elaboration", Nuclearity.NS) == "elaboration_NS"
-        assert split_label("joint_NN") == ("joint", Nuclearity.NN)
-        with pytest.raises(LabelParseError):
-            split_label("nonsense")
 
 
 class TestBuildTree:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rstkit.core import EduSpan
+from rstkit.core import EduSpan, RstError
 from rstkit.crf import (
     CrfModel,
     DimensionMismatch,
@@ -283,8 +283,8 @@ class TestFeatures:
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
-        model = random_model(rng, n_labels=2, dim=5)
         extractor = HashedWindowFeatures(32)
+        model = random_model(rng, n_labels=2, dim=extractor.dim)
         path = tmp_path / "model.npz"
         save_model(model, path, extractor)
         loaded, loaded_extractor = load_model(path)
@@ -292,3 +292,10 @@ class TestPersistence:
         for name in ("emission", "transition", "start", "stop"):
             assert np.array_equal(getattr(loaded, name), getattr(model, name))
         assert loaded_extractor == extractor
+
+    def test_bucket_count_must_match_emission_width(self, tmp_path):
+        model = random_model(np.random.default_rng(7), n_labels=2, dim=5)
+        path = tmp_path / "model.npz"
+        save_model(model, path, HashedWindowFeatures(32))
+        with pytest.raises(RstError, match="n_buckets 32 gives 101 features"):
+            load_model(path)

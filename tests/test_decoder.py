@@ -286,6 +286,10 @@ class TestBeam:
         with pytest.raises(RstError):
             DecodeConfig(labels=())
 
+    def test_repeated_label_rejected(self):
+        with pytest.raises(RstError, match="joint_NN"):
+            DecodeConfig(labels=(*TEST_LABELS, "joint_NN"))
+
 
 class TestDecodeWithSegmentation:
     def test_gold_labels_reduce_to_plain_decode(self):

@@ -19,11 +19,8 @@ from rstkit.treebank import (
     DanglingParentId,
     EmptySegmentText,
     MalformedXml,
-    NaryNode,
     SchemaViolation,
-    UnaryChain,
     UnknownRelname,
-    binarize,
     component_to_record,
     extract_forest,
     parse_rs3,
@@ -32,13 +29,51 @@ from rstkit.treebank import (
     serialize_rs3_forest,
     tokenize,
     tree_from_string,
+    read_sentence_file,
     tree_to_string,
-    unbinarize,
     write_canonical,
 )
 from rstkit.core import Corpus
 
-from helpers import TEST_LABELS, make_document, random_edus, random_tree
+from helpers import make_document, random_edus, random_tree
+
+
+# serialize_rs3_forest output for the two documents of
+# TestSerializeRs3.test_forest_bytes_are_pinned.
+FOREST_RS3 = """\
+<?xml version='1.0' encoding='utf-8'?>
+<rst>
+  <header>
+    <relations>
+      <rel name="attribution" type="rst" />
+      <rel name="background" type="rst" />
+      <rel name="elaboration" type="rst" />
+      <rel name="joint" type="multinuc" />
+      <rel name="sequence" type="multinuc" />
+    </relations>
+  </header>
+  <body>
+    <segment id="1" parent="2" relname="attribution">w0</segment>
+    <segment id="2" parent="15" relname="span">w1</segment>
+    <segment id="3" parent="13" relname="joint">w2</segment>
+    <segment id="4" parent="14" relname="sequence">w3</segment>
+    <segment id="5" parent="14" relname="sequence">w4</segment>
+    <segment id="6" parent="13" relname="elaboration">w5</segment>
+    <segment id="7" parent="19" relname="joint">w0</segment>
+    <segment id="8" parent="19" relname="joint">w1</segment>
+    <segment id="9" parent="18" relname="joint">w2</segment>
+    <segment id="10" parent="17" relname="span">w3</segment>
+    <segment id="11" parent="10" relname="elaboration">w4</segment>
+    <group id="12" type="span" />
+    <group id="13" type="multinuc" parent="12" relname="span" />
+    <group id="14" type="multinuc" parent="13" relname="joint" />
+    <group id="15" type="span" parent="13" relname="joint" />
+    <group id="16" type="span" />
+    <group id="17" type="span" parent="16" relname="span" />
+    <group id="18" type="multinuc" parent="17" relname="background" />
+    <group id="19" type="multinuc" parent="18" relname="joint" />
+  </body>
+</rst>"""
 
 
 def rs3(body: str, rels: str = "") -> bytes:
@@ -99,8 +134,7 @@ class TestParseRs3:
         forest = extract_forest(parse_rs3(data))
         assert len(forest) == 1
         assert forest[0].edu_texts == ("First clause.", "Second clause.")
-        tree = binarize(forest[0].tree)
-        assert tree == build_tree((0, 1, "elaboration_NS"))
+        assert forest[0].tree == build_tree((0, 1, "elaboration_NS"))
 
     def test_multinuc_group(self):
         data = rs3(
@@ -112,10 +146,45 @@ class TestParseRs3:
             """
         )
         (component,) = extract_forest(parse_rs3(data))
-        assert len(component.tree.children) == 3
-        assert binarize(component.tree) == build_tree(
-            (0, (1, 2, "joint_NN"), "joint_NN")
+        assert component.tree == build_tree((0, (1, 2, "joint_NN"), "joint_NN"))
+
+    def test_four_nucleus_multinuc_is_a_right_cascade(self):
+        data = rs3(
+            """
+            <segment id="1" parent="5" relname="sequence">a.</segment>
+            <segment id="2" parent="5" relname="sequence">b.</segment>
+            <segment id="3" parent="5" relname="sequence">c.</segment>
+            <segment id="4" parent="5" relname="sequence">d.</segment>
+            <group id="5" type="multinuc"/>
+            """
         )
+        (component,) = extract_forest(parse_rs3(data))
+        assert component.tree == build_tree(
+            (0, (1, (2, 3, "sequence_NN"), "sequence_NN"), "sequence_NN")
+        )
+
+    def test_multinuc_group_with_one_nucleus_rejected(self):
+        data = rs3(
+            """
+            <segment id="1" parent="3" relname="joint">a.</segment>
+            <segment id="2" parent="1" relname="elaboration">b.</segment>
+            <group id="3" type="multinuc"/>
+            """
+        )
+        with pytest.raises(MalformedXml):
+            extract_forest(parse_rs3(data))
+
+    def test_span_group_with_two_span_children_rejected(self):
+        data = rs3(
+            """
+            <segment id="1" parent="4" relname="span">a.</segment>
+            <segment id="2" parent="4" relname="span">b.</segment>
+            <segment id="3" parent="4" relname="span">c.</segment>
+            <group id="4" type="span"/>
+            """
+        )
+        with pytest.raises(MalformedXml):
+            extract_forest(parse_rs3(data))
 
     def test_forest_components_ordered_by_text_position(self):
         data = rs3(
@@ -141,8 +210,7 @@ class TestParseRs3:
             """
         )
         (component,) = extract_forest(parse_rs3(data))
-        tree = binarize(component.tree)
-        assert tree == build_tree(((0, 1, "joint_NN"), 2, "elaboration_NS"))
+        assert component.tree == build_tree(((0, 1, "joint_NN"), 2, "elaboration_NS"))
 
     def test_two_satellites_right_folds_first(self):
         # Left and right satellites of the same nucleus: the right one is
@@ -156,8 +224,7 @@ class TestParseRs3:
             """
         )
         (component,) = extract_forest(parse_rs3(data))
-        tree = binarize(component.tree)
-        assert tree == build_tree(
+        assert component.tree == build_tree(
             (0, (1, 2, "elaboration_NS"), "background_SN")
         )
 
@@ -171,8 +238,7 @@ class TestParseRs3:
             """
         )
         (component,) = extract_forest(parse_rs3(data))
-        tree = binarize(component.tree)
-        assert tree == build_tree(
+        assert component.tree == build_tree(
             ((0, 1, "elaboration_NS"), 2, "background_NS")
         )
 
@@ -216,47 +282,6 @@ class TestParseRs3:
         assert component.edu_texts == ("hi there.",)
 
 
-class TestBinarize:
-    def test_binary_input_is_identity(self):
-        label = RelationLabel("elaboration", Nuclearity.NS)
-        nary = NaryNode.internal(label, (NaryNode.leaf(0), NaryNode.leaf(1)))
-        assert binarize(nary) == build_tree((0, 1, "elaboration_NS"))
-
-    def test_three_way_multinuclear_right_cascade(self):
-        label = RelationLabel("joint", Nuclearity.NN)
-        nary = NaryNode.internal(
-            label, tuple(NaryNode.leaf(i) for i in range(3))
-        )
-        assert binarize(nary) == build_tree((0, (1, 2, "joint_NN"), "joint_NN"))
-
-    def test_four_way_multinuclear_has_three_internal_nodes(self):
-        label = RelationLabel("sequence", Nuclearity.NN)
-        nary = NaryNode.internal(label, tuple(NaryNode.leaf(i) for i in range(4)))
-        tree = binarize(nary)
-        internals = list(tree.internal_nodes())
-        assert len(internals) == 3
-        assert all(node.label == label for node in internals)
-        assert tree == build_tree((0, (1, (2, 3, "sequence_NN"), "sequence_NN"), "sequence_NN"))
-
-    def test_unary_chain_rejected(self):
-        label = RelationLabel("joint", Nuclearity.NN)
-        nary = NaryNode(label, (NaryNode.leaf(0),), None, 0, 0)
-        with pytest.raises(UnaryChain):
-            binarize(nary)
-
-    def test_idempotent_on_rst_trees(self):
-        rng = random.Random(5)
-        for _ in range(25):
-            tree = random_tree(rng, rng.randint(1, 10))
-            assert binarize(binarize(tree)) == binarize(tree)
-
-    def test_mononuclear_nary_with_three_children_rejected(self):
-        label = RelationLabel("elaboration", Nuclearity.NS)
-        nary = NaryNode.internal(label, tuple(NaryNode.leaf(i) for i in range(3)))
-        with pytest.raises(RstError):
-            binarize(nary)
-
-
 class TestSerializeRs3:
     def test_two_edu_doc_layout(self):
         doc = make_document("d", build_tree((0, 1, "elaboration_NS")))
@@ -273,11 +298,11 @@ class TestSerializeRs3:
     def test_round_trip_on_random_documents(self):
         rng = random.Random(23)
         for i in range(40):
-            n = rng.randint(1, 12)
+            n = rng.randint(1, 40)
             doc = make_document(f"d{i}", random_tree(rng, n), random_edus(rng, n))
             forest = extract_forest(parse_rs3(serialize_rs3(doc)))
             assert len(forest) == 1
-            assert binarize(forest[0].tree) == doc.tree
+            assert forest[0].tree == doc.tree
 
     def test_debinarized_cascade_shares_one_multinuc_parent(self):
         tree = build_tree((0, (1, 2, "joint_NN"), "joint_NN"))
@@ -285,16 +310,34 @@ class TestSerializeRs3:
         text = serialize_rs3(doc).decode("utf-8")
         assert text.count("<group") == 1
         assert text.count("<segment") == 3
-        # and the round trip re-binarizes to the same cascade
+        # and the round trip reads back the same cascade
         (component,) = extract_forest(parse_rs3(serialize_rs3(doc)))
-        assert len(component.tree.children) == 3
-        assert binarize(component.tree) == tree
+        assert component.tree == tree
+
+    def test_same_label_nn_cascade_is_one_multinuc_group(self):
+        tree = build_tree((0, (1, (2, 3, "joint_NN"), "joint_NN"), "joint_NN"))
+        text = serialize_rs3(make_document("d", tree)).decode("utf-8")
+        assert text.count("<segment") == 4
+        assert text.count('<group id="5" type="multinuc" />') == 1
+        assert text.count("<group") == 1
+        assert text.count('parent="5" relname="joint"') == 4
+        (component,) = extract_forest(parse_rs3(text.encode("utf-8")))
+        assert component.tree == tree
+
+    def test_different_label_nested_nn_nodes_stay_separate_groups(self):
+        tree = build_tree((0, (1, 2, "sequence_NN"), "joint_NN"))
+        text = serialize_rs3(make_document("d", tree)).decode("utf-8")
+        assert text.count("<group") == 2
+        (component,) = extract_forest(parse_rs3(text.encode("utf-8")))
+        assert component.tree == tree
 
     def test_left_heavy_nn_structure_survives(self):
         tree = build_tree(((0, 1, "joint_NN"), 2, "joint_NN"))
         doc = make_document("d", tree)
+        text = serialize_rs3(doc).decode("utf-8")
+        assert text.count("<group") == 2
         (component,) = extract_forest(parse_rs3(serialize_rs3(doc)))
-        assert binarize(component.tree) == tree
+        assert component.tree == tree
 
     def test_forest_round_trip_preserves_component_order_and_edus(self):
         rng = random.Random(9)
@@ -308,13 +351,19 @@ class TestSerializeRs3:
         total_segments = data.decode("utf-8").count("<segment")
         assert sum(len(c.edu_texts) for c in forest) == total_segments
         for doc, component in zip(docs, forest):
-            assert binarize(component.tree) == doc.tree
+            assert component.tree == doc.tree
 
-    def test_unbinarize_inverts_binarize(self):
-        rng = random.Random(31)
-        for _ in range(30):
-            tree = random_tree(rng, rng.randint(2, 10), TEST_LABELS)
-            assert binarize(unbinarize(tree)) == tree
+    def test_forest_bytes_are_pinned(self):
+        # Group ids follow a pre-order walk that visits the last child first.
+        docs = [
+            make_document("a", build_tree(
+                (((0, 1, "attribution_SN"), (2, (3, 4, "sequence_NN"), "joint_NN"),
+                  "joint_NN"), 5, "elaboration_NS"))),
+            make_document("b", build_tree(
+                (((0, 1, "joint_NN"), 2, "joint_NN"), (3, 4, "elaboration_NS"),
+                 "background_SN"))),
+        ]
+        assert serialize_rs3_forest(docs).decode("utf-8") == FOREST_RS3
 
 
 class TestComponentToRecord:
@@ -434,3 +483,17 @@ def write_and_reload(corpus, tmp_path):
     path = tmp_path / "tmp.jsonl"
     write_canonical(corpus, path)
     return path.read_text(encoding="utf-8").splitlines()[0]
+
+
+class TestSentenceFile:
+    def test_reads_boundaries(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text("# id\tstarts\nd1\t0 4 9\nd2\t0\n", encoding="utf-8")
+        assert read_sentence_file(path) == {"d1": (0, 4, 9), "d2": (0,)}
+
+    def test_repeated_document_id_is_rejected(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text("d1\t0 4\nd2\t0\nd1\t0 2\n", encoding="utf-8")
+        with pytest.raises(SchemaViolation) as err:
+            read_sentence_file(path)
+        assert err.value.line_number == 3
