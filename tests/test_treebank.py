@@ -282,6 +282,29 @@ class TestParseRs3:
         assert component.edu_texts == ("hi there.",)
 
 
+class TestBinarize:
+    """Reading rs3 binarizes: a k-nucleus multinuc group becomes a right
+    cascade of k-1 nodes that all carry the group's NN label."""
+
+    def test_three_way_multinuclear_right_cascade(self):
+        # The middle nucleus is a span group with its own satellite, so the
+        # cascade runs over three nuclei, not over the four EDUs.
+        data = rs3(
+            """
+            <segment id="1" parent="5" relname="joint">a.</segment>
+            <segment id="2" parent="6" relname="span">b.</segment>
+            <segment id="3" parent="2" relname="elaboration">about b.</segment>
+            <segment id="4" parent="5" relname="joint">c.</segment>
+            <group id="5" type="multinuc"/>
+            <group id="6" type="span" parent="5" relname="joint"/>
+            """
+        )
+        (component,) = extract_forest(parse_rs3(data))
+        assert component.tree == build_tree(
+            (0, ((1, 2, "elaboration_NS"), 3, "joint_NN"), "joint_NN")
+        )
+
+
 class TestSerializeRs3:
     def test_two_edu_doc_layout(self):
         doc = make_document("d", build_tree((0, 1, "elaboration_NS")))
@@ -364,6 +387,30 @@ class TestSerializeRs3:
                  "background_SN"))),
         ]
         assert serialize_rs3_forest(docs).decode("utf-8") == FOREST_RS3
+
+    def test_unbinarize_inverts_binarize(self):
+        # Writing rs3 un-binarizes (each right cascade of one NN label is one
+        # multinuc group) and reading binarizes again.
+        rng = random.Random(31)
+        for _ in range(30):
+            tree = random_tree(rng, rng.randint(2, 10))
+            cascade_heads = [
+                node
+                for node in tree.internal_nodes()
+                if node.label.nuclearity is Nuclearity.NN
+                and not any(
+                    parent.right is node and parent.label == node.label
+                    for parent in tree.internal_nodes()
+                )
+            ]
+            text = serialize_rs3(make_document("d", tree)).decode("utf-8")
+            multinuc_groups = [
+                line for line in text.splitlines()
+                if line.lstrip().startswith("<group") and 'type="multinuc"' in line
+            ]
+            assert len(multinuc_groups) == len(cascade_heads)
+            (component,) = extract_forest(parse_rs3(text.encode("utf-8")))
+            assert component.tree == tree
 
 
 class TestComponentToRecord:
