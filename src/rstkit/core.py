@@ -457,11 +457,15 @@ class DocumentRecord:
             if self.tree.first_edu != 0:
                 raise RstError(f"{self.doc_id}: tree must start at EDU 0")
         if self.sentence_boundaries is not None:
-            bounds = self.sentence_boundaries
-            if not bounds or bounds[0] != 0:
-                raise RstError(f"{self.doc_id}: sentence boundaries must start at 0")
-            if list(bounds) != sorted(set(bounds)) or bounds[-1] >= len(self.tokens):
-                raise RstError(f"{self.doc_id}: bad sentence boundaries")
+            self.check_sentence_boundaries(self.sentence_boundaries)
+
+    def check_sentence_boundaries(self, bounds: Sequence[int]) -> None:
+        """Raise RstError naming the document unless ``bounds`` start at 0,
+        strictly increase and stay below the token count."""
+        if not bounds or bounds[0] != 0:
+            raise RstError(f"{self.doc_id}: sentence boundaries must start at 0")
+        if list(bounds) != sorted(set(bounds)) or bounds[-1] >= len(self.tokens):
+            raise RstError(f"{self.doc_id}: bad sentence boundaries")
 
     def _check_edu_partition(self) -> None:
         if not self.edus:

@@ -9,21 +9,28 @@ chain scores a path as
 
 and all probability computations run in log space: the partition function
 comes from the forward algorithm with log-sum-exp, never from probability-
-space sums, so long documents do not underflow.
+space sums, so long documents do not underflow.  Forward, backward and
+Viterbi are one associative scan over the per-token transition matrices
+(Hillis-Steele doubling, O(log T) numpy calls), in the log-sum-exp and the
+max-plus semiring respectively.
 
-Feature extraction is a pluggable contract (tokens -> [seq_len, dim] float
-matrix).  The shipped extractor hashes a lexical window (current, previous,
-next token) and adds punctuation indicators; comma features matter because
-Russian EDUs lean heavily on commas.  Externally computed dense vectors
-(e.g. dumps from a neural encoder) plug in through PrecomputedFeatures.
+Feature extraction is a pluggable contract: tokens -> features that give
+emission scores and the emission gradient, either SparseFeatures
+(fixed-width index and value rows) or a dense [seq_len, dim] float matrix.
+The shipped extractor hashes a lexical window (current, previous, next
+token) and adds punctuation indicators, eight sparse entries per token;
+comma features matter because Russian EDUs lean heavily on commas.
+Externally computed dense vectors (e.g. dumps from a neural encoder) plug
+in through PrecomputedFeatures.
 """
 
 from __future__ import annotations
 
+import math
 import zipfile
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -38,6 +45,7 @@ __all__ = [
     "FeatureExtractor",
     "HashedWindowFeatures",
     "PrecomputedFeatures",
+    "SparseFeatures",
     "viterbi",
     "log_likelihood",
     "train",
@@ -56,8 +64,11 @@ class EmptyDataset(RstError):
     """Training was invoked without any sequences."""
 
 
+# Features of one sequence: sparse rows, or a dense [seq_len, dim] matrix.
+Features = Union["SparseFeatures", np.ndarray]
+
 class FeatureExtractor(Protocol):
-    def __call__(self, tokens: Sequence[str]) -> np.ndarray: ...
+    def __call__(self, tokens: Sequence[str]) -> Features: ...
 
 
 @dataclass
@@ -116,12 +127,6 @@ class CrfModel:
             stop=draw(n),
         )
 
-    def label_index(self, name: str) -> int:
-        try:
-            return self.labels.index(name)
-        except ValueError:
-            raise DimensionMismatch(f"unknown label {name!r}") from None
-
     def clone(self) -> "CrfModel":
         return CrfModel(
             self.labels,
@@ -142,9 +147,12 @@ class CrfGradients:
     stop: np.ndarray
 
 
-def _check_features(model: CrfModel, features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[1] != model.feature_dim:
+def _check_features(
+    model: CrfModel, features: Features
+) -> SparseFeatures | _DenseFeatures:
+    if not isinstance(features, SparseFeatures):
+        features = _DenseFeatures(np.asarray(features, dtype=float))
+    if len(features.shape) != 2 or features.shape[1] != model.feature_dim:
         raise DimensionMismatch(
             f"features must be [seq_len, {model.feature_dim}], "
             f"got {features.shape}"
@@ -159,26 +167,16 @@ def _gold_indices(model: CrfModel, gold: Sequence[str], seq_len: int) -> np.ndar
         raise DimensionMismatch(
             f"gold length {len(gold)} != sequence length {seq_len}"
         )
-    return np.array([model.label_index(g) for g in gold], dtype=int)
+    index = {label: i for i, label in enumerate(model.labels)}
+    try:
+        return np.array([index[g] for g in gold], dtype=np.intp)
+    except KeyError as exc:
+        raise DimensionMismatch(f"unknown label {exc.args[0]!r}") from None
 
 
-def viterbi(model: CrfModel, features: np.ndarray) -> list[str]:
-    """Highest-scoring label path; ties resolve to the lower label index."""
-    features = _check_features(model, features)
-    emissions = features @ model.emission.T  # [seq_len, labels]
-    seq_len = emissions.shape[0]
-    v = model.start + emissions[0]
-    back = np.zeros((seq_len, model.num_labels), dtype=int)
-    for t in range(1, seq_len):
-        scores = v[:, None] + model.transition  # prev x cur
-        back[t] = np.argmax(scores, axis=0)  # first max = lowest prev index
-        v = scores[back[t], np.arange(model.num_labels)] + emissions[t]
-    v = v + model.stop
-    path = np.zeros(seq_len, dtype=int)
-    path[-1] = int(np.argmax(v))
-    for t in range(seq_len - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return [model.labels[i] for i in path]
+# ---------------------------------------------------------------------------
+# Inference: one associative scan in two semirings
+# ---------------------------------------------------------------------------
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -186,61 +184,103 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
 
 
+def _log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched matrix product in the log semiring: log(exp(a) @ exp(b))."""
+    return _logsumexp(a[:, :, None, :] + b[None, :, :, :], 1)
+
+
+def _max_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched matrix product in the max-plus semiring."""
+    return np.max(a[:, :, None, :] + b[None, :, :, :], axis=1)
+
+
+def _scan(mats: np.ndarray, combine, reverse: bool = False) -> np.ndarray:
+    """Inclusive products ``mats[..., 0] .. mats[..., t]`` for every t, or
+    with ``reverse`` ``mats[..., t] .. mats[..., -1]``, under an associative
+    batched ``combine``: Hillis-Steele doubling, ceil(log2 n) combines.
+
+    ``mats`` is ``[L, L, n]``, a batch of n matrices along the last axis, so
+    that every reduction runs over contiguous memory.
+    """
+    out = mats.copy()
+    step = 1
+    while step < out.shape[-1]:
+        if reverse:
+            out[..., :-step] = combine(out[..., :-step], out[..., step:])
+        else:
+            out[..., step:] = combine(out[..., :-step], out[..., step:])
+        step *= 2
+    return out
+
+
+def _step_matrices(model: CrfModel, emissions: np.ndarray) -> np.ndarray:
+    """``[L, L, seq_len]``: matrix t > 0 is ``T[i, j] + e_t[j]``; matrix 0
+    has every row equal to ``start + e_0``, so row 0 of the product of
+    matrices 0..t is the forward vector at t."""
+    mats = model.transition[:, :, None] + emissions[None, :, :]
+    mats[:, :, 0] = model.start + emissions[:, 0]
+    return mats
+
+
+def viterbi(model: CrfModel, features: Features) -> list[str]:
+    """Highest-scoring label path; ties resolve to the lower label index."""
+    features = _check_features(model, features)
+    mats = _step_matrices(model, features.scores(model.emission))
+    v = _scan(mats, _max_matmul)[0]  # [labels, seq_len]
+    # back[t][j]: best label at t before label j at t + 1 (first max = lowest)
+    back = np.argmax(v[:, None, :-1] + model.transition[:, :, None], axis=0).T.tolist()
+    label = int(np.argmax(v[:, -1] + model.stop))
+    path = [label]
+    for row in reversed(back):
+        label = row[label]
+        path.append(label)
+    return [model.labels[i] for i in reversed(path)]
+
+
 def log_likelihood(
-    model: CrfModel, features: np.ndarray, gold: Sequence[str]
+    model: CrfModel, features: Features, gold: Sequence[str]
 ) -> tuple[float, CrfGradients]:
     """log p(gold | features) and its exact gradient.
 
-    The partition function is computed by the forward algorithm in log
-    space; gradients are observed counts minus expected counts from the
-    forward-backward marginals.
+    The forward and backward vectors are log-semiring scans, so the
+    partition function never leaves log space; gradients are observed
+    counts minus expected counts from the forward-backward marginals.
     """
     features = _check_features(model, features)
-    emissions = features @ model.emission.T
-    seq_len, n = emissions.shape
+    emissions = features.scores(model.emission)  # [labels, seq_len]
+    n, seq_len = emissions.shape
     gold_idx = _gold_indices(model, gold, seq_len)
 
-    # Forward/backward in log space.
-    alpha = np.zeros((seq_len, n))
-    alpha[0] = model.start + emissions[0]
-    for t in range(1, seq_len):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + model.transition, 0) + emissions[t]
-    log_z = float(_logsumexp((alpha[-1] + model.stop)[None, :], 1)[0])
+    mats = _step_matrices(model, emissions)
+    alpha = _scan(mats, _log_matmul)[0]
+    # beta[i, t]: log-sum over label paths from label i at t to the stop
+    final = np.broadcast_to(model.stop[:, None, None], (n, n, 1))
+    beta = _scan(
+        np.concatenate([mats[:, :, 1:], final], axis=2), _log_matmul, reverse=True
+    )[:, 0]
+    log_z = float(_logsumexp(alpha[:, -1] + model.stop, 0))
 
-    beta = np.zeros((seq_len, n))
-    beta[-1] = model.stop
-    for t in range(seq_len - 2, -1, -1):
-        beta[t] = _logsumexp(
-            model.transition + emissions[t + 1][None, :] + beta[t + 1][None, :], 1
-        )
-
-    gold_score = float(model.start[gold_idx[0]] + emissions[0, gold_idx[0]])
-    for t in range(1, seq_len):
-        gold_score += float(
-            model.transition[gold_idx[t - 1], gold_idx[t]] + emissions[t, gold_idx[t]]
-        )
-    gold_score += float(model.stop[gold_idx[-1]])
+    steps = np.arange(seq_len)
+    gold_score = float(
+        model.start[gold_idx[0]]
+        + emissions[gold_idx, steps].sum()
+        + model.transition[gold_idx[:-1], gold_idx[1:]].sum()
+        + model.stop[gold_idx[-1]]
+    )
 
     # Unary marginals p(y_t = l) and residuals (observed - expected).
-    unary = np.exp(alpha + beta - log_z)  # [seq_len, labels]
+    unary = np.exp(alpha + beta - log_z)  # [labels, seq_len]
     residual = -unary
-    residual[np.arange(seq_len), gold_idx] += 1.0
+    residual[gold_idx, steps] += 1.0
 
-    grad_emission = residual.T @ features
-    grad_start = residual[0].copy()
-    grad_stop = -unary[-1]
+    grad_emission = features.backprop(residual)
+    grad_start = residual[:, 0].copy()
+    grad_stop = -unary[:, -1]
     grad_stop[gold_idx[-1]] += 1.0
-    grad_transition = np.zeros((n, n))
-    for t in range(1, seq_len):
-        pairwise = np.exp(
-            alpha[t - 1][:, None]
-            + model.transition
-            + emissions[t][None, :]
-            + beta[t][None, :]
-            - log_z
-        )
-        grad_transition -= pairwise
-        grad_transition[gold_idx[t - 1], gold_idx[t]] += 1.0
+    # Pairwise marginals p(y_{t-1} = i, y_t = j), summed over t.
+    pairwise = np.exp(alpha[:, None, :-1] + mats[:, :, 1:] + beta[None, :, 1:] - log_z)
+    grad_transition = -pairwise.sum(axis=2)
+    np.add.at(grad_transition, (gold_idx[:-1], gold_idx[1:]), 1.0)
 
     return gold_score - log_z, CrfGradients(
         grad_emission, grad_transition, grad_start, grad_stop
@@ -257,6 +297,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise RstError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise RstError(
+                f"learning rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise RstError(f"l2 must be finite and >= 0, got {self.l2}")
 
 
 class _Adam:
@@ -282,7 +328,7 @@ class _Adam:
 
 def train(
     model: CrfModel,
-    dataset: Sequence[tuple[np.ndarray, Sequence[str]]],
+    dataset: Sequence[tuple[Features, Sequence[str]]],
     config: TrainConfig = TrainConfig(),
 ) -> tuple[CrfModel, list[float]]:
     """Minimize the per-sequence negative log-likelihood with Adam.
@@ -351,7 +397,7 @@ def document_labels(doc: DocumentRecord) -> list[str]:
 
 def dataset_from_corpus(
     corpus_docs: Iterable[DocumentRecord], extractor: FeatureExtractor
-) -> list[tuple[np.ndarray, list[str]]]:
+) -> list[tuple[Features, list[str]]]:
     return [
         (extractor(doc.token_texts()), document_labels(doc)) for doc in corpus_docs
     ]
@@ -362,11 +408,77 @@ def dataset_from_corpus(
 # ---------------------------------------------------------------------------
 
 
-def _bucket(value: str, n_buckets: int) -> int:
-    return zlib.crc32(value.encode("utf-8")) % n_buckets
+def _buckets(prefix: str, words: list[bytes], n_buckets: int) -> list[int]:
+    """CRC32 of ``prefix + word`` modulo ``n_buckets``, for every word; the
+    prefix's CRC is the running start value of each word's CRC."""
+    start = zlib.crc32(prefix.encode("utf-8"))
+    return [zlib.crc32(w, start) % n_buckets for w in words]
 
 
 _SENT_FINAL = {".", "!", "?", ";", ":"}
+
+
+@dataclass(frozen=True, eq=False)
+class SparseFeatures:
+    """Fixed-width sparse rows of a ``[seq_len, dim]`` feature matrix.
+
+    Row t holds ``vals[t, j]`` at column ``idx[t, j]``; a column repeated
+    within a row adds up.  Emission scores and the emission gradient are
+    the only operations inference needs, so the matrix is never built.
+    """
+
+    idx: np.ndarray  # [seq_len, k] int32 column indices
+    vals: np.ndarray  # [seq_len, k] float64
+    dim: int
+
+    def __post_init__(self) -> None:
+        if self.idx.ndim != 2 or self.idx.shape != self.vals.shape:
+            raise DimensionMismatch("sparse idx and vals must be equal [seq_len, k]")
+        if not np.issubdtype(self.idx.dtype, np.integer):
+            raise DimensionMismatch(f"sparse idx must be integers, got {self.idx.dtype}")
+        if self.idx.size and (self.idx.min() < 0 or self.idx.max() >= self.dim):
+            raise DimensionMismatch(f"sparse feature index outside [0, {self.dim})")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.idx.shape[0], self.dim)
+
+    @property
+    def nbytes(self) -> int:
+        return self.idx.nbytes + self.vals.nbytes
+
+    def scores(self, weights: np.ndarray) -> np.ndarray:
+        """``weights @ features.T``: ``[labels, seq_len]`` for ``[labels, dim]``."""
+        return np.einsum("ltk,tk->lt", weights[:, self.idx], self.vals)
+
+    def backprop(self, residual: np.ndarray) -> np.ndarray:
+        """``residual @ features``: ``[labels, dim]`` for ``[labels, seq_len]``."""
+        n_labels = residual.shape[0]
+        cols = self.idx + self.dim * np.arange(n_labels)[:, None, None]
+        weights = residual[:, :, None] * self.vals
+        flat = np.bincount(
+            cols.ravel(), weights.ravel(), minlength=n_labels * self.dim
+        )
+        return flat.reshape(n_labels, self.dim)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.add.at(out, (np.arange(self.shape[0])[:, None], self.idx), self.vals)
+        return out
+
+
+class _DenseFeatures:
+    """A dense ``[seq_len, dim]`` matrix behind SparseFeatures' two operations."""
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = matrix
+        self.shape = matrix.shape
+
+    def scores(self, weights: np.ndarray) -> np.ndarray:
+        return weights @ self.matrix.T
+
+    def backprop(self, residual: np.ndarray) -> np.ndarray:
+        return residual @ self.matrix
 
 
 @dataclass(frozen=True)
@@ -376,8 +488,9 @@ class HashedWindowFeatures:
     Per token: hashed one-hot buckets for the lowercased current, previous
     and next tokens (three disjoint bucket ranges) plus indicator features
     for punctuation class, comma, preceding comma, sentence-final
-    punctuation and initial capitalization.  Deterministic for a fixed
-    configuration (CRC32 hashing, no process salt).
+    punctuation and initial capitalization, as SparseFeatures rows of
+    width 8 (96 bytes per token).  Deterministic for a fixed configuration
+    (CRC32 hashing, no process salt).
     """
 
     n_buckets: int = 1024
@@ -387,29 +500,30 @@ class HashedWindowFeatures:
     def __post_init__(self) -> None:
         if self.n_buckets < 1:
             raise RstError(f"buckets must be >= 1, got {self.n_buckets}")
+        if self.dim > np.iinfo(np.int32).max:
+            raise RstError(f"buckets must be < 2**31 / 3, got {self.n_buckets}")
 
     @property
     def dim(self) -> int:
         return 3 * self.n_buckets + self.N_FLAGS
 
-    def __call__(self, tokens: Sequence[str]) -> np.ndarray:
-        n = len(tokens)
-        out = np.zeros((n, self.dim))
-        lowered = [t.lower() for t in tokens]
-        for i, token in enumerate(tokens):
-            out[i, _bucket("c=" + lowered[i], self.n_buckets)] = 1.0
-            prev_text = lowered[i - 1] if i > 0 else "<s>"
-            next_text = lowered[i + 1] if i + 1 < n else "</s>"
-            out[i, self.n_buckets + _bucket("p=" + prev_text, self.n_buckets)] = 1.0
-            out[i, 2 * self.n_buckets + _bucket("n=" + next_text, self.n_buckets)] = 1.0
-            flags = 3 * self.n_buckets
-            is_punct = not any(ch.isalnum() for ch in token)
-            out[i, flags + 0] = 1.0 if is_punct else 0.0
-            out[i, flags + 1] = 1.0 if token == "," else 0.0
-            out[i, flags + 2] = 1.0 if i > 0 and tokens[i - 1] == "," else 0.0
-            out[i, flags + 3] = 1.0 if token in _SENT_FINAL else 0.0
-            out[i, flags + 4] = 1.0 if token[:1].isupper() else 0.0
-        return out
+    def __call__(self, tokens: Sequence[str]) -> SparseFeatures:
+        n, nb = len(tokens), self.n_buckets
+        lowered = [t.lower().encode("utf-8") for t in tokens]
+        idx = np.empty((n, 3 + self.N_FLAGS), dtype=np.int32)
+        idx[:, 0] = _buckets("c=", lowered, nb)
+        idx[:, 1] = _buckets("p=", ([b"<s>"] + lowered)[:n], nb)
+        idx[:, 2] = _buckets("n=", (lowered + [b"</s>"])[1:], nb)
+        idx[:, :3] += np.arange(3, dtype=np.int32) * nb  # disjoint bucket ranges
+        idx[:, 3:] = np.arange(3 * nb, 3 * nb + self.N_FLAGS)
+        vals = np.zeros(idx.shape)
+        vals[:, :3] = 1.0
+        vals[:, 3] = [not any(ch.isalnum() for ch in t) for t in tokens]
+        vals[:, 4] = [t == "," for t in tokens]
+        vals[1:, 5] = vals[:-1, 4]  # previous token is a comma
+        vals[:, 6] = [t in _SENT_FINAL for t in tokens]
+        vals[:, 7] = [t[:1].isupper() for t in tokens]
+        return SparseFeatures(idx, vals, self.dim)
 
 
 class PrecomputedFeatures:

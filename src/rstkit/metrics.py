@@ -272,6 +272,7 @@ def _spanned_sentence_counts(
         raise MissingSentences(f"{doc.doc_id}: sentence boundaries required")
     if doc.tree is None:
         raise MissingTree(f"{doc.doc_id} has no tree")
+    doc.check_sentence_boundaries(boundaries)
     bounds = list(boundaries) + [len(doc.tokens)]
     sentences = [(bounds[i], bounds[i + 1] - 1) for i in range(len(bounds) - 1)]
     node_spans = {node.token_span(doc.edus) for node in doc.tree.nodes()}
@@ -298,7 +299,8 @@ def corpus_stats(
     """Aggregate tree statistics over documents.
 
     ``sentences`` optionally overrides the per-document sentence boundaries
-    (sentence-initial token indices, starting at 0).  The spanned
+    (sentence-initial token indices: starting at 0, strictly increasing and
+    below the token count, else RstError names the document).  The spanned
     percentage is the share of non-elementary sentences (those containing
     at least two EDUs) whose exact token span equals some tree-node span;
     the all-sentence variant is also reported.  With ``spanned=False`` no

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the production code paths they check:
 Parseval counts come from an all-pairs matcher, CRF quantities from explicit
-path enumeration, decoder optima from enumerating every binary tree, and
-gradients from central finite differences.
+path enumeration and from sequential per-token recursions over dense
+features, decoder optima from enumerating every binary tree, and gradients
+from central finite differences.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from rstkit.core import (
     RstTree,
     Token,
 )
-from rstkit.crf import CrfModel, log_likelihood
+from rstkit.crf import CrfGradients, CrfModel, log_likelihood
 
 TEST_LABELS = (
     "attribution_SN",
@@ -123,7 +124,8 @@ def brute_force_parseval(
 
 
 # ---------------------------------------------------------------------------
-# CRF oracles: explicit path enumeration and finite differences
+# CRF oracles: explicit path enumeration, finite differences and the
+# sequential per-token recursions
 # ---------------------------------------------------------------------------
 
 
@@ -174,6 +176,86 @@ def finite_difference_grads(
             it.iternext()
         grads[name] = grad
     return grads
+
+
+def reference_viterbi(model: CrfModel, features: np.ndarray) -> list[str]:
+    """Sequential Viterbi over a dense feature matrix, one step per token;
+    ties resolve to the lower label index."""
+    emissions = np.asarray(features, dtype=float) @ model.emission.T
+    seq_len = emissions.shape[0]
+    v = model.start + emissions[0]
+    back = np.zeros((seq_len, model.num_labels), dtype=int)
+    for t in range(1, seq_len):
+        scores = v[:, None] + model.transition  # prev x cur
+        back[t] = np.argmax(scores, axis=0)  # first max = lowest prev index
+        v = scores[back[t], np.arange(model.num_labels)] + emissions[t]
+    v = v + model.stop
+    path = np.zeros(seq_len, dtype=int)
+    path[-1] = int(np.argmax(v))
+    for t in range(seq_len - 1, 0, -1):
+        path[t - 1] = back[t, path[t]]
+    return [model.labels[i] for i in path]
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    m = np.max(a, axis=axis, keepdims=True)
+    return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
+
+
+def reference_log_likelihood(
+    model: CrfModel, features: np.ndarray, gold: Sequence[str]
+) -> tuple[float, CrfGradients]:
+    """Sequential forward-backward over a dense feature matrix: one
+    log-sum-exp per token and direction, and per-token gold and pairwise
+    sums."""
+    features = np.asarray(features, dtype=float)
+    emissions = features @ model.emission.T
+    seq_len, n = emissions.shape
+    gold_idx = np.array([model.labels.index(g) for g in gold], dtype=int)
+
+    alpha = np.zeros((seq_len, n))
+    alpha[0] = model.start + emissions[0]
+    for t in range(1, seq_len):
+        alpha[t] = _logsumexp(alpha[t - 1][:, None] + model.transition, 0) + emissions[t]
+    log_z = float(_logsumexp((alpha[-1] + model.stop)[None, :], 1)[0])
+
+    beta = np.zeros((seq_len, n))
+    beta[-1] = model.stop
+    for t in range(seq_len - 2, -1, -1):
+        beta[t] = _logsumexp(
+            model.transition + emissions[t + 1][None, :] + beta[t + 1][None, :], 1
+        )
+
+    gold_score = float(model.start[gold_idx[0]] + emissions[0, gold_idx[0]])
+    for t in range(1, seq_len):
+        gold_score += float(
+            model.transition[gold_idx[t - 1], gold_idx[t]] + emissions[t, gold_idx[t]]
+        )
+    gold_score += float(model.stop[gold_idx[-1]])
+
+    unary = np.exp(alpha + beta - log_z)
+    residual = -unary
+    residual[np.arange(seq_len), gold_idx] += 1.0
+
+    grad_emission = residual.T @ features
+    grad_start = residual[0].copy()
+    grad_stop = -unary[-1]
+    grad_stop[gold_idx[-1]] += 1.0
+    grad_transition = np.zeros((n, n))
+    for t in range(1, seq_len):
+        pairwise = np.exp(
+            alpha[t - 1][:, None]
+            + model.transition
+            + emissions[t][None, :]
+            + beta[t][None, :]
+            - log_z
+        )
+        grad_transition -= pairwise
+        grad_transition[gold_idx[t - 1], gold_idx[t]] += 1.0
+
+    return gold_score - log_z, CrfGradients(
+        grad_emission, grad_transition, grad_start, grad_stop
+    )
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

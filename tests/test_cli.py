@@ -160,6 +160,24 @@ class TestStats:
         assert "line 3" in err and "'doc0'" in err
 
     @pytest.mark.parametrize("by_genre", [[], ["--by-genre"]])
+    @pytest.mark.parametrize("bounds, problem", [
+        ("0 50 30 99999", "bad sentence boundaries"),
+        ("5 9", "sentence boundaries must start at 0"),
+    ])
+    def test_sentence_file_boundaries_are_checked_per_document(
+        self, gold_file, tmp_path, by_genre, bounds, problem, capsys
+    ):
+        sents = tmp_path / "gold.sents"
+        sents.write_text(
+            "".join(f"doc{i}\t{bounds}\n" for i in range(4)), encoding="utf-8"
+        )
+        args = ["stats", str(gold_file), "--sents", str(sents), *by_genre]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert f"doc0: {problem}" in captured.err
+        assert "spanned" not in captured.out
+
+    @pytest.mark.parametrize("by_genre", [[], ["--by-genre"]])
     def test_repeated_id_is_a_user_error(self, gold_file, tmp_path, by_genre, capsys):
         dup = _with_repeated_line(gold_file, tmp_path)
         assert main(["stats", str(dup), *by_genre]) == 1
@@ -218,6 +236,20 @@ class TestSegmenterCommands:
         out = tmp_path / "model.npz"
         assert main(["train-segmenter", str(gold_file), "-o", str(out), *flag]) == 1
         assert f"{flag[0][2:]} must be >= 1, got {flag[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, problem", [
+        (["--lr", "nan"], "learning rate must be finite and > 0, got nan"),
+        (["--lr", "-1"], "learning rate must be finite and > 0, got -1.0"),
+        (["--lr", "0"], "learning rate must be finite and > 0, got 0.0"),
+        (["--l2", "-1"], "l2 must be finite and >= 0, got -1.0"),
+        (["--l2", "inf"], "l2 must be finite and >= 0, got inf"),
+    ])
+    def test_bad_optimizer_settings_are_user_errors(self, gold_file, tmp_path, flag,
+                                                    problem, capsys):
+        out = tmp_path / "model.npz"
+        assert main(["train-segmenter", str(gold_file), "-o", str(out), *flag]) == 1
+        assert problem in capsys.readouterr().err
         assert not out.exists()
 
     def test_segment_rejects_repeated_input_id(self, gold_file, tmp_path, capsys):

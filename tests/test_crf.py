@@ -13,6 +13,7 @@ from rstkit.crf import (
     EmptyDataset,
     HashedWindowFeatures,
     PrecomputedFeatures,
+    SparseFeatures,
     TrainConfig,
     dataset_from_corpus,
     document_labels,
@@ -29,6 +30,8 @@ from helpers import (
     brute_force_log_z,
     enumerate_paths,
     finite_difference_grads,
+    reference_log_likelihood,
+    reference_viterbi,
     relative_error,
 )
 
@@ -158,6 +161,75 @@ class TestLogLikelihood:
             log_likelihood(model, np.zeros((3, 2)), ["B", "I"])
 
 
+def random_tokens(rng: np.random.Generator, seq_len: int) -> list[str]:
+    vocab = ["The", "cat", ",", "sat", ".", "On", "mat", "!", "--", "x1", ";"]
+    vocab += [f"w{i}" for i in range(200)]
+    return [vocab[i] for i in rng.integers(0, len(vocab), size=seq_len)]
+
+
+def assert_same_result(actual, expected, tolerance):
+    """log-likelihood and every gradient block agree within ``tolerance``,
+    relative to the largest magnitude in the block (at least 1)."""
+    (ll_a, grads_a), (ll_b, grads_b) = actual, expected
+    assert abs(ll_a - ll_b) <= tolerance * max(abs(ll_b), 1.0)
+    for name in ("emission", "transition", "start", "stop"):
+        a, b = getattr(grads_a, name), getattr(grads_b, name)
+        scale = max(float(np.max(np.abs(b))), 1.0)
+        assert float(np.max(np.abs(a - b))) <= tolerance * scale, name
+
+
+class TestFastPathsAgainstOracles:
+    """Sparse features and the scan-based recursions against the dense
+    matrix and the sequential per-token recursions."""
+
+    def test_sparse_and_dense_features_agree(self):
+        rng = np.random.default_rng(10)
+        extractor = HashedWindowFeatures(32)
+        for n_labels in (2, 3):
+            for seq_len in (1, 2, 17, 300):
+                model = random_model(rng, n_labels=n_labels, dim=extractor.dim)
+                sparse = extractor(random_tokens(rng, seq_len))
+                dense = sparse.toarray()
+                gold = [model.labels[i] for i in rng.integers(0, n_labels, seq_len)]
+                assert_same_result(
+                    log_likelihood(model, sparse, gold),
+                    log_likelihood(model, dense, gold),
+                    1e-12,
+                )
+                assert viterbi(model, sparse) == viterbi(model, dense)
+
+    def test_scan_matches_sequential_reference_on_long_documents(self):
+        rng = np.random.default_rng(11)
+        extractor = HashedWindowFeatures(64)
+        for n_labels, seq_len in ((2, 1000), (3, 1700), (2, 3000)):
+            model = random_model(rng, n_labels=n_labels, dim=extractor.dim)
+            sparse = extractor(random_tokens(rng, seq_len))
+            gold = [model.labels[i] for i in rng.integers(0, n_labels, seq_len)]
+            assert_same_result(
+                log_likelihood(model, sparse, gold),
+                reference_log_likelihood(model, sparse.toarray(), gold),
+                1e-9,
+            )
+            assert viterbi(model, sparse) == reference_viterbi(model, sparse.toarray())
+
+    def test_viterbi_equals_reference_on_tie_heavy_models(self):
+        # Small integers keep every sum exact, so the scan and the
+        # sequential recursion see the same ties and must break them alike.
+        rng = np.random.default_rng(12)
+        small = lambda *shape: rng.integers(-1, 2, size=shape).astype(float)
+        for n_labels in (2, 3):
+            for seq_len in range(1, 61):
+                model = CrfModel(
+                    labels=("B", "I") if n_labels == 2 else ("A", "B", "C"),
+                    emission=small(n_labels, 2),
+                    transition=small(n_labels, n_labels),
+                    start=small(n_labels),
+                    stop=small(n_labels),
+                )
+                features = np.abs(small(seq_len, 2))
+                assert viterbi(model, features) == reference_viterbi(model, features)
+
+
 def separable_dataset(n_docs=12, seq_len=14, seed=0):
     """Token feature directly encodes the label: trivially separable."""
     rng = np.random.default_rng(seed)
@@ -186,12 +258,14 @@ class TestTrain:
         assert correct == total
         assert curve[-1] < curve[0]
 
-    def test_zero_learning_rate_keeps_parameters(self):
-        dataset = separable_dataset(n_docs=3)
-        model = CrfModel.create(2, seed=1, scale=0.1)
-        trained, _ = train(model, dataset, TrainConfig(epochs=3, learning_rate=0.0))
-        for name in ("emission", "transition", "start", "stop"):
-            assert np.array_equal(getattr(trained, name), getattr(model, name))
+    def test_bad_learning_rate_and_l2_are_rejected(self):
+        for rate in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(RstError, match="learning rate must be finite and > 0"):
+                TrainConfig(learning_rate=rate)
+        for l2 in (-1.0, math.nan, math.inf):
+            with pytest.raises(RstError, match="l2 must be finite and >= 0"):
+                TrainConfig(l2=l2)
+        TrainConfig(learning_rate=1e-9, l2=0.0)  # the boundary values pass
 
     def test_same_seed_bit_identical_curves(self):
         dataset = separable_dataset(n_docs=6)
@@ -247,17 +321,39 @@ class TestFeatures:
     def test_hashed_window_shape_and_determinism(self):
         extractor = HashedWindowFeatures(64)
         tokens = ["Over", "there", ",", "he", "said", "."]
-        a = extractor(tokens)
-        b = extractor(tokens)
+        a = extractor(tokens).toarray()
+        b = extractor(tokens).toarray()
         assert a.shape == (6, extractor.dim)
         assert np.array_equal(a, b)
 
     def test_comma_flags(self):
         extractor = HashedWindowFeatures(16)
-        matrix = extractor(["a", ",", "b"])
+        matrix = extractor(["a", ",", "b"]).toarray()
         flags = 3 * 16
         assert matrix[1, flags + 1] == 1.0  # is-comma
         assert matrix[2, flags + 2] == 1.0  # previous token is a comma
+
+    def test_hashed_window_memory_per_token(self):
+        tokens = [f"w{i % 97}" if i % 7 else "," for i in range(1000)]
+        features = HashedWindowFeatures(1024)(tokens)
+        assert features.shape == (1000, 3 * 1024 + 5)
+        assert features.nbytes <= 100 * len(tokens)
+
+    def test_bucket_count_must_fit_int32_indices(self):
+        HashedWindowFeatures((2**31 - 6) // 3)  # the largest that fits
+        with pytest.raises(RstError, match="buckets must be"):
+            HashedWindowFeatures((2**31 - 6) // 3 + 1)
+
+    def test_sparse_rows_are_validated(self):
+        idx = np.array([[0, 1], [2, 3]], dtype=np.int32)
+        with pytest.raises(DimensionMismatch, match="outside"):
+            SparseFeatures(idx, np.ones((2, 2)), dim=3)
+        with pytest.raises(DimensionMismatch):
+            SparseFeatures(idx, np.ones((2, 3)), dim=4)
+        with pytest.raises(DimensionMismatch, match="outside"):
+            SparseFeatures(-idx, np.ones((2, 2)), dim=4)
+        with pytest.raises(DimensionMismatch, match="integers"):
+            SparseFeatures(idx.astype(float), np.ones((2, 2)), dim=4)
 
     def test_precomputed_features_lookup(self):
         table = PrecomputedFeatures({"doc": np.ones((3, 4))})
