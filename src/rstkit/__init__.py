@@ -27,7 +27,6 @@ from .core import (
     RstError,
     RstTree,
     Split,
-    Token,
     build_tree,
     describe,
     enumerate_constituents,
@@ -45,7 +44,6 @@ __all__ = [
     "RstError",
     "RstTree",
     "Split",
-    "Token",
     "build_tree",
     "describe",
     "enumerate_constituents",

@@ -138,9 +138,10 @@ def _write_sorted(corpus: Corpus, path: str) -> None:
             tb_mod.write_record(out, doc)
 
 
-def _unique_records(path: Path):
-    """Stream a canonical file, rejecting a document id seen before."""
-    seen: set[str] = set()
+def _unique_records(path: Path, seen: set[str] | None = None):
+    """Stream a canonical file, rejecting a document id seen before; the
+    ids go into ``seen`` when given."""
+    seen = set() if seen is None else seen
     for doc in tb_mod.iter_canonical(path):
         if doc.doc_id in seen:
             raise RstError(f"{path}: duplicate document id {doc.doc_id}")
@@ -221,8 +222,10 @@ def cmd_stats(args) -> int:
     )
     spanned = not args.no_spanned
     rows = {}
+    doc_ids: set[str] = set()
     if args.by_genre:
         corpus = tb_mod.read_canonical(in_path)
+        doc_ids.update(doc.doc_id for doc in corpus.documents)
         rows[name] = metrics_mod.corpus_stats(corpus.documents, sentences, spanned)
         for genre, stats in metrics_mod.genre_breakdown(
             corpus, sentences, spanned
@@ -231,8 +234,11 @@ def cmd_stats(args) -> int:
     else:
         # streaming pass; memory stays bounded by the largest document
         rows[name] = metrics_mod.corpus_stats(
-            _unique_records(in_path), sentences, spanned
+            _unique_records(in_path, doc_ids), sentences, spanned
         )
+    unknown = sorted(set(sentences or ()) - doc_ids)
+    if unknown:
+        raise RstError(f"{args.sents}: unknown document ids {unknown}")
     if args.csv:
         sys.stdout.write(metrics_mod.stats_csv(rows))
     else:

@@ -3,8 +3,9 @@
 Documents are token sequences partitioned into elementary discourse units
 (EDUs); a discourse tree is a strictly binary constituent tree whose leaves
 are EDUs and whose internal nodes carry a relation plus a nuclearity pattern
-(NN, NS or SN).  Spans are measured in token indices throughout; character
-offsets are kept on tokens only for serialization fidelity.
+(NN, NS or SN).  Spans are measured in token indices throughout.  A
+document holds its tokens as two parallel tuples, the texts and their
+character offsets; the offsets are kept only for serialization fidelity.
 
 All types are immutable after construction and safe to share across threads.
 Tree traversals are iterative so that very deep trees (e.g. right-branching
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from operator import lt
 from typing import Iterator, Sequence, Union
 
 
@@ -60,6 +63,11 @@ SPAN_RELATION = "span"
 
 _FORBIDDEN_RELATION_CHARS = set("()_ \t\r\n")
 
+# Shared RelationLabel instances by merged string; see from_merged.  Only
+# well-formed strings are stored, and at most _INTERN_LIMIT of them.
+_INTERNED: dict[str, "RelationLabel"] = {}
+_INTERN_LIMIT = 4096
+
 
 @dataclass(frozen=True, slots=True)
 class RelationLabel:
@@ -91,26 +99,19 @@ class RelationLabel:
 
     @classmethod
     def from_merged(cls, merged: str) -> "RelationLabel":
-        relation, sep, suffix = merged.rpartition("_")
-        if not sep or suffix not in Nuclearity.__members__:
-            raise LabelParseError(f"not a relation_NUC label: {merged!r}")
-        return cls(relation, Nuclearity[suffix])
+        """Parse ``relation_NUC``; equal strings share one instance."""
+        label = _INTERNED.get(merged)
+        if label is None:
+            relation, sep, suffix = merged.rpartition("_")
+            if not sep or suffix not in Nuclearity.__members__:
+                raise LabelParseError(f"not a relation_NUC label: {merged!r}")
+            label = cls(relation, Nuclearity[suffix])
+            if len(_INTERNED) < _INTERN_LIMIT:
+                _INTERNED[merged] = label
+        return label
 
     def __str__(self) -> str:
         return self.merged
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    text: str
-    char_start: int
-    index: int
-
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise RstError("token text must be non-empty")
-        if self.char_start < 0 or self.index < 0:
-            raise RstError("token offsets must be non-negative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -414,14 +415,17 @@ _LANGUAGE_TAGS = ("en", "ru", "other")
 class DocumentRecord:
     """One document: tokens, gold EDU segmentation and (optionally) a tree.
 
-    EDU spans must partition the token sequence; sentence boundaries, when
+    Token ``i`` is the non-empty string ``tokens[i]`` starting at character
+    ``char_starts[i]``; offsets are non-negative and strictly increase.  EDU
+    spans must partition the token sequence; sentence boundaries, when
     present, are sentence-initial token indices starting with 0.
     """
 
     doc_id: str
     genre: str
     lang: str
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
+    char_starts: tuple[int, ...]
     edus: tuple[EduSpan, ...]
     tree: RstTree | None = None
     sentence_boundaries: tuple[int, ...] | None = None
@@ -429,6 +433,7 @@ class DocumentRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
+        object.__setattr__(self, "char_starts", tuple(self.char_starts))
         object.__setattr__(self, "edus", tuple(self.edus))
         if not isinstance(self.split, Split):
             object.__setattr__(self, "split", Split(self.split))
@@ -440,13 +445,18 @@ class DocumentRecord:
             raise RstError("document id must be non-empty")
         if self.lang not in _LANGUAGE_TAGS:
             raise RstError(f"unknown language tag {self.lang!r}")
-        if not self.tokens:
+        # One C-level pass per rule over the two token columns.
+        texts, starts = self.tokens, self.char_starts
+        if not texts:
             raise RstError(f"{self.doc_id}: document has no tokens")
-        for i, token in enumerate(self.tokens):
-            if token.index != i:
-                raise RstError(f"{self.doc_id}: token index {token.index} != {i}")
-            if i and token.char_start <= self.tokens[i - 1].char_start:
-                raise RstError(f"{self.doc_id}: char offsets not increasing")
+        if len(texts) != len(starts):
+            raise RstError(f"{self.doc_id}: token texts and offsets differ in length")
+        if not all(map(isinstance, texts, repeat(str))) or "" in texts:
+            raise RstError(f"{self.doc_id}: token texts must be non-empty strings")
+        if not all(map(isinstance, starts, repeat(int))) or starts[0] < 0:
+            raise RstError(f"{self.doc_id}: char offsets must be non-negative ints")
+        if not all(map(lt, starts, starts[1:])):
+            raise RstError(f"{self.doc_id}: char offsets not increasing")
         self._check_edu_partition()
         if self.tree is not None:
             if self.tree.n_leaves != len(self.edus):
@@ -489,17 +499,7 @@ class DocumentRecord:
         return len(self.tokens)
 
     def token_texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
-
-    def edu_boundaries(self) -> set[int]:
-        """EDU-initial token indices excluding the forced document start."""
-        return {edu.first_token for edu in self.edus} - {0}
-
-    def sentence_spans(self) -> list[tuple[int, int]]:
-        if self.sentence_boundaries is None:
-            raise RstError(f"{self.doc_id}: no sentence boundaries")
-        bounds = list(self.sentence_boundaries) + [len(self.tokens)]
-        return [(bounds[i], bounds[i + 1] - 1) for i in range(len(bounds) - 1)]
+        return list(self.tokens)
 
 
 @dataclass(frozen=True, slots=True)

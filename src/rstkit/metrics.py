@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -276,13 +277,15 @@ def _spanned_sentence_counts(
     bounds = list(boundaries) + [len(doc.tokens)]
     sentences = [(bounds[i], bounds[i + 1] - 1) for i in range(len(bounds) - 1)]
     node_spans = {node.token_span(doc.edus) for node in doc.tree.nodes()}
+    # EDUs partition the tokens in order, so both lists are sorted: the
+    # EDUs inside a sentence are those from the first one starting at or
+    # after its start up to the last one ending at or before its end (a
+    # negative count means the sentence lies inside one EDU).
+    firsts = [edu.first_token for edu in doc.edus]
+    lasts = [edu.last_token for edu in doc.edus]
     spanned_multi = multi = spanned_any = 0
     for sent in sentences:
-        inside = sum(
-            1
-            for edu in doc.edus
-            if edu.first_token >= sent[0] and edu.last_token <= sent[1]
-        )
+        inside = bisect_right(lasts, sent[1]) - bisect_left(firsts, sent[0])
         matched = sent in node_spans
         spanned_any += matched
         if inside >= 2:

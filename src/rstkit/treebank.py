@@ -31,6 +31,7 @@ import re
 import unicodedata
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence, Union
 
 from .core import (
@@ -43,7 +44,6 @@ from .core import (
     RstError,
     RstTree,
     Split,
-    Token,
 )
 
 
@@ -83,8 +83,10 @@ def _splittable(ch: str) -> bool:
     return unicodedata.category(ch)[0] in ("P", "S")
 
 
-def tokenize(text: str, index_offset: int = 0, char_offset: int = 0) -> list[Token]:
+def tokenize(text: str, char_offset: int = 0) -> list[tuple[str, int]]:
     """Deterministic whitespace-plus-punctuation tokenizer.
+
+    Returns ``(text, char_start)`` pairs, offsets shifted by ``char_offset``.
 
     Rules, applied identically to every language (Unicode-aware):
 
@@ -95,24 +97,22 @@ def tokenize(text: str, index_offset: int = 0, char_offset: int = 0) -> list[Tok
     4. whatever remains in the middle is a single token (internal hyphens
        and apostrophes are never split).
     """
-    tokens: list[Token] = []
-    index = index_offset
+    tokens: list[tuple[str, int]] = []
     for match in _CHUNK_RE.finditer(text):
         chunk = match.group()
         base = match.start() + char_offset
         lo, hi = 0, len(chunk)
-        head: list[tuple[int, str]] = []
-        tail: list[tuple[int, str]] = []
+        head: list[tuple[str, int]] = []
+        tail: list[tuple[str, int]] = []
         while hi - lo > 1 and _splittable(chunk[lo]):
-            head.append((base + lo, chunk[lo]))
+            head.append((chunk[lo], base + lo))
             lo += 1
         while hi - lo > 1 and _splittable(chunk[hi - 1]):
-            tail.append((base + hi - 1, chunk[hi - 1]))
+            tail.append((chunk[hi - 1], base + hi - 1))
             hi -= 1
-        parts = head + [(base + lo, chunk[lo:hi])] + tail[::-1]
-        for start, part in parts:
-            tokens.append(Token(part, start, index))
-            index += 1
+        tokens += head
+        tokens.append((chunk[lo:hi], base + lo))
+        tokens += tail[::-1]
     return tokens
 
 
@@ -423,12 +423,12 @@ def component_to_record(
     split: Split | str = Split.TRAIN,
 ) -> DocumentRecord:
     """Tokenize one forest component into a document record with its tree."""
-    tokens: list[Token] = []
+    tokens: list[tuple[str, int]] = []
     edus: list[EduSpan] = []
     char_offset = 0
     for text in component.edu_texts:
         start = len(tokens)
-        tokens.extend(tokenize(text, index_offset=start, char_offset=char_offset))
+        tokens += tokenize(text, char_offset)
         char_offset += len(text) + 1  # EDU texts joined by single spaces
         if len(tokens) == start:
             raise EmptySegmentText(f"{doc_id}: EDU with no tokens")
@@ -437,7 +437,8 @@ def component_to_record(
         doc_id=doc_id,
         genre=genre,
         lang=lang,
-        tokens=tuple(tokens),
+        tokens=tuple(text for text, _ in tokens),
+        char_starts=tuple(start for _, start in tokens),
         edus=tuple(edus),
         tree=component.tree,
         split=Split(split),
@@ -561,9 +562,7 @@ def _emit_component(
 
     for i, span in enumerate(doc.edus):
         segment = ET.Element("segment", attrib(str(segment_base + i)))
-        segment.text = " ".join(
-            t.text for t in doc.tokens[span.first_token : span.last_token + 1]
-        )
+        segment.text = " ".join(doc.tokens[span.first_token : span.last_token + 1])
         segments.append(segment)
     for node, _ in group_nodes:
         kind = "multinuc" if node.label.nuclearity is Nuclearity.NN else "span"  # type: ignore[union-attr]
@@ -603,52 +602,49 @@ def tree_to_string(tree: RstTree) -> str:
 
 
 def tree_from_string(text: str) -> RstTree:
-    """Parse the bracketed tree format produced by :func:`tree_to_string`."""
-    tokens = _TREE_TOKEN_RE.findall(text)
-    if "".join(tokens).replace(" ", "") != "".join(text.split()):
-        raise RstError(f"cannot tokenize tree string: {text!r}")
-    stack: list = []
-    result: RstTree | None = None
+    """Parse the bracketed tree format produced by :func:`tree_to_string`.
 
-    def reduce_node(items: list) -> RstTree:
-        if len(items) != 3 or not isinstance(items[0], str):
-            raise RstError("tree string: expected (label left right)")
-        label, left, right = items
-        return RstTree.internal(left, right, label)
-
-    for tok in tokens:
+    One pass over the tokens with a stack of open ``(label left right)``
+    frames; each node is built by ``RstTree``, which checks adjacency.
+    """
+    frames: list[list] = []
+    root: RstTree | None = None
+    for tok in _TREE_TOKEN_RE.findall(text):
         if tok == "(":
-            stack.append("(")
-        elif tok == ")":
-            items = []
-            while stack and stack[-1] != "(":
-                items.append(stack.pop())
-            if not stack:
+            frames.append([])
+            continue
+        if tok == ")":
+            if not frames:
                 raise RstError("unbalanced ')' in tree string")
-            stack.pop()
-            node = reduce_node(items[::-1])
-            if stack:
-                stack.append(node)
-            elif result is None:
-                result = node
-            else:
-                raise RstError("multiple root nodes in tree string")
-        elif tok.startswith("#"):
+            items = frames.pop()
+            if len(items) != 3 or type(items[0]) is not str:
+                raise RstError("tree string: expected (label left right)")
+            name, left, right = items
+            label = RelationLabel.from_merged(name)
+            node = RstTree(left.first_edu, right.last_edu, label, left, right)
+        elif tok[0] == "#":
             try:
-                leaf = RstTree.leaf(int(tok[1:]))
+                index = int(tok[1:])
             except ValueError:
                 raise RstError(f"bad leaf token {tok!r}") from None
-            if stack:
-                stack.append(leaf)
-            elif result is None:
-                result = leaf
-            else:
-                raise RstError("multiple root nodes in tree string")
+            node = RstTree(index, index)
+        elif not frames:
+            raise RstError(f"unbalanced tree string: {text!r}")
+        elif frames[-1]:
+            # a label may only open its frame
+            raise RstError("tree string: expected (label left right)")
         else:
-            stack.append(tok)
-    if stack or result is None:
+            frames[-1].append(tok)
+            continue
+        if frames:
+            frames[-1].append(node)
+        elif root is None:
+            root = node
+        else:
+            raise RstError("multiple root nodes in tree string")
+    if frames or root is None:
         raise RstError(f"unbalanced tree string: {text!r}")
-    return result
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +659,7 @@ def record_to_json(doc: DocumentRecord) -> dict:
         "id": doc.doc_id,
         "genre": doc.genre,
         "lang": doc.lang,
-        "tokens": [[t.text, t.char_start] for t in doc.tokens],
+        "tokens": list(map(list, zip(doc.tokens, doc.char_starts))),
         "edus": [[e.first_token, e.last_token] for e in doc.edus],
         "tree": tree_to_string(doc.tree) if doc.tree is not None else None,
         "sents": list(doc.sentence_boundaries)
@@ -680,9 +676,10 @@ def record_from_json(obj: dict) -> DocumentRecord:
     extra = [f for f in obj if f not in _CANONICAL_FIELDS]
     if extra:
         raise RstError(f"record has unknown fields: {extra}")
-    tokens = tuple(
-        Token(text, int(start), i) for i, (text, start) in enumerate(obj["tokens"])
-    )
+    pairs = obj["tokens"]
+    if set(map(len, pairs)) - {2}:
+        raise RstError("every token must be a [text, char_start] pair")
+    texts, starts = zip(*pairs) if pairs else ((), ())
     edus = tuple(EduSpan(int(a), int(b)) for a, b in obj["edus"])
     tree = tree_from_string(obj["tree"]) if obj["tree"] is not None else None
     sents = tuple(int(s) for s in obj["sents"]) if obj["sents"] is not None else None
@@ -690,7 +687,8 @@ def record_from_json(obj: dict) -> DocumentRecord:
         doc_id=obj["id"],
         genre=obj["genre"],
         lang=obj["lang"],
-        tokens=tokens,
+        tokens=texts,
+        char_starts=starts,
         edus=edus,
         tree=tree,
         sentence_boundaries=sents,
@@ -737,14 +735,8 @@ def iter_canonical(path):
 def read_canonical(path, name: str | None = None) -> Corpus:
     """Read a whole canonical corpus file; see :func:`iter_canonical`."""
     if name is None:
-        name = _stem(path)
+        name = Path(path).stem
     return Corpus.from_documents(name, list(iter_canonical(path)))
-
-
-def _stem(path) -> str:
-    text = str(path)
-    base = text.rsplit("/", 1)[-1]
-    return base.rsplit(".", 1)[0] if "." in base else base
 
 
 def read_rs3_file(path) -> list[Rs3Component]:

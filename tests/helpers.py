@@ -3,15 +3,19 @@
 The oracles here deliberately avoid the production code paths they check:
 Parseval counts come from an all-pairs matcher, CRF quantities from explicit
 path enumeration and from sequential per-token recursions over dense
-features, decoder optima from enumerating every binary tree, and gradients
-from central finite differences.
+features, decoder optima from enumerating every binary tree, gradients
+from central finite differences, canonical records from a per-token loop
+with a shift-reduce tree parser, and sentence statistics from a scan over
+every EDU.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
+import re
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -20,11 +24,15 @@ from rstkit.core import (
     Constituent,
     DocumentRecord,
     EduSpan,
+    LabelParseError,
+    Nuclearity,
     RelationLabel,
+    RstError,
     RstTree,
-    Token,
+    Split,
 )
 from rstkit.crf import CrfGradients, CrfModel, log_likelihood
+from rstkit.treebank import SchemaViolation
 
 TEST_LABELS = (
     "attribution_SN",
@@ -79,12 +87,12 @@ def make_document(
     if edus is None:
         edus = tuple(EduSpan(i, i) for i in range(n))
     n_tokens = edus[-1].last_token + 1
-    tokens = tuple(Token(f"w{i}", 3 * i, i) for i in range(n_tokens))
     return DocumentRecord(
         doc_id=doc_id,
         genre=genre,
         lang=lang,
-        tokens=tokens,
+        tokens=tuple(f"w{i}" for i in range(n_tokens)),
+        char_starts=tuple(3 * i for i in range(n_tokens)),
         edus=tuple(edus),
         tree=tree,
         sentence_boundaries=tuple(sents) if sents is not None else None,
@@ -365,3 +373,132 @@ def reference_decode(
         if not greedy_score > beam_score:
             decisions = beam_decisions
     return build(0, n, decisions)
+
+
+# ---------------------------------------------------------------------------
+# Canonical reader oracle: a per-token loop with per-token checks, a
+# shift-reduce tree parser on one mixed stack and uncached label parsing
+# ---------------------------------------------------------------------------
+
+_REFERENCE_FIELDS = {"id", "genre", "lang", "tokens", "edus", "tree", "sents", "split"}
+
+
+def reference_label(merged: str) -> RelationLabel:
+    """A fresh RelationLabel for every call."""
+    relation, sep, suffix = merged.rpartition("_")
+    if not sep or suffix not in Nuclearity.__members__:
+        raise LabelParseError(f"not a relation_NUC label: {merged!r}")
+    return RelationLabel(relation, Nuclearity[suffix])
+
+
+def reference_tree_from_string(text: str) -> RstTree:
+    stack: list = []
+    result = None
+    for tok in re.findall(r"\(|\)|[^\s()]+", text):
+        if tok == ")":
+            items: list = []
+            while stack and stack[-1] != "(":
+                items.append(stack.pop())
+            if not stack:
+                raise RstError("unbalanced ')'")
+            stack.pop()
+            items.reverse()
+            if (
+                len(items) != 3
+                or not isinstance(items[0], str)
+                or not all(isinstance(x, RstTree) for x in items[1:])
+            ):
+                raise RstError("expected (label left right)")
+            label, left, right = items
+            node = RstTree.internal(left, right, reference_label(label))
+        elif tok.startswith("#"):
+            try:
+                node = RstTree.leaf(int(tok[1:]))
+            except ValueError:
+                raise RstError(f"bad leaf {tok!r}") from None
+        else:  # "(" opens a frame; any other atom is a label
+            stack.append(tok)
+            continue
+        if stack:
+            stack.append(node)
+        elif result is None:
+            result = node
+        else:
+            raise RstError("several roots")
+    if stack or result is None:
+        raise RstError("unbalanced tree string")
+    return result
+
+
+def reference_record_from_json(obj) -> DocumentRecord:
+    if not isinstance(obj, dict) or set(obj) != _REFERENCE_FIELDS:
+        raise RstError("wrong record fields")
+    texts: list[str] = []
+    starts: list[int] = []
+    for i, entry in enumerate(obj["tokens"]):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise RstError(f"token {i} is not a [text, char_start] pair")
+        text, start = entry
+        if not isinstance(text, str) or not text:
+            raise RstError(f"token {i}: text must be a non-empty string")
+        if not isinstance(start, int) or start < 0:
+            raise RstError(f"token {i}: offset must be a non-negative int")
+        if starts and start <= starts[-1]:
+            raise RstError(f"token {i}: offsets must increase")
+        texts.append(text)
+        starts.append(start)
+    tree = obj["tree"]
+    sents = obj["sents"]
+    return DocumentRecord(
+        doc_id=obj["id"],
+        genre=obj["genre"],
+        lang=obj["lang"],
+        tokens=tuple(texts),
+        char_starts=tuple(starts),
+        edus=tuple(EduSpan(int(a), int(b)) for a, b in obj["edus"]),
+        tree=None if tree is None else reference_tree_from_string(tree),
+        sentence_boundaries=None if sents is None else tuple(int(x) for x in sents),
+        split=Split(obj["split"]),
+    )
+
+
+def reference_read(path) -> list[DocumentRecord]:
+    """Read a canonical file with the reference parser; errors carry the
+    1-based line number as SchemaViolation."""
+    docs = []
+    with open(path, encoding="utf-8") as fh:
+        for line_number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                docs.append(reference_record_from_json(json.loads(line)))
+            except (RstError, KeyError, TypeError, ValueError) as exc:
+                raise SchemaViolation(line_number, str(exc)) from None
+    return docs
+
+
+# ---------------------------------------------------------------------------
+# Spanned-sentence oracle: count each sentence's EDUs by scanning all EDUs
+# ---------------------------------------------------------------------------
+
+
+def reference_spanned_sentence_counts(
+    doc: DocumentRecord, boundaries: Sequence[int]
+) -> tuple[int, int, int, int]:
+    """(spanned non-elementary, non-elementary, spanned any, sentences)."""
+    bounds = list(boundaries) + [len(doc.tokens)]
+    sentences = [(bounds[i], bounds[i + 1] - 1) for i in range(len(bounds) - 1)]
+    node_spans = {node.token_span(doc.edus) for node in doc.tree.nodes()}
+    spanned_multi = multi = spanned_any = 0
+    for sent in sentences:
+        inside = sum(
+            1
+            for edu in doc.edus
+            if edu.first_token >= sent[0] and edu.last_token <= sent[1]
+        )
+        matched = sent in node_spans
+        spanned_any += matched
+        if inside >= 2:
+            multi += 1
+            spanned_multi += matched
+    return spanned_multi, multi, spanned_any, len(sentences)

@@ -183,23 +183,39 @@ class TestStats:
         assert main(["stats", str(dup), *by_genre]) == 1
         assert "doc0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("by_genre", [[], ["--by-genre"]])
+    def test_sentence_file_ids_outside_the_corpus_are_a_user_error(
+        self, gold_file, tmp_path, by_genre, capsys
+    ):
+        sents = tmp_path / "gold.sents"
+        lines = [f"doc{i}\t0\n" for i in range(4)] + ["zeta\t0\n", "alpha\t0\n"]
+        sents.write_text("".join(lines), encoding="utf-8")
+        assert main(["stats", str(gold_file), "--sents", str(sents), *by_genre]) == 1
+        captured = capsys.readouterr()
+        assert "unknown document ids ['alpha', 'zeta']" in captured.err
+        assert captured.out == ""
+
 
 class TestSegmenterCommands:
     def test_train_then_segment(self, tmp_path, capsys):
         # A corpus whose EDU boundaries always follow commas is learnable
         # by the comma features alone.
-        from rstkit.core import Token, DocumentRecord
+        from rstkit.core import DocumentRecord
 
         docs = []
         for i in range(6):
             words = []
             for j in range(4):
                 words.extend([f"w{j}a", f"w{j}b", ","])
-            tokens = tuple(Token(w, 4 * k, k) for k, w in enumerate(words))
             edus = tuple(EduSpan(3 * j, 3 * j + 2) for j in range(4))
             docs.append(
                 DocumentRecord(
-                    doc_id=f"t{i}", genre="g", lang="en", tokens=tokens, edus=edus
+                    doc_id=f"t{i}",
+                    genre="g",
+                    lang="en",
+                    tokens=tuple(words),
+                    char_starts=tuple(4 * k for k in range(len(words))),
+                    edus=edus,
                 )
             )
         train_path = tmp_path / "train.jsonl"
@@ -423,6 +439,7 @@ class TestParseAndEval:
                     genre=gold_doc.genre,
                     lang=gold_doc.lang,
                     tokens=gold_doc.tokens,
+                    char_starts=gold_doc.char_starts,
                     edus=pred_doc.edus,
                     tree=pred_doc.tree,
                     sentence_boundaries=gold_doc.sentence_boundaries,

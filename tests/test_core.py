@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rstkit import core
 from rstkit.core import (
     Corpus,
     DocumentRecord,
@@ -17,7 +18,6 @@ from rstkit.core import (
     RelationLabel,
     RstError,
     RstTree,
-    Token,
     build_tree,
     describe,
     enumerate_constituents,
@@ -42,6 +42,25 @@ class TestRelationLabel:
     def test_malformed_merged(self, bad):
         with pytest.raises(LabelParseError):
             RelationLabel.from_merged(bad)
+
+    @pytest.mark.parametrize("merged", ["joint_NN", "Elaboration_NS", "cause_SN"])
+    def test_from_merged_shares_one_instance_per_string(self, merged):
+        label = RelationLabel.from_merged(merged)
+        assert RelationLabel.from_merged(merged) is label
+        assert label == RelationLabel.from_merged(label.merged)
+
+    @pytest.mark.parametrize("bad", ["elaboration", "x_NX", "a b_NS", "(x)_NS"])
+    def test_malformed_merged_raises_on_every_call(self, bad):
+        for _ in range(3):
+            with pytest.raises(LabelParseError):
+                RelationLabel.from_merged(bad)
+
+    def test_interned_labels_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(core, "_INTERNED", {})
+        monkeypatch.setattr(core, "_INTERN_LIMIT", 3)
+        labels = [RelationLabel.from_merged(f"rel{i}_NS") for i in range(5)]
+        assert len(core._INTERNED) == 3
+        assert RelationLabel.from_merged("rel4_NS") == labels[4]
 
 
 class TestBuildTree:
@@ -196,6 +215,7 @@ class TestTreeStats:
             genre="test",
             lang="en",
             tokens=doc.tokens,
+            char_starts=doc.char_starts,
             edus=doc.edus,
             tree=None,
         )
@@ -204,46 +224,86 @@ class TestTreeStats:
 
 
 class TestDocumentRecord:
-    def test_edu_gap_rejected(self):
-        tokens = tuple(Token(f"w{i}", 2 * i, i) for i in range(4))
+    @pytest.mark.parametrize(
+        "tokens, starts",
+        [
+            (("a", "b"), (0,)),  # columns differ in length
+            (("a", ""), (0, 2)),  # empty text
+            (("a", 7), (0, 2)),  # text is not a string
+            (("a", "b"), (-1, 2)),  # negative offset
+            (("a", "b", "c"), (0, 4, 4)),  # offsets do not increase
+            (("a", "b"), (3, 1)),  # offsets decrease
+            (("a", "b"), (0, "2")),  # offset is not an int
+            ((), ()),  # no tokens
+        ],
+    )
+    def test_token_columns_are_checked(self, tokens, starts):
         with pytest.raises(RstError):
             DocumentRecord(
                 doc_id="d",
                 genre="g",
                 lang="en",
                 tokens=tokens,
+                char_starts=starts,
+                edus=(EduSpan(0, max(len(tokens) - 1, 0)),),
+            )
+
+    def test_token_columns_become_tuples(self):
+        doc = DocumentRecord(
+            doc_id="d",
+            genre="g",
+            lang="en",
+            tokens=["a", "b"],
+            char_starts=[0, 2],
+            edus=[EduSpan(0, 1)],
+        )
+        assert doc.tokens == ("a", "b") and doc.char_starts == (0, 2)
+        assert doc.token_texts() == ["a", "b"]
+
+    def test_edu_gap_rejected(self):
+        with pytest.raises(RstError):
+            DocumentRecord(
+                doc_id="d",
+                genre="g",
+                lang="en",
+                tokens=tuple(f"w{i}" for i in range(4)),
+                char_starts=tuple(2 * i for i in range(4)),
                 edus=(EduSpan(0, 1), EduSpan(3, 3)),
             )
 
     def test_leaf_count_mismatch_rejected(self):
-        tokens = tuple(Token(f"w{i}", 2 * i, i) for i in range(2))
         with pytest.raises(RstError):
             DocumentRecord(
                 doc_id="d",
                 genre="g",
                 lang="en",
-                tokens=tokens,
+                tokens=("w0", "w1"),
+                char_starts=(0, 2),
                 edus=(EduSpan(0, 0), EduSpan(1, 1)),
                 tree=build_tree(0),
             )
 
     def test_sentence_boundaries_must_start_at_zero(self):
-        tokens = tuple(Token(f"w{i}", 2 * i, i) for i in range(3))
         with pytest.raises(RstError):
             DocumentRecord(
                 doc_id="d",
                 genre="g",
                 lang="en",
-                tokens=tokens,
+                tokens=("w0", "w1", "w2"),
+                char_starts=(0, 2, 4),
                 edus=(EduSpan(0, 2),),
                 sentence_boundaries=(1,),
             )
 
     def test_unknown_language_rejected(self):
-        tokens = (Token("w", 0, 0),)
         with pytest.raises(RstError):
             DocumentRecord(
-                doc_id="d", genre="g", lang="de", tokens=tokens, edus=(EduSpan(0, 0),)
+                doc_id="d",
+                genre="g",
+                lang="de",
+                tokens=("w",),
+                char_starts=(0,),
+                edus=(EduSpan(0, 0),),
             )
 
 

@@ -19,6 +19,7 @@ from rstkit.metrics import (
     format_stats_table,
     genre_breakdown,
     parseval,
+    _spanned_sentence_counts,
     parseval_csv,
     segmentation_f1,
     stats_csv,
@@ -29,6 +30,7 @@ from helpers import (
     make_document,
     random_edus,
     random_tree,
+    reference_spanned_sentence_counts,
 )
 
 
@@ -287,6 +289,27 @@ class TestHandScoredFixtures:
         assert total.nuclearity.f1 == pytest.approx(400.0 / 6.0, abs=1e-12)
         assert total.relation.matched == 3 and total.relation.f1 == 50.0
         assert total.full.matched == 3 and total.full.f1 == 50.0
+
+
+class TestSpannedSentenceCounts:
+    def test_bisection_matches_the_all_edu_scan(self):
+        rng = random.Random(31)
+        totals = [0, 0, 0, 0]
+        for i in range(300):
+            n = rng.randint(1, 15)
+            edus = random_edus(rng, n, max_tokens=4)
+            n_tokens = edus[-1].last_token + 1
+            # sentence starts from EDU starts (sentences of whole EDUs) and
+            # from arbitrary tokens (sentences cutting through EDUs)
+            starts = {edu.first_token for edu in edus if rng.random() < 0.4}
+            starts |= {rng.randrange(n_tokens) for _ in range(rng.randint(0, 3))}
+            bounds = sorted(starts | {0})
+            doc = make_document(f"d{i}", random_tree(rng, n), edus)
+            got = _spanned_sentence_counts(doc, bounds)
+            assert got == reference_spanned_sentence_counts(doc, bounds)
+            totals = [a + b for a, b in zip(totals, got)]
+        # every count was exercised, not only the zero case
+        assert all(totals)
 
 
 class TestCorpusStats:

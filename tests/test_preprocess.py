@@ -170,10 +170,7 @@ class TestSplitForest:
         for record in records:
             for edu in record.edus:
                 rebuilt.append(
-                    " ".join(
-                        t.text
-                        for t in record.tokens[edu.first_token : edu.last_token + 1]
-                    )
+                    " ".join(record.tokens[edu.first_token : edu.last_token + 1])
                 )
         assert rebuilt == flat
 

@@ -1,12 +1,15 @@
 import json
 import random
-from dataclasses import replace
+import re
+import tracemalloc
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rstkit.core import (
+    DocumentRecord,
     EduSpan,
     MissingTree,
     Nuclearity,
@@ -23,7 +26,9 @@ from rstkit.treebank import (
     UnknownRelname,
     component_to_record,
     extract_forest,
+    iter_canonical,
     parse_rs3,
+    record_from_json,
     read_canonical,
     serialize_rs3,
     serialize_rs3_forest,
@@ -32,10 +37,18 @@ from rstkit.treebank import (
     read_sentence_file,
     tree_to_string,
     write_canonical,
+    write_record,
 )
 from rstkit.core import Corpus
 
-from helpers import make_document, random_edus, random_tree
+from helpers import (
+    TEST_LABELS,
+    make_document,
+    random_edus,
+    random_tree,
+    reference_read,
+    reference_record_from_json,
+)
 
 
 # serialize_rs3_forest output for the two documents of
@@ -96,25 +109,23 @@ def rs3(body: str, rels: str = "") -> bytes:
 
 class TestTokenize:
     def test_punctuation_is_peeled(self):
-        texts = [t.text for t in tokenize("Hello, world!")]
+        texts = [text for text, _ in tokenize("Hello, world!")]
         assert texts == ["Hello", ",", "world", "!"]
 
     def test_char_offsets_point_into_the_text(self):
         text = 'He said, "go now."'
-        for token in tokenize(text):
-            assert text[token.char_start : token.char_start + len(token.text)] == (
-                token.text
-            )
+        for token, start in tokenize(text):
+            assert text[start : start + len(token)] == token
 
     def test_internal_apostrophes_and_hyphens_survive(self):
-        texts = [t.text for t in tokenize("don't re-use state-of-the-art")]
+        texts = [text for text, _ in tokenize("don't re-use state-of-the-art")]
         assert texts == ["don't", "re-use", "state-of-the-art"]
 
     def test_pure_punctuation_chunk(self):
-        assert [t.text for t in tokenize("... ?!")] == [".", ".", ".", "?", "!"]
+        assert [text for text, _ in tokenize("... ?!")] == [".", ".", ".", "?", "!"]
 
     def test_unicode_russian(self):
-        texts = [t.text for t in tokenize("«Привет», — сказал он.")]
+        texts = [text for text, _ in tokenize("«Привет», — сказал он.")]
         assert texts == ["«", "Привет", "»", ",", "—", "сказал", "он", "."]
 
     def test_deterministic(self):
@@ -451,7 +462,17 @@ class TestTreeStrings:
 
     @pytest.mark.parametrize(
         "bad",
-        ["(elaboration_NS #0", "#0 #1", "(elaboration_NS #0 #1 #2)", "()", "(x #0 #1)"],
+        [
+            "(elaboration_NS #0",
+            "#0 #1",
+            "(elaboration_NS #0 #1 #2)",
+            "()",
+            "(x #0 #1)",
+            "(elaboration_NS joint_NN #1)",  # a label where a child belongs
+            "(#0 elaboration_NS #1)",
+            "(#0 #1 #2)",
+            "elaboration_NS",
+        ],
     )
     def test_malformed_strings(self, bad):
         with pytest.raises(RstError):
@@ -524,6 +545,146 @@ class TestCanonicalFormat:
         path.write_text(json.dumps(obj2) + "\n", encoding="utf-8")
         with pytest.raises(SchemaViolation):
             read_canonical(path)
+
+
+_WORDS = ("the", "cat", ",", "sat", ".", "«", "Привет", "»", "don't", "—", "a1", "?!")
+
+
+def random_record_obj(rng: random.Random, doc_id: str, min_edus: int = 1) -> dict:
+    """A canonical-format object built without the writer: 1-400 EDUs,
+    words with punctuation and Cyrillic, offsets with gaps, and labels in
+    mixed case."""
+    n = rng.randint(min_edus, 400)
+    edus, pos = [], 0
+    for _ in range(n):
+        size = rng.randint(1, 6)
+        edus.append([pos, pos + size - 1])
+        pos += size
+    tokens, offset = [], rng.randint(0, 5)
+    for _ in range(pos):
+        text = rng.choice(_WORDS)
+        tokens.append([text, offset])
+        offset += len(text) + rng.randint(0, 2)
+    labels = TEST_LABELS + ("Elaboration_NS", "JOINT_NN")
+
+    def tree_text(start: int, end: int) -> str:
+        if end - start == 1:
+            return f"#{start}"
+        split = rng.randint(start + 1, end - 1)
+        left, right = tree_text(start, split), tree_text(split, end)
+        return f"({rng.choice(labels)} {left} {right})"
+
+    sents = sorted({0} | {rng.randrange(pos) for _ in range(rng.randint(0, 5))})
+    return {
+        "id": doc_id,
+        "genre": rng.choice(["news", "blogs"]),
+        "lang": rng.choice(["en", "ru", "other"]),
+        "tokens": tokens,
+        "edus": edus,
+        "tree": tree_text(0, n) if min_edus > 1 or rng.random() < 0.9 else None,
+        "sents": sents if rng.random() < 0.7 else None,
+        "split": rng.choice(["train", "dev", "test"]),
+    }
+
+
+def _swap_first_leaves(tree: str) -> str:
+    return re.sub(r"#[01]\b", lambda m: "#1" if m.group() == "#0" else "#0", tree)
+
+
+def _set_token(index: int, value):
+    def mutate(obj: dict) -> None:
+        obj["tokens"][index] = value(obj["tokens"][index], obj["tokens"])
+    return mutate
+
+
+_MUTATIONS = {
+    "dropped text": _set_token(-1, lambda tok, _: [tok[1]]),
+    "empty text": _set_token(-1, lambda tok, _: ["", tok[1]]),
+    "text not a string": _set_token(-1, lambda tok, _: [5, tok[1]]),
+    "negative offset": _set_token(0, lambda tok, _: [tok[0], -1]),
+    "repeated offset": _set_token(-1, lambda tok, toks: [tok[0], toks[-2][1]]),
+    "decreasing offset": _set_token(-1, lambda tok, toks: [tok[0], toks[-2][1] - 1]),
+    "offset as a string": _set_token(-1, lambda tok, _: [tok[0], str(tok[1])]),
+    "triple entry": _set_token(-1, lambda tok, _: tok + [0]),
+    "bare string entry": _set_token(-1, lambda tok, _: tok[0]),
+    "label without nuclearity": lambda obj: obj.update(
+        tree=re.sub(r"_(NN|NS|SN)\b", "", obj["tree"], count=1)
+    ),
+    "unknown nuclearity": lambda obj: obj.update(
+        tree=re.sub(r"_(NN|NS|SN)\b", "_XY", obj["tree"], count=1)
+    ),
+    "label in child position": lambda obj: obj.update(
+        tree=re.sub(r"#0\b", "joint_NN", obj["tree"], count=1)
+    ),
+    "unbalanced tree": lambda obj: obj.update(tree=obj["tree"][:-1]),
+    "extra closing bracket": lambda obj: obj.update(tree=obj["tree"] + ")"),
+    "non-adjacent children": lambda obj: obj.update(
+        tree=_swap_first_leaves(obj["tree"])
+    ),
+}
+
+
+class TestReaderOracle:
+    def test_fields_equal_the_per_token_reference(self):
+        rng = random.Random(23)
+        for i in range(40):
+            obj = random_record_obj(rng, f"d{i}")
+            fast = record_from_json(json.loads(json.dumps(obj)))
+            slow = reference_record_from_json(json.loads(json.dumps(obj)))
+            for field in fields(DocumentRecord):
+                assert getattr(fast, field.name) == getattr(slow, field.name), field.name
+            if fast.tree is not None:
+                # one shared label instance per merged string in the input
+                distinct = set(re.findall(r"\(([^\s()]+)", obj["tree"]))
+                ids = {id(node.label) for node in fast.tree.internal_nodes()}
+                assert len(ids) == len(distinct)
+
+    @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+    def test_mutated_line_fails_on_the_same_line(self, mutation, tmp_path):
+        rng = random.Random(mutation)
+        objs = [random_record_obj(rng, f"d{i}", min_edus=2) for i in range(4)]
+        bad = rng.randrange(len(objs))
+        _MUTATIONS[mutation](objs[bad])
+        lines = [json.dumps(obj, ensure_ascii=False) for obj in objs]
+        lines.insert(1, "")  # blank lines are skipped but still counted
+        path = tmp_path / "mutated.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = bad + 1 + (bad >= 1)
+        with pytest.raises(SchemaViolation) as fast:
+            list(iter_canonical(path))
+        with pytest.raises(SchemaViolation) as slow:
+            reference_read(path)
+        assert fast.value.line_number == slow.value.line_number == expected
+
+    def test_unmutated_file_reads_equal(self, tmp_path):
+        rng = random.Random(5)
+        lines = [json.dumps(random_record_obj(rng, f"d{i}")) for i in range(5)]
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert list(iter_canonical(path)) == reference_read(path)
+
+
+class TestReadMemory:
+    # A Token object per token cost ~205 B per token here; the two token
+    # columns cost ~124 B.
+    MAX_BYTES_PER_TOKEN = 150
+
+    def test_read_records_stay_under_the_bound(self, tmp_path):
+        rng = random.Random(5)
+        path = tmp_path / "c.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(8):
+                edus = random_edus(rng, 120, max_tokens=16)
+                write_record(fh, make_document(f"d{i}", random_tree(rng, 120), edus))
+        list(iter_canonical(path))  # labels and other caches filled first
+        tracemalloc.start()
+        try:
+            docs = list(iter_canonical(path))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_tokens = sum(doc.n_tokens for doc in docs)
+        assert retained / n_tokens < self.MAX_BYTES_PER_TOKEN
 
 
 def write_and_reload(corpus, tmp_path):
