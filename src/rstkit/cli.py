@@ -2,11 +2,17 @@
 
 Every subcommand is deterministic for identical inputs and seeds.
 ``convert`` and ``preprocess`` write documents in sorted id order;
-``segment`` and ``parse`` keep the input order.  ``stats`` (without
-``--by-genre``), ``segment`` and ``parse`` stream documents one at a time,
-so their memory stays bounded by the largest single document; ``eval``
-holds the predictions, and ``train-segmenter`` and ``stats --by-genre``
-hold the whole corpus.  A document id may occur only once per input file.
+``segment`` and ``parse`` keep the input order and read their input once.
+``stats`` (without ``--by-genre``), ``segment`` and ``parse`` stream
+documents one at a time, so their memory stays bounded by the largest
+single document, except that ``parse --scores`` also holds the whole score
+dump; ``eval`` holds the predictions, and ``train-segmenter`` and
+``stats --by-genre`` hold the whole corpus.  A document id may occur only
+once per input file.  A JSON-lines output file appears only when its
+command succeeds: it is written next to its path and moved there at the
+end, so a failed run leaves no new or partial file and does not touch a
+file already at that path.  Only ``train-segmenter``, ``segment`` and
+``parse`` import numpy.
 Exit codes: 0 success, 1 user error (bad flags, malformed input),
 2 internal error.
 """
@@ -17,23 +23,18 @@ import argparse
 import csv
 import os
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .core import Corpus, RstError, Split
-from . import crf as crf_mod
-from . import dwa as dwa_mod
+from .core import Corpus, RstError, RstTree, Split
 from . import metrics as metrics_mod
 from . import preprocess as prep_mod
 from . import treebank as tb_mod
-from .decoder import (
-    DecodeConfig,
-    OracleProvider,
-    RightBranchingProvider,
-    ScoreTable,
-    decode,
-)
+
+# crf, dwa and decoder import numpy; the commands that use them import them.
 
 DATA_DIR_ENV = "RSTKIT_DATA_DIR"
 DEFAULT_SEED = 13
@@ -132,8 +133,40 @@ def _load_rs3_corpus(args, drop_single_edu: bool, table, split_forests: bool = T
     )
 
 
+@contextmanager
+def _output_file(path: str):
+    """Open a text file that replaces ``path`` only if the block succeeds.
+
+    Lines go to a temporary file in the target's directory, which
+    ``os.replace`` moves onto the target at the end; on any failure the
+    temporary file is removed and the target is left as it was.  A path
+    that exists and is not a regular file (``/dev/stdout``, a pipe) is
+    written directly; a symbolic link is kept and its target replaced.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.", suffix=".tmp")
+    except OSError as exc:  # name the path the user gave, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
+        with open(fd, "w", encoding="utf-8") as out:
+            yield out
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _write_sorted(corpus: Corpus, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as out:
+    with _output_file(path) as out:
         for doc in sorted(corpus.documents, key=lambda d: d.doc_id):
             tb_mod.write_record(out, doc)
 
@@ -247,6 +280,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train_segmenter(args) -> int:
+    from . import crf as crf_mod
+
     corpus = tb_mod.read_canonical(_input_path(args.input))
     docs = [d for d in corpus.documents if args.split in ("all", d.split.value)]
     if not docs:
@@ -270,13 +305,15 @@ def cmd_train_segmenter(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    from . import crf as crf_mod
+
     model, extractor = crf_mod.load_model(_input_path(args.model))
     if extractor is None:
         raise RstError("model file does not carry feature settings")
     if model.labels != crf_mod.DEFAULT_LABELS:
         raise RstError(f"{args.model}: segmenter labels must be B, I; got {model.labels}")
     count = 0
-    with open(args.output, "w", encoding="utf-8") as out:
+    with _output_file(args.output) as out:
         for doc in _unique_records(_input_path(args.input)):
             labels = crf_mod.viterbi(model, extractor(doc.token_texts()))
             edus = crf_mod.labels_to_edus(labels)
@@ -286,43 +323,76 @@ def cmd_segment(args) -> int:
     return 0
 
 
-def _read_inventory(args, in_path) -> tuple[str, ...]:
-    if args.inventory:
-        with open(_input_path(args.inventory), "r", encoding="utf-8") as fh:
-            labels = tuple(line.strip() for line in fh if line.strip())
-        if not labels:
-            raise RstError("inventory file is empty")
-        return labels
-    observed = set(prep_mod.label_histogram(tb_mod.iter_canonical(in_path)))
-    if args.baseline:
-        observed.add(args.baseline)
-    if not observed:
-        raise RstError("no label inventory: pass --inventory")
-    return tuple(sorted(observed))
+def _read_inventory(path: str) -> tuple[str, ...]:
+    with open(_input_path(path), "r", encoding="utf-8") as fh:
+        labels = tuple(line.strip() for line in fh if line.strip())
+    if not labels:
+        raise RstError("inventory file is empty")
+    return labels
 
 
 def cmd_parse(args) -> int:
+    from .decoder import (
+        DecodeConfig,
+        OracleProvider,
+        RightBranchingProvider,
+        ScoreTable,
+        decode,
+    )
+
     modes = [bool(args.oracle), args.baseline is not None, args.scores is not None]
     if sum(modes) != 1:
         raise RstError("choose exactly one of --oracle, --baseline, --scores")
+    if args.scores is not None and args.inventory is None:
+        # Score vectors are indexed by the scorer's inventory, which the
+        # input corpus cannot know.
+        raise RstError("--scores needs --inventory, the scorer's label inventory")
+    if args.beam < 1:
+        raise RstError("beam width must be >= 1")
     in_path = _input_path(args.input)
-    labels = _read_inventory(args, in_path)
     strategy = "beam" if args.beam > 1 else "greedy"
-    config = DecodeConfig(labels=labels, strategy=strategy, beam_width=args.beam)
+    configs: dict[tuple[str, ...], DecodeConfig] = {}
+
+    def config_for(labels: tuple[str, ...]) -> DecodeConfig:
+        if labels not in configs:
+            configs[labels] = DecodeConfig(
+                labels=labels, strategy=strategy, beam_width=args.beam
+            )
+        return configs[labels]
+
+    # Without --inventory, --oracle decodes each document over its own gold
+    # labels and --baseline over its one label: the provider's best path is
+    # unique under any inventory holding those labels, so the trees are the
+    # ones a corpus-wide inventory gives, without a pass to collect it.
+    if args.inventory:
+        fixed = _read_inventory(args.inventory)
+    elif args.baseline is not None:
+        fixed = (args.baseline,)
+    else:
+        fixed = None
+    if fixed is not None:
+        config_for(fixed)  # checks the labels before any output is opened
     score_table = ScoreTable.load(_input_path(args.scores)) if args.scores else None
 
     count = 0
-    with open(args.output, "w", encoding="utf-8") as out:
+    with _output_file(args.output) as out:
         for doc in _unique_records(in_path):
+            labels = fixed
             if args.oracle:
                 if doc.tree is None:
                     raise RstError(f"{doc.doc_id}: oracle mode needs gold trees")
+                if labels is None:
+                    nodes = doc.tree.internal_nodes()
+                    labels = tuple(sorted({node.label.merged for node in nodes}))
                 provider = OracleProvider(doc.tree, labels)
             elif args.baseline is not None:
                 provider = RightBranchingProvider(args.baseline, labels)
             else:
                 provider = score_table.provider(doc.doc_id)  # type: ignore[union-attr]
-            tree = decode(len(doc.edus), provider, config)
+            if labels:
+                tree = decode(len(doc.edus), provider, config_for(labels))
+            else:  # a lone EDU: its gold tree is a leaf with no label
+                tree = RstTree.leaf(0)
             tb_mod.write_record(out, replace(doc, tree=tree))
             count += 1
     print(f"parsed {count} documents -> {args.output}")
@@ -389,6 +459,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dwa_sim(args) -> int:
+    from . import dwa as dwa_mod
+
     with open(_input_path(args.losses), "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = []
@@ -404,7 +476,12 @@ def cmd_dwa_sim(args) -> int:
             first = False
     if not rows:
         raise RstError(f"{args.losses}: no loss rows")
-    trajectory = dwa_mod.simulate(rows, args.tasks, args.window, args.temp)
+    trajectory = dwa_mod.simulate(
+        rows,
+        args.tasks,
+        dwa_mod.DEFAULT_WINDOW if args.window is None else args.window,
+        dwa_mod.DEFAULT_TEMPERATURE if args.temp is None else args.temp,
+    )
     out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
     try:
         writer = csv.writer(out)
@@ -513,8 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dwa-sim", help="replay a loss log through the DWA scheduler")
     p.add_argument("losses", help="CSV of per-step task losses")
     p.add_argument("--tasks", "-k", type=int, default=3)
-    p.add_argument("--window", "-b", type=int, default=dwa_mod.DEFAULT_WINDOW)
-    p.add_argument("--temp", type=float, default=dwa_mod.DEFAULT_TEMPERATURE)
+    # None means dwa.DEFAULT_WINDOW and dwa.DEFAULT_TEMPERATURE
+    p.add_argument("--window", "-b", type=int, default=None)
+    p.add_argument("--temp", type=float, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_dwa_sim)
 

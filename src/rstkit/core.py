@@ -416,9 +416,10 @@ class DocumentRecord:
     """One document: tokens, gold EDU segmentation and (optionally) a tree.
 
     Token ``i`` is the non-empty string ``tokens[i]`` starting at character
-    ``char_starts[i]``; offsets are non-negative and strictly increase.  EDU
-    spans must partition the token sequence; sentence boundaries, when
-    present, are sentence-initial token indices starting with 0.
+    ``char_starts[i]``; offsets are non-negative ``int`` (not ``bool``) and
+    strictly increase.  EDU spans must partition the token sequence;
+    sentence boundaries, when present, are sentence-initial token indices
+    starting with 0.
     """
 
     doc_id: str
@@ -453,7 +454,7 @@ class DocumentRecord:
             raise RstError(f"{self.doc_id}: token texts and offsets differ in length")
         if not all(map(isinstance, texts, repeat(str))) or "" in texts:
             raise RstError(f"{self.doc_id}: token texts must be non-empty strings")
-        if not all(map(isinstance, starts, repeat(int))) or starts[0] < 0:
+        if set(map(type, starts)) != {int} or starts[0] < 0:  # bool is not an offset
             raise RstError(f"{self.doc_id}: char offsets must be non-negative ints")
         if not all(map(lt, starts, starts[1:])):
             raise RstError(f"{self.doc_id}: char offsets not increasing")

@@ -31,6 +31,7 @@ import re
 import unicodedata
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -669,6 +670,16 @@ def record_to_json(doc: DocumentRecord) -> dict:
     }
 
 
+def _json_ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of JSON integers: a float, a string or a
+    ``true``/``false`` is an error, never rounded or cast."""
+    values = tuple(values)
+    if set(map(type, values)) - {int}:
+        bad = next(value for value in values if type(value) is not int)
+        raise RstError(f"{what} must be integers, got {bad!r}")
+    return values
+
+
 def record_from_json(obj: dict) -> DocumentRecord:
     missing = [f for f in _CANONICAL_FIELDS if f not in obj]
     if missing:
@@ -680,9 +691,12 @@ def record_from_json(obj: dict) -> DocumentRecord:
     if set(map(len, pairs)) - {2}:
         raise RstError("every token must be a [text, char_start] pair")
     texts, starts = zip(*pairs) if pairs else ((), ())
-    edus = tuple(EduSpan(int(a), int(b)) for a, b in obj["edus"])
+    _json_ints(chain.from_iterable(obj["edus"]), "EDU bounds")
+    edus = tuple(EduSpan(a, b) for a, b in obj["edus"])
     tree = tree_from_string(obj["tree"]) if obj["tree"] is not None else None
-    sents = tuple(int(s) for s in obj["sents"]) if obj["sents"] is not None else None
+    sents = obj["sents"]
+    if sents is not None:
+        sents = _json_ints(sents, "sentence boundaries")
     return DocumentRecord(
         doc_id=obj["id"],
         genre=obj["genre"],

@@ -441,23 +441,32 @@ def reference_record_from_json(obj) -> DocumentRecord:
         text, start = entry
         if not isinstance(text, str) or not text:
             raise RstError(f"token {i}: text must be a non-empty string")
-        if not isinstance(start, int) or start < 0:
+        if type(start) is not int or start < 0:
             raise RstError(f"token {i}: offset must be a non-negative int")
         if starts and start <= starts[-1]:
             raise RstError(f"token {i}: offsets must increase")
         texts.append(text)
         starts.append(start)
-    tree = obj["tree"]
+    edus = []
+    for i, (first, last) in enumerate(obj["edus"]):
+        if type(first) is not int or type(last) is not int:
+            raise RstError(f"EDU {i}: bounds must be integers")
+        edus.append(EduSpan(first, last))
     sents = obj["sents"]
+    if sents is not None:
+        for i, start in enumerate(sents):
+            if type(start) is not int:
+                raise RstError(f"sentence {i}: boundary must be an integer")
+    tree = obj["tree"]
     return DocumentRecord(
         doc_id=obj["id"],
         genre=obj["genre"],
         lang=obj["lang"],
         tokens=tuple(texts),
         char_starts=tuple(starts),
-        edus=tuple(EduSpan(int(a), int(b)) for a, b in obj["edus"]),
+        edus=tuple(edus),
         tree=None if tree is None else reference_tree_from_string(tree),
-        sentence_boundaries=None if sents is None else tuple(int(x) for x in sents),
+        sentence_boundaries=None if sents is None else tuple(sents),
         split=Split(obj["split"]),
     )
 

@@ -1,14 +1,31 @@
 import csv
 import io
+import json
+import os
 import random
+import stat
+import subprocess
+import sys
+import threading
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rstkit
 from rstkit import crf as crf_mod
+from rstkit import treebank as tb_mod
 from rstkit.cli import main
-from rstkit.core import Corpus, EduSpan
-from rstkit.treebank import read_canonical, serialize_rs3, write_canonical
+from rstkit.core import Corpus, EduSpan, RstTree
+from rstkit.preprocess import label_histogram
+from rstkit.treebank import (
+    iter_canonical,
+    read_canonical,
+    serialize_rs3,
+    write_canonical,
+    write_record,
+)
 
 from helpers import TEST_LABELS, make_document, random_edus, random_tree
 
@@ -194,6 +211,21 @@ class TestStats:
         captured = capsys.readouterr()
         assert "unknown document ids ['alpha', 'zeta']" in captured.err
         assert captured.out == ""
+
+    def test_non_integer_edu_bounds_and_sentences_are_a_user_error(
+        self, tmp_path, capsys
+    ):
+        record = {"id": "d", "genre": "g", "lang": "en",
+                  "tokens": [["a", 0], ["b", 2]], "edus": [[0, 0.7], [1, 1.2]],
+                  "tree": None, "sents": [0.4], "split": "train"}
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["stats", str(path), "--no-spanned"]) == 1
+        assert "EDU bounds must be integers, got 0.7" in capsys.readouterr().err
+        record.update(edus=[[0, 0], [1, 1]])
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["stats", str(path), "--no-spanned"]) == 1
+        assert "sentence boundaries must be integers, got 0.4" in capsys.readouterr().err
 
 
 class TestSegmenterCommands:
@@ -453,6 +485,201 @@ class TestParseAndEval:
         assert "Segm." in capsys.readouterr().out
 
 
+def _inventory_file(path, tmp_path, extra=()):
+    """The sorted labels of a canonical file (plus ``extra``) as an
+    inventory file."""
+    labels = sorted(set(label_histogram(iter_canonical(path))) | set(extra))
+    inventory = tmp_path / f"{path.stem}.labels"
+    inventory.write_text("".join(f"{label}\n" for label in labels), encoding="utf-8")
+    return inventory
+
+
+@pytest.fixture()
+def random_file(tmp_path):
+    """50 seeded documents of 1-40 EDUs, two of them one EDU long."""
+    rng = random.Random(41)
+    sizes = [1, 1] + [rng.randint(1, 40) for _ in range(48)]
+    docs = [
+        make_document(f"r{i:02d}", random_tree(rng, n), random_edus(rng, n))
+        for i, n in enumerate(sizes)
+    ]
+    rng.shuffle(docs)
+    path = tmp_path / "random.jsonl"
+    write_canonical(Corpus.from_documents("random", docs), path)
+    return path
+
+
+@pytest.fixture()
+def forest_file(forest_corpus, tmp_path, capsys):
+    """The forest fixture converted as is: single-EDU trees, raw labels."""
+    path = tmp_path / "forest.jsonl"
+    assert main(["convert", str(forest_corpus.directory), "-o", str(path)]) == 0
+    capsys.readouterr()
+    return path
+
+
+class TestSinglePassParse:
+    @pytest.mark.parametrize("corpus", ["gold_file", "forest_file", "random_file"])
+    @pytest.mark.parametrize("mode", [["--oracle"], ["--baseline", "joint_NN"]])
+    @pytest.mark.parametrize("beam", ["1", "2", "4"])
+    def test_output_equals_parse_over_the_corpus_inventory(
+        self, corpus, mode, beam, request, tmp_path, capsys
+    ):
+        path = request.getfixturevalue(corpus)
+        inventory = _inventory_file(path, tmp_path, mode[1:])
+        single, fixed = tmp_path / "single.jsonl", tmp_path / "fixed.jsonl"
+        assert main(["parse", str(path), "-o", str(single), *mode, "--beam", beam]) == 0
+        assert main(["parse", str(path), "-o", str(fixed), *mode, "--beam", beam,
+                     "--inventory", str(inventory)]) == 0
+        assert single.read_bytes() == fixed.read_bytes()
+        if mode == ["--oracle"]:
+            assert [d.tree for d in iter_canonical(single)] == [
+                d.tree for d in iter_canonical(path)
+            ]
+
+    @pytest.mark.parametrize("mode", [["--oracle"], ["--baseline", "joint_NN"]])
+    def test_input_is_read_once(self, gold_file, tmp_path, monkeypatch, mode):
+        reads = []
+        original = tb_mod.iter_canonical
+
+        def counting(path):
+            reads.append(Path(path))
+            return original(path)
+
+        monkeypatch.setattr(tb_mod, "iter_canonical", counting)
+        assert main(["parse", str(gold_file), "-o", str(tmp_path / "p"), *mode]) == 0
+        assert reads == [gold_file]
+
+    def test_scores_need_an_inventory(self, gold_file, tmp_path, capsys):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("", encoding="utf-8")
+        out = tmp_path / "pred.jsonl"
+        assert main(["parse", str(gold_file), "-o", str(out),
+                     "--scores", str(scores)]) == 1
+        assert "--scores needs --inventory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_edu_documents_need_no_inventory(self, tmp_path, capsys):
+        # The corpus has no labels at all; each lone EDU still decodes to
+        # a leaf.
+        docs = [make_document(f"s{i}", RstTree.leaf(0)) for i in range(3)]
+        path = tmp_path / "single_edu.jsonl"
+        write_canonical(Corpus.from_documents("s", docs), path)
+        out = tmp_path / "pred.jsonl"
+        assert main(["parse", str(path), "-o", str(out), "--oracle"]) == 0
+        assert out.read_bytes() == path.read_bytes()
+
+    def test_zero_beam_is_a_user_error(self, tmp_path, capsys):
+        # even when no document of the input needs a decode config
+        docs = [make_document(f"s{i}", RstTree.leaf(0)) for i in range(3)]
+        path = tmp_path / "single_edu.jsonl"
+        write_canonical(Corpus.from_documents("s", docs), path)
+        out = tmp_path / "pred.jsonl"
+        assert main(["parse", str(path), "-o", str(out), "--oracle",
+                     "--beam", "0"]) == 1
+        assert "beam width must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOutputFiles:
+    """A command that exits 1 leaves no new or partial output file and
+    does not touch a file already at the output path."""
+
+    @pytest.fixture()
+    def sixth_bad(self, gold_file, tmp_path):
+        """Seven documents, the sixth malformed or without a tree."""
+        rng = random.Random(3)
+        docs = [make_document(f"o{i}", random_tree(rng, 4), random_edus(rng, 4))
+                for i in range(7)]
+
+        def write(sixth: str):
+            path = tmp_path / "sixth.jsonl"
+            with open(path, "w", encoding="utf-8") as fh:
+                for i, doc in enumerate(docs):
+                    if i == 5 and sixth == "malformed":
+                        fh.write('{"id": "o5", "tokens": []}\n')
+                    elif i == 5:
+                        write_record(fh, replace(doc, tree=None))
+                    else:
+                        write_record(fh, doc)
+            return path
+
+        return write
+
+    def _argv(self, command, sixth, gold_file, tmp_path, out):
+        """The command line, and what its error names."""
+        if command == "segment":
+            model = tmp_path / "model.npz"
+            assert main(["train-segmenter", str(gold_file), "-o", str(model),
+                         "--epochs", "1", "--buckets", "8"]) == 0
+            argv = ["segment", str(model), str(sixth("malformed")), "-o", str(out)]
+            return argv, "line 6"
+        if command == "parse --inventory":
+            inventory = _inventory_file(gold_file, tmp_path)
+            argv = ["parse", str(sixth("malformed")), "-o", str(out), "--oracle",
+                    "--inventory", str(inventory)]
+            return argv, "line 6"
+        argv = ["parse", str(sixth("treeless")), "-o", str(out), "--oracle"]
+        return argv, "o5: oracle mode needs gold trees"
+
+    @pytest.mark.parametrize("command", ["segment", "parse --inventory", "parse"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_exit_one_leaves_the_output_path_as_it_was(
+        self, command, existing, sixth_bad, gold_file, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "result.jsonl"
+        if existing:
+            out.write_text("earlier output\n", encoding="utf-8")
+        argv, problem = self._argv(command, sixth_bad, gold_file, tmp_path, out)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert problem in capsys.readouterr().err
+        if existing:
+            assert os.listdir(out_dir) == ["result.jsonl"]
+            assert out.read_text(encoding="utf-8") == "earlier output\n"
+        else:
+            assert os.listdir(out_dir) == []
+
+    def test_success_replaces_a_file_with_the_usual_mode(self, gold_file, tmp_path):
+        out = tmp_path / "pred.jsonl"
+        out.write_text("earlier output\n", encoding="utf-8")
+        assert main(["parse", str(gold_file), "-o", str(out), "--oracle"]) == 0
+        assert out.read_bytes() == gold_file.read_bytes()
+        plain = tmp_path / "plain"
+        with open(plain, "w", encoding="utf-8"):
+            pass
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["gold.jsonl", "plain", "pred.jsonl"]
+
+    def test_a_symlinked_output_updates_its_target(self, gold_file, tmp_path):
+        target = tmp_path / "target.jsonl"
+        target.write_text("earlier output\n", encoding="utf-8")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        assert main(["parse", str(gold_file), "-o", str(link), "--oracle"]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == gold_file.read_bytes()
+
+    def test_a_pipe_is_written_directly(self, gold_file, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        try:
+            code = main(["parse", str(gold_file), "-o", str(fifo), "--oracle"])
+        finally:
+            reader.join(timeout=30)
+            if reader.is_alive():  # the pipe was never opened: release the reader
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        assert code == 0
+        assert received == [gold_file.read_bytes()]
+
+
 class TestDwaSim:
     def test_replay_and_output_file(self, tmp_path, capsys):
         losses = tmp_path / "losses.csv"
@@ -504,3 +731,16 @@ class TestCliContract:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "rstkit" in capsys.readouterr().out
+
+    def test_import_and_version_load_no_numpy(self):
+        script = (
+            "import sys\n"
+            "import rstkit.cli\n"
+            "assert 'numpy' not in sys.modules, 'import rstkit.cli'\n"
+            "assert rstkit.cli.main(['--version']) == 0\n"
+            "assert 'numpy' not in sys.modules, '--version'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(rstkit.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr

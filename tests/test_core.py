@@ -234,6 +234,7 @@ class TestDocumentRecord:
             (("a", "b", "c"), (0, 4, 4)),  # offsets do not increase
             (("a", "b"), (3, 1)),  # offsets decrease
             (("a", "b"), (0, "2")),  # offset is not an int
+            (("a", "b"), (False, True)),  # offsets are bools
             ((), ()),  # no tokens
         ],
     )

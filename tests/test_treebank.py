@@ -621,6 +621,14 @@ _MUTATIONS = {
     "non-adjacent children": lambda obj: obj.update(
         tree=_swap_first_leaves(obj["tree"])
     ),
+    # int() would round these to a valid record
+    "fractional EDU bound": lambda obj: obj["edus"][-1].__setitem__(
+        1, obj["edus"][-1][1] + 0.5
+    ),
+    "boolean sentence index": lambda obj: obj.update(
+        sents=[False] + (obj["sents"] or [0])[1:]
+    ),
+    "boolean offset": _set_token(0, lambda tok, _: [tok[0], False]),
 }
 
 
