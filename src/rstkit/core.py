@@ -14,7 +14,7 @@ cascades over long documents) do not hit the interpreter recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from operator import lt
@@ -75,10 +75,13 @@ class RelationLabel:
 
     Relation names are case-folded to lowercase; the nuclearity suffix is
     stored separately so that merged ``relation_NUC`` strings round-trip.
+    ``merged``, the ``relation_NUC`` form (e.g. ``elaboration_NS``), is
+    computed once on construction and takes no part in equality or repr.
     """
 
     relation: str
     nuclearity: Nuclearity
+    merged: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.nuclearity, Nuclearity):
@@ -91,11 +94,7 @@ class RelationLabel:
                 f"relation name {relation!r} contains a reserved character"
             )
         object.__setattr__(self, "relation", relation)
-
-    @property
-    def merged(self) -> str:
-        """The merged ``relation_NUC`` form, e.g. ``elaboration_NS``."""
-        return f"{self.relation}_{self.nuclearity.value}"
+        object.__setattr__(self, "merged", f"{relation}_{self.nuclearity.value}")
 
     @classmethod
     def from_merged(cls, merged: str) -> "RelationLabel":

@@ -350,6 +350,29 @@ class _TableProvider(ScoreProvider):
             ) from None
 
 
+def _index_pair(pair) -> tuple[int, int]:
+    """A score record's ``[start, end]``: exactly two JSON integers."""
+    start, end = pair
+    if type(start) is not int or type(end) is not int:
+        raise ValueError(f"indices must be integers, got {pair!r}")
+    return start, end
+
+
+def _score_vector(values) -> np.ndarray:
+    """A flat list of JSON numbers as a float vector.  numpy infers one
+    type for the whole list in C, so a string, a null or an all-boolean
+    list shows up as a non-numeric dtype without a loop over the scores."""
+    scores = np.asarray(values)
+    kind = scores.dtype.kind
+    if kind != "f":
+        if kind not in "iu":
+            raise ValueError("scores must be a list of numbers")
+        scores = scores.astype(float)
+    if scores.ndim != 1:
+        raise ValueError("scores must be a flat list")
+    return scores
+
+
 class ScoreTable:
     """External scores loaded from a JSON-lines dump.
 
@@ -359,8 +382,10 @@ class ScoreTable:
         {"doc": ID, "kind": "label", "left": [i, s], "right": [s, j],
          "scores": [...]}
 
-    so score dumps from any model can drive the decoder.  Split vectors must
-    have length end-start-1; label vectors must match the inventory size.
+    so score dumps from any model can drive the decoder.  Indices must be
+    JSON integers and ``scores`` a list of JSON numbers; a line that breaks
+    either rule raises RstError naming it.  Split vectors must have length
+    end-start-1; label vectors must match the inventory size.
     """
 
     def __init__(self) -> None:
@@ -381,13 +406,13 @@ class ScoreTable:
                     obj = json.loads(line)
                     doc = obj["doc"]
                     kind = obj["kind"]
-                    scores = np.asarray(obj["scores"], dtype=float)
+                    scores = _score_vector(obj["scores"])
                     if kind == "split":
-                        rng = (int(obj["start"]), int(obj["end"]))
+                        rng = _index_pair((obj["start"], obj["end"]))
                         table._splits.setdefault(doc, {})[rng] = scores
                     elif kind == "label":
-                        left = (int(obj["left"][0]), int(obj["left"][1]))
-                        right = (int(obj["right"][0]), int(obj["right"][1]))
+                        left = _index_pair(obj["left"])
+                        right = _index_pair(obj["right"])
                         table._labels.setdefault(doc, {})[(left, right)] = scores
                     else:
                         raise ValueError(f"unknown kind {kind!r}")

@@ -102,6 +102,11 @@ def tokenize(text: str, char_offset: int = 0) -> list[tuple[str, int]]:
     for match in _CHUNK_RE.finditer(text):
         chunk = match.group()
         base = match.start() + char_offset
+        # Most chunks are whole tokens: no alphanumeric character is in a
+        # P* or S* category, so alphanumeric ends are never peeled.
+        if len(chunk) == 1 or (chunk[0].isalnum() and chunk[-1].isalnum()):
+            tokens.append((chunk, base))
+            continue
         lo, hi = 0, len(chunk)
         head: list[tuple[str, int]] = []
         tail: list[tuple[str, int]] = []
@@ -383,7 +388,7 @@ def _resolve_node(
                 f"multinuc group {nid} has {len(multinuc_children)} nuclei"
             )
         nuclei = sorted(multinuc_children, key=lambda c: resolved[c].first_edu)
-        label = RelationLabel(nodes[nuclei[0]].relname or "joint", Nuclearity.NN)
+        label = RelationLabel.from_merged(f"{nodes[nuclei[0]].relname or 'joint'}_NN")
         # k nuclei become a right-branching cascade of k-1 NN nodes
         base = resolved[nuclei[-1]]
         for cid in nuclei[-2::-1]:
@@ -395,14 +400,10 @@ def _resolve_node(
         left = [p for p in pending if p[0].last_edu == base.first_edu - 1]
         if right:
             sat, relname = right[0]
-            base = RstTree.internal(
-                base, sat, RelationLabel(relname, Nuclearity.NS)
-            )
+            base = RstTree.internal(base, sat, RelationLabel.from_merged(f"{relname}_NS"))
         elif left:
             sat, relname = left[0]
-            base = RstTree.internal(
-                sat, base, RelationLabel(relname, Nuclearity.SN)
-            )
+            base = RstTree.internal(sat, base, RelationLabel.from_merged(f"{relname}_SN"))
         else:
             raise MalformedXml(
                 f"satellite of node {nid} is not adjacent to its nucleus"
@@ -580,26 +581,19 @@ _TREE_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 
 def tree_to_string(tree: RstTree) -> str:
     """Render a tree as ``(rel_NUC left right)`` with ``#k`` leaves."""
-    out: list[str] = []
-    stack: list[tuple[str, RstTree | None]] = [("visit", tree)]
+    pieces: list[str] = []
+    stack: list[RstTree | str] = [tree]
     while stack:
-        op, node = stack.pop()
-        if op == "close":
-            out.append(")")
-        elif node.is_leaf:  # type: ignore[union-attr]
-            out.append(f"#{node.edu_index}")  # type: ignore[union-attr]
+        node = stack.pop()
+        if type(node) is str:
+            pieces.append(node)
+        elif node.is_leaf:
+            pieces.append(f"#{node.first_edu}")
         else:
-            assert node is not None and node.label is not None
-            out.append(f"({node.label.merged}")
-            stack.append(("close", None))
-            stack.append(("visit", node.right))
-            stack.append(("visit", node.left))
-    text = ""
-    for piece in out:
-        if text and not text.endswith("(") and piece != ")":
-            text += " "
-        text += piece
-    return text
+            pieces.append(f"({node.label.merged}")  # type: ignore[union-attr]
+            stack += (")", node.right, node.left)  # type: ignore[arg-type]
+    # Labels hold no space or parenthesis, so " )" occurs only before a close.
+    return " ".join(pieces).replace(" )", ")")
 
 
 def tree_from_string(text: str) -> RstTree:

@@ -3,9 +3,11 @@
 The oracles here deliberately avoid the production code paths they check:
 Parseval counts come from an all-pairs matcher, CRF quantities from explicit
 path enumeration and from sequential per-token recursions over dense
-features, decoder optima from enumerating every binary tree, gradients
-from central finite differences, canonical records from a per-token loop
-with a shift-reduce tree parser, and sentence statistics from a scan over
+features, decoder optima from enumerating every binary tree and from a
+chart over all ranges, gradients from central finite differences,
+canonical records from a per-token loop with a shift-reduce tree parser,
+tree strings from a piece-by-piece renderer, tokens from peeling every
+chunk one character at a time, and sentence statistics from a scan over
 every EDU.
 """
 
@@ -16,6 +18,7 @@ import json
 import math
 import random
 import re
+import unicodedata
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -294,6 +297,41 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+def reference_exact(n: int, provider, labels: Sequence[str]) -> tuple[float, RstTree]:
+    """Best tree over n EDUs and its score, by CKY over every range.
+
+    Split and label scores are additive and local, so a range's best
+    subtree is its best (split, argmax label) over the best subtrees of its
+    two halves.  Ties keep the earliest split and the lowest label index.
+    """
+    best: dict[tuple[int, int], tuple[float, int, int]] = {}  # score, split, label
+    for length in range(2, n + 1):
+        for start in range(0, n - length + 1):
+            end = start + length
+            splits = [float(x) for x in provider.split_scores(start, end)]
+            top = None
+            for split in range(start + 1, end):
+                scores = [float(x) for x in provider.label_scores((start, split), (split, end))]
+                label = scores.index(max(scores))
+                total = splits[split - start - 1] + scores[label]
+                for half in ((start, split), (split, end)):
+                    if half[1] - half[0] >= 2:
+                        total += best[half][0]
+                if top is None or total > top[0]:
+                    top = (total, split, label)
+            best[(start, end)] = top  # type: ignore[assignment]
+
+    def build(start: int, end: int) -> RstTree:
+        if end - start == 1:
+            return RstTree.leaf(start)
+        _, split, label = best[(start, end)]
+        return RstTree.internal(
+            build(start, split), build(split, end), RelationLabel.from_merged(labels[label])
+        )
+
+    return (best[(0, n)][0] if n >= 2 else 0.0), build(0, n)
+
+
 # ---------------------------------------------------------------------------
 # Decoder tie-order oracle: a plain beam that copies full decision tuples
 # into every hypothesis
@@ -484,6 +522,57 @@ def reference_read(path) -> list[DocumentRecord]:
             except (RstError, KeyError, TypeError, ValueError) as exc:
                 raise SchemaViolation(line_number, str(exc)) from None
     return docs
+
+
+# ---------------------------------------------------------------------------
+# Tree-string and tokenizer oracles: the renderer that appends one piece at
+# a time, and the tokenizer that peels every chunk character by character
+# ---------------------------------------------------------------------------
+
+
+def reference_tree_to_string(tree: RstTree) -> str:
+    out: list[str] = []
+    stack: list[tuple[str, RstTree | None]] = [("visit", tree)]
+    while stack:
+        op, node = stack.pop()
+        if op == "close":
+            out.append(")")
+        elif node.is_leaf:
+            out.append(f"#{node.edu_index}")
+        else:
+            out.append(f"({node.label.merged}")
+            stack.append(("close", None))
+            stack.append(("visit", node.right))
+            stack.append(("visit", node.left))
+    text = ""
+    for piece in out:
+        if text and not text.endswith("(") and piece != ")":
+            text += " "
+        text += piece
+    return text
+
+
+def reference_tokenize(text: str, char_offset: int = 0) -> list[tuple[str, int]]:
+    def splittable(ch: str) -> bool:
+        return unicodedata.category(ch)[0] in ("P", "S")
+
+    tokens: list[tuple[str, int]] = []
+    for match in re.finditer(r"\S+", text):
+        chunk = match.group()
+        base = match.start() + char_offset
+        lo, hi = 0, len(chunk)
+        head: list[tuple[str, int]] = []
+        tail: list[tuple[str, int]] = []
+        while hi - lo > 1 and splittable(chunk[lo]):
+            head.append((chunk[lo], base + lo))
+            lo += 1
+        while hi - lo > 1 and splittable(chunk[hi - 1]):
+            tail.append((chunk[hi - 1], base + hi - 1))
+            hi -= 1
+        tokens += head
+        tokens.append((chunk[lo:hi], base + lo))
+        tokens += tail[::-1]
+    return tokens
 
 
 # ---------------------------------------------------------------------------

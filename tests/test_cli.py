@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import rstkit
+from rstkit import cli as cli_mod
 from rstkit import crf as crf_mod
 from rstkit import treebank as tb_mod
 from rstkit.cli import main
@@ -559,6 +561,21 @@ class TestSinglePassParse:
         assert "--scores needs --inventory" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_malformed_score_dump_is_a_user_error(self, gold_file, tmp_path, capsys):
+        inventory = tmp_path / "labels.txt"
+        inventory.write_text("".join(f"{x}\n" for x in TEST_LABELS), encoding="utf-8")
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(
+            json.dumps({"doc": "doc0", "kind": "split", "start": 0.6, "end": "3",
+                        "scores": [1.0, 0.0]}) + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "pred.jsonl"
+        assert main(["parse", str(gold_file), "-o", str(out), "--scores", str(scores),
+                     "--inventory", str(inventory)]) == 1
+        assert "line 1: bad score record" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_edu_documents_need_no_inventory(self, tmp_path, capsys):
         # The corpus has no labels at all; each lone EDU still decodes to
         # a leaf.
@@ -744,3 +761,85 @@ class TestCliContract:
         result = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
+
+
+class TestCollectorPause:
+    """Commands run with the cyclic garbage collector paused; main restores
+    its previous state, and the paused collector leaves a fixed amount of
+    cyclic garbage whatever the input size."""
+
+    @pytest.mark.parametrize("outcome, code", [("ok", 0), ("user", 1), ("internal", 2)])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored_on_every_exit(self, monkeypatch, capsys, outcome, code,
+                                             enabled):
+        during = []
+
+        def command(args):
+            during.append(gc.isenabled())
+            if outcome == "user":
+                raise cli_mod.RstError("bad input")
+            if outcome == "internal":
+                raise RuntimeError("bug")
+            return 0
+
+        monkeypatch.setattr(cli_mod, "cmd_dwa_sim", command)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["dwa-sim", "losses.csv"]) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False]
+
+    @pytest.fixture()
+    def corpora(self, tmp_path):
+        """Small and four-times-larger inputs for every streaming command,
+        plus a segmenter model trained on the small corpus."""
+        rng = random.Random(5)
+        paths = {}
+        for name, count in (("small", 5), ("large", 20)):
+            docs = []
+            for i in range(count):
+                n = rng.randint(2, 30)
+                docs.append(make_document(f"{name}_news_{i}", random_tree(rng, n),
+                                          random_edus(rng, n), genre="news", sents=[0]))
+            path = tmp_path / f"{name}.jsonl"
+            write_canonical(Corpus.from_documents(name, docs), path)
+            rs3 = tmp_path / f"{name}_rs3"
+            rs3.mkdir()
+            for doc in docs:
+                (rs3 / f"{doc.doc_id}.rs3").write_bytes(serialize_rs3(doc))
+            paths[name] = path
+            paths[f"{name}_rs3"] = rs3
+        paths["model"] = tmp_path / "seg.npz"
+        assert main(["train-segmenter", str(paths["small"]), "-o", str(paths["model"]),
+                     "--epochs", "1"]) == 0
+        return paths
+
+    @pytest.mark.parametrize("command", ["convert", "stats", "segment", "parse", "eval"])
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, corpora, tmp_path,
+                                                         capsys, command):
+        def argv(size):
+            corpus = str(corpora[size])
+            out = str(tmp_path / f"{size}_{command}.out")
+            return {
+                "convert": ["convert", str(corpora[f"{size}_rs3"]), "-o", out],
+                "stats": ["stats", corpus, "--by-genre"],
+                "segment": ["segment", str(corpora["model"]), corpus, "-o", out],
+                "parse": ["parse", corpus, "-o", out, "--oracle", "--beam", "2"],
+                "eval": ["eval", corpus, corpus],
+            }[command]
+
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            found = []
+            for size in ("small", "small", "large"):  # the first run warms up imports
+                assert main(argv(size)) == 0
+                found.append(gc.collect())
+        finally:
+            if was:
+                gc.enable()
+        assert found[1] == found[2] > 0

@@ -1,5 +1,8 @@
+import json
+import math
 import random
 
+import numpy as np
 import pytest
 
 from rstkit.core import RstError, RstTree, build_tree
@@ -23,6 +26,7 @@ from helpers import (
     enumerate_trees,
     random_tree,
     reference_decode,
+    reference_exact,
 )
 
 
@@ -86,6 +90,21 @@ class FixedSplitProvider(ScoreProvider):
 
     def label_scores(self, left, right):
         return [0.0] * len(self.labels)
+
+
+class DenseRandomProvider(ScoreProvider):
+    """Gaussian scores drawn up front for every range and split of n EDUs."""
+
+    def __init__(self, seed, n, labels=TEST_LABELS):
+        rng = np.random.default_rng(seed)
+        self.splits = rng.normal(size=(n + 1, n + 1, n))
+        self.labels = rng.normal(size=(n + 1, n + 1, n + 1, len(labels)))
+
+    def split_scores(self, start, end):
+        return self.splits[start, end, : end - start - 1]
+
+    def label_scores(self, left, right):
+        return self.labels[left[0], left[1], right[1]]
 
 
 CONFIG = DecodeConfig(labels=TEST_LABELS)
@@ -291,6 +310,35 @@ class TestBeam:
             DecodeConfig(labels=(*TEST_LABELS, "joint_NN"))
 
 
+class TestExactChart:
+    """``reference_exact`` (CKY) is the beam's oracle on long documents,
+    once it agrees with exhaustive enumeration on short ones."""
+
+    def test_equals_exhaustive_enumeration_up_to_eight_edus(self):
+        for seed in range(42):
+            n = 1 + seed % 8
+            providers = (RandomProvider(seed * 7 + 1), IntegerProvider(seed))
+            for provider in providers:
+                score, tree = reference_exact(n, provider, TEST_LABELS)
+                best = max(
+                    tree_score(t, provider, TEST_LABELS)
+                    for t in enumerate_trees(0, n, provider, TEST_LABELS)
+                )
+                assert math.isclose(score, best, rel_tol=1e-12, abs_tol=1e-12), (seed, n)
+                assert math.isclose(
+                    tree_score(tree, provider, TEST_LABELS), score, rel_tol=1e-12, abs_tol=1e-12
+                )
+
+    def test_beam_never_scores_above_exact(self):
+        for seed, n in enumerate((2, 9, 17, 30, 44, 60)):
+            provider = DenseRandomProvider(seed, n)
+            exact, _ = reference_exact(n, provider, TEST_LABELS)
+            for width in (1, 4, 16):
+                config = DecodeConfig(TEST_LABELS, "beam" if width > 1 else "greedy", width)
+                score = tree_score(decode(n, provider, config), provider, TEST_LABELS)
+                assert score <= exact + 1e-9 * max(1.0, abs(exact)), (n, width)
+
+
 class TestDecodeWithSegmentation:
     def test_gold_labels_reduce_to_plain_decode(self):
         rng = random.Random(13)
@@ -378,3 +426,49 @@ class TestScoreTable:
         path.write_text('{"doc": "d", "kind": "wat"}\n', encoding="utf-8")
         with pytest.raises(RstError):
             ScoreTable.load(path)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "split", "start": 0.6, "end": "3", "scores": [1.5, 2.0]},
+            {"kind": "split", "start": True, "end": 3, "scores": [1.5, 2.0]},
+            {"kind": "split", "start": 0, "end": 3.0, "scores": [1.5, 2.0]},
+            {"kind": "label", "left": [0, 1.9], "right": [2, 3], "scores": [1.0]},
+            {"kind": "label", "left": [0, 2], "right": [True, 3], "scores": [1.0]},
+            {"kind": "label", "left": [0, 2, 3], "right": [2, 3], "scores": [1.0]},
+            {"kind": "label", "left": [0], "right": [0, 3], "scores": [1.0]},
+            {"kind": "label", "left": 0, "right": [0, 3], "scores": [1.0]},
+            {"kind": "split", "start": 0, "end": 3, "scores": ["1.5", True]},
+            {"kind": "split", "start": 0, "end": 3, "scores": [1.5, None]},
+            {"kind": "split", "start": 0, "end": 3, "scores": [True, False]},
+            {"kind": "split", "start": 0, "end": 3, "scores": [[1.5, 2.0]]},
+            {"kind": "split", "start": 0, "end": 3, "scores": 1.5},
+        ],
+        ids=[
+            "fractional-and-string-range", "boolean-start", "float-end",
+            "fractional-left", "boolean-right", "three-item-left", "one-item-left",
+            "integer-left", "string-and-boolean-scores", "null-score",
+            "boolean-scores", "nested-scores", "scalar-scores",
+        ],
+    )
+    def test_malformed_record_names_its_line(self, fields, tmp_path):
+        good = {"doc": "d", "kind": "split", "start": 0, "end": 2, "scores": [1.0]}
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            json.dumps(good) + "\n" + json.dumps({"doc": "d", **fields}) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(RstError, match="line 2: bad score record"):
+            ScoreTable.load(path)
+
+    def test_integer_scores_and_empty_vectors_load_as_floats(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        records = [
+            {"doc": "d", "kind": "split", "start": 0, "end": 3, "scores": [1, 2]},
+            {"doc": "d", "kind": "split", "start": 0, "end": 1, "scores": []},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        provider = ScoreTable.load(path).provider("d")
+        for (start, end), expected in (((0, 3), [1.0, 2.0]), ((0, 1), [])):
+            scores = provider.split_scores(start, end)
+            assert scores.dtype == np.float64 and scores.tolist() == expected

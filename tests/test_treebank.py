@@ -1,7 +1,9 @@
 import json
 import random
 import re
+import sys
 import tracemalloc
+import unicodedata
 from dataclasses import fields, replace
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from rstkit.core import (
     DocumentRecord,
     EduSpan,
+    LabelParseError,
     MissingTree,
     Nuclearity,
     RelationLabel,
@@ -48,6 +51,8 @@ from helpers import (
     random_tree,
     reference_read,
     reference_record_from_json,
+    reference_tokenize,
+    reference_tree_to_string,
 )
 
 
@@ -131,6 +136,36 @@ class TestTokenize:
     def test_deterministic(self):
         text = "A (quoted) example; twice."
         assert tokenize(text) == tokenize(text)
+
+    def test_no_alphanumeric_character_is_punctuation_or_symbol(self):
+        # tokenize keeps a chunk whole when both its ends are alphanumeric;
+        # that is exact only while this holds for every code point.
+        peelable = [
+            hex(cp)
+            for cp in range(sys.maxunicode + 1)
+            if chr(cp).isalnum() and unicodedata.category(chr(cp))[0] in "PS"
+        ]
+        assert peelable == []
+
+    def test_equals_the_peeling_reference_on_random_strings(self):
+        alphabet = (
+            "aZqé"  # Latin
+            "жЯё"  # Cyrillic
+            "07_"
+            "«»—'\"().,;"
+            "$€₽"  # currency signs
+            "\u0301\u0308"  # combining marks
+            "½²"
+            " \u00a0\u3000"  # space, no-break space, ideographic space
+        )
+        rng = random.Random(8)
+        mismatches = []
+        for _ in range(200_000):
+            text = "".join(rng.choices(alphabet, k=rng.randint(0, 9)))
+            offset = rng.randint(0, 50)
+            if tokenize(text, offset) != reference_tokenize(text, offset):
+                mismatches.append(text)
+        assert mismatches == []
 
 
 class TestParseRs3:
@@ -252,6 +287,29 @@ class TestParseRs3:
         assert component.tree == build_tree(
             ((0, 1, "elaboration_NS"), 2, "background_NS")
         )
+
+    def test_labels_are_the_shared_instances(self):
+        labels = [
+            node.label
+            for component in extract_forest(parse_rs3(FOREST_RS3.encode("utf-8")))
+            for node in component.tree.internal_nodes()
+        ]
+        assert len(labels) == 9
+        assert all(label is RelationLabel.from_merged(label.merged) for label in labels)
+
+    @pytest.mark.parametrize("kind, nuclei", [("rst", 1), ("multinuc", 2)])
+    def test_relname_with_a_reserved_character_is_rejected(self, kind, nuclei):
+        body = "".join(
+            f'<segment id="{i}" parent="9" relname="same_unit">x{i}</segment>'
+            for i in range(1, nuclei + 1)
+        )
+        if kind == "rst":
+            body += '<segment id="9">n</segment>'
+        else:
+            body += '<group id="9" type="multinuc"/>'
+        data = rs3(body, f'<rel name="same_unit" type="{kind}"/>')
+        with pytest.raises(LabelParseError, match="reserved character"):
+            extract_forest(parse_rs3(data))
 
     def test_dangling_parent(self):
         data = rs3('<segment id="1" parent="99" relname="elaboration">x</segment>')
@@ -451,6 +509,17 @@ class TestTreeStrings:
         rng = random.Random(seed)
         tree = random_tree(rng, rng.randint(1, 12))
         assert tree_from_string(tree_to_string(tree)) == tree
+
+    def test_rendering_equals_the_piecewise_reference(self, forest_corpus):
+        trees = [
+            component.tree
+            for path in sorted(forest_corpus.directory.glob("*.rs3"))
+            for component in extract_forest(parse_rs3(path.read_bytes()))
+        ]
+        rng = random.Random(21)
+        trees += [random_tree(rng, rng.randint(1, 60)) for _ in range(200)]
+        for tree in trees:
+            assert tree_to_string(tree) == reference_tree_to_string(tree)
 
     def test_deep_tree_round_trip(self):
         node = RstTree.leaf(1999)
