@@ -424,10 +424,8 @@ def cmd_eval(args) -> int:
             raise RstError(
                 f"{gold_doc.doc_id}: EDUs differ from gold; use --end-to-end"
             )
-        seg = metrics_mod.segmentation_f1(
-            gold_doc.edus, pred_doc.edus, len(gold_doc.tokens)
-        )
-        return seg, metrics_mod.parseval(
+        # segmentation is only reported with --end-to-end
+        return metrics_mod.MetricCounts(), metrics_mod.parseval(
             gold_doc.tree, pred_doc.tree, gold_doc.edus, pred_doc.edus
         )
 

@@ -131,7 +131,7 @@ class EduSpan:
         return self.last_token - self.first_token + 1
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class RstTree:
     """A strictly binary constituent tree over a contiguous EDU range.
 
@@ -139,6 +139,14 @@ class RstTree:
     last_edu`` is the EDU index) or an internal node with exactly two children
     covering adjacent EDU ranges.  Use :meth:`leaf` and :meth:`internal` to
     construct nodes; the EDU span of every node is cached on construction.
+
+    ``__init__`` is written by hand (``init=False``).  The generated one of
+    a frozen dataclass stores each field through ``object.__setattr__`` and
+    then calls ``__post_init__``, which costs more than the checks do, and
+    a corpus read builds a node per EDU and per relation.  This one runs
+    the same checks and stores the fields through the slots' descriptors.
+    The class is still a frozen dataclass: ``dataclasses.fields`` and
+    ``replace`` work, and assignment raises ``FrozenInstanceError``.
     """
 
     first_edu: int
@@ -147,28 +155,37 @@ class RstTree:
     left: "RstTree | None" = None
     right: "RstTree | None" = None
 
-    def __post_init__(self) -> None:
-        if (self.left is None) != (self.right is None):
+    def __init__(
+        self,
+        first_edu: int,
+        last_edu: int,
+        label: RelationLabel | None = None,
+        left: "RstTree | None" = None,
+        right: "RstTree | None" = None,
+    ) -> None:
+        if (left is None) != (right is None):
             raise NonBinaryNode("internal nodes need exactly two children")
-        if self.left is None:
-            if self.label is not None:
+        if left is None:
+            if label is not None:
                 raise NonBinaryNode("leaves carry no relation label")
-            if self.first_edu != self.last_edu or self.first_edu < 0:
+            if first_edu != last_edu or first_edu < 0:
                 raise RstError("leaf span must be a single EDU index")
         else:
-            assert self.right is not None
-            if self.label is None:
+            assert right is not None
+            if label is None:
                 raise NonBinaryNode("internal nodes must carry a label")
-            if self.left.last_edu + 1 != self.right.first_edu:
+            if left.last_edu + 1 != right.first_edu:
                 raise NonContiguousChildren(
-                    f"left child ends at EDU {self.left.last_edu}, right "
-                    f"child starts at EDU {self.right.first_edu}"
+                    f"left child ends at EDU {left.last_edu}, right "
+                    f"child starts at EDU {right.first_edu}"
                 )
-            if (self.first_edu, self.last_edu) != (
-                self.left.first_edu,
-                self.right.last_edu,
-            ):
+            if first_edu != left.first_edu or last_edu != right.last_edu:
                 raise NonContiguousChildren("cached span != union of children")
+        _set_first_edu(self, first_edu)
+        _set_last_edu(self, last_edu)
+        _set_label(self, label)
+        _set_left(self, left)
+        _set_right(self, right)
 
     @classmethod
     def leaf(cls, edu_index: int) -> "RstTree":
@@ -262,6 +279,14 @@ class RstTree:
     def __repr__(self) -> str:
         kind = "Leaf" if self.is_leaf else f"Internal[{self.label}]"
         return f"RstTree<{kind} edus {self.first_edu}..{self.last_edu}>"
+
+
+# Slot setters for RstTree.__init__; they bypass the frozen __setattr__.
+_set_first_edu = RstTree.first_edu.__set__  # type: ignore[attr-defined]
+_set_last_edu = RstTree.last_edu.__set__  # type: ignore[attr-defined]
+_set_label = RstTree.label.__set__  # type: ignore[attr-defined]
+_set_left = RstTree.left.__set__  # type: ignore[attr-defined]
+_set_right = RstTree.right.__set__  # type: ignore[attr-defined]
 
 
 # A tree description is an int (leaf EDU index) or a (left, right, label)

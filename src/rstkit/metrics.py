@@ -27,14 +27,14 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
-    Constituent,
+    SPAN_RELATION,
     Corpus,
     DocumentRecord,
     EduSpan,
     MissingTree,
+    Nuclearity,
     RstError,
     RstTree,
-    enumerate_constituents,
 )
 
 __all__ = [
@@ -131,15 +131,45 @@ class ParsevalScores:
         }
 
 
-def _constituent_index(
-    entries: Sequence[Constituent],
-) -> dict[tuple[int, int], Constituent]:
-    index: dict[tuple[int, int], Constituent] = {}
-    for entry in entries:
-        if entry.span in index:
-            raise RstError(f"duplicate constituent span {entry.span}")
-        index[entry.span] = entry
-    return index
+def _span_table(
+    tree: RstTree, edus: Sequence[EduSpan] | None
+) -> dict[tuple[int, int], tuple[str, str]]:
+    """``{(first_token, last_token): (role, relation)}`` for every non-root
+    node, with the roles and relations of :func:`enumerate_constituents`.
+
+    Raises RstError when two nodes share a token span, which only EDUs
+    that do not partition the tokens can cause.
+    """
+    if edus is None:
+        starts = ends = range(tree.last_edu + 1)
+    else:
+        starts = [edu.first_token for edu in edus]
+        ends = [edu.last_token for edu in edus]
+    table: dict[tuple[int, int], tuple[str, str]] = {}
+    nn, ns = Nuclearity.NN, Nuclearity.NS  # enum attribute reads are slow
+    # Only internal nodes go on the stack; each writes its children's rows.
+    stack = [] if tree.left is None else [tree]
+    while stack:
+        node = stack.pop()
+        left, right, label = node.left, node.right, node.label
+        rel, nuc = label.relation, label.nuclearity  # type: ignore[union-attr]
+        if nuc is nn:
+            left_entry = right_entry = ("N", rel)
+        elif nuc is ns:
+            left_entry, right_entry = ("N", SPAN_RELATION), ("S", rel)
+        else:
+            left_entry, right_entry = ("S", rel), ("N", SPAN_RELATION)
+        table[starts[left.first_edu], ends[left.last_edu]] = left_entry
+        table[starts[right.first_edu], ends[right.last_edu]] = right_entry
+        if right.left is not None:
+            stack.append(right)
+        if left.left is not None:
+            stack.append(left)
+    if len(table) < 2 * tree.n_internal:
+        raise RstError(
+            f"{2 * tree.n_internal - len(table)} duplicate constituent spans"
+        )
+    return table
 
 
 def parseval(
@@ -152,27 +182,30 @@ def parseval(
 
     Both trees must cover the same token range (SpanRangeMismatch
     otherwise); pass the EDU spans to express constituents in token offsets,
-    or omit both to score in EDU-index space.
+    or omit both to score in EDU-index space.  Each tree becomes one table
+    from token span to (role, relation), and the four metrics are counted
+    by lookup in it; :func:`~rstkit.core.enumerate_constituents` is the
+    reference listing of the same constituents.
     """
     if gold.token_span(gold_edus) != pred.token_span(pred_edus):
         raise SpanRangeMismatch(
             f"gold covers {gold.token_span(gold_edus)}, "
             f"predicted covers {pred.token_span(pred_edus)}"
         )
-    gold_index = _constituent_index(enumerate_constituents(gold, gold_edus))
-    pred_index = _constituent_index(enumerate_constituents(pred, pred_edus))
+    gold_table = _span_table(gold, gold_edus)
+    pred_table = _span_table(pred, pred_edus)
     span = nuc = rel = full = 0
-    for key, entry in pred_index.items():
-        other = gold_index.get(key)
+    for key, (role, relation) in pred_table.items():
+        other = gold_table.get(key)
         if other is None:
             continue
         span += 1
-        role_ok = entry.role == other.role
-        relation_ok = entry.relation == other.relation
+        role_ok = role == other[0]
+        relation_ok = relation == other[1]
         nuc += role_ok
         rel += relation_ok
         full += role_ok and relation_ok
-    n_gold, n_pred = len(gold_index), len(pred_index)
+    n_gold, n_pred = len(gold_table), len(pred_table)
     return ParsevalScores(
         MetricCounts(span, n_gold, n_pred),
         MetricCounts(nuc, n_gold, n_pred),

@@ -245,13 +245,13 @@ def split_forest(
 
 def filter_single_edu(corpus: Corpus) -> tuple[Corpus, int]:
     """Drop documents whose tree is a bare leaf (single-EDU documents)."""
-    kept = [
-        doc
-        for doc in corpus.documents
-        if not (len(doc.edus) == 1 and (doc.tree is None or doc.tree.is_leaf))
-    ]
+    kept = [doc for doc in corpus.documents if not _single_edu(doc)]
     dropped = len(corpus.documents) - len(kept)
     return Corpus.from_documents(corpus.name, kept), dropped
+
+
+def _single_edu(doc: DocumentRecord) -> bool:
+    return len(doc.edus) == 1 and (doc.tree is None or doc.tree.is_leaf)
 
 
 def label_histogram(documents: Iterable[DocumentRecord]) -> Counter:
@@ -317,7 +317,7 @@ def preprocess_records(
     ``records`` holds one document per extracted tree, read from
     ``documents_in`` input files.
     """
-    histogram_before = label_histogram(records)
+    histogram_before = histogram_after = label_histogram(records)
 
     rewrites: Counter = Counter()
     if table is not None:
@@ -327,11 +327,15 @@ def preprocess_records(
             rewrites.update(counts)
             remapped.append(doc)
         records = remapped
+        histogram_after = label_histogram(records)
 
-    corpus = Corpus.from_documents(name, records)
-    dropped = 0
+    # A single-EDU document has no internal node, so dropping it changes
+    # neither the histogram nor the observed label set, the inventory.
+    kept = records
     if drop_single_edu:
-        corpus, dropped = filter_single_edu(corpus)
+        kept = [doc for doc in records if not _single_edu(doc)]
+    corpus = Corpus(name, tuple(kept), tuple(sorted(histogram_after)))
+    dropped = len(records) - len(kept)
 
     rule_counts = tuple(
         (rule.as_text().replace("\t", " -> "), rewrites.get(i, 0))
@@ -344,7 +348,7 @@ def preprocess_records(
         single_edu_dropped=dropped,
         rewrites=rule_counts,
         histogram_before=tuple(sorted(histogram_before.items())),
-        histogram_after=tuple(sorted(label_histogram(corpus.documents).items())),
+        histogram_after=tuple(sorted(histogram_after.items())),
     )
     return corpus, report
 

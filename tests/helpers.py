@@ -33,6 +33,7 @@ from rstkit.core import (
     RstError,
     RstTree,
     Split,
+    enumerate_constituents,
 )
 from rstkit.crf import CrfGradients, CrfModel, log_likelihood
 from rstkit.treebank import SchemaViolation
@@ -52,8 +53,10 @@ TEST_LABELS = (
 
 
 def random_tree(
-    rng: random.Random, n: int, labels: Sequence[str] = TEST_LABELS
+    rng: random.Random, n: int, labels: Sequence[str] = TEST_LABELS, first: int = 0
 ) -> RstTree:
+    """A random tree over the ``n`` EDUs starting at index ``first``."""
+
     def build(start: int, end: int) -> RstTree:
         if end - start == 1:
             return RstTree.leaf(start)
@@ -61,7 +64,7 @@ def random_tree(
         label = RelationLabel.from_merged(rng.choice(labels))
         return RstTree.internal(build(start, split), build(split, end), label)
 
-    return build(0, n)
+    return build(first, first + n)
 
 
 def random_edus(
@@ -74,6 +77,38 @@ def random_edus(
         spans.append(EduSpan(pos, pos + length - 1))
         pos += length
     return tuple(spans)
+
+
+def random_partition(
+    rng: random.Random, n_tokens: int, n_edus: int
+) -> tuple[EduSpan, ...]:
+    """``n_edus`` EDUs partitioning ``n_tokens`` tokens at random cut points."""
+    cuts = sorted(rng.sample(range(1, n_tokens), n_edus - 1))
+    bounds = [0, *cuts, n_tokens]
+    return tuple(EduSpan(a, b - 1) for a, b in zip(bounds, bounds[1:]))
+
+
+def perturb_tree(
+    rng: random.Random,
+    tree: RstTree,
+    p_resplit: float = 0.15,
+    p_relabel: float = 0.3,
+    labels: Sequence[str] = TEST_LABELS,
+) -> RstTree:
+    """A prediction-like copy of ``tree``: some subtrees are replaced by
+    random trees over the same EDUs, some node labels are redrawn."""
+
+    def walk(node: RstTree) -> RstTree:
+        if node.is_leaf:
+            return node
+        if rng.random() < p_resplit:
+            return random_tree(rng, node.n_leaves, labels, node.first_edu)
+        label = node.label
+        if rng.random() < p_relabel:
+            label = RelationLabel.from_merged(rng.choice(labels))
+        return RstTree.internal(walk(node.left), walk(node.right), label)
+
+    return walk(tree)
 
 
 def make_document(
@@ -132,6 +167,19 @@ def brute_force_parseval(
             and g.relation == p.relation
         ),
     }
+
+
+def oracle_counts(
+    gold: RstTree,
+    pred: RstTree,
+    gold_edus: Sequence[EduSpan] | None = None,
+    pred_edus: Sequence[EduSpan] | None = None,
+) -> dict[str, tuple[int, int, int]]:
+    """(matched, gold, predicted) per metric from the all-pairs matcher."""
+    gold_list = enumerate_constituents(gold, gold_edus)
+    pred_list = enumerate_constituents(pred, pred_edus)
+    matched = brute_force_parseval(gold_list, pred_list)
+    return {m: (k, len(gold_list), len(pred_list)) for m, k in matched.items()}
 
 
 # ---------------------------------------------------------------------------

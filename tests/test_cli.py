@@ -29,7 +29,15 @@ from rstkit.treebank import (
     write_record,
 )
 
-from helpers import TEST_LABELS, make_document, random_edus, random_tree
+from helpers import (
+    TEST_LABELS,
+    make_document,
+    oracle_counts,
+    perturb_tree,
+    random_edus,
+    random_partition,
+    random_tree,
+)
 
 
 @pytest.fixture()
@@ -485,6 +493,81 @@ class TestParseAndEval:
         capsys.readouterr()
         assert main(["eval", str(gold_file), str(pred_path), "--end-to-end"]) == 0
         assert "Segm." in capsys.readouterr().out
+
+
+class TestEvalOnImperfectPredictions:
+    """``eval`` counts on perturbed predictions equal the all-pairs
+    matcher's counts summed per genre and over the corpus."""
+
+    GENRES = ("academic", "news", "whow")
+
+    @pytest.fixture()
+    def corpora(self, tmp_path):
+        rng = random.Random(404)
+        gold, resplit, resegmented = [], [], []
+        for i in range(15):
+            n = rng.randint(2, 40)
+            genre = self.GENRES[i % 3]
+            edus = random_edus(rng, n)
+            tree = random_tree(rng, n)
+            gold.append(make_document(f"doc{i}", tree, edus, genre=genre))
+            resplit.append(make_document(f"doc{i}", perturb_tree(rng, tree), edus,
+                                         genre=genre))
+            n_tokens = edus[-1].last_token + 1
+            n_pred = rng.randint(max(1, n - 3), min(n_tokens, n + 3))
+            pred_edus = random_partition(rng, n_tokens, n_pred)
+            resegmented.append(make_document(f"doc{i}", random_tree(rng, n_pred),
+                                             pred_edus, genre=genre))
+        paths = {}
+        for name, docs in (("gold", gold), ("resplit", resplit),
+                           ("resegmented", resegmented)):
+            paths[name] = tmp_path / f"{name}.jsonl"
+            write_canonical(Corpus.from_documents(name, docs), paths[name])
+        return paths, gold, {"resplit": resplit, "resegmented": resegmented}
+
+    @staticmethod
+    def expected_rows(gold, pred, end_to_end):
+        rows: dict[tuple[str, str], tuple[int, int, int]] = {}
+
+        def add(key, counts):
+            rows[key] = tuple(map(sum, zip(rows.get(key, (0, 0, 0)), counts)))
+
+        for g, p in zip(gold, pred):
+            for metric, counts in oracle_counts(g.tree, p.tree, g.edus, p.edus).items():
+                for name in ("all", g.genre):
+                    add((name, metric), counts)
+            if end_to_end:
+                gold_bounds = {e.first_token for e in g.edus} - {0}
+                pred_bounds = {e.first_token for e in p.edus} - {0}
+                seg = (len(gold_bounds & pred_bounds), len(gold_bounds), len(pred_bounds))
+                for name in ("all", g.genre):
+                    add((name, "Segm."), seg)
+        return rows
+
+    @pytest.mark.parametrize("pred_name, end_to_end",
+                             [("resplit", False), ("resplit", True),
+                              ("resegmented", True)])
+    def test_counts_equal_the_summed_oracle(self, corpora, pred_name, end_to_end,
+                                            capsys):
+        paths, gold, preds = corpora
+        argv = ["eval", str(paths["gold"]), str(paths[pred_name]), "--csv", "--by-genre"]
+        assert main(argv + (["--end-to-end"] if end_to_end else [])) == 0
+        table = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert table[0] == ["name", "metric", "precision", "recall", "f1", "matched",
+                            "gold", "predicted"]
+        got = {(r[0], r[1]): tuple(map(int, r[5:8])) for r in table[1:]}
+        expected = self.expected_rows(gold, preds[pred_name], end_to_end)
+        assert got == expected
+        assert list(dict.fromkeys(name for name, _ in got)) == ["all", *self.GENRES]
+        # the predictions are imperfect: some constituents match, not all
+        matched, n_gold, n_pred = got[("all", "S")]
+        assert 0 < matched < min(n_gold, n_pred)
+        assert got[("all", "Full")][0] < got[("all", "S")][0]
+
+    def test_resegmented_predictions_need_end_to_end(self, corpora, capsys):
+        paths, _, _ = corpora
+        assert main(["eval", str(paths["gold"]), str(paths["resegmented"])]) == 1
+        assert "use --end-to-end" in capsys.readouterr().err
 
 
 def _inventory_file(path, tmp_path, extra=()):

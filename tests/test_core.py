@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -108,6 +109,63 @@ class TestBuildTree:
             build_tree((1, 0, "joint_NN"))
         with pytest.raises(NonContiguousChildren):
             build_tree((0, 2, "joint_NN"))
+
+
+JOINT = RelationLabel("joint", Nuclearity.NN)
+LEAF0, LEAF1, LEAF2 = RstTree.leaf(0), RstTree.leaf(1), RstTree.leaf(2)
+
+
+class TestRstTreeContract:
+    """``RstTree`` has a hand-written ``__init__`` but stays a frozen
+    dataclass whose every construction runs the node checks."""
+
+    TREE = RstTree.internal(RstTree.internal(LEAF0, LEAF1, JOINT), LEAF2, "elaboration_NS")
+
+    @pytest.mark.parametrize("name", ["first_edu", "last_edu", "label", "left", "right"])
+    def test_assignment_and_deletion_raise(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(self.TREE, name, getattr(self.TREE, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(self.TREE, name)
+        assert not hasattr(self.TREE, "__dict__")
+
+    def test_fields_and_replace(self):
+        assert [f.name for f in dataclasses.fields(RstTree)] == [
+            "first_edu", "last_edu", "label", "left", "right"
+        ]
+        relabeled = dataclasses.replace(self.TREE, label=JOINT)
+        assert relabeled.label is JOINT
+        assert relabeled.left is self.TREE.left and relabeled.right is self.TREE.right
+        assert relabeled == build_tree(((0, 1, "joint_NN"), 2, "joint_NN"))
+        with pytest.raises(NonContiguousChildren):
+            dataclasses.replace(self.TREE, last_edu=3)
+
+    def test_keyword_construction_equals_positional(self):
+        node = RstTree(first_edu=0, last_edu=1, label=JOINT, left=LEAF0, right=LEAF1)
+        assert node == RstTree(0, 1, JOINT, LEAF0, LEAF1)
+        assert (node.first_edu, node.last_edu, node.label) == (0, 1, JOINT)
+        assert RstTree(last_edu=2, first_edu=2) == LEAF2
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((0, 1, JOINT, LEAF0, None), NonBinaryNode, "exactly two children"),
+            ((0, 1, JOINT, None, LEAF1), NonBinaryNode, "exactly two children"),
+            ((0, 0, JOINT), NonBinaryNode, "leaves carry no relation label"),
+            ((0, 1, None, LEAF0, LEAF1), NonBinaryNode, "must carry a label"),
+            ((0, 2, JOINT, LEAF0, LEAF2), NonContiguousChildren,
+             "left child ends at EDU 0, right child starts at EDU 2"),
+            ((0, 2, JOINT, LEAF0, LEAF1), NonContiguousChildren,
+             "cached span != union of children"),
+            ((0, 1), RstError, "leaf span must be a single EDU index"),
+            ((-1, -1), RstError, "leaf span must be a single EDU index"),
+        ],
+        ids=["no-right", "no-left", "labeled-leaf", "unlabeled-internal", "gap",
+             "bad-cached-span", "wide-leaf", "negative-leaf"],
+    )
+    def test_constructor_errors(self, args, error, message):
+        with pytest.raises(error, match=message):
+            RstTree(*args)
 
 
 class TestEnumerateConstituents:

@@ -4,6 +4,7 @@ import pytest
 
 from rstkit.core import (
     EduSpan,
+    RstError,
     build_tree,
     enumerate_constituents,
 )
@@ -28,7 +29,10 @@ from rstkit.metrics import (
 from helpers import (
     brute_force_parseval,
     make_document,
+    oracle_counts,
+    perturb_tree,
     random_edus,
+    random_partition,
     random_tree,
     reference_spanned_sentence_counts,
 )
@@ -116,6 +120,63 @@ class TestParseval:
     def test_counts_validation(self):
         with pytest.raises(Exception):
             MetricCounts(matched=3, gold=2, predicted=5)
+
+
+def counts_of(scores):
+    return {
+        m: (c.matched, c.gold, c.predicted) for m, c in scores.as_mapping().items()
+    }
+
+
+class TestParsevalDifferential:
+    """``parseval`` (span tables) against the all-pairs matcher over
+    ``enumerate_constituents``, on seeded pairs of 1-60 EDUs whose labels
+    cover NN, NS and SN."""
+
+    def test_shared_edus(self):
+        rng = random.Random(2017)
+        for _ in range(300):
+            n = rng.randint(1, 60)
+            edus = random_edus(rng, n)
+            gold = random_tree(rng, n)
+            pred = perturb_tree(rng, gold) if rng.random() < 0.5 else random_tree(rng, n)
+            scores = parseval(gold, pred, edus, edus)
+            assert counts_of(scores) == oracle_counts(gold, pred, edus, edus)
+
+    def test_different_edus(self):
+        rng = random.Random(2018)
+        for _ in range(300):
+            n_tokens = rng.randint(1, 120)
+            n_gold = rng.randint(1, min(60, n_tokens))
+            n_pred = rng.randint(max(1, n_gold - 5), min(60, n_tokens, n_gold + 5))
+            gold_edus = random_partition(rng, n_tokens, n_gold)
+            pred_edus = random_partition(rng, n_tokens, n_pred)
+            gold = random_tree(rng, n_gold)
+            pred = random_tree(rng, n_pred)
+            scores = parseval(gold, pred, gold_edus, pred_edus)
+            assert counts_of(scores) == oracle_counts(gold, pred, gold_edus, pred_edus)
+
+    def test_edu_index_space(self):
+        rng = random.Random(2019)
+        for _ in range(50):
+            n = rng.randint(1, 60)
+            gold = random_tree(rng, n)
+            pred = perturb_tree(rng, gold, p_resplit=0.3, p_relabel=0.5)
+            assert counts_of(parseval(gold, pred)) == oracle_counts(gold, pred)
+
+    @pytest.mark.parametrize("collapsed_side", ["gold", "pred"])
+    def test_nodes_collapsed_onto_one_span_raise(self, collapsed_side):
+        # Both EDUs cover tokens 0-1, so both leaves have the span (0, 1).
+        tree = build_tree((0, 1, "joint_NN"))
+        collapsed = (EduSpan(0, 1), EduSpan(0, 1))
+        partition = (EduSpan(0, 0), EduSpan(1, 1))
+        if collapsed_side == "gold":
+            args = (collapsed, partition)
+        else:
+            args = (partition, collapsed)
+        with pytest.raises(RstError, match="duplicate constituent span") as info:
+            parseval(tree, tree, *args)
+        assert not isinstance(info.value, SpanRangeMismatch)
 
 
 class TestSegmentationF1:

@@ -21,6 +21,7 @@ from rstkit.preprocess import (
     label_histogram,
     parse_remap_rules,
     preprocess_corpus,
+    preprocess_records,
     remap_rrt_labels,
     remap_tree_counting,
     split_forest,
@@ -205,6 +206,27 @@ class TestPreprocessCorpus:
         small = sum(1 for d in corpus.documents if 2 <= len(d.edus) <= 4)
         assert small == fixture.n_small_trees
         assert report.render()
+
+    @pytest.mark.parametrize("table", [None, TABLE], ids=["no-remap", "remap"])
+    @pytest.mark.parametrize("drop", [False, True], ids=["keep", "drop"])
+    def test_inventory_and_histograms_equal_a_fresh_walk(self, tmp_path, table, drop):
+        fixture = build_forest_corpus(tmp_path / "rrt")
+        records = []
+        for path in sorted(fixture.directory.glob("*.rs3")):
+            records.extend(split_forest(path.stem, extract_forest(parse_rs3(path.read_bytes()))))
+        corpus, report = preprocess_records(records, fixture.n_files, table=table,
+                                            drop_single_edu=drop)
+        rebuilt = Corpus.from_documents("corpus", corpus.documents)
+        assert corpus.relation_inventory == rebuilt.relation_inventory
+        assert report.histogram_before == tuple(sorted(label_histogram(records).items()))
+        assert report.histogram_after == tuple(
+            sorted(label_histogram(corpus.documents).items())
+        )
+        assert report.single_edu_dropped == (fixture.n_single_edu if drop else 0)
+        if table is None:
+            assert corpus.documents == tuple(
+                d for d in records if not (drop and len(d.edus) == 1)
+            )
 
     def test_report_invariant_enforced(self):
         with pytest.raises(RstError):
