@@ -133,7 +133,6 @@ def _load_rs3_corpus(args, drop_single_edu: bool, table, split_forests: bool = T
     split_map = {fid: splits.get(fid, default_split) for fid, _ in files}
     return prep_mod.preprocess_corpus(
         files,
-        name=Path(args.input).stem or "corpus",
         genre=genres,
         lang=args.lang,
         splits=split_map,
@@ -236,11 +235,7 @@ def cmd_preprocess(args) -> int:
     else:
         records = list(tb_mod.iter_canonical(in_path))
         corpus, report = prep_mod.preprocess_records(
-            records,
-            len(records),
-            name=in_path.stem,
-            table=table,
-            drop_single_edu=args.drop_single_edu,
+            records, len(records), table=table, drop_single_edu=args.drop_single_edu
         )
     _write_sorted(corpus, args.output)
     print(report.render())

@@ -439,7 +439,8 @@ _LANGUAGE_TAGS = ("en", "ru", "other")
 class DocumentRecord:
     """One document: tokens, gold EDU segmentation and (optionally) a tree.
 
-    Token ``i`` is the non-empty string ``tokens[i]`` starting at character
+    ``doc_id`` is a non-empty ``str`` and ``genre`` a ``str``.  Token ``i``
+    is the non-empty string ``tokens[i]`` starting at character
     ``char_starts[i]``; offsets are non-negative ``int`` (not ``bool``) and
     strictly increase.  EDU spans must partition the token sequence;
     sentence boundaries, when present, are sentence-initial token indices
@@ -466,8 +467,10 @@ class DocumentRecord:
             object.__setattr__(
                 self, "sentence_boundaries", tuple(self.sentence_boundaries)
             )
-        if not self.doc_id:
-            raise RstError("document id must be non-empty")
+        if not isinstance(self.doc_id, str) or not self.doc_id:
+            raise RstError(f"document id must be a non-empty string, got {self.doc_id!r}")
+        if not isinstance(self.genre, str):
+            raise RstError(f"{self.doc_id}: genre must be a string, got {self.genre!r}")
         if self.lang not in _LANGUAGE_TAGS:
             raise RstError(f"unknown language tag {self.lang!r}")
         # One C-level pass per rule over the two token columns.
@@ -548,56 +551,23 @@ def tree_stats(doc: DocumentRecord) -> TreeStats:
 
 @dataclass(frozen=True, slots=True)
 class Corpus:
-    """A named set of documents plus the registered relation inventory.
+    """The documents of one corpus, in order; no two share an id.
 
-    The inventory is the sorted set of merged ``relation_NUC`` labels; every
-    tree label in the corpus must be registered.
+    Tree labels are not checked against any inventory here: the decoder's
+    ``DecodeConfig`` holds the only label inventory of the package.
     """
 
-    name: str
     documents: tuple[DocumentRecord, ...]
-    relation_inventory: tuple[str, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "documents", tuple(self.documents))
-        object.__setattr__(
-            self, "relation_inventory", tuple(self.relation_inventory)
-        )
         ids = [doc.doc_id for doc in self.documents]
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise RstError(f"duplicate document ids: {dup}")
-        known = set(self.relation_inventory)
-        for doc in self.documents:
-            if doc.tree is None:
-                continue
-            for node in doc.tree.internal_nodes():
-                merged = node.label.merged  # type: ignore[union-attr]
-                if merged not in known:
-                    raise RstError(
-                        f"{doc.doc_id}: label {merged} not in the inventory"
-                    )
-
-    @classmethod
-    def from_documents(
-        cls, name: str, documents: Sequence[DocumentRecord]
-    ) -> "Corpus":
-        """Build a corpus whose inventory is the observed label set."""
-        observed: set[str] = set()
-        for doc in documents:
-            if doc.tree is not None:
-                for node in doc.tree.internal_nodes():
-                    observed.add(node.label.merged)  # type: ignore[union-attr]
-        return cls(name, tuple(documents), tuple(sorted(observed)))
 
     def __len__(self) -> int:
         return len(self.documents)
 
     def __iter__(self) -> Iterator[DocumentRecord]:
         return iter(self.documents)
-
-    def get(self, doc_id: str) -> DocumentRecord:
-        for doc in self.documents:
-            if doc.doc_id == doc_id:
-                return doc
-        raise KeyError(doc_id)

@@ -383,8 +383,9 @@ class ScoreTable:
          "scores": [...]}
 
     so score dumps from any model can drive the decoder.  Indices must be
-    JSON integers and ``scores`` a list of JSON numbers; a line that breaks
-    either rule raises RstError naming it.  Split vectors must have length
+    JSON integers and ``scores`` a list of JSON numbers, with no ``true``
+    or ``false`` among them; a line that breaks either rule raises
+    RstError naming it.  Split vectors must have length
     end-start-1; label vectors must match the inventory size.
     """
 
@@ -406,7 +407,15 @@ class ScoreTable:
                     obj = json.loads(line)
                     doc = obj["doc"]
                     kind = obj["kind"]
-                    scores = _score_vector(obj["scores"])
+                    values = obj["scores"]
+                    # numpy casts a boolean among numbers to 0 or 1, so a
+                    # line whose text holds "true" or "false" gets an exact
+                    # scan ("u" is a memchr that spares most lines the
+                    # slower search for "true").
+                    maybe_bool = ("u" in line and "true" in line) or "false" in line
+                    if maybe_bool and bool in map(type, values):
+                        raise ValueError("scores must be a list of numbers")
+                    scores = _score_vector(values)
                     if kind == "split":
                         rng = _index_pair((obj["start"], obj["end"]))
                         table._splits.setdefault(doc, {})[rng] = scores

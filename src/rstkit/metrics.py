@@ -350,6 +350,7 @@ def corpus_stats(
     genres: set[str] = set()
     spanned_multi = multi = spanned_any = total_sents = 0
     n_docs = 0
+    nn = Nuclearity.NN  # enum attribute reads are slow
     for doc in corpus_docs:
         n_docs += 1
         if doc.tree is None:
@@ -362,7 +363,7 @@ def corpus_stats(
         for node in doc.tree.internal_nodes():
             label = node.label
             classes.add(label.merged)  # type: ignore[union-attr]
-            non_span += 2 if label.nuclearity.value == "NN" else 1  # type: ignore[union-attr]
+            non_span += 2 if label.nuclearity is nn else 1  # type: ignore[union-attr]
         if spanned:
             bounds = (
                 sentences.get(doc.doc_id)

@@ -32,7 +32,6 @@ __all__ = [
     "RemapRule",
     "RemapTable",
     "PreprocessReport",
-    "UnknownLabel",
     "default_rrt_remap_table",
     "load_remap_table",
     "parse_remap_rules",
@@ -40,15 +39,10 @@ __all__ = [
     "remap_rrt_labels",
     "remap_document",
     "split_forest",
-    "filter_single_edu",
     "preprocess_records",
     "preprocess_corpus",
     "label_histogram",
 ]
-
-
-class UnknownLabel(RstError):
-    """A label matched no remap rule and is not in the registered inventory."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,25 +156,13 @@ def default_rrt_remap_table() -> RemapTable:
     return parse_remap_rules(_DEFAULT_RRT_RULES.splitlines())
 
 
-def remap_rrt_labels(
-    tree: RstTree,
-    table: RemapTable,
-    inventory: set[str] | None = None,
-) -> RstTree:
-    """Rewrite all matched labels in a tree; structure is unchanged.
-
-    When ``inventory`` (a set of merged labels) is given, a label that
-    matches no rule and is not registered raises UnknownLabel.
-    """
-    remapped, _ = remap_tree_counting(tree, table, inventory)
+def remap_rrt_labels(tree: RstTree, table: RemapTable) -> RstTree:
+    """Rewrite all matched labels in a tree; structure is unchanged."""
+    remapped, _ = remap_tree_counting(tree, table)
     return remapped
 
 
-def remap_tree_counting(
-    tree: RstTree,
-    table: RemapTable,
-    inventory: set[str] | None = None,
-) -> tuple[RstTree, Counter]:
+def remap_tree_counting(tree: RstTree, table: RemapTable) -> tuple[RstTree, Counter]:
     counts: Counter = Counter()
     results: list[RstTree] = []
     stack: list[tuple[str, RstTree]] = [("visit", tree)]
@@ -199,9 +181,6 @@ def remap_tree_counting(
             label = node.label
             assert label is not None
             new_label, rule_index = table.apply(label)
-            if rule_index is None and inventory is not None:
-                if label.merged not in inventory:
-                    raise UnknownLabel(f"label {label.merged} is not in the inventory")
             if rule_index is not None:
                 counts[rule_index] += 1
             results.append(RstTree.internal(left, right, new_label))
@@ -210,13 +189,11 @@ def remap_tree_counting(
 
 
 def remap_document(
-    doc: DocumentRecord,
-    table: RemapTable,
-    inventory: set[str] | None = None,
+    doc: DocumentRecord, table: RemapTable
 ) -> tuple[DocumentRecord, Counter]:
     if doc.tree is None:
         return doc, Counter()
-    tree, counts = remap_tree_counting(doc.tree, table, inventory)
+    tree, counts = remap_tree_counting(doc.tree, table)
     return replace(doc, tree=tree), counts
 
 
@@ -241,13 +218,6 @@ def split_forest(
         component_to_record(comp, f"{file_id}_part_{i}", genre, lang, split)
         for i, comp in enumerate(components, start=1)
     ]
-
-
-def filter_single_edu(corpus: Corpus) -> tuple[Corpus, int]:
-    """Drop documents whose tree is a bare leaf (single-EDU documents)."""
-    kept = [doc for doc in corpus.documents if not _single_edu(doc)]
-    dropped = len(corpus.documents) - len(kept)
-    return Corpus.from_documents(corpus.name, kept), dropped
 
 
 def _single_edu(doc: DocumentRecord) -> bool:
@@ -307,9 +277,7 @@ class PreprocessReport:
 def preprocess_records(
     records: Sequence[DocumentRecord],
     documents_in: int,
-    name: str = "corpus",
     table: RemapTable | None = None,
-    inventory: set[str] | None = None,
     drop_single_edu: bool = True,
 ) -> tuple[Corpus, PreprocessReport]:
     """Remap labels, build the corpus and drop single-EDU documents.
@@ -323,18 +291,18 @@ def preprocess_records(
     if table is not None:
         remapped = []
         for doc in records:
-            doc, counts = remap_document(doc, table, inventory)
+            doc, counts = remap_document(doc, table)
             rewrites.update(counts)
             remapped.append(doc)
         records = remapped
         histogram_after = label_histogram(records)
 
-    # A single-EDU document has no internal node, so dropping it changes
-    # neither the histogram nor the observed label set, the inventory.
+    # A single-EDU document has no internal node, so dropping it leaves
+    # the histogram as it is.
     kept = records
     if drop_single_edu:
         kept = [doc for doc in records if not _single_edu(doc)]
-    corpus = Corpus(name, tuple(kept), tuple(sorted(histogram_after)))
+    corpus = Corpus(tuple(kept))
     dropped = len(records) - len(kept)
 
     rule_counts = tuple(
@@ -355,12 +323,10 @@ def preprocess_records(
 
 def preprocess_corpus(
     files: Sequence[tuple[str, Sequence[Rs3Component]]],
-    name: str = "corpus",
     genre: str | Mapping[str, str] = "unknown",
     lang: str = "en",
     splits: Mapping[str, Split | str] | None = None,
     table: RemapTable | None = None,
-    inventory: set[str] | None = None,
     drop_single_edu: bool = True,
     split_forests: bool = True,
 ) -> tuple[Corpus, PreprocessReport]:
@@ -382,10 +348,5 @@ def preprocess_corpus(
             )
         records.extend(split_forest(file_id, components, file_genre, lang, file_split))
     return preprocess_records(
-        records,
-        len(files),
-        name=name,
-        table=table,
-        inventory=inventory,
-        drop_single_edu=drop_single_edu,
+        records, len(files), table=table, drop_single_edu=drop_single_edu
     )

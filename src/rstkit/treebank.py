@@ -32,7 +32,6 @@ import unicodedata
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 from typing import Sequence, Union
 
 from .core import (
@@ -740,11 +739,9 @@ def iter_canonical(path):
                 raise SchemaViolation(line_number, str(exc)) from None
 
 
-def read_canonical(path, name: str | None = None) -> Corpus:
+def read_canonical(path) -> Corpus:
     """Read a whole canonical corpus file; see :func:`iter_canonical`."""
-    if name is None:
-        name = Path(path).stem
-    return Corpus.from_documents(name, list(iter_canonical(path)))
+    return Corpus(tuple(iter_canonical(path)))
 
 
 def read_rs3_file(path) -> list[Rs3Component]:

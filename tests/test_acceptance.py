@@ -33,7 +33,11 @@ from rstkit.decoder import (
 )
 from rstkit.dwa import DwaScheduler
 from rstkit.metrics import corpus_stats, genre_breakdown, parseval
-from rstkit.preprocess import default_rrt_remap_table, preprocess_corpus
+from rstkit.preprocess import (
+    default_rrt_remap_table,
+    label_histogram,
+    preprocess_corpus,
+)
 from rstkit.treebank import extract_forest, parse_rs3, read_sentence_file
 
 from conftest import EXPECTED_REMAPPED_CLASSES, build_forest_corpus
@@ -107,7 +111,7 @@ def _load_gum():
         parts = path.stem.split("_")
         genres[path.stem] = parts[1] if len(parts) > 1 else "unknown"
     corpus, _ = preprocess_corpus(
-        files, name="gum", genre=genres, lang="en", drop_single_edu=False
+        files, genre=genres, lang="en", drop_single_edu=False
     )
     return corpus
 
@@ -170,7 +174,7 @@ def test_criterion_2_spanned_sentence_coverage():
                 for p in sorted(Path(rstdt_dir).glob("*.rs3"))
             ]
             rstdt, _ = preprocess_corpus(
-                files, name="rst-dt", genre="news", drop_single_edu=False
+                files, genre="news", drop_single_edu=False
             )
             rstdt_stats = corpus_stats(
                 rstdt.documents, sentences=read_sentence_file(rstdt_sents)
@@ -186,7 +190,7 @@ def test_criterion_3_forest_preprocessing(tmp_path):
             for path in sorted(fixture.directory.glob("*.rs3"))
         ]
         corpus, report = preprocess_corpus(
-            files, name="rrt-like", lang="ru", table=default_rrt_remap_table()
+            files, lang="ru", table=default_rrt_remap_table()
         )
         trees_per_file = report.trees_extracted / report.documents_in
         assert abs(trees_per_file - 11.7) <= 0.2
@@ -195,7 +199,7 @@ def test_criterion_3_forest_preprocessing(tmp_path):
         pct_small = 100.0 * small / len(corpus.documents)
         assert abs(pct_small - 12.8) <= 0.5
         assert report.classes_after == EXPECTED_REMAPPED_CLASSES == 24
-        assert len(corpus.relation_inventory) == 24
+        assert len(label_histogram(corpus.documents)) == 24
 
 
 def test_criterion_4_matcher_equivalence_and_oracle_decode():

@@ -25,6 +25,7 @@ from rstkit.treebank import (
     iter_canonical,
     read_canonical,
     serialize_rs3,
+    serialize_rs3_forest,
     write_canonical,
     write_record,
 )
@@ -70,7 +71,7 @@ def gold_file(tmp_path):
             )
         )
     path = tmp_path / "gold.jsonl"
-    write_canonical(Corpus.from_documents("gold", docs), path)
+    write_canonical(Corpus(docs), path)
     return path
 
 
@@ -175,7 +176,7 @@ class TestStats:
     def test_no_spanned_skips_sentences(self, tmp_path, capsys):
         doc = make_document("d", random_tree(random.Random(0), 3))
         path = tmp_path / "nosents.jsonl"
-        write_canonical(Corpus.from_documents("c", [doc]), path)
+        write_canonical(Corpus([doc]), path)
         assert main(["stats", str(path)]) == 1  # boundaries required
         assert main(["stats", str(path), "--no-spanned"]) == 0
 
@@ -261,7 +262,7 @@ class TestSegmenterCommands:
                 )
             )
         train_path = tmp_path / "train.jsonl"
-        write_canonical(Corpus.from_documents("c", docs), train_path)
+        write_canonical(Corpus(docs), train_path)
         model_path = tmp_path / "model.npz"
         assert (
             main(
@@ -282,10 +283,10 @@ class TestSegmenterCommands:
         out_path = tmp_path / "segmented.jsonl"
         assert main(["segment", str(model_path), str(train_path), "-o", str(out_path)]) == 0
         segmented = read_canonical(out_path)
-        gold = read_canonical(train_path)
+        gold = {doc.doc_id: doc for doc in read_canonical(train_path)}
         for doc in segmented.documents:
             assert doc.tree is None
-            assert doc.edus == gold.get(doc.doc_id).edus  # perfectly learnable
+            assert doc.edus == gold[doc.doc_id].edus  # perfectly learnable
 
     @pytest.mark.parametrize("flag", [["--epochs", "0"], ["--epochs", "-1"],
                                       ["--buckets", "0"], ["--buckets", "-3"]])
@@ -488,7 +489,7 @@ class TestParseAndEval:
                     split=gold_doc.split,
                 )
             )
-        write_canonical(Corpus.from_documents("pred", rebuilt), pred_path)
+        write_canonical(Corpus(rebuilt), pred_path)
         assert main(["eval", str(gold_file), str(pred_path)]) == 1
         capsys.readouterr()
         assert main(["eval", str(gold_file), str(pred_path), "--end-to-end"]) == 0
@@ -522,7 +523,7 @@ class TestEvalOnImperfectPredictions:
         for name, docs in (("gold", gold), ("resplit", resplit),
                            ("resegmented", resegmented)):
             paths[name] = tmp_path / f"{name}.jsonl"
-            write_canonical(Corpus.from_documents(name, docs), paths[name])
+            write_canonical(Corpus(docs), paths[name])
         return paths, gold, {"resplit": resplit, "resegmented": resegmented}
 
     @staticmethod
@@ -590,7 +591,7 @@ def random_file(tmp_path):
     ]
     rng.shuffle(docs)
     path = tmp_path / "random.jsonl"
-    write_canonical(Corpus.from_documents("random", docs), path)
+    write_canonical(Corpus(docs), path)
     return path
 
 
@@ -664,7 +665,7 @@ class TestSinglePassParse:
         # a leaf.
         docs = [make_document(f"s{i}", RstTree.leaf(0)) for i in range(3)]
         path = tmp_path / "single_edu.jsonl"
-        write_canonical(Corpus.from_documents("s", docs), path)
+        write_canonical(Corpus(docs), path)
         out = tmp_path / "pred.jsonl"
         assert main(["parse", str(path), "-o", str(out), "--oracle"]) == 0
         assert out.read_bytes() == path.read_bytes()
@@ -673,12 +674,74 @@ class TestSinglePassParse:
         # even when no document of the input needs a decode config
         docs = [make_document(f"s{i}", RstTree.leaf(0)) for i in range(3)]
         path = tmp_path / "single_edu.jsonl"
-        write_canonical(Corpus.from_documents("s", docs), path)
+        write_canonical(Corpus(docs), path)
         out = tmp_path / "pred.jsonl"
         assert main(["parse", str(path), "-o", str(out), "--oracle",
                      "--beam", "0"]) == 1
         assert "beam width must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRecordFieldTypes:
+    """A document id or genre that is not a string is a user error that
+    names its line, on every command that reads canonical records."""
+
+    ID = "line 3: document id must be a non-empty string, got 5"
+    GENRE = "line 3: doc2: genre must be a string, got 7"
+
+    @pytest.mark.parametrize("command, field, value, problem", [
+        ("preprocess", "id", 5, ID),
+        ("parse", "id", 5, ID),
+        ("stats --by-genre", "genre", 7, GENRE),
+        ("eval --by-genre", "genre", 7, GENRE),
+    ])
+    def test_non_string_is_a_user_error(self, gold_file, tmp_path, command, field,
+                                        value, problem, capsys):
+        lines = gold_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[2])
+        record[field] = value
+        lines[2] = json.dumps(record) + "\n"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        argv = {
+            "preprocess": ["preprocess", str(bad), "-o", str(out)],
+            "parse": ["parse", str(bad), "-o", str(out), "--oracle"],
+            "stats --by-genre": ["stats", str(bad), "--by-genre"],
+            "eval --by-genre": ["eval", str(bad), str(gold_file), "--by-genre"],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert problem in captured.err
+        assert captured.out == "" and not out.exists()
+
+
+class TestRepeatedIdsLeaveNoOutput:
+    """A command that holds a whole corpus rejects a repeated document id
+    before it opens its output."""
+
+    def _argv(self, command, gold_file, tmp_path, out):
+        """The command line, and the repeated id."""
+        if command == "convert":
+            # a.rs3 holds two trees, read as a_part_1 and a_part_2.
+            rng = random.Random(5)
+            docs = [make_document(f"t{i}", random_tree(rng, 3)) for i in range(3)]
+            directory = tmp_path / "rs3"
+            directory.mkdir()
+            (directory / "a.rs3").write_bytes(serialize_rs3_forest(docs[:2]))
+            (directory / "a_part_1.rs3").write_bytes(serialize_rs3(docs[2]))
+            return ["convert", str(directory), "-o", str(out)], "a_part_1"
+        dup = _with_repeated_line(gold_file, tmp_path)
+        return [command, str(dup), "-o", str(out)], "doc0"
+
+    @pytest.mark.parametrize("command", ["train-segmenter", "preprocess", "convert"])
+    def test_exit_one_and_no_output_file(self, command, gold_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv, repeated = self._argv(command, gold_file, tmp_path, out_dir / "result")
+        assert main(argv) == 1
+        assert f"duplicate document ids: ['{repeated}']" in capsys.readouterr().err
+        assert os.listdir(out_dir) == []
 
 
 class TestOutputFiles:
@@ -888,7 +951,7 @@ class TestCollectorPause:
                 docs.append(make_document(f"{name}_news_{i}", random_tree(rng, n),
                                           random_edus(rng, n), genre="news", sents=[0]))
             path = tmp_path / f"{name}.jsonl"
-            write_canonical(Corpus.from_documents(name, docs), path)
+            write_canonical(Corpus(docs), path)
             rs3 = tmp_path / f"{name}_rs3"
             rs3.mkdir()
             for doc in docs:

@@ -369,22 +369,19 @@ class TestDocumentRecord:
 class TestCorpus:
     def test_duplicate_ids_rejected(self):
         doc = make_document("same", build_tree(0))
-        with pytest.raises(RstError):
-            Corpus("c", (doc, doc), ())
-
-    def test_unregistered_label_rejected(self):
-        doc = make_document("d", build_tree((0, 1, "elaboration_NS")))
-        with pytest.raises(RstError):
-            Corpus("c", (doc,), ("joint_NN",))
+        with pytest.raises(RstError, match=r"duplicate document ids: \['same'\]"):
+            Corpus((doc, doc))
 
     def test_from_documents_builds_inventory(self):
+        # A corpus is its documents, in order; labels are not registered.
         docs = [
-            make_document("a", build_tree((0, 1, "elaboration_NS"))),
-            make_document("b", build_tree((0, 1, "joint_NN"))),
+            make_document("b", build_tree((0, 1, "elaboration_NS"))),
+            make_document("a", build_tree((0, 1, "joint_NN"))),
         ]
-        corpus = Corpus.from_documents("c", docs)
-        assert corpus.relation_inventory == ("elaboration_NS", "joint_NN")
-        assert corpus.get("a").doc_id == "a"
+        corpus = Corpus(docs)
+        assert [field.name for field in dataclasses.fields(corpus)] == ["documents"]
+        assert corpus.documents == tuple(docs) and list(corpus) == docs
+        assert len(corpus) == 2
 
     def test_random_trees_make_valid_corpora(self):
         rng = random.Random(11)
@@ -392,5 +389,5 @@ class TestCorpus:
             make_document(f"d{i}", random_tree(rng, rng.randint(1, 9)))
             for i in range(20)
         ]
-        corpus = Corpus.from_documents("c", docs)
+        corpus = Corpus(docs)
         assert len(corpus) == 20

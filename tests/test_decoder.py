@@ -441,6 +441,8 @@ class TestScoreTable:
             {"kind": "split", "start": 0, "end": 3, "scores": ["1.5", True]},
             {"kind": "split", "start": 0, "end": 3, "scores": [1.5, None]},
             {"kind": "split", "start": 0, "end": 3, "scores": [True, False]},
+            {"kind": "split", "start": 0, "end": 3, "scores": [1.5, True]},
+            {"kind": "split", "start": 0, "end": 3, "scores": [1, False]},
             {"kind": "split", "start": 0, "end": 3, "scores": [[1.5, 2.0]]},
             {"kind": "split", "start": 0, "end": 3, "scores": 1.5},
         ],
@@ -448,7 +450,8 @@ class TestScoreTable:
             "fractional-and-string-range", "boolean-start", "float-end",
             "fractional-left", "boolean-right", "three-item-left", "one-item-left",
             "integer-left", "string-and-boolean-scores", "null-score",
-            "boolean-scores", "nested-scores", "scalar-scores",
+            "boolean-scores", "float-and-boolean-scores", "integer-and-boolean-scores",
+            "nested-scores", "scalar-scores",
         ],
     )
     def test_malformed_record_names_its_line(self, fields, tmp_path):
@@ -460,6 +463,14 @@ class TestScoreTable:
         )
         with pytest.raises(RstError, match="line 2: bad score record"):
             ScoreTable.load(path)
+
+    def test_boolean_words_outside_the_scores_are_no_error(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        record = {"doc": "true_false", "kind": "split", "start": 0, "end": 3,
+                  "scores": [1.5, 2.0]}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        scores = ScoreTable.load(path).provider("true_false").split_scores(0, 3)
+        assert scores.tolist() == [1.5, 2.0]
 
     def test_integer_scores_and_empty_vectors_load_as_floats(self, tmp_path):
         path = tmp_path / "scores.jsonl"

@@ -461,7 +461,7 @@ class TestCorpusStats:
             make_document(f"d{i}", random_tree(rng, 4), genre="news", sents=[0])
             for i in range(4)
         ]
-        corpus = Corpus.from_documents("c", docs)
+        corpus = Corpus(docs)
         breakdown = genre_breakdown(corpus)
         assert list(breakdown) == ["news"]
         assert breakdown["news"] == corpus_stats(docs)

@@ -10,14 +10,11 @@ from rstkit.core import (
     build_tree,
     describe,
 )
-from rstkit.core import Corpus
 from rstkit.preprocess import (
     PreprocessReport,
     RemapRule,
-    UnknownLabel,
     default_rrt_remap_table,
     dump_remap_table,
-    filter_single_edu,
     label_histogram,
     parse_remap_rules,
     preprocess_corpus,
@@ -124,14 +121,11 @@ class TestRemapTree:
             {"attribution_NS": 1, "joint_NN": 1, "condition_SN": 1}
         )
 
-    def test_unknown_label_with_inventory(self):
-        tree = build_tree((0, 1, "mystery_NS"))
-        with pytest.raises(UnknownLabel):
-            remap_rrt_labels(tree, TABLE, inventory={"elaboration_NS"})
-
     def test_known_label_passes_inventory_check(self):
-        tree = build_tree((0, 1, "elaboration_NS"))
-        assert remap_rrt_labels(tree, TABLE, inventory={"elaboration_NS"}) == tree
+        # A label no rule matches is kept as it is; no inventory is consulted.
+        for label in ("elaboration_NS", "mystery_NS"):
+            tree = build_tree((0, 1, label))
+            assert remap_rrt_labels(tree, TABLE) == tree
 
     def test_rewrite_counts(self):
         tree = build_tree(((0, 1, "antithesis_NS"), 2, "antithesis_SN"))
@@ -176,28 +170,13 @@ class TestSplitForest:
         assert rebuilt == flat
 
 
-class TestFilterSingleEdu:
-    def test_single_edu_document_dropped(self):
-        corpus = Corpus.from_documents("c", [make_document("one", build_tree(0))])
-        filtered, dropped = filter_single_edu(corpus)
-        assert dropped == 1 and len(filtered) == 0
-
-    def test_no_single_edu_documents_unchanged(self):
-        docs = [make_document("a", build_tree((0, 1, "joint_NN")))]
-        corpus = Corpus.from_documents("c", docs)
-        filtered, dropped = filter_single_edu(corpus)
-        assert dropped == 0 and filtered == corpus
-
-
 class TestPreprocessCorpus:
     def test_pipeline_on_forest_fixture(self, tmp_path):
         fixture = build_forest_corpus(tmp_path / "rrt")
         files = []
         for path in sorted(fixture.directory.glob("*.rs3")):
             files.append((path.stem, extract_forest(parse_rs3(path.read_bytes()))))
-        corpus, report = preprocess_corpus(
-            files, name="rrt-like", lang="ru", table=TABLE
-        )
+        corpus, report = preprocess_corpus(files, lang="ru", table=TABLE)
         assert report.documents_in == fixture.n_files
         assert report.trees_extracted == fixture.n_trees
         assert report.single_edu_dropped == fixture.n_single_edu
@@ -216,8 +195,6 @@ class TestPreprocessCorpus:
             records.extend(split_forest(path.stem, extract_forest(parse_rs3(path.read_bytes()))))
         corpus, report = preprocess_records(records, fixture.n_files, table=table,
                                             drop_single_edu=drop)
-        rebuilt = Corpus.from_documents("corpus", corpus.documents)
-        assert corpus.relation_inventory == rebuilt.relation_inventory
         assert report.histogram_before == tuple(sorted(label_histogram(records).items()))
         assert report.histogram_after == tuple(
             sorted(label_histogram(corpus.documents).items())

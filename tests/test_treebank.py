@@ -565,11 +565,11 @@ class TestCanonicalFormat:
                     sents=[0],
                 )
             )
-        return Corpus.from_documents("fixture", docs)
+        return Corpus(docs)
 
     def test_empty_corpus_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        write_canonical(Corpus.from_documents("empty", []), path)
+        write_canonical(Corpus([]), path)
         assert path.read_text() == ""
         assert len(read_canonical(path)) == 0
 
