@@ -12,7 +12,7 @@ once per input file.  A JSON-lines output file appears only when its
 command succeeds: it is written next to its path and moved there at the
 end, so a failed run leaves no new or partial file and does not touch a
 file already at that path.  Only ``train-segmenter``, ``segment`` and
-``parse`` import numpy.
+``dwa-sim`` import numpy.
 
 A command runs with CPython's cyclic garbage collector paused, and
 ``main`` restores the collector's previous state when it returns.  Records,
@@ -44,7 +44,7 @@ from . import metrics as metrics_mod
 from . import preprocess as prep_mod
 from . import treebank as tb_mod
 
-# crf, dwa and decoder import numpy; the commands that use them import them.
+# crf and dwa import numpy; the commands that use them import them.
 
 DATA_DIR_ENV = "RSTKIT_DATA_DIR"
 DEFAULT_SEED = 13

@@ -8,8 +8,10 @@ ScoreProvider, which answers two queries over half-open EDU ranges:
 * ``label_scores(left, right)`` -> vector over the merged label inventory
   for the relation attached at the freshly split node.
 
-Scores are treated as log-domain values and summed along decisions;
-providers emitting probabilities must pre-log them.
+Both return sequences of finite floats.  A ``list`` or an ``array('d')``
+is used as it is; any other sequence, such as a numpy array, is copied
+once into an ``array('d')``.  Scores are treated as log-domain values and
+summed along decisions; providers emitting probabilities must pre-log them.
 
 Greedy and beam decoding are one search.  A path is a partial tree that
 grows by splitting its leftmost pending range; every tree over n EDUs has
@@ -34,14 +36,13 @@ provider is safe for concurrent read-only queries.
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
-from .core import EduSpan, RelationLabel, RstError, RstTree
-from .crf import labels_to_edus
+from .core import RelationLabel, RstError, RstTree
 
 __all__ = [
     "ScoreProvider",
@@ -49,7 +50,6 @@ __all__ = [
     "ProviderLengthMismatch",
     "MissingScore",
     "decode",
-    "decode_with_segmentation",
     "tree_score",
     "OracleProvider",
     "RightBranchingProvider",
@@ -66,7 +66,12 @@ class MissingScore(RstError):
 
 
 class ScoreProvider(ABC):
-    """Contract for split and label scorers over EDU index ranges."""
+    """Contract for split and label scorers over EDU index ranges.
+
+    Both queries return a sequence of finite floats.  A ``list`` or an
+    ``array('d')`` is read as it is; any other sequence is copied once
+    into an ``array('d')``.
+    """
 
     @abstractmethod
     def split_scores(self, start: int, end: int) -> Sequence[float]:
@@ -114,12 +119,18 @@ class DecodeConfig:
         )
 
 
-def _splits(provider: ScoreProvider, start: int, end: int) -> np.ndarray:
-    scores = np.asarray(provider.split_scores(start, end), dtype=float)
-    if scores.shape != (end - start - 1,):
+def _vector(scores) -> Sequence[float]:
+    if type(scores) is list or type(scores) is array:
+        return scores
+    return array("d", scores)
+
+
+def _splits(provider: ScoreProvider, start: int, end: int) -> Sequence[float]:
+    scores = _vector(provider.split_scores(start, end))
+    if len(scores) != end - start - 1:
         raise ProviderLengthMismatch(
             f"split_scores({start}, {end}) must have length {end - start - 1}, "
-            f"got shape {scores.shape}"
+            f"got length {len(scores)}"
         )
     return scores
 
@@ -129,12 +140,12 @@ def _labels(
     left: tuple[int, int],
     right: tuple[int, int],
     n_labels: int,
-) -> np.ndarray:
-    scores = np.asarray(provider.label_scores(left, right), dtype=float)
-    if scores.shape != (n_labels,):
+) -> Sequence[float]:
+    scores = _vector(provider.label_scores(left, right))
+    if len(scores) != n_labels:
         raise ProviderLengthMismatch(
             f"label_scores({left}, {right}) must have length {n_labels}, "
-            f"got shape {scores.shape}"
+            f"got length {len(scores)}"
         )
     return scores
 
@@ -162,9 +173,15 @@ def _search(
         candidates = []
         for path in beam:
             (start, end), _ = path.pending
-            neg = -path.score - _splits(provider, start, end)
-            for k in neg.argsort(kind="stable")[:width].tolist():
-                candidates.append((float(neg[k]), path.rank, start + 1 + k, path))
+            base = -path.score
+            neg = [base - s for s in _splits(provider, start, end)]
+            if width == 1:
+                best = min(neg)  # the first of equal minima: the earlier split
+                candidates.append((best, path.rank, start + 1 + neg.index(best), path))
+                continue
+            # sorted() is stable, so equal scores keep the earlier split first
+            for k in sorted(range(len(neg)), key=neg.__getitem__)[:width]:
+                candidates.append((neg[k], path.rank, start + 1 + k, path))
         candidates.sort()
         survivors = candidates[:width]
         ranks = sorted((parent_rank, split) for _, parent_rank, split, _ in survivors)
@@ -173,12 +190,13 @@ def _search(
         for neg_score, parent_rank, split, parent in survivors:
             (start, end), pending = parent.pending
             label_scores = _labels(provider, (start, split), (split, end), len(labels))
-            label = int(label_scores.argmax())
+            best = max(label_scores)
+            label = label_scores.index(best)  # the lower of equal labels
             if end - split >= 2:
                 pending = ((split, end), pending)
             if split - start >= 2:
                 pending = ((start, split), pending)
-            score = -neg_score + float(label_scores[label])
+            score = -neg_score + best
             beam.append(_Path(score, (start, end, split, label), parent, pending,
                               rank_of[(parent_rank, split)]))
         beam.sort(key=lambda p: (-p.score, p.parent.rank, p.decision[2]))
@@ -214,26 +232,6 @@ def decode(n: int, provider: ScoreProvider, config: DecodeConfig) -> RstTree:
         if not best.score > beam.score:  # greedy wins only when strictly better
             best = beam
     return _tree(best, config.relations)
-
-
-def decode_with_segmentation(
-    tokens: Sequence[str],
-    segment_labels: Sequence[str],
-    provider: ScoreProvider,
-    config: DecodeConfig,
-) -> tuple[tuple[EduSpan, ...], RstTree]:
-    """Compose segmentation output with tree construction.
-
-    ``segment_labels`` is a {B, I} sequence over the tokens (e.g. a CRF
-    prediction); the tree is decoded over the resulting EDUs, whose token
-    offsets locate the tree's constituents in the document.
-    """
-    if len(segment_labels) != len(tokens):
-        raise RstError(
-            f"{len(segment_labels)} labels for {len(tokens)} tokens"
-        )
-    edus = labels_to_edus(segment_labels)
-    return edus, decode(len(edus), provider, config)
 
 
 def tree_score(
@@ -281,8 +279,8 @@ class OracleProvider(ScoreProvider):
             self._splits[rng] = node.left.last_edu + 1  # type: ignore[union-attr]
             self._label_at[rng] = index[merged]
 
-    def split_scores(self, start: int, end: int) -> np.ndarray:
-        scores = np.zeros(end - start - 1)
+    def split_scores(self, start: int, end: int) -> list[float]:
+        scores = [0.0] * (end - start - 1)
         gold = self._splits.get((start, end))
         if gold is not None:
             scores[gold - start - 1] = 1.0
@@ -290,8 +288,8 @@ class OracleProvider(ScoreProvider):
 
     def label_scores(
         self, left: tuple[int, int], right: tuple[int, int]
-    ) -> np.ndarray:
-        scores = np.zeros(len(self.labels))
+    ) -> list[float]:
+        scores = [0.0] * len(self.labels)
         rng = (left[0], right[1])
         if self._splits.get(rng) == right[0]:
             scores[self._label_at[rng]] = 1.0
@@ -307,15 +305,15 @@ class RightBranchingProvider(ScoreProvider):
             raise RstError(f"label {majority_label} is not in the inventory")
         self._label = self.labels.index(majority_label)
 
-    def split_scores(self, start: int, end: int) -> np.ndarray:
-        scores = np.zeros(end - start - 1)
+    def split_scores(self, start: int, end: int) -> list[float]:
+        scores = [0.0] * (end - start - 1)
         scores[0] = 1.0
         return scores
 
     def label_scores(
         self, left: tuple[int, int], right: tuple[int, int]
-    ) -> np.ndarray:
-        scores = np.zeros(len(self.labels))
+    ) -> list[float]:
+        scores = [0.0] * len(self.labels)
         scores[self._label] = 1.0
         return scores
 
@@ -324,14 +322,14 @@ class _TableProvider(ScoreProvider):
     def __init__(
         self,
         doc_id: str,
-        splits: dict[tuple[int, int], np.ndarray],
-        labels_: dict[tuple[tuple[int, int], tuple[int, int]], np.ndarray],
+        splits: dict[tuple[int, int], array],
+        labels_: dict[tuple[tuple[int, int], tuple[int, int]], array],
     ) -> None:
         self.doc_id = doc_id
         self._split_table = splits
         self._label_table = labels_
 
-    def split_scores(self, start: int, end: int) -> np.ndarray:
+    def split_scores(self, start: int, end: int) -> array:
         try:
             return self._split_table[(start, end)]
         except KeyError:
@@ -341,7 +339,7 @@ class _TableProvider(ScoreProvider):
 
     def label_scores(
         self, left: tuple[int, int], right: tuple[int, int]
-    ) -> np.ndarray:
+    ) -> array:
         try:
             return self._label_table[(left, right)]
         except KeyError:
@@ -358,18 +356,17 @@ def _index_pair(pair) -> tuple[int, int]:
     return start, end
 
 
-def _score_vector(values) -> np.ndarray:
-    """A flat list of JSON numbers as a float vector.  numpy infers one
-    type for the whole list in C, so a string, a null or an all-boolean
-    list shows up as a non-numeric dtype without a loop over the scores."""
-    scores = np.asarray(values)
-    kind = scores.dtype.kind
-    if kind != "f":
-        if kind not in "iu":
-            raise ValueError("scores must be a list of numbers")
-        scores = scores.astype(float)
-    if scores.ndim != 1:
+def _score_vector(values) -> array:
+    """A flat list of finite JSON numbers as an ``array('d')``.  The array
+    converts the list in C, so a string, a null or a nested list raises
+    TypeError and an integer beyond a double's range OverflowError, without
+    a loop over the scores; only a vector whose sum is not finite gets a
+    check of each value, so a finite vector whose sum overflows loads."""
+    if type(values) is not list:
         raise ValueError("scores must be a flat list")
+    scores = array("d", values)
+    if not math.isfinite(sum(scores)) and not all(map(math.isfinite, scores)):
+        raise ValueError("scores must be finite")
     return scores
 
 
@@ -383,16 +380,17 @@ class ScoreTable:
          "scores": [...]}
 
     so score dumps from any model can drive the decoder.  Indices must be
-    JSON integers and ``scores`` a list of JSON numbers, with no ``true``
-    or ``false`` among them; a line that breaks either rule raises
-    RstError naming it.  Split vectors must have length
-    end-start-1; label vectors must match the inventory size.
+    JSON integers and ``scores`` a list of finite JSON numbers that fit a
+    double, with no ``true`` or ``false``, ``NaN`` or ``Infinity`` among
+    them; a line that breaks either rule raises RstError naming it.
+    Split vectors must have length end-start-1; label vectors must match
+    the inventory size.
     """
 
     def __init__(self) -> None:
-        self._splits: dict[str, dict[tuple[int, int], np.ndarray]] = {}
+        self._splits: dict[str, dict[tuple[int, int], array]] = {}
         self._labels: dict[
-            str, dict[tuple[tuple[int, int], tuple[int, int]], np.ndarray]
+            str, dict[tuple[tuple[int, int], tuple[int, int]], array]
         ] = {}
 
     @classmethod
@@ -408,7 +406,7 @@ class ScoreTable:
                     doc = obj["doc"]
                     kind = obj["kind"]
                     values = obj["scores"]
-                    # numpy casts a boolean among numbers to 0 or 1, so a
+                    # array('d') takes a boolean among numbers as 0 or 1, so a
                     # line whose text holds "true" or "false" gets an exact
                     # scan ("u" is a memchr that spares most lines the
                     # slower search for "true").
@@ -425,7 +423,7 @@ class ScoreTable:
                         table._labels.setdefault(doc, {})[(left, right)] = scores
                     else:
                         raise ValueError(f"unknown kind {kind!r}")
-                except (KeyError, ValueError, TypeError) as exc:
+                except (KeyError, ValueError, TypeError, OverflowError) as exc:
                     raise RstError(
                         f"{path}: line {line_number}: bad score record ({exc})"
                     ) from None

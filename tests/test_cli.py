@@ -20,6 +20,7 @@ from rstkit import crf as crf_mod
 from rstkit import treebank as tb_mod
 from rstkit.cli import main
 from rstkit.core import Corpus, EduSpan, RstTree
+from rstkit.decoder import OracleProvider
 from rstkit.preprocess import label_histogram
 from rstkit.treebank import (
     iter_canonical,
@@ -580,6 +581,26 @@ def _inventory_file(path, tmp_path, extra=()):
     return inventory
 
 
+def _write_full_score_dump(path, labels, out):
+    """A score dump holding every split range and every label pair of each
+    document in ``path``, scored by its gold tree."""
+    with open(out, "w", encoding="utf-8") as fh:
+        for doc in iter_canonical(path):
+            provider = OracleProvider(doc.tree, labels)
+            n = len(doc.edus)
+            for start in range(n):
+                for end in range(start + 2, n + 1):
+                    fh.write(json.dumps({"doc": doc.doc_id, "kind": "split",
+                                         "start": start, "end": end,
+                                         "scores": provider.split_scores(start, end)}) + "\n")
+                    for split in range(start + 1, end):
+                        left, right = (start, split), (split, end)
+                        fh.write(json.dumps({"doc": doc.doc_id, "kind": "label",
+                                             "left": left, "right": right,
+                                             "scores": provider.label_scores(left, right)})
+                                 + "\n")
+
+
 @pytest.fixture()
 def random_file(tmp_path):
     """50 seeded documents of 1-40 EDUs, two of them one EDU long."""
@@ -654,6 +675,20 @@ class TestSinglePassParse:
                         "scores": [1.0, 0.0]}) + "\n",
             encoding="utf-8",
         )
+        out = tmp_path / "pred.jsonl"
+        assert main(["parse", str(gold_file), "-o", str(out), "--scores", str(scores),
+                     "--inventory", str(inventory)]) == 1
+        assert "line 1: bad score record" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
+                                         "1" + "0" * 400])
+    def test_non_finite_score_is_a_user_error(self, gold_file, tmp_path, literal,
+                                              capsys):
+        inventory = _inventory_file(gold_file, tmp_path)
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text('{"doc": "doc0", "kind": "split", "start": 0, "end": 3, '
+                          f'"scores": [{literal}, 0.0]}}\n', encoding="utf-8")
         out = tmp_path / "pred.jsonl"
         assert main(["parse", str(gold_file), "-o", str(out), "--scores", str(scores),
                      "--inventory", str(inventory)]) == 1
@@ -895,17 +930,31 @@ class TestCliContract:
         assert main(["--version"]) == 0
         assert "rstkit" in capsys.readouterr().out
 
-    def test_import_and_version_load_no_numpy(self):
+    def test_import_and_version_load_no_numpy(self, gold_file, tmp_path):
+        inventory = _inventory_file(gold_file, tmp_path)
+        labels = inventory.read_text(encoding="utf-8").split()
+        scores = tmp_path / "scores.jsonl"
+        _write_full_score_dump(gold_file, labels, scores)
+        out = str(tmp_path / "out.jsonl")
+        parses = [
+            ["parse", str(gold_file), "-o", out, "--oracle"],
+            ["parse", str(gold_file), "-o", out, "--baseline", labels[0]],
+            ["parse", str(gold_file), "-o", out, "--scores", str(scores),
+             "--inventory", str(inventory), "--beam", "4"],
+        ]
         script = (
-            "import sys\n"
+            "import json, sys\n"
             "import rstkit.cli\n"
             "assert 'numpy' not in sys.modules, 'import rstkit.cli'\n"
             "assert rstkit.cli.main(['--version']) == 0\n"
             "assert 'numpy' not in sys.modules, '--version'\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert rstkit.cli.main(argv) == 0, argv\n"
+            "    assert 'numpy' not in sys.modules, argv\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(rstkit.__file__).parents[1]))
-        result = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True, timeout=60)
+        result = subprocess.run([sys.executable, "-c", script, json.dumps(parses)],
+                                env=env, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
 
 

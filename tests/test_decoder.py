@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from rstkit.decoder import (
     ScoreProvider,
     ScoreTable,
     decode,
-    decode_with_segmentation,
     tree_score,
 )
 from rstkit.metrics import parseval
@@ -339,30 +339,6 @@ class TestExactChart:
                 assert score <= exact + 1e-9 * max(1.0, abs(exact)), (n, width)
 
 
-class TestDecodeWithSegmentation:
-    def test_gold_labels_reduce_to_plain_decode(self):
-        rng = random.Random(13)
-        gold = random_tree(rng, 3)
-        provider = OracleProvider(gold, TEST_LABELS)
-        tokens = ["t0", "t1", "t2", "t3", "t4"]
-        labels = ["B", "I", "B", "B", "I"]
-        edus, tree = decode_with_segmentation(tokens, labels, provider, CONFIG)
-        assert [e.first_token for e in edus] == [0, 2, 3]
-        assert tree == gold
-
-    def test_all_inside_labels_yield_single_leaf(self):
-        provider = CountingProvider(0)
-        edus, tree = decode_with_segmentation(
-            ["a", "b", "c"], ["I", "I", "I"], provider, CONFIG
-        )
-        assert len(edus) == 1 and tree == RstTree.leaf(0)
-        assert provider.queries == 0
-
-    def test_label_count_must_match_tokens(self):
-        with pytest.raises(RstError):
-            decode_with_segmentation(["a", "b"], ["B"], RandomProvider(0), CONFIG)
-
-
 class TestScoreTable:
     def test_load_and_decode(self, tmp_path):
         import json
@@ -482,4 +458,88 @@ class TestScoreTable:
         provider = ScoreTable.load(path).provider("d")
         for (start, end), expected in (((0, 3), [1.0, 2.0]), ((0, 1), [])):
             scores = provider.split_scores(start, end)
-            assert scores.dtype == np.float64 and scores.tolist() == expected
+            assert scores.typecode == "d" and scores.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400],
+        ids=["nan", "infinity", "minus-infinity", "overflowing-float",
+             "overflowing-negative-float", "out-of-range-integer"],
+    )
+    def test_non_finite_score_names_its_line(self, literal, tmp_path):
+        good = json.dumps({"doc": "d", "kind": "split", "start": 0, "end": 2,
+                           "scores": [1.0]})
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            good + "\n"
+            + '{"doc": "d", "kind": "split", "start": 0, "end": 3, '
+            + f'"scores": [1.5, {literal}]}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(RstError, match="line 2: bad score record"):
+            ScoreTable.load(path)
+
+    def test_finite_scores_whose_sum_overflows_load(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        record = {"doc": "d", "kind": "split", "start": 0, "end": 4,
+                  "scores": [1.5e308, 1.5e308, -1.5e308]}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        scores = ScoreTable.load(path).provider("d").split_scores(0, 4)
+        assert scores.tolist() == [1.5e308, 1.5e308, -1.5e308]
+
+
+class Served(ScoreProvider):
+    """Another provider's scores in one sequence type, each split or label
+    vector lengthened by ``extra`` zeros (or shortened when negative)."""
+
+    def __init__(self, base, kind, extra_splits=0, extra_labels=0):
+        self.base, self.kind = base, kind
+        self.extra_splits, self.extra_labels = extra_splits, extra_labels
+
+    def _served(self, scores, extra):
+        scores = list(scores)
+        return self.kind(scores[:extra] if extra < 0 else scores + [0.0] * extra)
+
+    def split_scores(self, start, end):
+        return self._served(self.base.split_scores(start, end), self.extra_splits)
+
+    def label_scores(self, left, right):
+        return self._served(self.base.label_scores(left, right), self.extra_labels)
+
+
+SEQUENCE_KINDS = {
+    "list": list,
+    "tuple": tuple,
+    "array": lambda values: array("d", values),
+    "numpy": np.array,
+}
+
+
+class TestProviderRepresentations:
+    """The decoder reads a list or an array('d') as it is and copies any
+    other sequence; trees and scores must not depend on which it got."""
+
+    def test_every_sequence_type_decodes_alike(self):
+        for seed in range(24):
+            n = 2 + seed % 23
+            base = RandomProvider(seed) if seed % 2 else IntegerProvider(seed)
+            for width in (1, 4, 16):
+                config = DecodeConfig(TEST_LABELS, "beam" if width > 1 else "greedy", width)
+                trees = {name: decode(n, Served(base, kind), config)
+                         for name, kind in SEQUENCE_KINDS.items()}
+                scores = {name: tree_score(trees["list"], Served(base, kind), TEST_LABELS)
+                          for name, kind in SEQUENCE_KINDS.items()}
+                assert all(t == trees["list"] for t in trees.values()), (seed, width)
+                assert len(set(scores.values())) == 1, (seed, width, scores)
+
+    @pytest.mark.parametrize("kind", SEQUENCE_KINDS, ids=list(SEQUENCE_KINDS))
+    @pytest.mark.parametrize("extra", [(1, 0), (-1, 0), (0, 1), (0, -1)],
+                             ids=["long-splits", "short-splits", "long-labels",
+                                  "short-labels"])
+    def test_wrong_length_is_rejected(self, kind, extra):
+        base = RandomProvider(3)
+        provider = Served(base, SEQUENCE_KINDS[kind], *extra)
+        with pytest.raises(ProviderLengthMismatch):
+            decode(5, provider, CONFIG)
+        with pytest.raises(ProviderLengthMismatch):
+            tree_score(decode(5, base, CONFIG), provider, TEST_LABELS)
