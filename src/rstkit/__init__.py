@@ -30,7 +30,6 @@ from .core import (
     build_tree,
     describe,
     enumerate_constituents,
-    tree_stats,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "build_tree",
     "describe",
     "enumerate_constituents",
-    "tree_stats",
 ]

@@ -531,25 +531,6 @@ class DocumentRecord:
 
 
 @dataclass(frozen=True, slots=True)
-class TreeStats:
-    edu_count: int
-    token_count: int
-    depth: int
-
-
-def tree_stats(doc: DocumentRecord) -> TreeStats:
-    """Per-document tree statistics; raises MissingTree without a tree."""
-    if doc.tree is None:
-        raise MissingTree(f"{doc.doc_id} has no tree")
-    first, last = doc.tree.token_span(doc.edus)
-    return TreeStats(
-        edu_count=doc.tree.n_leaves,
-        token_count=last - first + 1,
-        depth=doc.tree.depth(),
-    )
-
-
-@dataclass(frozen=True, slots=True)
 class Corpus:
     """The documents of one corpus, in order; no two share an id.
 

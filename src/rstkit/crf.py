@@ -20,8 +20,6 @@ emission scores and the emission gradient, either SparseFeatures
 The shipped extractor hashes a lexical window (current, previous, next
 token) and adds punctuation indicators, eight sparse entries per token;
 comma features matter because Russian EDUs lean heavily on commas.
-Externally computed dense vectors (e.g. dumps from a neural encoder) plug
-in through PrecomputedFeatures.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ __all__ = [
     "EmptyDataset",
     "FeatureExtractor",
     "HashedWindowFeatures",
-    "PrecomputedFeatures",
     "SparseFeatures",
     "viterbi",
     "log_likelihood",
@@ -524,25 +521,6 @@ class HashedWindowFeatures:
         vals[:, 6] = [t in _SENT_FINAL for t in tokens]
         vals[:, 7] = [t[:1].isupper() for t in tokens]
         return SparseFeatures(idx, vals, self.dim)
-
-
-class PrecomputedFeatures:
-    """Hook for externally supplied dense vectors, keyed by document id."""
-
-    def __init__(self, matrices: dict[str, np.ndarray]) -> None:
-        self.matrices = {k: np.asarray(v, dtype=float) for k, v in matrices.items()}
-
-    def for_document(self, doc_id: str, n_tokens: int) -> np.ndarray:
-        try:
-            matrix = self.matrices[doc_id]
-        except KeyError:
-            raise DimensionMismatch(f"no feature matrix for document {doc_id}") from None
-        if matrix.shape[0] != n_tokens:
-            raise DimensionMismatch(
-                f"{doc_id}: feature matrix has {matrix.shape[0]} rows, "
-                f"document has {n_tokens} tokens"
-            )
-        return matrix
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ Both return sequences of finite floats.  A ``list`` or an ``array('d')``
 is used as it is; any other sequence, such as a numpy array, is copied
 once into an ``array('d')``.  Scores are treated as log-domain values and
 summed along decisions; providers emitting probabilities must pre-log them.
+A provider must answer a repeated query the same way: decode() asks each
+distinct query once and reuses the answer, and tree_score() assumes the
+trees it scores were built from the same answers.
 
 Greedy and beam decoding are one search.  A path is a partial tree that
 grows by splitting its leftmost pending range; every tree over n EDUs has
@@ -24,6 +27,14 @@ shapes, the search is exhaustive.  Greedy decoding is width 1.  Ties break
 deterministically: earlier split point first, then lower label index;
 across paths, the earlier decision sequence wins.  Paths share their
 history through parent pointers, so no step copies it.
+
+The beam is kept in decision order, so a path's position is its rank.  A
+step lays out every path's candidates in one flat list, path by path and
+split by split; a stable sort of that list on the score alone then keeps
+exactly the candidates the tie rules prefer, and sorting the survivors
+back by position gives the next beam in decision order.  Greedy and beam
+runs of one decode() share a memo of split vectors and label argmaxes, so
+the provider is asked each distinct query once per call.
 
 Pruning on partial scores can drop the greedy path, so a beam may end below
 greedy.  decode() therefore also runs width 1 and keeps that tree when it
@@ -39,8 +50,10 @@ import json
 import math
 from abc import ABC, abstractmethod
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from typing import Sequence
 
 from .core import RelationLabel, RstError, RstTree
 
@@ -48,6 +61,7 @@ __all__ = [
     "ScoreProvider",
     "DecodeConfig",
     "ProviderLengthMismatch",
+    "ProviderVectorError",
     "MissingScore",
     "decode",
     "tree_score",
@@ -61,6 +75,10 @@ class ProviderLengthMismatch(RstError):
     """A provider returned a vector of the wrong length."""
 
 
+class ProviderVectorError(RstError):
+    """A provider returned something other than a flat sequence of numbers."""
+
+
 class MissingScore(RstError):
     """An external score file lacks an entry the decoder asked for."""
 
@@ -68,9 +86,12 @@ class MissingScore(RstError):
 class ScoreProvider(ABC):
     """Contract for split and label scorers over EDU index ranges.
 
-    Both queries return a sequence of finite floats.  A ``list`` or an
-    ``array('d')`` is read as it is; any other sequence is copied once
-    into an ``array('d')``.
+    Both queries return a flat sequence of finite floats, and the same
+    one each time a query is repeated.  A ``list`` or an ``array('d')``
+    is read as it is, so a list must already be flat; any other sequence
+    is copied once into an ``array('d')``, and one that does not convert
+    (nested, or holding something other than numbers) raises
+    ProviderVectorError.
     """
 
     @abstractmethod
@@ -119,14 +140,19 @@ class DecodeConfig:
         )
 
 
-def _vector(scores) -> Sequence[float]:
+def _vector(scores, query: str, args: tuple) -> Sequence[float]:
     if type(scores) is list or type(scores) is array:
         return scores
-    return array("d", scores)
+    try:
+        return array("d", scores)
+    except (TypeError, OverflowError) as exc:  # nested, or not numbers
+        raise ProviderVectorError(
+            f"{query}{args} must be a flat sequence of numbers ({exc})"
+        ) from None
 
 
 def _splits(provider: ScoreProvider, start: int, end: int) -> Sequence[float]:
-    scores = _vector(provider.split_scores(start, end))
+    scores = _vector(provider.split_scores(start, end), "split_scores", (start, end))
     if len(scores) != end - start - 1:
         raise ProviderLengthMismatch(
             f"split_scores({start}, {end}) must have length {end - start - 1}, "
@@ -141,7 +167,7 @@ def _labels(
     right: tuple[int, int],
     n_labels: int,
 ) -> Sequence[float]:
-    scores = _vector(provider.label_scores(left, right))
+    scores = _vector(provider.label_scores(left, right), "label_scores", (left, right))
     if len(scores) != n_labels:
         raise ProviderLengthMismatch(
             f"label_scores({left}, {right}) must have length {n_labels}, "
@@ -150,69 +176,69 @@ def _labels(
     return scores
 
 
-class _Path(NamedTuple):
-    """A partial tree: its last decision and the path it extends."""
-
-    score: float
-    decision: tuple[int, int, int, int] | None  # (start, end, split, label)
-    parent: _Path | None
-    pending: tuple | None  # cons list ((start, end), rest), leftmost first
-    rank: int  # position in lexicographic decision order within its beam
-
-
 def _search(
-    n: int, provider: ScoreProvider, labels: Sequence[str], width: int
-) -> _Path:
+    n: int, provider: ScoreProvider, n_labels: int, width: int, memo: dict
+) -> tuple:
     """Best complete path over n >= 2 EDUs among the top ``width`` kept
-    at each step."""
-    beam = [_Path(0.0, None, None, ((0, n), None), 0)]
+    at each step.  A path is ``(score, decision, parent, pending)``: its
+    last (start, end, split, label), the path it extends, and a cons list
+    ((start, end), rest) of the ranges still to split, leftmost first.
+    ``memo`` maps (start, end) to a split vector and (start, split, end)
+    to (best label score, label)."""
+    beam = [(0.0, None, None, ((0, n), None))]
     for _ in range(n - 1):
-        # All paths have taken the same number of decisions, so ordering
-        # by (-score, decision sequence) is ordering by (-score, parent
-        # rank, split).  Only a path's own top-w splits can survive.
-        candidates = []
-        for path in beam:
-            (start, end), _ = path.pending
-            base = -path.score
-            neg = [base - s for s in _splits(provider, start, end)]
-            if width == 1:
-                best = min(neg)  # the first of equal minima: the earlier split
-                candidates.append((best, path.rank, start + 1 + neg.index(best), path))
-                continue
-            # sorted() is stable, so equal scores keep the earlier split first
-            for k in sorted(range(len(neg)), key=neg.__getitem__)[:width]:
-                candidates.append((neg[k], path.rank, start + 1 + k, path))
-        candidates.sort()
-        survivors = candidates[:width]
-        ranks = sorted((parent_rank, split) for _, parent_rank, split, _ in survivors)
-        rank_of = {key: rank for rank, key in enumerate(ranks)}
-        beam = []
-        for neg_score, parent_rank, split, parent in survivors:
-            (start, end), pending = parent.pending
-            label_scores = _labels(provider, (start, split), (split, end), len(labels))
-            best = max(label_scores)
-            label = label_scores.index(best)  # the lower of equal labels
+        # The beam is in decision order and all its paths have taken the
+        # same number of decisions, so the flat candidate order is (parent
+        # rank, split) order: a stable sort on the score alone breaks ties
+        # by the earlier decision sequence, then the earlier split.
+        neg: list[float] = []
+        owners: list[int] = []
+        splits_at: list[int] = []
+        for rank, (score, _, _, ((start, end), _)) in enumerate(beam):
+            scores = memo.get((start, end))
+            if scores is None:
+                scores = memo[(start, end)] = _splits(provider, start, end)
+            base = -score
+            neg += [base - s for s in scores]
+            owners += repeat(rank, end - start - 1)
+            splits_at += range(start + 1, end)
+        if width == 1:
+            picks = (neg.index(min(neg)),)  # the first of equal minima
+        else:
+            # re-sorted by flat index, the survivors stay in decision order
+            picks = sorted(sorted(range(len(neg)), key=neg.__getitem__)[:width])
+        survivors = []
+        for k in picks:
+            parent = beam[owners[k]]
+            split = splits_at[k]
+            (start, end), pending = parent[3]
+            label = memo.get((start, split, end))
+            if label is None:
+                scores = _labels(provider, (start, split), (split, end), n_labels)
+                best = max(scores)  # index() takes the lower of equal labels
+                label = memo[(start, split, end)] = (best, scores.index(best))
             if end - split >= 2:
                 pending = ((split, end), pending)
             if split - start >= 2:
                 pending = ((start, split), pending)
-            score = -neg_score + best
-            beam.append(_Path(score, (start, end, split, label), parent, pending,
-                              rank_of[(parent_rank, split)]))
-        beam.sort(key=lambda p: (-p.score, p.parent.rank, p.decision[2]))
-    return beam[0]
+            survivors.append(
+                (-neg[k] + label[0], (start, end, split, label[1]), parent, pending)
+            )
+        beam = survivors
+    scores = [path[0] for path in beam]
+    return beam[scores.index(max(scores))]  # the earliest of equal scores
 
 
-def _tree(path: _Path, relations: Sequence[RelationLabel]) -> RstTree:
+def _tree(path: tuple, relations: Sequence[RelationLabel]) -> RstTree:
     # The parent chain yields decisions in reverse pre-order: a node comes
     # after both its subtrees, and its left subtree was finished last.
     built: list[RstTree] = []
-    while path.decision is not None:
-        start, end, split, label = path.decision
+    while path[1] is not None:
+        start, end, split, label = path[1]
         left = built.pop() if split - start >= 2 else RstTree.leaf(start)
         right = built.pop() if end - split >= 2 else RstTree.leaf(split)
         built.append(RstTree.internal(left, right, relations[label]))
-        path = path.parent
+        path = path[2]
     return built.pop()
 
 
@@ -220,16 +246,17 @@ def decode(n: int, provider: ScoreProvider, config: DecodeConfig) -> RstTree:
     """Build the tree over n EDUs selected by the provider's scores.
 
     Deterministic given provider and config; a single EDU yields a bare
-    leaf without querying the provider.
+    leaf without querying the provider, and no query is asked twice.
     """
     if n < 1:
         raise RstError("cannot decode an empty document")
     if n == 1:
         return RstTree.leaf(0)
-    best = _search(n, provider, config.labels, 1)
+    n_labels, memo = len(config.labels), {}
+    best = _search(n, provider, n_labels, 1, memo)
     if config.beam_width > 1:
-        beam = _search(n, provider, config.labels, config.beam_width)
-        if not best.score > beam.score:  # greedy wins only when strictly better
+        beam = _search(n, provider, n_labels, config.beam_width, memo)
+        if not best[0] > beam[0]:  # greedy wins only when strictly better
             best = beam
     return _tree(best, config.relations)
 
@@ -348,6 +375,9 @@ class _TableProvider(ScoreProvider):
             ) from None
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _index_pair(pair) -> tuple[int, int]:
     """A score record's ``[start, end]``: exactly two JSON integers."""
     start, end = pair
@@ -388,10 +418,11 @@ class ScoreTable:
     """
 
     def __init__(self) -> None:
-        self._splits: dict[str, dict[tuple[int, int], array]] = {}
+        # per document; provider() only reads them with `in` and get()
+        self._splits: dict[str, dict[tuple[int, int], array]] = defaultdict(dict)
         self._labels: dict[
             str, dict[tuple[tuple[int, int], tuple[int, int]], array]
-        ] = {}
+        ] = defaultdict(dict)
 
     @classmethod
     def load(cls, path) -> "ScoreTable":
@@ -402,7 +433,14 @@ class ScoreTable:
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
+                    # raw_decode skips json.loads's per-call checks; on a
+                    # failure json.loads raises its own error for the line.
+                    try:
+                        obj, end = _raw_decode(line)
+                    except ValueError:
+                        end = -1
+                    if end != len(line):
+                        obj = json.loads(line)
                     doc = obj["doc"]
                     kind = obj["kind"]
                     values = obj["scores"]
@@ -416,11 +454,11 @@ class ScoreTable:
                     scores = _score_vector(values)
                     if kind == "split":
                         rng = _index_pair((obj["start"], obj["end"]))
-                        table._splits.setdefault(doc, {})[rng] = scores
+                        table._splits[doc][rng] = scores
                     elif kind == "label":
                         left = _index_pair(obj["left"])
                         right = _index_pair(obj["right"])
-                        table._labels.setdefault(doc, {})[(left, right)] = scores
+                        table._labels[doc][(left, right)] = scores
                     else:
                         raise ValueError(f"unknown kind {kind!r}")
                 except (KeyError, ValueError, TypeError, OverflowError) as exc:

@@ -461,6 +461,45 @@ def reference_decode(
     return build(0, n, decisions)
 
 
+def reference_search(
+    n: int, provider, labels: Sequence[str], width: int
+) -> tuple[float, RstTree]:
+    """The rounded search that ``decode`` runs at one width, as a beam of
+    hypotheses that carry their whole split/label trace and sort by
+    (-score, trace).  Each score is summed in decision order, split score
+    then label score, so when a large score makes small ones round away,
+    ties fall to the earlier trace, as in ``decode``.  At width 1 this can
+    differ from ``reference_decode``'s greedy recursion, which takes the
+    argmax of each split vector before any rounding."""
+    hyps = [(0.0, (), ((0, n),), {})]  # score, trace, pending ranges, decisions
+    for _ in range(n - 1):
+        candidates = []
+        for score, trace, pending, decisions in hyps:
+            (start, end), rest = pending[0], pending[1:]
+            for k, split_score in enumerate(provider.split_scores(start, end)):
+                split = start + 1 + k
+                halves = tuple(r for r in ((start, split), (split, end)) if r[1] - r[0] >= 2)
+                candidates.append((score + float(split_score), trace + (split,),
+                                   halves + rest, decisions, (start, split, end)))
+        candidates.sort(key=lambda h: (-h[0], h[1]))
+        hyps = []
+        for score, trace, pending, decisions, (start, split, end) in candidates[:width]:
+            label_scores = [float(x) for x in provider.label_scores((start, split), (split, end))]
+            label = label_scores.index(max(label_scores))
+            hyps.append((score + label_scores[label], trace + (label,), pending,
+                         {**decisions, (start, end): (split, label)}))
+    score, _, _, decisions = min(hyps, key=lambda h: (-h[0], h[1]))
+
+    def build(start: int, end: int) -> RstTree:
+        if end - start == 1:
+            return RstTree.leaf(start)
+        split, label = decisions[(start, end)]
+        return RstTree.internal(build(start, split), build(split, end),
+                                RelationLabel.from_merged(labels[label]))
+
+    return score, build(0, n)
+
+
 # ---------------------------------------------------------------------------
 # Canonical reader oracle: a per-token loop with per-token checks, a
 # shift-reduce tree parser on one mixed stack and uncached label parsing

@@ -12,7 +12,6 @@ from rstkit.core import (
     DuplicateLeaf,
     EduSpan,
     LabelParseError,
-    MissingTree,
     NonBinaryNode,
     NonContiguousChildren,
     Nuclearity,
@@ -22,7 +21,6 @@ from rstkit.core import (
     build_tree,
     describe,
     enumerate_constituents,
-    tree_stats,
 )
 
 from helpers import TEST_LABELS, make_document, random_edus, random_tree
@@ -251,34 +249,6 @@ class TestTreeProperties:
         assert node.depth() == n - 1
         assert len(enumerate_constituents(node)) == 2 * n - 2
         assert build_tree(describe(node)) == node
-
-
-class TestTreeStats:
-    def test_two_leaves_over_ten_tokens(self):
-        doc = make_document(
-            "d", build_tree((0, 1, "elaboration_NS")), edus=(EduSpan(0, 4), EduSpan(5, 9))
-        )
-        stats = tree_stats(doc)
-        assert (stats.edu_count, stats.token_count, stats.depth) == (2, 10, 1)
-
-    def test_balanced_four_leaf_depth(self):
-        tree = build_tree(((0, 1, "joint_NN"), (2, 3, "joint_NN"), "joint_NN"))
-        doc = make_document("d", tree)
-        assert tree_stats(doc).depth == 2
-
-    def test_missing_tree(self):
-        doc = make_document("d", build_tree(0))
-        doc = DocumentRecord(
-            doc_id="d2",
-            genre="test",
-            lang="en",
-            tokens=doc.tokens,
-            char_starts=doc.char_starts,
-            edus=doc.edus,
-            tree=None,
-        )
-        with pytest.raises(MissingTree):
-            tree_stats(doc)
 
 
 class TestDocumentRecord:

@@ -12,7 +12,6 @@ from rstkit.crf import (
     DimensionMismatch,
     EmptyDataset,
     HashedWindowFeatures,
-    PrecomputedFeatures,
     SparseFeatures,
     TrainConfig,
     dataset_from_corpus,
@@ -354,14 +353,6 @@ class TestFeatures:
             SparseFeatures(-idx, np.ones((2, 2)), dim=4)
         with pytest.raises(DimensionMismatch, match="integers"):
             SparseFeatures(idx.astype(float), np.ones((2, 2)), dim=4)
-
-    def test_precomputed_features_lookup(self):
-        table = PrecomputedFeatures({"doc": np.ones((3, 4))})
-        assert table.for_document("doc", 3).shape == (3, 4)
-        with pytest.raises(DimensionMismatch):
-            table.for_document("doc", 5)
-        with pytest.raises(DimensionMismatch):
-            table.for_document("other", 3)
 
     def test_document_labels(self, tmp_path):
         from helpers import make_document, random_tree

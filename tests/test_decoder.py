@@ -2,6 +2,7 @@ import json
 import math
 import random
 from array import array
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rstkit.decoder import (
     MissingScore,
     OracleProvider,
     ProviderLengthMismatch,
+    ProviderVectorError,
     RightBranchingProvider,
     ScoreProvider,
     ScoreTable,
@@ -27,6 +29,7 @@ from helpers import (
     random_tree,
     reference_decode,
     reference_exact,
+    reference_search,
 )
 
 
@@ -78,6 +81,46 @@ class CountingProvider(RandomProvider):
     def label_scores(self, left, right):
         self.queries += 1
         return super().label_scores(left, right)
+
+
+class QueryLog(ScoreProvider):
+    """Another provider's answers, counting how often each query is asked."""
+
+    def __init__(self, base):
+        self.base = base
+        self.asked = Counter()
+
+    def split_scores(self, start, end):
+        self.asked["split", start, end] += 1
+        return self.base.split_scores(start, end)
+
+    def label_scores(self, left, right):
+        self.asked["label", left, right] += 1
+        return self.base.label_scores(left, right)
+
+
+class RoundingTieProvider(ScoreProvider):
+    """Huge scores mixed with small ones: once a path carries 1e16, ``base -
+    s`` rounds distinct small scores to equal floats, so ties come from
+    rounding rather than from equal scores."""
+
+    VALUES = (1e16, 3e15, 0.5, 1.0, 1.0000000000000002, 2**-40)
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.answers = {}
+
+    def _vector(self, key, size):
+        if key not in self.answers:
+            rng = random.Random(f"{self.seed}|{key}")
+            self.answers[key] = [rng.choice(self.VALUES) for _ in range(size)]
+        return self.answers[key]
+
+    def split_scores(self, start, end):
+        return self._vector(("split", start, end), end - start - 1)
+
+    def label_scores(self, left, right):
+        return self._vector(("label", left, right), len(TEST_LABELS))
 
 
 class FixedSplitProvider(ScoreProvider):
@@ -295,6 +338,32 @@ class TestBeam:
                 expected = reference_decode(n, provider, TEST_LABELS, width)
                 assert decode(n, provider, config) == expected, (seed, width)
 
+    def test_rounding_ties_match_reference_search(self):
+        for seed in range(400):
+            n = 2 + seed % 30  # up to 31 EDUs
+            provider = RoundingTieProvider(seed)
+            greedy_score, greedy = reference_search(n, provider, TEST_LABELS, 1)
+            for width in (1, 2, 4, 16):
+                config = DecodeConfig(TEST_LABELS, "beam" if width > 1 else "greedy", width)
+                score, expected = reference_search(n, provider, TEST_LABELS, width)
+                if greedy_score > score:  # decode keeps greedy only when strictly better
+                    expected = greedy
+                assert decode(n, provider, config) == expected, (seed, width)
+
+    def test_each_distinct_query_is_asked_once(self):
+        config = DecodeConfig(TEST_LABELS, "beam", 16)
+        for seed in range(30):
+            n = 2 + seed % 29
+            base = RandomProvider(seed) if seed % 2 else IntegerProvider(seed)
+            log = QueryLog(base)
+            tree = decode(n, log, config)
+            expected = reference_decode(n, base, TEST_LABELS, 16)
+            assert tree == expected, seed
+            assert tree_score(tree, base, TEST_LABELS) == tree_score(
+                expected, base, TEST_LABELS
+            )
+            assert set(log.asked.values()) == {1}, (seed, log.asked.most_common(1))
+
     def test_beam_width_validation(self):
         with pytest.raises(RstError):
             DecodeConfig(labels=TEST_LABELS, strategy="beam", beam_width=0)
@@ -440,6 +509,22 @@ class TestScoreTable:
         with pytest.raises(RstError, match="line 2: bad score record"):
             ScoreTable.load(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"doc": "d"} x', '{"doc": "d"}{"doc": "d"}', '{"doc": "d"} 1',
+         '\ufeff{"doc": "d"}', '{"doc": "d"', "[1, 2"],
+        ids=["trailing-word", "two-objects", "trailing-number", "byte-order-mark",
+             "truncated-object", "truncated-list"],
+    )
+    def test_unparsable_line_gives_the_json_error(self, text, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(text + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        with pytest.raises(RstError) as got:
+            ScoreTable.load(path)
+        assert str(got.value).endswith(f"line 1: bad score record ({expected.value})")
+
     def test_boolean_words_outside_the_scores_are_no_error(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         record = {"doc": "true_false", "kind": "split", "start": 0, "end": 3,
@@ -531,6 +616,27 @@ class TestProviderRepresentations:
                           for name, kind in SEQUENCE_KINDS.items()}
                 assert all(t == trees["list"] for t in trees.values()), (seed, width)
                 assert len(set(scores.values())) == 1, (seed, width, scores)
+
+    @pytest.mark.parametrize("nested", [lambda v: np.array(v)[:, None],
+                                        lambda v: tuple((x,) for x in v)],
+                             ids=["numpy", "tuple"])
+    def test_nested_vector_names_its_query(self, nested):
+        class Nested(ScoreProvider):
+            def __init__(self, nest_splits):
+                self.nest_splits = nest_splits
+
+            def split_scores(self, start, end):
+                scores = [0.0] * (end - start - 1)
+                return nested(scores) if self.nest_splits else scores
+
+            def label_scores(self, left, right):
+                scores = [0.0] * len(TEST_LABELS)
+                return scores if self.nest_splits else nested(scores)
+
+        with pytest.raises(ProviderVectorError, match=r"split_scores\(0, 4\)"):
+            decode(4, Nested(True), CONFIG)
+        with pytest.raises(ProviderVectorError, match=r"label_scores\(\(0, 1\), \(1, 4\)\)"):
+            decode(4, Nested(False), CONFIG)
 
     @pytest.mark.parametrize("kind", SEQUENCE_KINDS, ids=list(SEQUENCE_KINDS))
     @pytest.mark.parametrize("extra", [(1, 0), (-1, 0), (0, 1), (0, -1)],
