@@ -8,11 +8,13 @@ documents one at a time, so their memory stays bounded by the largest
 single document, except that ``parse --scores`` also holds the whole score
 dump; ``eval`` holds the predictions, and ``train-segmenter`` and
 ``stats --by-genre`` hold the whole corpus.  A document id may occur only
-once per input file.  A JSON-lines output file appears only when its
-command succeeds: it is written next to its path and moved there at the
-end, so a failed run leaves no new or partial file and does not touch a
-file already at that path.  Only ``train-segmenter``, ``segment`` and
-``dwa-sim`` import numpy.
+once per input file.  An output file given with ``-o`` appears only when
+its command succeeds: it is written next to its path and moved there at
+the end, so a failed run leaves no new or partial file and does not touch
+a file already at that path.  The exception is ``train-segmenter``, which
+writes its model in place, because ``np.savez`` appends ``.npz`` to a path
+that lacks it.  Only ``train-segmenter``, ``segment`` and ``dwa-sim``
+import numpy.
 
 A command runs with CPython's cyclic garbage collector paused, and
 ``main`` restores the collector's previous state when it returns.  Records,
@@ -34,7 +36,7 @@ import gc
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -244,11 +246,12 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_dump_remap_table(args) -> int:
-    table = prep_mod.default_rrt_remap_table()
+    text = prep_mod.default_rrt_remap_table().as_text()
     if args.output:
-        prep_mod.dump_remap_table(table, args.output)
+        with _output_file(args.output) as out:
+            out.write(text)
     else:
-        sys.stdout.write(table.as_text())
+        sys.stdout.write(text)
     return 0
 
 
@@ -485,15 +488,12 @@ def cmd_dwa_sim(args) -> int:
         dwa_mod.DEFAULT_WINDOW if args.window is None else args.window,
         dwa_mod.DEFAULT_TEMPERATURE if args.temp is None else args.temp,
     )
-    out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
-    try:
+    sink = nullcontext(sys.stdout) if args.output is None else _output_file(args.output)
+    with sink as out:
         writer = csv.writer(out)
         writer.writerow([f"lambda_{k + 1}" for k in range(args.tasks)])
         for weights in trajectory:
             writer.writerow([f"{w:.12g}" for w in weights])
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -113,22 +113,33 @@ class RelationLabel:
         return self.merged
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EduSpan:
-    """Inclusive token-index span of one elementary discourse unit."""
+    """Inclusive token-index span of one elementary discourse unit.
+
+    ``__init__`` is written by hand for the reason given under
+    :class:`RstTree`: a corpus read builds one span per EDU, and the
+    generated frozen ``__init__`` plus ``__post_init__`` cost more than the
+    check.  ``replace``, ``fields``, equality and hashing are the
+    dataclass's, and assignment raises ``FrozenInstanceError``.
+    """
 
     first_token: int
     last_token: int
 
-    def __post_init__(self) -> None:
-        if self.first_token < 0 or self.first_token > self.last_token:
-            raise RstError(
-                f"invalid EDU span [{self.first_token}, {self.last_token}]"
-            )
+    def __init__(self, first_token: int, last_token: int) -> None:
+        if first_token < 0 or first_token > last_token:
+            raise RstError(f"invalid EDU span [{first_token}, {last_token}]")
+        _set_first_token(self, first_token)
+        _set_last_token(self, last_token)
 
     @property
     def n_tokens(self) -> int:
         return self.last_token - self.first_token + 1
+
+
+_set_first_token = EduSpan.first_token.__set__  # type: ignore[attr-defined]
+_set_last_token = EduSpan.last_token.__set__  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
@@ -139,6 +150,11 @@ class RstTree:
     last_edu`` is the EDU index) or an internal node with exactly two children
     covering adjacent EDU ranges.  Use :meth:`leaf` and :meth:`internal` to
     construct nodes; the EDU span of every node is cached on construction.
+
+    Leaves below ``_INTERN_LIMIT`` are shared: ``RstTree.leaf(i) is
+    RstTree.leaf(i)``, and every tree over EDU ``i`` holds that one node.
+    Node identity therefore means nothing across trees; an ``id()`` key is
+    only safe within one tree, where each leaf occurs once.
 
     ``__init__`` is written by hand (``init=False``).  The generated one of
     a frozen dataclass stores each field through ``object.__setattr__`` and
@@ -189,6 +205,12 @@ class RstTree:
 
     @classmethod
     def leaf(cls, edu_index: int) -> "RstTree":
+        """The leaf over EDU ``edu_index``, shared below ``_INTERN_LIMIT``."""
+        if type(edu_index) is int and 0 <= edu_index < _INTERN_LIMIT:
+            leaves = _LEAVES
+            if edu_index >= len(leaves):
+                leaves = _grow_leaves(edu_index)
+            return leaves[edu_index]
         return cls(edu_index, edu_index)
 
     @classmethod
@@ -228,7 +250,15 @@ class RstTree:
                 stack.append(node.left)
 
     def internal_nodes(self) -> Iterator["RstTree"]:
-        return (node for node in self.nodes() if not node.is_leaf)
+        """Pre-order traversal over internal nodes; leaves are never pushed."""
+        stack = [self] if self.left is not None else []
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.right.left is not None:  # type: ignore[union-attr]
+                stack.append(node.right)  # type: ignore[arg-type]
+            if node.left.left is not None:  # type: ignore[union-attr]
+                stack.append(node.left)  # type: ignore[arg-type]
 
     def leaves(self) -> Iterator["RstTree"]:
         return (node for node in self.nodes() if node.is_leaf)
@@ -287,6 +317,19 @@ _set_last_edu = RstTree.last_edu.__set__  # type: ignore[attr-defined]
 _set_label = RstTree.label.__set__  # type: ignore[attr-defined]
 _set_left = RstTree.left.__set__  # type: ignore[attr-defined]
 _set_right = RstTree.right.__set__  # type: ignore[attr-defined]
+
+# Shared leaves by EDU index; see RstTree.leaf.  Concurrent decodes may grow
+# it at once, so it is only replaced by a longer tuple, never appended to:
+# a lost update costs sharing, never a wrong leaf.
+_LEAVES: tuple[RstTree, ...] = ()
+
+
+def _grow_leaves(edu_index: int) -> tuple[RstTree, ...]:
+    global _LEAVES
+    leaves = _LEAVES
+    size = min(max(edu_index + 1, 2 * len(leaves)), _INTERN_LIMIT)
+    leaves = _LEAVES = leaves + tuple(RstTree(i, i) for i in range(len(leaves), size))
+    return leaves
 
 
 # A tree description is an int (leaf EDU index) or a (left, right, label)

@@ -461,7 +461,8 @@ class ScoreTable:
                         table._labels[doc][(left, right)] = scores
                     else:
                         raise ValueError(f"unknown kind {kind!r}")
-                except (KeyError, ValueError, TypeError, OverflowError) as exc:
+                except (KeyError, ValueError, TypeError, OverflowError,
+                        RecursionError) as exc:  # RecursionError: nested too deeply
                     raise RstError(
                         f"{path}: line {line_number}: bad score record ({exc})"
                     ) from None

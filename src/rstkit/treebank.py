@@ -599,7 +599,8 @@ def tree_from_string(text: str) -> RstTree:
     """Parse the bracketed tree format produced by :func:`tree_to_string`.
 
     One pass over the tokens with a stack of open ``(label left right)``
-    frames; each node is built by ``RstTree``, which checks adjacency.
+    frames; each node is built by ``RstTree``, which checks adjacency, and
+    each ``#k`` is the shared ``RstTree.leaf(k)``.
     """
     frames: list[list] = []
     root: RstTree | None = None
@@ -621,7 +622,7 @@ def tree_from_string(text: str) -> RstTree:
                 index = int(tok[1:])
             except ValueError:
                 raise RstError(f"bad leaf token {tok!r}") from None
-            node = RstTree(index, index)
+            node = RstTree.leaf(index)
         elif not frames:
             raise RstError(f"unbalanced tree string: {text!r}")
         elif frames[-1]:
@@ -729,7 +730,7 @@ def iter_canonical(path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
                 raise SchemaViolation(line_number, f"invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise SchemaViolation(line_number, "record is not a JSON object")

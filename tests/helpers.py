@@ -391,7 +391,12 @@ def reference_decode(
 ) -> RstTree:
     """Greedy recursion plus a separate beam whose hypotheses carry their
     whole split/label trace and sort by (-score, trace); the beam result is
-    replaced by greedy's only when greedy scores strictly higher."""
+    replaced by greedy's only when greedy scores strictly higher.
+
+    Exact only while no two accumulated split sums tie through rounding:
+    the greedy recursion takes the argmax of each raw split vector, while
+    ``decode`` compares rounded sums.  For providers that mix large and
+    small scores, compare against :func:`reference_search` instead."""
 
     def label_argmax(start: int, split: int, end: int) -> tuple[int, float]:
         scores = [float(x) for x in provider.label_scores((start, split), (split, end))]
@@ -538,9 +543,10 @@ def reference_tree_from_string(text: str) -> RstTree:
             node = RstTree.internal(left, right, reference_label(label))
         elif tok.startswith("#"):
             try:
-                node = RstTree.leaf(int(tok[1:]))
+                index = int(tok[1:])
             except ValueError:
                 raise RstError(f"bad leaf {tok!r}") from None
+            node = RstTree(index, index)  # a node of its own, not the shared leaf
         else:  # "(" opens a frame; any other atom is a label
             stack.append(tok)
             continue

@@ -17,6 +17,7 @@ import pytest
 import rstkit
 from rstkit import cli as cli_mod
 from rstkit import crf as crf_mod
+from rstkit import dwa as dwa_mod
 from rstkit import treebank as tb_mod
 from rstkit.cli import main
 from rstkit.core import Corpus, EduSpan, RstTree
@@ -161,6 +162,17 @@ class TestDumpRemapTable:
         out = capsys.readouterr().out
         assert "antithesis\tattribution" in out
         assert "background_NS\telaboration_SN" in out
+
+    def test_output_file_holds_the_printed_rules(self, tmp_path, capsys):
+        assert main(["dump-remap-table"]) == 0
+        printed = capsys.readouterr().out
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "rules.tsv"
+        out.write_text("earlier output\n", encoding="utf-8")
+        assert main(["dump-remap-table", "-o", str(out)]) == 0
+        assert out.read_bytes() == printed.encode("utf-8")
+        assert os.listdir(out_dir) == ["rules.tsv"]
 
 
 class TestStats:
@@ -717,6 +729,37 @@ class TestSinglePassParse:
         assert not out.exists()
 
 
+class TestDeeplyNestedJson:
+    """A JSON line nested past the parser's recursion limit is a user error
+    that names its line, not an internal one."""
+
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    def test_corpus_line(self, tmp_path, capsys):
+        corpus = tmp_path / "deep.jsonl"
+        corpus.write_text(self.DEEP + "\n", encoding="utf-8")
+        out = tmp_path / "pred.jsonl"
+        assert main(["stats", str(corpus)]) == 1
+        assert main(["parse", str(corpus), "-o", str(out), "--oracle"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("rstkit: error: line 1: invalid JSON") == 2
+        assert "internal error" not in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_score_line(self, gold_file, tmp_path, capsys):
+        inventory = _inventory_file(gold_file, tmp_path)
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text('{"doc": "doc0", "scores": ' + self.DEEP + "}\n",
+                          encoding="utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["parse", str(gold_file), "-o", str(out_dir / "pred.jsonl"),
+                     "--scores", str(scores), "--inventory", str(inventory)]) == 1
+        err = capsys.readouterr().err
+        assert "line 1: bad score record" in err and "internal error" not in err
+        assert os.listdir(out_dir) == []
+
+
 class TestRecordFieldTypes:
     """A document id or genre that is not a string is a user error that
     names its line, on every command that reads canonical records."""
@@ -893,9 +936,37 @@ class TestDwaSim:
         # sees the 4 -> 2 drop on task 1 and departs from uniform
         assert [float(x) for x in parsed[3]] == [1.0, 1.0, 1.0]
         assert [float(x) for x in parsed[4]] != [1.0, 1.0, 1.0]
-        out_path = tmp_path / "weights.csv"
-        assert main(["dwa-sim", str(losses), "-b", "1", "-o", str(out_path)]) == 0
-        assert out_path.exists()
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out_path = out_dir / "weights.csv"
+        assert main(["dwa-sim", str(losses), "-b", "1", "--temp", "1.0",
+                     "-o", str(out_path)]) == 0
+        assert out_path.read_bytes() == out.encode("utf-8")  # "\r\n" rows, as printed
+        assert os.listdir(out_dir) == ["weights.csv"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_while_writing_leaves_the_output_path_as_it_was(
+        self, tmp_path, monkeypatch, capsys, existing
+    ):
+        def failing(*args):
+            yield [1.0, 1.0, 1.0]
+            raise cli_mod.RstError("simulated failure")
+
+        monkeypatch.setattr(dwa_mod, "simulate", failing)
+        losses = tmp_path / "losses.csv"
+        losses.write_text("1.0,1.0,1.0\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "weights.csv"
+        if existing:
+            out.write_text("earlier output\n", encoding="utf-8")
+        assert main(["dwa-sim", str(losses), "-o", str(out)]) == 1
+        assert "simulated failure" in capsys.readouterr().err
+        if existing:
+            assert os.listdir(out_dir) == ["weights.csv"]
+            assert out.read_text(encoding="utf-8") == "earlier output\n"
+        else:
+            assert os.listdir(out_dir) == []
 
     def test_header_row_is_tolerated(self, tmp_path):
         losses = tmp_path / "losses.csv"

@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,107 @@ class TestRstTreeContract:
             RstTree(*args)
 
 
+class TestSharedLeaves:
+    """``RstTree.leaf`` shares one node per EDU index below the interning
+    cap; beyond it, and for ``RstTree(i, i)``, every call builds a node."""
+
+    def test_below_the_cap_one_node_per_index(self):
+        for i in range(core._INTERN_LIMIT):
+            leaf = RstTree.leaf(i)
+            assert leaf is RstTree.leaf(i)
+            assert (leaf.first_edu, leaf.last_edu, leaf.is_leaf) == (i, i, True)
+        assert len(core._LEAVES) == core._INTERN_LIMIT
+
+    def test_at_and_beyond_the_cap_each_call_builds_a_node(self):
+        for i in (core._INTERN_LIMIT, core._INTERN_LIMIT + 1, 10**6):
+            leaf = RstTree.leaf(i)
+            assert leaf is not RstTree.leaf(i) and leaf == RstTree.leaf(i)
+            assert leaf.first_edu == leaf.last_edu == i
+        assert len(core._LEAVES) <= core._INTERN_LIMIT
+
+    @pytest.mark.parametrize("index", [0, 3, core._INTERN_LIMIT - 1, core._INTERN_LIMIT])
+    def test_constructor_builds_a_distinct_equal_node(self, index):
+        node = RstTree(index, index)
+        assert node is not RstTree.leaf(index) and node == RstTree.leaf(index)
+
+    @pytest.mark.parametrize("index", [-1, -5])
+    def test_negative_index_raises(self, index):
+        with pytest.raises(RstError, match="leaf span must be a single EDU index"):
+            RstTree.leaf(index)
+
+    def test_a_bool_is_built_as_before(self):
+        assert RstTree.leaf(True).first_edu is True  # RstTree(True, True), not leaf 1
+
+    def test_concurrent_growth_never_publishes_a_wrong_leaf(self, monkeypatch):
+        limit = core._INTERN_LIMIT
+        indices = list(range(limit + 64))
+        wrong: list[tuple[int, int]] = []
+
+        def work(seed: int) -> None:
+            order = indices[:]
+            random.Random(seed).shuffle(order)
+            for i in order:
+                leaf = RstTree.leaf(i)
+                if leaf.first_edu != i or leaf.last_edu != i or not leaf.is_leaf:
+                    wrong.append((i, leaf.first_edu))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(4):
+                monkeypatch.setattr(core, "_LEAVES", ())  # every round grows it anew
+                threads = [threading.Thread(target=work, args=(8 * round_ + k,))
+                           for k in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert len(core._LEAVES) <= limit
+        assert all(leaf.first_edu == i for i, leaf in enumerate(core._LEAVES))
+
+
+class TestEduSpanContract:
+    """``EduSpan`` has a hand-written ``__init__`` but keeps the frozen
+    dataclass's checks, fields, ``replace``, equality and hashing."""
+
+    @pytest.mark.parametrize("first, last", [(-1, 0), (-1, -1), (3, 2), (5, 0)])
+    def test_invalid_spans_raise(self, first, last):
+        with pytest.raises(RstError, match=rf"^invalid EDU span \[{first}, {last}\]$"):
+            EduSpan(first, last)
+        with pytest.raises(RstError, match=r"invalid EDU span"):
+            EduSpan(last_token=last, first_token=first)
+
+    def test_fields_replace_and_keywords(self):
+        span = EduSpan(2, 5)
+        assert [f.name for f in dataclasses.fields(EduSpan)] == ["first_token", "last_token"]
+        assert dataclasses.replace(span, last_token=9) == EduSpan(2, 9)
+        assert EduSpan(last_token=5, first_token=2) == span
+        assert (span.first_token, span.last_token, span.n_tokens) == (2, 5, 4)
+        assert repr(span) == "EduSpan(first_token=2, last_token=5)"
+        with pytest.raises(RstError, match=r"invalid EDU span \[6, 5\]"):
+            dataclasses.replace(span, first_token=6)
+
+    def test_equality_and_hash(self):
+        assert EduSpan(0, 3) == EduSpan(0, 3) and EduSpan(0, 3) != EduSpan(0, 4)
+        assert hash(EduSpan(0, 3)) == hash(EduSpan(0, 3))
+        assert len({EduSpan(0, 3), EduSpan(0, 3), EduSpan(1, 3)}) == 2
+        assert EduSpan(0, 3) != (0, 3)
+
+    @pytest.mark.parametrize("name", ["first_token", "last_token"])
+    def test_assignment_and_deletion_raise(self, name):
+        span = EduSpan(1, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(span, name, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(span, name)
+        assert not hasattr(span, "__dict__")
+        assert (span.first_token, span.last_token) == (1, 4)
+
+
 class TestEnumerateConstituents:
     def test_single_leaf_has_no_constituents(self):
         assert enumerate_constituents(build_tree(0)) == []
@@ -236,6 +339,16 @@ class TestTreeProperties:
                 edus[node.first_edu].first_token,
                 edus[node.last_edu].last_token,
             )
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_internal_nodes_are_the_filtered_pre_order(self, seed):
+        rng = random.Random(seed)
+        tree = random_tree(rng, rng.randint(1, 60))
+        expected = [node for node in tree.nodes() if not node.is_leaf]
+        got = list(tree.internal_nodes())
+        assert len(got) == len(expected) == tree.n_internal
+        assert all(a is b for a, b in zip(got, expected))
 
     def test_deep_right_branching_tree_is_safe(self):
         # Deeper than the default interpreter recursion limit.

@@ -364,6 +364,15 @@ class TestBeam:
             )
             assert set(log.asked.values()) == {1}, (seed, log.asked.most_common(1))
 
+    def test_leaves_are_the_shared_leaves(self):
+        for seed in range(12):
+            n = 1 + 11 * seed  # up to 122 EDUs
+            for width in (1, 16):
+                config = DecodeConfig(TEST_LABELS, "beam" if width > 1 else "greedy", width)
+                leaves = list(decode(n, RandomProvider(seed), config).leaves())
+                assert [leaf.first_edu for leaf in leaves] == list(range(n))
+                assert all(leaf is RstTree.leaf(i) for i, leaf in enumerate(leaves))
+
     def test_beam_width_validation(self):
         with pytest.raises(RstError):
             DecodeConfig(labels=TEST_LABELS, strategy="beam", beam_width=0)

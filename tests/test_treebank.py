@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rstkit import core
 from rstkit.core import (
     DocumentRecord,
     EduSpan,
@@ -52,8 +53,16 @@ from helpers import (
     reference_read,
     reference_record_from_json,
     reference_tokenize,
+    reference_tree_from_string,
     reference_tree_to_string,
 )
+
+
+def assert_shared_leaves(tree: RstTree) -> None:
+    """Every leaf of ``tree`` below the interning cap is ``RstTree.leaf(i)``."""
+    for leaf in tree.leaves():
+        if leaf.first_edu < core._INTERN_LIMIT:
+            assert leaf is RstTree.leaf(leaf.first_edu), leaf
 
 
 # serialize_rs3_forest output for the two documents of
@@ -395,6 +404,20 @@ class TestSerializeRs3:
             forest = extract_forest(parse_rs3(serialize_rs3(doc)))
             assert len(forest) == 1
             assert forest[0].tree == doc.tree
+            assert_shared_leaves(forest[0].tree)
+
+    def test_forest_of_trees_sharing_leaves_reads_back_equal(self):
+        # The trees hold the same leaf objects, while rs3 ids are keyed on
+        # id(node) within each tree.
+        rng = random.Random(41)
+        for i in range(30):
+            docs = [make_document(f"d{i}_{k}", random_tree(rng, rng.randint(1, 30)))
+                    for k in range(rng.randint(2, 3))]
+            assert next(docs[0].tree.leaves()) is next(docs[1].tree.leaves())
+            forest = extract_forest(parse_rs3(serialize_rs3_forest(docs)))
+            assert [component.tree for component in forest] == [doc.tree for doc in docs]
+            for component in forest:
+                assert_shared_leaves(component.tree)
 
     def test_debinarized_cascade_shares_one_multinuc_parent(self):
         tree = build_tree((0, (1, 2, "joint_NN"), "joint_NN"))
@@ -735,10 +758,24 @@ class TestReaderOracle:
 
     def test_unmutated_file_reads_equal(self, tmp_path):
         rng = random.Random(5)
-        lines = [json.dumps(random_record_obj(rng, f"d{i}")) for i in range(5)]
-        path = tmp_path / "c.jsonl"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert list(iter_canonical(path)) == reference_read(path)
+        for round_ in range(4):
+            lines = [json.dumps(random_record_obj(rng, f"d{i}")) for i in range(5)]
+            path = tmp_path / f"c{round_}.jsonl"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            docs = read_canonical(path).documents
+            assert list(docs) == reference_read(path)
+            for doc in docs:
+                if doc.tree is not None:
+                    assert_shared_leaves(doc.tree)
+
+    def test_tree_strings_parse_equal_to_the_reference(self):
+        rng = random.Random(43)
+        sizes = [rng.randint(1, 300) for _ in range(150)] + [core._INTERN_LIMIT + 40]
+        for n in sizes:
+            text = tree_to_string(random_tree(rng, n))
+            tree = tree_from_string(text)
+            assert tree == reference_tree_from_string(text)
+            assert_shared_leaves(tree)
 
 
 class TestReadMemory:
