@@ -8,13 +8,18 @@ documents one at a time, so their memory stays bounded by the largest
 single document, except that ``parse --scores`` also holds the whole score
 dump; ``eval`` holds the predictions, and ``train-segmenter`` and
 ``stats --by-genre`` hold the whole corpus.  A document id may occur only
-once per input file.  An output file given with ``-o`` appears only when
-its command succeeds: it is written next to its path and moved there at
-the end, so a failed run leaves no new or partial file and does not touch
-a file already at that path.  The exception is ``train-segmenter``, which
-writes its model in place, because ``np.savez`` appends ``.npz`` to a path
-that lacks it.  Only ``train-segmenter``, ``segment`` and ``dwa-sim``
-import numpy.
+once per input file; ``eval`` names the file of a malformed line.  An
+output file given with ``-o`` appears only when its command succeeds: it
+is written next to its path and moved there at the end, so a failed run
+leaves no new or partial file and does not touch a file already at that
+path.  ``train-segmenter`` adds ``.npz`` to a model name that lacks it.
+
+Every command imports ``core`` and ``treebank``; each other module is
+imported only by the commands that run it: numpy (with ``crf`` or
+``dwa``) by ``train-segmenter``, ``segment`` and ``dwa-sim``, ``metrics``
+by ``stats`` and ``eval``, ``preprocess`` by ``convert``, ``preprocess``
+and ``dump-remap-table``, ``decoder`` by ``parse``, and ``xml.etree`` by
+``convert`` and by ``preprocess`` of ``.rs3`` input.
 
 A command runs with CPython's cyclic garbage collector paused, and
 ``main`` restores the collector's previous state when it returns.  Records,
@@ -31,7 +36,6 @@ Exit codes: 0 success, 1 user error (bad flags, malformed input),
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import os
 import sys
@@ -42,11 +46,10 @@ from pathlib import Path
 
 from . import __version__
 from .core import Corpus, RstError, RstTree, Split
-from . import metrics as metrics_mod
-from . import preprocess as prep_mod
 from . import treebank as tb_mod
 
-# crf and dwa import numpy; the commands that use them import them.
+# Every other module is imported by the commands that use it (see the
+# module docstring), so a command loads only what it runs.
 
 DATA_DIR_ENV = "RSTKIT_DATA_DIR"
 DEFAULT_SEED = 13
@@ -119,6 +122,8 @@ def _read_split_map(path: str | None) -> dict[str, Split]:
 
 
 def _load_rs3_corpus(args, drop_single_edu: bool, table, split_forests: bool = True):
+    from . import preprocess as prep_mod
+
     paths = _rs3_paths(_input_path(args.input))
     splits = _read_split_map(getattr(args, "split_map", None))
     files = []
@@ -145,17 +150,19 @@ def _load_rs3_corpus(args, drop_single_edu: bool, table, split_forests: bool = T
 
 
 @contextmanager
-def _output_file(path: str):
-    """Open a text file that replaces ``path`` only if the block succeeds.
+def _output_file(path: str, mode: str = "w"):
+    """Open a file that replaces ``path`` only if the block succeeds;
+    ``mode`` is ``"w"`` for UTF-8 text or ``"wb"`` for bytes.
 
-    Lines go to a temporary file in the target's directory, which
+    Output goes to a temporary file in the target's directory, which
     ``os.replace`` moves onto the target at the end; on any failure the
     temporary file is removed and the target is left as it was.  A path
     that exists and is not a regular file (``/dev/stdout``, a pipe) is
     written directly; a symbolic link is kept and its target replaced.
     """
+    encoding = None if "b" in mode else "utf-8"
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as out:
+        with open(path, mode, encoding=encoding) as out:
             yield out
         return
     target = os.path.realpath(path)
@@ -168,7 +175,7 @@ def _output_file(path: str):
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
-        with open(fd, "w", encoding="utf-8") as out:
+        with open(fd, mode, encoding=encoding) as out:
             yield out
         os.replace(tmp, target)
     except BaseException:
@@ -217,6 +224,8 @@ def cmd_convert(args) -> int:
 
 
 def _load_remap(value: str | None):
+    from . import preprocess as prep_mod
+
     if value is None or value == "none":
         return None
     if value == "default":
@@ -225,6 +234,8 @@ def _load_remap(value: str | None):
 
 
 def cmd_preprocess(args) -> int:
+    from . import preprocess as prep_mod
+
     table = _load_remap(args.remap)
     in_path = _input_path(args.input)
     if in_path.is_dir() or in_path.suffix == ".rs3":
@@ -246,6 +257,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_dump_remap_table(args) -> int:
+    from . import preprocess as prep_mod
+
     text = prep_mod.default_rrt_remap_table().as_text()
     if args.output:
         with _output_file(args.output) as out:
@@ -256,6 +269,8 @@ def cmd_dump_remap_table(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import metrics as metrics_mod
+
     in_path = _input_path(args.input)
     name = in_path.stem
     sentences = (
@@ -304,7 +319,10 @@ def cmd_train_segmenter(args) -> int:
     dataset = crf_mod.dataset_from_corpus(docs, extractor)
     model = crf_mod.CrfModel.create(extractor.dim)
     model, curve = crf_mod.train(model, dataset, config)
-    crf_mod.save_model(model, args.output, extractor)
+    # np.savez appends .npz to a file name that lacks it; keep that name
+    path = args.output if args.output.endswith(".npz") else f"{args.output}.npz"
+    with _output_file(path, "wb") as out:
+        crf_mod.save_model(model, out, extractor)
     print(
         f"trained on {len(dataset)} documents for {args.epochs} epochs; "
         f"final mean NLL {curve[-1]:.4f}"
@@ -408,8 +426,18 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import metrics as metrics_mod
+
+    def records(path: str):
+        # two inputs, so a malformed line is named with its file
+        in_path = _input_path(path)
+        try:
+            yield from _unique_records(in_path)
+        except tb_mod.SchemaViolation as exc:
+            raise RstError(f"{in_path}: {exc}") from None
+
     # predictions are indexed in memory; gold documents stream past them
-    pred_by_id = {doc.doc_id: doc for doc in _unique_records(_input_path(args.pred))}
+    pred_by_id = {doc.doc_id: doc for doc in records(args.pred)}
 
     def score_pair(gold_doc, pred_doc):
         if pred_doc.tree is None:
@@ -431,7 +459,7 @@ def cmd_eval(args) -> int:
     total = metrics_mod.ParsevalScores.zero()
     by_genre: dict[str, tuple] = {}
     scored = 0
-    for gold_doc in _unique_records(_input_path(args.gold)):
+    for gold_doc in records(args.gold):
         pred_doc = pred_by_id.pop(gold_doc.doc_id, None)
         if args.genre is not None and gold_doc.genre != args.genre:
             continue
@@ -465,6 +493,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dwa_sim(args) -> int:
+    import csv
+
     from . import dwa as dwa_mod
 
     with open(_input_path(args.losses), "r", encoding="utf-8") as fh:

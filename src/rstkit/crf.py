@@ -535,6 +535,9 @@ def save_model(
 ) -> None:
     """Persist a model as a versioned NPZ archive.
 
+    ``path`` is a binary file object or a file name, to which ``np.savez``
+    appends ``.npz`` when it lacks that suffix.
+
     Keys: ``version`` (int), ``labels`` (string array) and the four float64
     parameter blocks in row-major order; ``n_buckets`` is stored when the
     model was trained with the hashed-window extractor so that segmentation

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import io
-import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -327,6 +326,13 @@ def _spanned_sentence_counts(
     return spanned_multi, multi, spanned_any, len(sentences)
 
 
+def _median(values: Sequence[int]) -> int | float:
+    """The median exactly as ``statistics.median`` gives it, without the
+    cost of importing ``statistics`` (and ``fractions``, ``decimal``)."""
+    ordered, mid = sorted(values), len(values) // 2
+    return ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def corpus_stats(
     corpus_docs: Iterable[DocumentRecord],
     sentences: Mapping[str, Sequence[int]] | None = None,
@@ -383,7 +389,7 @@ def corpus_stats(
         classes=len(classes),
         tokens_per_tree_min=min(token_counts),
         tokens_per_tree_max=max(token_counts),
-        tokens_per_tree_median=float(statistics.median(token_counts)),
+        tokens_per_tree_median=float(_median(token_counts)),
         edus=edu_total,
         edus_per_tree=edu_total / n_docs,
         relation_pairs=relation_pairs,

@@ -35,7 +35,6 @@ __all__ = [
     "default_rrt_remap_table",
     "load_remap_table",
     "parse_remap_rules",
-    "dump_remap_table",
     "remap_rrt_labels",
     "remap_document",
     "split_forest",
@@ -125,11 +124,6 @@ def parse_remap_rules(lines: Iterable[str]) -> RemapTable:
 def load_remap_table(path) -> RemapTable:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_remap_rules(fh)
-
-
-def dump_remap_table(table: RemapTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(table.as_text())
 
 
 # Name-level merges first, then the nuclearity-specific renamings; rewrites

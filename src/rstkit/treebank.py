@@ -29,10 +29,8 @@ import io
 import json
 import re
 import unicodedata
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .core import (
     Corpus,
@@ -45,6 +43,11 @@ from .core import (
     RstTree,
     Split,
 )
+
+# The rs3 reader and writer import xml.etree themselves, so commands that
+# only read the canonical format do not load it.
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
 
 
 class MalformedXml(RstError):
@@ -126,30 +129,30 @@ def tokenize(text: str, char_offset: int = 0) -> list[tuple[str, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Rs3Relation:
+# The rs3 node table is made of named tuples: immutable, and cheaper than
+# frozen dataclasses both to define at import and to build per node.
+
+
+class Rs3Relation(NamedTuple):
     name: str
     kind: str  # "rst" | "multinuc"
 
 
-@dataclass(frozen=True, slots=True)
-class Rs3Segment:
+class Rs3Segment(NamedTuple):
     node_id: str
     parent_id: str | None
     relname: str | None
     text: str
 
 
-@dataclass(frozen=True, slots=True)
-class Rs3Group:
+class Rs3Group(NamedTuple):
     node_id: str
     kind: str  # "span" | "multinuc"
     parent_id: str | None
     relname: str | None
 
 
-@dataclass(frozen=True, slots=True)
-class Rs3Document:
+class Rs3Document(NamedTuple):
     """The raw node table of one ``.rs3`` file, order-preserving."""
 
     relations: tuple[Rs3Relation, ...]
@@ -169,6 +172,8 @@ def parse_rs3(data: bytes) -> Rs3Document:
     Raises MalformedXml, DanglingParentId, UnknownRelname or
     EmptySegmentText.  Input must be UTF-8; a BOM is stripped.
     """
+    import xml.etree.ElementTree as ET
+
     if data.startswith(b"\xef\xbb\xbf"):
         data = data[3:]
     try:
@@ -245,8 +250,7 @@ def _validate_rs3(doc: Rs3Document) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Rs3Component:
+class Rs3Component(NamedTuple):
     """One connected tree of an rs3 forest, with its EDU texts."""
 
     tree: RstTree
@@ -463,6 +467,8 @@ def serialize_rs3_forest(docs: Sequence[DocumentRecord]) -> bytes:
     A right cascade of nodes with the same NN label is written as one
     multinuc group, the inverse of how :func:`extract_forest` reads it.
     """
+    import xml.etree.ElementTree as ET
+
     for doc in docs:
         if doc.tree is None:
             raise MissingTree(f"{doc.doc_id} has no tree")
@@ -520,6 +526,8 @@ def _emit_component(
 ) -> int:
     """Append one tree's segments and groups, each in id order; returns the
     next free group id."""
+    import xml.etree.ElementTree as ET
+
     # First pass: rs3 ids for every group (pre-order, last child first) and
     # segment, and the children of each group.
     node_ids: dict[int, str] = {}

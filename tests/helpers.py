@@ -36,6 +36,7 @@ from rstkit.core import (
     enumerate_constituents,
 )
 from rstkit.crf import CrfGradients, CrfModel, log_likelihood
+from rstkit.preprocess import RemapTable
 from rstkit.treebank import SchemaViolation
 
 TEST_LABELS = (
@@ -693,3 +694,14 @@ def reference_spanned_sentence_counts(
             multi += 1
             spanned_multi += matched
     return spanned_multi, multi, spanned_any, len(sentences)
+
+
+# ---------------------------------------------------------------------------
+# Remap tables
+# ---------------------------------------------------------------------------
+
+
+def dump_remap_table(table: RemapTable, path) -> None:
+    """Write a remap table as rule text, the inverse of ``load_remap_table``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(table.as_text())

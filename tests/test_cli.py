@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import io
 import json
@@ -324,6 +325,43 @@ class TestSegmenterCommands:
         assert problem in capsys.readouterr().err
         assert not out.exists()
 
+    def test_model_name_without_suffix_gains_npz(self, gold_file, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["train-segmenter", str(gold_file), "-o", str(out_dir / "model"),
+                     "--epochs", "1", "--buckets", "8"]) == 0
+        assert os.listdir(out_dir) == ["model.npz"]
+        _, extractor = crf_mod.load_model(out_dir / "model.npz")
+        assert extractor.n_buckets == 8
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_save_leaves_the_model_path_as_it_was(
+        self, gold_file, tmp_path, monkeypatch, capsys, existing
+    ):
+        savez = np.savez
+
+        def failing(file, **arrays):
+            first = next(iter(arrays))
+            savez(file, **{first: arrays[first]})  # part of the archive is written
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        model = out_dir / "model.npz"
+        if existing:
+            assert main(["train-segmenter", str(gold_file), "-o", str(model),
+                         "--epochs", "1", "--buckets", "8"]) == 0
+            before = model.read_bytes()
+        monkeypatch.setattr(np, "savez", failing)
+        assert main(["train-segmenter", str(gold_file), "-o", str(model),
+                     "--epochs", "1", "--buckets", "16"]) == 1
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        if existing:
+            assert os.listdir(out_dir) == ["model.npz"]
+            assert model.read_bytes() == before
+        else:
+            assert os.listdir(out_dir) == []
+
     def test_segment_rejects_repeated_input_id(self, gold_file, tmp_path, capsys):
         model = tmp_path / "model.npz"
         assert main(["train-segmenter", str(gold_file), "-o", str(model),
@@ -459,6 +497,19 @@ class TestParseAndEval:
         dup = _with_repeated_line(gold_file, tmp_path, index=3)
         assert main(["eval", str(gold_file), str(dup)]) == 1
         assert "duplicate document id doc3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["pred", "gold"])
+    def test_eval_names_the_file_of_a_malformed_line(self, gold_file, tmp_path, bad,
+                                                     capsys):
+        lines = gold_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("".join(lines[:2] + ['{"id": 1}\n'] + lines[3:]),
+                          encoding="utf-8")
+        gold, pred = (gold_file, broken) if bad == "pred" else (broken, gold_file)
+        assert main(["eval", str(gold), str(pred)]) == 1
+        err = capsys.readouterr().err
+        assert f"rstkit: error: {broken}: line 3: record is missing fields" in err
+        assert str(gold_file) not in err
 
     def test_eval_rejects_prediction_without_gold(self, gold_file, tmp_path, capsys):
         lines = gold_file.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -1027,6 +1078,46 @@ class TestCliContract:
         result = subprocess.run([sys.executable, "-c", script, json.dumps(parses)],
                                 env=env, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
+
+
+    def test_each_command_imports_only_what_it_runs(self, gold_file, rs3_dir, tmp_path):
+        inventory = _inventory_file(gold_file, tmp_path)
+        labels = inventory.read_text(encoding="utf-8").split()
+        scores = tmp_path / "scores.jsonl"
+        _write_full_score_dump(gold_file, labels, scores)
+        gold, out, model = str(gold_file), str(tmp_path / "out.jsonl"), str(tmp_path / "m.npz")
+        canonical_only = {"rstkit.metrics", "rstkit.preprocess", "statistics",
+                          "xml.etree.ElementTree"}
+        scoring = {"rstkit.preprocess", "rstkit.decoder", "statistics",
+                   "xml.etree.ElementTree", "numpy"}
+        commands = [  # in order: segment reads the model train-segmenter writes
+            (["--version"], canonical_only),
+            (["parse", gold, "-o", out, "--oracle"], canonical_only),
+            (["parse", gold, "-o", out, "--baseline", labels[0]], canonical_only),
+            (["parse", gold, "-o", out, "--scores", str(scores),
+              "--inventory", str(inventory)], canonical_only),
+            (["train-segmenter", gold, "-o", model, "--epochs", "1", "--buckets", "8"],
+             canonical_only),
+            (["segment", model, gold, "-o", out], canonical_only),
+            (["stats", gold, "--csv", "--by-genre"], scoring),
+            (["eval", gold, gold, "--end-to-end"], scoring),
+            (["convert", str(rs3_dir), "-o", out], {"rstkit.metrics", "numpy"}),
+        ]
+        script = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "from rstkit.cli import main\n"
+            "code = main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(rstkit.__file__).parents[1]))
+        for argv, forbidden in commands:
+            result = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                                    env=env, capture_output=True, text=True, timeout=60)
+            code, loaded = json.loads(result.stdout.splitlines()[-1])
+            assert code == 0, (argv, result.stderr)
+            assert "rstkit.treebank" in loaded, argv
+            assert forbidden.isdisjoint(loaded), (argv, sorted(forbidden & set(loaded)))
 
 
 class TestCollectorPause:

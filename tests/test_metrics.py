@@ -1,4 +1,5 @@
 import random
+import statistics
 
 import pytest
 
@@ -20,6 +21,7 @@ from rstkit.metrics import (
     format_stats_table,
     genre_breakdown,
     parseval,
+    _median,
     _spanned_sentence_counts,
     parseval_csv,
     segmentation_f1,
@@ -465,6 +467,14 @@ class TestCorpusStats:
         breakdown = genre_breakdown(corpus)
         assert list(breakdown) == ["news"]
         assert breakdown["news"] == corpus_stats(docs)
+
+    def test_median_equals_statistics_median(self):
+        rng = random.Random(23)
+        for n in range(1, 51):
+            for top in (3, 10_000):  # many repeated values, then mostly distinct
+                values = [rng.randint(1, top) for _ in range(n)]
+                got, want = _median(values), statistics.median(values)
+                assert got == want and type(got) is type(want), values
 
 
 class TestReportRendering:

@@ -14,7 +14,6 @@ from rstkit.preprocess import (
     PreprocessReport,
     RemapRule,
     default_rrt_remap_table,
-    dump_remap_table,
     label_histogram,
     parse_remap_rules,
     preprocess_corpus,
@@ -25,7 +24,7 @@ from rstkit.preprocess import (
 )
 from rstkit.treebank import extract_forest, parse_rs3, serialize_rs3_forest
 
-from helpers import make_document, random_tree
+from helpers import dump_remap_table, make_document, random_tree
 
 from conftest import RAW_LABEL_CYCLE, EXPECTED_REMAPPED_CLASSES, build_forest_corpus
 
