@@ -27,8 +27,6 @@ from .core import (
     RstError,
     RstTree,
     Split,
-    build_tree,
-    describe,
     enumerate_constituents,
 )
 
@@ -43,7 +41,5 @@ __all__ = [
     "RstError",
     "RstTree",
     "Split",
-    "build_tree",
-    "describe",
     "enumerate_constituents",
 ]

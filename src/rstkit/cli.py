@@ -419,7 +419,7 @@ def cmd_parse(args) -> int:
                 tree = decode(len(doc.edus), provider, config_for(labels))
             else:  # a lone EDU: its gold tree is a leaf with no label
                 tree = RstTree.leaf(0)
-            tb_mod.write_record(out, replace(doc, tree=tree))
+            tb_mod.write_record(out, doc.with_tree(tree))
             count += 1
     print(f"parsed {count} documents -> {args.output}")
     return 0

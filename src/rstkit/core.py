@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from operator import lt
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 
 class RstError(Exception):
@@ -31,10 +31,6 @@ class NonBinaryNode(RstError):
 
 class NonContiguousChildren(RstError):
     """Sibling subtrees do not cover adjacent EDU ranges in order."""
-
-
-class DuplicateLeaf(RstError):
-    """An EDU index occurs more than once in a tree description."""
 
 
 class MissingTree(RstError):
@@ -332,91 +328,6 @@ def _grow_leaves(edu_index: int) -> tuple[RstTree, ...]:
     return leaves
 
 
-# A tree description is an int (leaf EDU index) or a (left, right, label)
-# triple; labels may be RelationLabel instances or merged strings.
-TreeDescription = Union[int, RelationLabel, str, tuple, list]
-
-
-def build_tree(description: TreeDescription) -> RstTree:
-    """Build an :class:`RstTree` from a nested constituent description.
-
-    Leaves are written as plain EDU indices and internal nodes as
-    ``(left, right, label)`` triples, e.g. ``((0, 1, "joint_NN"), 2,
-    "elaboration_NS")``.  Raises NonBinaryNode for malformed nesting,
-    DuplicateLeaf for repeated EDU indices and NonContiguousChildren when
-    sibling ranges are not adjacent and in order.
-    """
-    _check_duplicate_leaves(description)
-    # Iterative post-order construction; frames are (description, children).
-    result: list[RstTree] = []
-    stack: list[tuple] = [("build", description)]
-    while stack:
-        op, payload = stack.pop()
-        if op == "build":
-            if isinstance(payload, (bool,)):
-                raise NonBinaryNode(f"not a constituent description: {payload!r}")
-            if isinstance(payload, int):
-                result.append(RstTree.leaf(payload))
-            elif isinstance(payload, (tuple, list)):
-                if len(payload) != 3:
-                    raise NonBinaryNode(
-                        f"expected (left, right, label), got {len(payload)} items"
-                    )
-                left, right, label = payload
-                stack.append(("combine", label))
-                stack.append(("build", right))
-                stack.append(("build", left))
-            else:
-                raise NonBinaryNode(
-                    f"not a constituent description: {payload!r}"
-                )
-        else:  # combine
-            label = payload
-            if isinstance(label, str):
-                label = RelationLabel.from_merged(label)
-            if not isinstance(label, RelationLabel):
-                raise NonBinaryNode(f"not a relation label: {payload!r}")
-            right = result.pop()
-            left = result.pop()
-            result.append(RstTree.internal(left, right, label))
-    (tree,) = result
-    return tree
-
-
-def _check_duplicate_leaves(description: TreeDescription) -> None:
-    seen: set[int] = set()
-    stack = [description]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, int) and not isinstance(item, bool):
-            if item in seen:
-                raise DuplicateLeaf(f"EDU index {item} used twice")
-            seen.add(item)
-        elif isinstance(item, (tuple, list)) and len(item) == 3:
-            stack.extend(item[:2])
-
-
-def describe(tree: RstTree) -> TreeDescription:
-    """Inverse of :func:`build_tree`: ``build_tree(describe(t)) == t``."""
-    result: list[TreeDescription] = []
-    stack: list[tuple] = [("visit", tree)]
-    while stack:
-        op, node = stack.pop()
-        if op == "visit":
-            if node.is_leaf:
-                result.append(node.edu_index)
-            else:
-                stack.append(("combine", node))
-                stack.append(("visit", node.right))
-                stack.append(("visit", node.left))
-        else:
-            right = result.pop()
-            left = result.pop()
-            result.append((left, right, node.label.merged))
-    (description,) = result
-    return description
-
-
 @dataclass(frozen=True, slots=True)
 class Constituent:
     """One evaluation unit: a labeled, role-annotated token span.
@@ -530,15 +441,32 @@ class DocumentRecord:
             raise RstError(f"{self.doc_id}: char offsets not increasing")
         self._check_edu_partition()
         if self.tree is not None:
-            if self.tree.n_leaves != len(self.edus):
-                raise RstError(
-                    f"{self.doc_id}: tree has {self.tree.n_leaves} leaves "
-                    f"but document has {len(self.edus)} EDUs"
-                )
-            if self.tree.first_edu != 0:
-                raise RstError(f"{self.doc_id}: tree must start at EDU 0")
+            self._check_tree(self.tree)
         if self.sentence_boundaries is not None:
             self.check_sentence_boundaries(self.sentence_boundaries)
+
+    def with_tree(self, tree: RstTree) -> "DocumentRecord":
+        """This document with ``tree`` in place of its own.
+
+        Equal to ``dataclasses.replace(self, tree=tree)``, but only the tree
+        is checked (one leaf per EDU, starting at EDU 0): every other field
+        is this record's, which construction has already checked.
+        """
+        self._check_tree(tree)
+        record = object.__new__(DocumentRecord)
+        for name in DocumentRecord.__slots__:
+            object.__setattr__(record, name, getattr(self, name))
+        object.__setattr__(record, "tree", tree)
+        return record
+
+    def _check_tree(self, tree: RstTree) -> None:
+        if tree.n_leaves != len(self.edus):
+            raise RstError(
+                f"{self.doc_id}: tree has {tree.n_leaves} leaves "
+                f"but document has {len(self.edus)} EDUs"
+            )
+        if tree.first_edu != 0:
+            raise RstError(f"{self.doc_id}: tree must start at EDU 0")
 
     def check_sentence_boundaries(self, bounds: Sequence[int]) -> None:
         """Raise RstError naming the document unless ``bounds`` start at 0,

@@ -14,7 +14,7 @@ parallel is safe.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -188,7 +188,7 @@ def remap_document(
     if doc.tree is None:
         return doc, Counter()
     tree, counts = remap_tree_counting(doc.tree, table)
-    return replace(doc, tree=tree), counts
+    return doc.with_tree(tree), counts
 
 
 def split_forest(

@@ -583,9 +583,6 @@ def _emit_component(
 # Bracketed tree strings
 # ---------------------------------------------------------------------------
 
-_TREE_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
-
-
 def tree_to_string(tree: RstTree) -> str:
     """Render a tree as ``(rel_NUC left right)`` with ``#k`` leaves."""
     pieces: list[str] = []
@@ -606,23 +603,33 @@ def tree_to_string(tree: RstTree) -> str:
 def tree_from_string(text: str) -> RstTree:
     """Parse the bracketed tree format produced by :func:`tree_to_string`.
 
-    One pass over the tokens with a stack of open ``(label left right)``
-    frames; each node is built by ``RstTree``, which checks adjacency, and
-    each ``#k`` is the shared ``RstTree.leaf(k)``.
+    One pass over the tokens with one stack: ``None`` marks an open
+    bracket, which only a label may follow directly, then come the child
+    nodes.  Each node is built by ``RstTree``, which checks adjacency, and
+    each ``#k`` is the shared ``RstTree.leaf(k)``.  Tokens are brackets and
+    the runs between brackets and whitespace (``str.split``'s whitespace,
+    the same code points as the regular expression ``\\s``).
     """
-    frames: list[list] = []
+    if not isinstance(text, str):
+        raise TypeError(
+            f"expected string or bytes-like object, got {type(text).__name__!r}"
+        )
+    stack: list = []  # None (an open bracket), label strings and nodes
     root: RstTree | None = None
-    for tok in _TREE_TOKEN_RE.findall(text):
+    for tok in text.replace("(", " ( ").replace(")", " ) ").split():
         if tok == "(":
-            frames.append([])
+            stack.append(None)
             continue
         if tok == ")":
-            if not frames:
+            if not stack:
                 raise RstError("unbalanced ')' in tree string")
-            items = frames.pop()
-            if len(items) != 3 or type(items[0]) is not str:
+            if len(stack) < 4:
                 raise RstError("tree string: expected (label left right)")
-            name, left, right = items
+            right, left, name, _ = stack.pop(), stack.pop(), stack.pop(), stack.pop()
+            # A label only ever follows an open bracket, so with a label
+            # third from the top these four are the whole innermost frame.
+            if type(name) is not str or left is None or right is None:
+                raise RstError("tree string: expected (label left right)")
             label = RelationLabel.from_merged(name)
             node = RstTree(left.first_edu, right.last_edu, label, left, right)
         elif tok[0] == "#":
@@ -631,21 +638,21 @@ def tree_from_string(text: str) -> RstTree:
             except ValueError:
                 raise RstError(f"bad leaf token {tok!r}") from None
             node = RstTree.leaf(index)
-        elif not frames:
+        elif not stack:
             raise RstError(f"unbalanced tree string: {text!r}")
-        elif frames[-1]:
+        elif stack[-1] is not None:
             # a label may only open its frame
             raise RstError("tree string: expected (label left right)")
         else:
-            frames[-1].append(tok)
+            stack.append(tok)
             continue
-        if frames:
-            frames[-1].append(node)
+        if stack:
+            stack.append(node)
         elif root is None:
             root = node
         else:
             raise RstError("multiple root nodes in tree string")
-    if frames or root is None:
+    if stack or root is None:
         raise RstError(f"unbalanced tree string: {text!r}")
     return root
 
@@ -658,11 +665,16 @@ _CANONICAL_FIELDS = ("id", "genre", "lang", "tokens", "edus", "tree", "sents", "
 
 
 def record_to_json(doc: DocumentRecord) -> dict:
+    """The canonical object of ``doc``, fields in canonical order.
+
+    Token pairs are ``(text, char_start)`` tuples, which the JSON encoder
+    writes as ``[text, char_start]`` arrays, the same bytes as lists.
+    """
     return {
         "id": doc.doc_id,
         "genre": doc.genre,
         "lang": doc.lang,
-        "tokens": list(map(list, zip(doc.tokens, doc.char_starts))),
+        "tokens": list(zip(doc.tokens, doc.char_starts)),
         "edus": [[e.first_token, e.last_token] for e in doc.edus],
         "tree": tree_to_string(doc.tree) if doc.tree is not None else None,
         "sents": list(doc.sentence_boundaries)
@@ -690,9 +702,13 @@ def record_from_json(obj: dict) -> DocumentRecord:
     if extra:
         raise RstError(f"record has unknown fields: {extra}")
     pairs = obj["tokens"]
-    if set(map(len, pairs)) - {2}:
-        raise RstError("every token must be a [text, char_start] pair")
-    texts, starts = zip(*pairs) if pairs else ((), ())
+    try:
+        texts, starts = zip(*pairs, strict=True)
+    except (TypeError, ValueError):
+        # len() names a token that is no sequence; no pairs means no tokens
+        if set(map(len, pairs)) - {2}:
+            raise RstError("every token must be a [text, char_start] pair") from None
+        texts = starts = ()
     _json_ints(chain.from_iterable(obj["edus"]), "EDU bounds")
     edus = tuple(EduSpan(a, b) for a, b in obj["edus"])
     tree = tree_from_string(obj["tree"]) if obj["tree"] is not None else None
@@ -712,9 +728,14 @@ def record_from_json(obj: dict) -> DocumentRecord:
     )
 
 
+# json.dumps(obj, ensure_ascii=False) without building an encoder per call;
+# a record holds no reference cycles, so the circular check is skipped.
+_encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+
+
 def write_record(fh, doc: DocumentRecord) -> None:
     """Append one canonical line to an open text stream."""
-    fh.write(json.dumps(record_to_json(doc), ensure_ascii=False))
+    fh.write(_encode(record_to_json(doc)))
     fh.write("\n")
 
 

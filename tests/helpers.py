@@ -6,9 +6,11 @@ path enumeration and from sequential per-token recursions over dense
 features, decoder optima from enumerating every binary tree and from a
 chart over all ranges, gradients from central finite differences,
 canonical records from a per-token loop with a shift-reduce tree parser,
-tree strings from a piece-by-piece renderer, tokens from peeling every
-chunk one character at a time, and sentence statistics from a scan over
-every EDU.
+tree strings from a piece-by-piece renderer, canonical lines from
+``json.dumps`` of plain lists, tokens from peeling every chunk one
+character at a time, and sentence statistics from a scan over every EDU.
+Trees are written in tests as nested ``(left, right, label)`` descriptions
+(:func:`build_tree`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import random
 import re
 import unicodedata
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from rstkit.core import (
     DocumentRecord,
     EduSpan,
     LabelParseError,
+    NonBinaryNode,
     Nuclearity,
     RelationLabel,
     RstError,
@@ -46,6 +49,100 @@ TEST_LABELS = (
     "joint_NN",
     "sequence_NN",
 )
+
+
+# ---------------------------------------------------------------------------
+# Tree descriptions: nested (left, right, label) tuples with int leaves
+# ---------------------------------------------------------------------------
+
+
+class DuplicateLeaf(RstError):
+    """An EDU index occurs more than once in a tree description."""
+
+
+# A tree description is an int (leaf EDU index) or a (left, right, label)
+# triple; labels may be RelationLabel instances or merged strings.
+TreeDescription = Union[int, RelationLabel, str, tuple, list]
+
+
+def build_tree(description: TreeDescription) -> RstTree:
+    """Build an :class:`RstTree` from a nested constituent description.
+
+    Leaves are written as plain EDU indices and internal nodes as
+    ``(left, right, label)`` triples, e.g. ``((0, 1, "joint_NN"), 2,
+    "elaboration_NS")``.  Raises NonBinaryNode for malformed nesting,
+    DuplicateLeaf for repeated EDU indices and NonContiguousChildren when
+    sibling ranges are not adjacent and in order.
+    """
+    _check_duplicate_leaves(description)
+    # Iterative post-order construction; frames are (description, children).
+    result: list[RstTree] = []
+    stack: list[tuple] = [("build", description)]
+    while stack:
+        op, payload = stack.pop()
+        if op == "build":
+            if isinstance(payload, (bool,)):
+                raise NonBinaryNode(f"not a constituent description: {payload!r}")
+            if isinstance(payload, int):
+                result.append(RstTree.leaf(payload))
+            elif isinstance(payload, (tuple, list)):
+                if len(payload) != 3:
+                    raise NonBinaryNode(
+                        f"expected (left, right, label), got {len(payload)} items"
+                    )
+                left, right, label = payload
+                stack.append(("combine", label))
+                stack.append(("build", right))
+                stack.append(("build", left))
+            else:
+                raise NonBinaryNode(
+                    f"not a constituent description: {payload!r}"
+                )
+        else:  # combine
+            label = payload
+            if isinstance(label, str):
+                label = RelationLabel.from_merged(label)
+            if not isinstance(label, RelationLabel):
+                raise NonBinaryNode(f"not a relation label: {payload!r}")
+            right = result.pop()
+            left = result.pop()
+            result.append(RstTree.internal(left, right, label))
+    (tree,) = result
+    return tree
+
+
+def _check_duplicate_leaves(description: TreeDescription) -> None:
+    seen: set[int] = set()
+    stack = [description]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, int) and not isinstance(item, bool):
+            if item in seen:
+                raise DuplicateLeaf(f"EDU index {item} used twice")
+            seen.add(item)
+        elif isinstance(item, (tuple, list)) and len(item) == 3:
+            stack.extend(item[:2])
+
+
+def describe(tree: RstTree) -> TreeDescription:
+    """Inverse of :func:`build_tree`: ``build_tree(describe(t)) == t``."""
+    result: list[TreeDescription] = []
+    stack: list[tuple] = [("visit", tree)]
+    while stack:
+        op, node = stack.pop()
+        if op == "visit":
+            if node.is_leaf:
+                result.append(node.edu_index)
+            else:
+                stack.append(("combine", node))
+                stack.append(("visit", node.right))
+                stack.append(("visit", node.left))
+        else:
+            right = result.pop()
+            left = result.pop()
+            result.append((left, right, node.label.merged))
+    (description,) = result
+    return description
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +604,9 @@ def reference_search(
 
 
 # ---------------------------------------------------------------------------
-# Canonical reader oracle: a per-token loop with per-token checks, a
-# shift-reduce tree parser on one mixed stack and uncached label parsing
+# Canonical reader and writer oracles: a per-token loop with per-token
+# checks, a shift-reduce tree parser on one mixed stack that tokenizes with
+# a regular expression, uncached label parsing, and json.dumps of lists
 # ---------------------------------------------------------------------------
 
 _REFERENCE_FIELDS = {"id", "genre", "lang", "tokens", "edus", "tree", "sents", "split"}
@@ -616,6 +714,24 @@ def reference_read(path) -> list[DocumentRecord]:
             except (RstError, KeyError, TypeError, ValueError) as exc:
                 raise SchemaViolation(line_number, str(exc)) from None
     return docs
+
+
+def reference_write_record(fh, doc: DocumentRecord) -> None:
+    """Append ``doc``'s canonical line: ``json.dumps`` of a dict built here
+    field by field, with a list for every array."""
+    obj = {
+        "id": doc.doc_id,
+        "genre": doc.genre,
+        "lang": doc.lang,
+        "tokens": [[text, start] for text, start in zip(doc.tokens, doc.char_starts)],
+        "edus": [[edu.first_token, edu.last_token] for edu in doc.edus],
+        "tree": None if doc.tree is None else reference_tree_to_string(doc.tree),
+        "sents": None
+        if doc.sentence_boundaries is None
+        else list(doc.sentence_boundaries),
+        "split": doc.split.value,
+    }
+    fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
 # ---------------------------------------------------------------------------

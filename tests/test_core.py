@@ -11,7 +11,6 @@ from rstkit import core
 from rstkit.core import (
     Corpus,
     DocumentRecord,
-    DuplicateLeaf,
     EduSpan,
     LabelParseError,
     NonBinaryNode,
@@ -20,12 +19,18 @@ from rstkit.core import (
     RelationLabel,
     RstError,
     RstTree,
-    build_tree,
-    describe,
     enumerate_constituents,
 )
 
-from helpers import TEST_LABELS, make_document, random_edus, random_tree
+from helpers import (
+    TEST_LABELS,
+    DuplicateLeaf,
+    build_tree,
+    describe,
+    make_document,
+    random_edus,
+    random_tree,
+)
 
 
 class TestRelationLabel:
@@ -424,6 +429,27 @@ class TestDocumentRecord:
                 edus=(EduSpan(0, 0), EduSpan(1, 1)),
                 tree=build_tree(0),
             )
+
+    def test_with_tree_equals_replace_and_stays_frozen(self):
+        rng = random.Random(3)
+        for i in range(20):
+            n = rng.randint(1, 12)
+            doc = make_document(f"d{i}", random_tree(rng, n), random_edus(rng, n), sents=[0])
+            if i % 2:
+                doc = dataclasses.replace(doc, tree=None)
+            old_tree, tree = doc.tree, random_tree(rng, n)
+            swapped = doc.with_tree(tree)
+            assert swapped == dataclasses.replace(doc, tree=tree)
+            assert swapped.tree is tree and doc.tree is old_tree
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                swapped.tree = old_tree  # type: ignore[misc]
+
+    @pytest.mark.parametrize("n_leaves, first", [(2, 0), (4, 0), (3, 1)])
+    def test_with_tree_checks_the_tree(self, n_leaves, first):
+        doc = make_document("doc-7", build_tree(((0, 1, "joint_NN"), 2, "elaboration_NS")))
+        tree = random_tree(random.Random(0), n_leaves, first=first)
+        with pytest.raises(RstError, match="doc-7"):
+            doc.with_tree(tree)
 
     def test_sentence_boundaries_must_start_at_zero(self):
         with pytest.raises(RstError):

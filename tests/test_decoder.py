@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rstkit.core import RstError, RstTree, build_tree
+from rstkit.core import RstError, RstTree
 from rstkit.decoder import (
     DecodeConfig,
     MissingScore,
@@ -24,6 +24,7 @@ from rstkit.metrics import parseval
 
 from helpers import (
     TEST_LABELS,
+    build_tree,
     catalan,
     enumerate_trees,
     random_tree,

@@ -6,7 +6,6 @@ import pytest
 from rstkit.core import (
     EduSpan,
     RstError,
-    build_tree,
     enumerate_constituents,
 )
 from rstkit.core import Corpus
@@ -30,6 +29,7 @@ from rstkit.metrics import (
 
 from helpers import (
     brute_force_parseval,
+    build_tree,
     make_document,
     oracle_counts,
     perturb_tree,

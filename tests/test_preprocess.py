@@ -7,8 +7,6 @@ from rstkit.core import (
     Nuclearity,
     RelationLabel,
     RstError,
-    build_tree,
-    describe,
 )
 from rstkit.preprocess import (
     PreprocessReport,
@@ -24,7 +22,13 @@ from rstkit.preprocess import (
 )
 from rstkit.treebank import extract_forest, parse_rs3, serialize_rs3_forest
 
-from helpers import dump_remap_table, make_document, random_tree
+from helpers import (
+    build_tree,
+    describe,
+    dump_remap_table,
+    make_document,
+    random_tree,
+)
 
 from conftest import RAW_LABEL_CYCLE, EXPECTED_REMAPPED_CLASSES, build_forest_corpus
 

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import re
@@ -5,6 +6,7 @@ import sys
 import tracemalloc
 import unicodedata
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from rstkit.core import (
     RelationLabel,
     RstError,
     RstTree,
-    build_tree,
 )
 from rstkit.treebank import (
     DanglingParentId,
@@ -33,6 +34,7 @@ from rstkit.treebank import (
     iter_canonical,
     parse_rs3,
     record_from_json,
+    record_to_json,
     read_canonical,
     serialize_rs3,
     serialize_rs3_forest,
@@ -47,6 +49,7 @@ from rstkit.core import Corpus
 
 from helpers import (
     TEST_LABELS,
+    build_tree,
     make_document,
     random_edus,
     random_tree,
@@ -55,6 +58,7 @@ from helpers import (
     reference_tokenize,
     reference_tree_from_string,
     reference_tree_to_string,
+    reference_write_record,
 )
 
 
@@ -521,6 +525,49 @@ class TestComponentToRecord:
         assert record.tree == build_tree((0, 1, "elaboration_NS"))
 
 
+# Whitespace other than " " that str.split() and the regular expression \s
+# both skip.
+_ODD_SPACES = (
+    "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+    "\x85", "\xa0", "\u2003", "\u2028", "\u3000",
+)
+
+
+def _respace(tree: str, rng: random.Random) -> str:
+    """``tree`` with every space, and a gap after each "(" and before each
+    ")", made a run of odd whitespace; the string still ends with ")"."""
+
+    def gap(_match) -> str:
+        return "".join(rng.choice(_ODD_SPACES) for _ in range(rng.randint(1, 3)))
+
+    tree = re.sub(" ", gap, tree)
+    tree = re.sub(r"\(", lambda m: "(" + gap(m), tree)
+    return re.sub(r"\)", lambda m: gap(m) + ")", tree)
+
+
+_SPACING_CASES = [
+    "( joint_NN #0 #1 )",
+    "(\tjoint_NN\n#0\u2003#1\x85)",
+    "(joint_NN\x1c#0\x1d#1\x1e)\x1f",
+    "\x85#0\u3000",
+    "(elaboration_NS\t(joint_NN #0 #1)\n#2)",
+    "(Joint_NN\r#0\x0b#1\x0c)",
+    "(joint_NN)",  # a label closed at once
+    "(joint_NN #0)",
+    "( joint_NN #0 #1 ) )",
+    "#0)",
+    "(joint_NN #0#1)",  # leaves run together
+    "(joint_NN\u200b#0 #1)",  # U+200B is no whitespace
+    "(joi\u2003nt_NN #0 #1)",  # a label split in two
+    "(joint_NN #0 #1)\x85(joint_NN #2 #3)",
+    "(joint_NN (elaboration_NS #1 #2)\u3000#0)",
+    "(joint\t#0 #1)",
+    "( (joint_NN #0 #1)",
+    "\u2003",
+    "",
+]
+
+
 class TestTreeStrings:
     def test_known_rendering(self):
         tree = build_tree(((0, 1, "joint_NN"), 2, "elaboration_NS"))
@@ -564,11 +611,36 @@ class TestTreeStrings:
             "(#0 elaboration_NS #1)",
             "(#0 #1 #2)",
             "elaboration_NS",
+            "(elaboration_NS #0 ()",  # an empty frame where a child belongs
+            "(elaboration_NS (joint_NN)",
         ],
     )
     def test_malformed_strings(self, bad):
         with pytest.raises(RstError):
             tree_from_string(bad)
+
+    @pytest.mark.parametrize("text", _SPACING_CASES)
+    def test_odd_spacing_agrees_with_the_reference(self, text):
+        try:
+            expected = reference_tree_from_string(text)
+        except RstError as exc:
+            with pytest.raises(RstError) as err:
+                tree_from_string(text)
+            assert type(err.value) is type(exc)
+        else:
+            assert tree_from_string(text) == expected
+
+    def test_split_whitespace_is_the_regex_whitespace(self):
+        # tree_from_string splits with str.split(); the reference tokenizes
+        # with the regular expression \s.  They must skip the same code points.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert "".join(every.split()) == re.sub(r"\s", "", every)
+        tree = build_tree((0, 1, "joint_NN"))
+        for space in re.findall(r"\s", every):
+            assert tree_from_string(f"({space}joint_NN{space}#0{space}#1{space})") == tree
+
+
+_PAIR_MESSAGE = "every token must be a [text, char_start] pair"
 
 
 class TestCanonicalFormat:
@@ -622,6 +694,34 @@ class TestCanonicalFormat:
         with pytest.raises(SchemaViolation) as err:
             read_canonical(path)
         assert err.value.line_number == 2
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("tree", 5, "got 'int'"),
+            ("tree", True, "got 'bool'"),
+            ("tree", ["#0"], "got 'list'"),
+            ("tree", {"#0": 1}, "got 'dict'"),
+            ("tokens", None, "not iterable"),
+            ("tokens", 0, "not iterable"),
+            ("tokens", "", "no tokens"),
+            ("tokens", [], "no tokens"),
+            ("tokens", {"ab": 1}, "char offsets"),
+            ("tokens", [5], "has no len()"),
+            ("tokens", [["w0", 0], None], "has no len()"),
+            ("tokens", [["w0"]], _PAIR_MESSAGE),
+            ("tokens", [["w0", 0, 1]], _PAIR_MESSAGE),
+            ("tokens", [["w0", 0], ["w1", 3, 1]], _PAIR_MESSAGE),
+        ],
+    )
+    def test_wrong_json_types_name_the_line(self, field, value, message, tmp_path):
+        obj = record_to_json(make_document("d", build_tree(0)))
+        obj[field] = value
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaViolation, match=re.escape(message)) as err:
+            read_canonical(path)
+        assert err.value.line_number == 1
 
     def test_missing_and_unknown_fields(self, tmp_path):
         corpus = self.make_corpus(n_docs=1)
@@ -721,6 +821,22 @@ _MUTATIONS = {
         sents=[False] + (obj["sents"] or [0])[1:]
     ),
     "boolean offset": _set_token(0, lambda tok, _: [tok[0], False]),
+    # odd whitespace between tokens, then a fault
+    "odd spacing, unbalanced": lambda obj: obj.update(
+        tree=_respace(obj["tree"], random.Random(1))[:-1]
+    ),
+    "odd spacing, label split": lambda obj: obj.update(
+        tree=_respace(re.sub(r"_(NN|NS|SN)\b", "\u2003_\\1", obj["tree"], count=1),
+                      random.Random(2))
+    ),
+    "odd spacing, label closed at once": lambda obj: obj.update(
+        tree=_respace(re.sub(r"\(([^\s()]+)", "(\\1)", obj["tree"], count=1),
+                      random.Random(3))
+    ),
+    "odd spacing, leaves run together": lambda obj: obj.update(
+        tree=_respace(re.sub(r"#(\d+)", "#\\1#\\1", obj["tree"], count=1),
+                      random.Random(4))
+    ),
 }
 
 
@@ -768,6 +884,19 @@ class TestReaderOracle:
                 if doc.tree is not None:
                     assert_shared_leaves(doc.tree)
 
+    def test_respaced_trees_read_equal(self, tmp_path):
+        rng = random.Random(8)
+        objs = [random_record_obj(rng, f"d{i}", min_edus=2) for i in range(5)]
+        lines = [
+            json.dumps(dict(obj, tree=_respace(obj["tree"], rng)), ensure_ascii=False)
+            for obj in objs
+        ]
+        path = tmp_path / "respaced.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        docs = read_canonical(path).documents
+        assert list(docs) == reference_read(path)
+        assert [doc.tree for doc in docs] == [tree_from_string(o["tree"]) for o in objs]
+
     def test_tree_strings_parse_equal_to_the_reference(self):
         rng = random.Random(43)
         sizes = [rng.randint(1, 300) for _ in range(150)] + [core._INTERN_LIMIT + 40]
@@ -776,6 +905,73 @@ class TestReaderOracle:
             tree = tree_from_string(text)
             assert tree == reference_tree_from_string(text)
             assert_shared_leaves(tree)
+
+
+# Token, id and genre texts that the JSON encoder must escape (quotes,
+# backslashes, control characters) or write as they are (non-ASCII).
+_ODD_TEXTS = (
+    "«", "Привет", "»", '"', "\\", 'a"b\\c', "\x00", "\x1f", "\x7f", "\x85",
+    "\u2028", "\U0001f600", "tab\there", "\n", "e\u0301", "日本", "w",
+)
+
+
+def random_odd_record(rng: random.Random, doc_id: str) -> DocumentRecord:
+    n = rng.randint(1, 30)
+    edus = random_edus(rng, n)
+    n_tokens = edus[-1].last_token + 1
+    starts, offset = [], rng.randint(0, 3)
+    for _ in range(n_tokens):
+        starts.append(offset)
+        offset += rng.randint(1, 4)
+    return DocumentRecord(
+        doc_id=doc_id + rng.choice(_ODD_TEXTS),
+        genre=rng.choice(_ODD_TEXTS + ("",)),
+        lang=rng.choice(["en", "ru", "other"]),
+        tokens=tuple(rng.choice(_ODD_TEXTS) for _ in range(n_tokens)),
+        char_starts=tuple(starts),
+        edus=edus,
+        tree=random_tree(rng, n) if rng.random() < 0.5 else None,
+        sentence_boundaries=sorted({0, rng.randrange(n_tokens)})
+        if rng.random() < 0.5
+        else None,
+        split=rng.choice(["train", "dev", "test"]),
+    )
+
+
+# The one line of golden_record.jsonl, built field by field.
+GOLDEN_PATH = Path(__file__).with_name("golden_record.jsonl")
+GOLDEN_RECORD = DocumentRecord(
+    doc_id="GUM_news_golden",
+    genre="news",
+    lang="en",
+    tokens=("Zo\u00eb", "said", '"', "hi", '"', "."),
+    char_starts=(0, 4, 9, 10, 12, 13),
+    edus=(EduSpan(0, 1), EduSpan(2, 5)),
+    tree=build_tree((0, 1, "attribution_SN")),
+    sentence_boundaries=(0,),
+    split="dev",
+)
+
+
+class TestWriterOracle:
+    def test_lines_equal_the_reference_byte_for_byte(self):
+        rng = random.Random(31)
+        kinds = set()
+        for i in range(300):
+            doc = random_odd_record(rng, f"d{i}")
+            fast, slow = io.StringIO(), io.StringIO()
+            write_record(fast, doc)
+            reference_write_record(slow, doc)
+            assert fast.getvalue().encode("utf-8") == slow.getvalue().encode("utf-8")
+            kinds.add((doc.tree is None, doc.sentence_boundaries is None))
+        assert len(kinds) == 4  # tree and sents each null and present
+
+    def test_golden_line(self):
+        # Pins the separators (", " and ": "), the field order and escaping.
+        out = io.StringIO()
+        write_record(out, GOLDEN_RECORD)
+        assert out.getvalue().encode("utf-8") == GOLDEN_PATH.read_bytes()
+        assert read_canonical(GOLDEN_PATH).documents == (GOLDEN_RECORD,)
 
 
 class TestReadMemory:
