@@ -3,12 +3,13 @@
 Every subcommand is deterministic for identical inputs and seeds.
 ``convert`` and ``preprocess`` write documents in sorted id order;
 ``segment`` and ``parse`` keep the input order and read their input once.
-``stats`` (without ``--by-genre``), ``segment`` and ``parse`` stream
-documents one at a time, so their memory stays bounded by the largest
-single document, except that ``parse --scores`` also holds the whole score
-dump; ``eval`` holds the predictions, and ``train-segmenter`` and
-``stats --by-genre`` hold the whole corpus.  A document id may occur only
-once per input file; ``eval`` names the file of a malformed line.  An
+``stats`` (always), ``segment`` and ``parse`` stream documents one at a
+time, so their memory stays bounded by the largest document (``stats``
+keeps each id and token count), except that ``parse --scores`` also holds
+the whole score dump; ``eval`` holds the predictions and
+``train-segmenter`` only the documents of its ``--split``.  One reader,
+``_records``, reads every canonical input: an id may occur once per file,
+and every error about a line of a canonical or ``--sents`` file names it.  An
 output file given with ``-o`` appears only when its command succeeds: it
 is written next to its path and moved there at the end, so a failed run
 leaves no new or partial file and does not touch a file already at that
@@ -189,15 +190,26 @@ def _write_sorted(corpus: Corpus, path: str) -> None:
             tb_mod.write_record(out, doc)
 
 
-def _unique_records(path: Path, seen: set[str] | None = None):
-    """Stream a canonical file, rejecting a document id seen before; the
+@contextmanager
+def _naming(path: Path):
+    """Prefix the ``line N: ...`` of a malformed line with its file."""
+    try:
+        yield
+    except tb_mod.SchemaViolation as exc:
+        raise RstError(f"{path}: {exc}") from None
+
+
+def _records(path: Path, seen: set[str] | None = None):
+    """Stream a canonical file, the only way a command reads one: every
+    error names the file, and a document id seen before is rejected; the
     ids go into ``seen`` when given."""
     seen = set() if seen is None else seen
-    for doc in tb_mod.iter_canonical(path):
-        if doc.doc_id in seen:
-            raise RstError(f"{path}: duplicate document id {doc.doc_id}")
-        seen.add(doc.doc_id)
-        yield doc
+    with _naming(path):
+        for doc in tb_mod.iter_canonical(path):
+            if doc.doc_id in seen:
+                raise RstError(f"{path}: duplicate document id {doc.doc_id}")
+            seen.add(doc.doc_id)
+            yield doc
 
 
 def _add_rs3_input_flags(parser) -> None:
@@ -246,7 +258,7 @@ def cmd_preprocess(args) -> int:
             split_forests=args.split_forests,
         )
     else:
-        records = list(tb_mod.iter_canonical(in_path))
+        records = list(_records(in_path))
         corpus, report = prep_mod.preprocess_records(
             records, len(records), table=table, drop_single_edu=args.drop_single_edu
         )
@@ -272,26 +284,17 @@ def cmd_stats(args) -> int:
     from . import metrics as metrics_mod
 
     in_path = _input_path(args.input)
-    name = in_path.stem
-    sentences = (
-        tb_mod.read_sentence_file(_input_path(args.sents)) if args.sents else None
-    )
-    spanned = not args.no_spanned
-    rows = {}
+    sents_path = args.sents and _input_path(args.sents)
+    with _naming(sents_path):
+        sentences = tb_mod.read_sentence_file(sents_path) if sents_path else None
     doc_ids: set[str] = set()
+    # one streaming pass gives the whole-corpus row and every genre's row
+    whole, per_genre = metrics_mod.genre_breakdown(
+        _records(in_path, doc_ids), sentences, not args.no_spanned
+    )
+    rows = {in_path.stem: whole}
     if args.by_genre:
-        corpus = tb_mod.read_canonical(in_path)
-        doc_ids.update(doc.doc_id for doc in corpus.documents)
-        rows[name] = metrics_mod.corpus_stats(corpus.documents, sentences, spanned)
-        for genre, stats in metrics_mod.genre_breakdown(
-            corpus, sentences, spanned
-        ).items():
-            rows[f"{name}/{genre}"] = stats
-    else:
-        # streaming pass; memory stays bounded by the largest document
-        rows[name] = metrics_mod.corpus_stats(
-            _unique_records(in_path, doc_ids), sentences, spanned
-        )
+        rows.update((f"{in_path.stem}/{genre}", row) for genre, row in per_genre.items())
     unknown = sorted(set(sentences or ()) - doc_ids)
     if unknown:
         raise RstError(f"{args.sents}: unknown document ids {unknown}")
@@ -305,8 +308,8 @@ def cmd_stats(args) -> int:
 def cmd_train_segmenter(args) -> int:
     from . import crf as crf_mod
 
-    corpus = tb_mod.read_canonical(_input_path(args.input))
-    docs = [d for d in corpus.documents if args.split in ("all", d.split.value)]
+    in_path = _input_path(args.input)
+    docs = [d for d in _records(in_path) if args.split in ("all", d.split.value)]
     if not docs:
         raise RstError(f"no documents in split {args.split!r}")
     extractor = crf_mod.HashedWindowFeatures(args.buckets)
@@ -340,7 +343,7 @@ def cmd_segment(args) -> int:
         raise RstError(f"{args.model}: segmenter labels must be B, I; got {model.labels}")
     count = 0
     with _output_file(args.output) as out:
-        for doc in _unique_records(_input_path(args.input)):
+        for doc in _records(_input_path(args.input)):
             labels = crf_mod.viterbi(model, extractor(doc.token_texts()))
             edus = crf_mod.labels_to_edus(labels)
             tb_mod.write_record(out, replace(doc, edus=edus, tree=None))
@@ -402,7 +405,7 @@ def cmd_parse(args) -> int:
 
     count = 0
     with _output_file(args.output) as out:
-        for doc in _unique_records(in_path):
+        for doc in _records(in_path):
             labels = fixed
             if args.oracle:
                 if doc.tree is None:
@@ -428,16 +431,8 @@ def cmd_parse(args) -> int:
 def cmd_eval(args) -> int:
     from . import metrics as metrics_mod
 
-    def records(path: str):
-        # two inputs, so a malformed line is named with its file
-        in_path = _input_path(path)
-        try:
-            yield from _unique_records(in_path)
-        except tb_mod.SchemaViolation as exc:
-            raise RstError(f"{in_path}: {exc}") from None
-
     # predictions are indexed in memory; gold documents stream past them
-    pred_by_id = {doc.doc_id: doc for doc in records(args.pred)}
+    pred_by_id = {doc.doc_id: doc for doc in _records(_input_path(args.pred))}
 
     def score_pair(gold_doc, pred_doc):
         if pred_doc.tree is None:
@@ -459,7 +454,7 @@ def cmd_eval(args) -> int:
     total = metrics_mod.ParsevalScores.zero()
     by_genre: dict[str, tuple] = {}
     scored = 0
-    for gold_doc in records(args.gold):
+    for gold_doc in _records(_input_path(args.gold)):
         pred_doc = pred_by_id.pop(gold_doc.doc_id, None)
         if args.genre is not None and gold_doc.genre != args.genre:
             continue

@@ -106,22 +106,15 @@ class CrfModel:
         cls,
         feature_dim: int,
         labels: Sequence[str] = DEFAULT_LABELS,
-        seed: int | None = None,
-        scale: float = 0.0,
     ) -> "CrfModel":
-        """Zero-initialized model, or small random weights when scale > 0."""
+        """Zero-initialized model."""
         n = len(labels)
-        if scale > 0.0:
-            rng = np.random.default_rng(seed)
-            draw = lambda *shape: rng.normal(0.0, scale, shape)
-        else:
-            draw = lambda *shape: np.zeros(shape)
         return cls(
             labels=tuple(labels),
-            emission=draw(n, feature_dim),
-            transition=draw(n, n),
-            start=draw(n),
-            stop=draw(n),
+            emission=np.zeros((n, feature_dim)),
+            transition=np.zeros((n, n)),
+            start=np.zeros(n),
+            stop=np.zeros(n),
         )
 
     def clone(self) -> "CrfModel":

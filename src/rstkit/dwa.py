@@ -30,7 +30,6 @@ __all__ = [
     "NonPositiveLoss",
     "NaNLoss",
     "DimensionMismatch",
-    "total_loss",
     "simulate",
     "DEFAULT_WINDOW",
     "DEFAULT_TEMPERATURE",
@@ -116,15 +115,6 @@ class DwaScheduler:
             self.history[k].appendleft(value)
         self.iteration += 1
         return weights
-
-
-def total_loss(losses: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted sum of task losses."""
-    if len(losses) != len(weights):
-        raise DimensionMismatch(
-            f"{len(losses)} losses vs {len(weights)} weights"
-        )
-    return float(sum(w * l for w, l in zip(weights, losses)))
 
 
 def simulate(

@@ -22,12 +22,12 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
     SPAN_RELATION,
-    Corpus,
     DocumentRecord,
     EduSpan,
     MissingTree,
@@ -333,6 +333,91 @@ def _median(values: Sequence[int]) -> int | float:
     return ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
+class _Tally:
+    """The sums behind one :class:`CorpusStats` row.  Tallies of disjoint
+    sets of documents merge with ``+=``: token counts concatenate, genre
+    and label sets union and counters sum."""
+
+    __slots__ = ("genres", "classes", "token_counts", "counts")
+
+    def __init__(self) -> None:
+        self.genres: set[str] = set()
+        self.classes: set[str] = set()
+        self.token_counts: list[int] = []
+        self.counts: Counter[str] = Counter()  # a missing count is 0
+
+    def add(self, doc: DocumentRecord, sentences, spanned: bool) -> None:
+        tree = doc.tree
+        if tree is None:
+            raise MissingTree(f"{doc.doc_id} has no tree")
+        self.genres.add(doc.genre)
+        first, last = tree.token_span(doc.edus)
+        self.token_counts.append(last - first + 1)
+        classes, non_span, nn = self.classes, 0, Nuclearity.NN  # enum reads are slow
+        for node in tree.internal_nodes():
+            label = node.label
+            classes.add(label.merged)  # type: ignore[union-attr]
+            non_span += 2 if label.nuclearity is nn else 1  # type: ignore[union-attr]
+        counts = self.counts
+        counts["edus"] += tree.n_leaves
+        counts["relation_pairs"] += tree.n_internal
+        counts["non_span"] += non_span
+        if spanned:
+            bounds = (
+                sentences.get(doc.doc_id)
+                if sentences is not None
+                else doc.sentence_boundaries
+            )
+            sm, m, sa, ts = _spanned_sentence_counts(doc, bounds)
+            counts.update(spanned_multi=sm, multi=m, spanned_any=sa, sentences=ts)
+
+    def __iadd__(self, other: "_Tally") -> "_Tally":
+        self.genres |= other.genres
+        self.classes |= other.classes
+        self.token_counts += other.token_counts
+        self.counts += other.counts
+        return self
+
+    def stats(self) -> CorpusStats:
+        # without spanned-sentence coverage, no sentence was counted
+        tokens, counts = self.token_counts, self.counts
+        multi, sents = counts["multi"], counts["sentences"]
+        return CorpusStats(
+            genres=len(self.genres),
+            docs=len(tokens),
+            classes=len(self.classes),
+            tokens_per_tree_min=min(tokens),
+            tokens_per_tree_max=max(tokens),
+            tokens_per_tree_median=float(_median(tokens)),
+            edus=counts["edus"],
+            edus_per_tree=counts["edus"] / len(tokens),
+            relation_pairs=counts["relation_pairs"],
+            non_span_constituents=counts["non_span"],
+            spanned_pct=100.0 * counts["spanned_multi"] / multi if multi else None,
+            spanned_all_pct=100.0 * counts["spanned_any"] / sents if sents else None,
+        )
+
+
+def genre_breakdown(
+    corpus_docs: Iterable[DocumentRecord],
+    sentences: Mapping[str, Sequence[int]] | None = None,
+    spanned: bool = True,
+) -> tuple[CorpusStats, dict[str, CorpusStats]]:
+    """The :func:`corpus_stats` row of all documents and the rows of each
+    genre, keyed and ordered by genre name, from one pass over the
+    documents that keeps only each one's token count."""
+    tallies: defaultdict[str, _Tally] = defaultdict(_Tally)
+    for doc in corpus_docs:
+        tallies[doc.genre].add(doc, sentences, spanned)
+    if not tallies:
+        raise RstError("statistics need at least one document")
+    whole, rows = _Tally(), {}
+    for genre in sorted(tallies):
+        whole += tallies[genre]
+        rows[genre] = tallies[genre].stats()
+    return whole.stats(), rows
+
+
 def corpus_stats(
     corpus_docs: Iterable[DocumentRecord],
     sentences: Mapping[str, Sequence[int]] | None = None,
@@ -348,72 +433,7 @@ def corpus_stats(
     the all-sentence variant is also reported.  With ``spanned=False`` no
     boundaries are needed.
     """
-    token_counts = []
-    edu_total = 0
-    relation_pairs = 0
-    non_span = 0
-    classes: set[str] = set()
-    genres: set[str] = set()
-    spanned_multi = multi = spanned_any = total_sents = 0
-    n_docs = 0
-    nn = Nuclearity.NN  # enum attribute reads are slow
-    for doc in corpus_docs:
-        n_docs += 1
-        if doc.tree is None:
-            raise MissingTree(f"{doc.doc_id} has no tree")
-        genres.add(doc.genre)
-        first, last = doc.tree.token_span(doc.edus)
-        token_counts.append(last - first + 1)
-        edu_total += doc.tree.n_leaves
-        relation_pairs += doc.tree.n_internal
-        for node in doc.tree.internal_nodes():
-            label = node.label
-            classes.add(label.merged)  # type: ignore[union-attr]
-            non_span += 2 if label.nuclearity is nn else 1  # type: ignore[union-attr]
-        if spanned:
-            bounds = (
-                sentences.get(doc.doc_id)
-                if sentences is not None
-                else doc.sentence_boundaries
-            )
-            sm, m, sa, ts = _spanned_sentence_counts(doc, bounds)
-            spanned_multi += sm
-            multi += m
-            spanned_any += sa
-            total_sents += ts
-    if not n_docs:
-        raise RstError("statistics need at least one document")
-    return CorpusStats(
-        genres=len(genres),
-        docs=n_docs,
-        classes=len(classes),
-        tokens_per_tree_min=min(token_counts),
-        tokens_per_tree_max=max(token_counts),
-        tokens_per_tree_median=float(_median(token_counts)),
-        edus=edu_total,
-        edus_per_tree=edu_total / n_docs,
-        relation_pairs=relation_pairs,
-        non_span_constituents=non_span,
-        spanned_pct=(100.0 * spanned_multi / multi) if spanned and multi else None,
-        spanned_all_pct=(100.0 * spanned_any / total_sents)
-        if spanned and total_sents
-        else None,
-    )
-
-
-def genre_breakdown(
-    corpus: Corpus,
-    sentences: Mapping[str, Sequence[int]] | None = None,
-    spanned: bool = True,
-) -> dict[str, CorpusStats]:
-    """corpus_stats per genre, keyed and ordered by genre name."""
-    by_genre: dict[str, list[DocumentRecord]] = {}
-    for doc in corpus.documents:
-        by_genre.setdefault(doc.genre, []).append(doc)
-    return {
-        genre: corpus_stats(docs, sentences, spanned)
-        for genre, docs in sorted(by_genre.items())
-    }
+    return genre_breakdown(corpus_docs, sentences, spanned)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ __all__ = [
     "default_rrt_remap_table",
     "load_remap_table",
     "parse_remap_rules",
-    "remap_rrt_labels",
     "remap_document",
     "split_forest",
     "preprocess_records",
@@ -150,13 +149,9 @@ def default_rrt_remap_table() -> RemapTable:
     return parse_remap_rules(_DEFAULT_RRT_RULES.splitlines())
 
 
-def remap_rrt_labels(tree: RstTree, table: RemapTable) -> RstTree:
-    """Rewrite all matched labels in a tree; structure is unchanged."""
-    remapped, _ = remap_tree_counting(tree, table)
-    return remapped
-
-
 def remap_tree_counting(tree: RstTree, table: RemapTable) -> tuple[RstTree, Counter]:
+    """Rewrite all matched labels in a tree, keeping its structure; the
+    counter holds the rewrites per rule index."""
     counts: Counter = Counter()
     results: list[RstTree] = []
     stack: list[tuple[str, RstTree]] = [("visit", tree)]

@@ -638,8 +638,9 @@ def tree_from_string(text: str) -> RstTree:
             except ValueError:
                 raise RstError(f"bad leaf token {tok!r}") from None
             node = RstTree.leaf(index)
-        elif not stack:
-            raise RstError(f"unbalanced tree string: {text!r}")
+        elif not stack:  # a label outside any bracket: unbalanced
+            root = None
+            break
         elif stack[-1] is not None:
             # a label may only open its frame
             raise RstError("tree string: expected (label left right)")
@@ -653,7 +654,9 @@ def tree_from_string(text: str) -> RstTree:
         else:
             raise RstError("multiple root nodes in tree string")
     if stack or root is None:
-        raise RstError(f"unbalanced tree string: {text!r}")
+        # a tree string runs to kilobytes: quote its start, give its length
+        head = f"{text[:60]!r}..." if len(text) > 60 else repr(text)
+        raise RstError(f"unbalanced tree string (length {len(text)}): {head}")
     return root
 
 

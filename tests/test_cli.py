@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from rstkit import treebank as tb_mod
 from rstkit.cli import main
 from rstkit.core import Corpus, EduSpan, RstTree
 from rstkit.decoder import OracleProvider
+from rstkit.metrics import corpus_stats, genre_breakdown, stats_csv
 from rstkit.preprocess import label_histogram
 from rstkit.treebank import (
     iter_canonical,
@@ -199,7 +201,7 @@ class TestStats:
         sents.write_text("doc0\t0\ndoc1\t0\ndoc0\t0\n", encoding="utf-8")
         assert main(["stats", str(gold_file), "--sents", str(sents)]) == 1
         err = capsys.readouterr().err
-        assert "line 3" in err and "'doc0'" in err
+        assert f"{sents}: line 3" in err and "'doc0'" in err
 
     @pytest.mark.parametrize("by_genre", [[], ["--by-genre"]])
     @pytest.mark.parametrize("bounds, problem", [
@@ -251,6 +253,80 @@ class TestStats:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         assert main(["stats", str(path), "--no-spanned"]) == 1
         assert "sentence boundaries must be integers, got 0.4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("spanned", [True, False], ids=["sents", "no-spanned"])
+    def test_by_genre_rows_equal_corpus_stats_of_each_genre(
+        self, tmp_path, seed, spanned, capsys
+    ):
+        rng = random.Random(seed)
+        genres = ("news", "blogs", "fiction", "новости")
+        docs, sentences = [], {}
+        for i in range(rng.randint(6, 16)):
+            n = rng.randint(1, 9)
+            edus = random_edus(rng, n)
+            n_tokens = edus[-1].last_token + 1
+            cuts = rng.sample(range(1, n_tokens), rng.randint(0, n_tokens - 1))
+            sentences[f"g{i}"] = (0, *sorted(cuts))
+            docs.append(make_document(f"g{i}", random_tree(rng, n), edus,
+                                      genre=rng.choice(genres), sents=[0]))
+        path = tmp_path / "multi.jsonl"
+        write_canonical(Corpus(docs), path)
+        if spanned:
+            sents = tmp_path / "multi.sents"
+            sents.write_text("".join(f"{doc_id}\t{' '.join(map(str, bounds))}\n"
+                                     for doc_id, bounds in sentences.items()),
+                             encoding="utf-8")
+            flags = ["--sents", str(sents)]
+        else:
+            sentences, flags = None, ["--no-spanned"]
+        whole = corpus_stats(docs, sentences, spanned)
+        per_genre = {
+            genre: corpus_stats([d for d in docs if d.genre == genre], sentences, spanned)
+            for genre in sorted({d.genre for d in docs})
+        }
+        assert genre_breakdown(iter(docs), sentences, spanned) == (whole, per_genre)
+        assert main(["stats", str(path), "--by-genre", "--csv", *flags]) == 0
+        expected = {"multi": whole, **{f"multi/{g}": row for g, row in per_genre.items()}}
+        assert capsys.readouterr().out == stats_csv(expected)
+
+    def test_by_genre_memory_does_not_grow_with_the_corpus(self, tmp_path, capsys):
+        rng = random.Random(8)
+        docs = [
+            make_document(f"m{i}", random_tree(rng, 30), random_edus(rng, 30, 20),
+                          genre=("news", "blogs", "fiction")[i % 3])
+            for i in range(24)
+        ]
+        once, four = tmp_path / "once.jsonl", tmp_path / "four.jsonl"
+        write_canonical(Corpus(docs), once)
+        write_canonical(Corpus([replace(doc, doc_id=f"{doc.doc_id}_{k}")
+                                for k in range(4) for doc in docs]), four)
+
+        def peak(path):
+            tracemalloc.start()
+            try:
+                assert main(["stats", str(path), "--by-genre", "--no-spanned"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert main(["stats", str(once), "--by-genre", "--no-spanned"]) == 0  # warm caches
+        grown = peak(four) - peak(once)
+        capsys.readouterr()
+        # Each extra document may keep its id and its token count, ~200
+        # bytes; holding it would cost ~40 KB (~300 tokens).
+        assert grown < 3 * len(docs) * 1024
+
+    def test_unbalanced_tree_error_is_one_short_line(self, tmp_path, capsys):
+        doc = make_document("long", random_tree(random.Random(6), 1000))
+        obj = tb_mod.record_to_json(doc)
+        obj["tree"] = obj["tree"][:-1]  # drop the last ")"
+        path = tmp_path / "long.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        assert main(["stats", str(path), "--no-spanned"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode("utf-8")) <= 300
+        assert f"{path}: line 1: unbalanced tree string" in err
 
 
 class TestSegmenterCommands:
@@ -793,7 +869,7 @@ class TestDeeplyNestedJson:
         assert main(["stats", str(corpus)]) == 1
         assert main(["parse", str(corpus), "-o", str(out), "--oracle"]) == 1
         captured = capsys.readouterr()
-        assert captured.err.count("rstkit: error: line 1: invalid JSON") == 2
+        assert captured.err.count(f"rstkit: error: {corpus}: line 1: invalid JSON") == 2
         assert "internal error" not in captured.err and captured.out == ""
         assert not out.exists()
 
@@ -869,7 +945,11 @@ class TestRepeatedIdsLeaveNoOutput:
         out_dir.mkdir()
         argv, repeated = self._argv(command, gold_file, tmp_path, out_dir / "result")
         assert main(argv) == 1
-        assert f"duplicate document ids: ['{repeated}']" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if command == "convert":  # forest parts collide after the files are read
+            assert f"duplicate document ids: ['{repeated}']" in err
+        else:
+            assert f"{argv[1]}: duplicate document id {repeated}" in err
         assert os.listdir(out_dir) == []
 
 
@@ -1118,6 +1198,45 @@ class TestCliContract:
             assert code == 0, (argv, result.stderr)
             assert "rstkit.treebank" in loaded, argv
             assert forbidden.isdisjoint(loaded), (argv, sorted(forbidden & set(loaded)))
+
+
+class TestHashSeedReproducibility:
+    """stdout and output files do not depend on string hashing: genre rows
+    and histograms come from dicts and sets, and only sorting fixes their
+    order."""
+
+    def test_chain_is_byte_identical_under_two_hash_seeds(self, forest_corpus,
+                                                          tmp_path):
+        sents = tmp_path / "forest.sents"
+        results = []
+        for hash_seed in ("0", "1"):
+            work = tmp_path / f"hash{hash_seed}"
+            work.mkdir()
+            env = dict(os.environ, PYTHONPATH=str(Path(rstkit.__file__).parents[1]),
+                       PYTHONHASHSEED=hash_seed)
+
+            def run(*argv):
+                result = subprocess.run([sys.executable, "-m", "rstkit.cli", *argv],
+                                        cwd=work, env=env, capture_output=True,
+                                        timeout=60)
+                assert result.returncode == 0, result.stderr
+                return result.stdout
+
+            stdout = [run("convert", str(forest_corpus.directory), "-o", "conv.jsonl")]
+            if hash_seed == "0":  # a sentence per two EDUs, for both runs
+                with open(sents, "w", encoding="utf-8") as fh:
+                    for doc in iter_canonical(work / "conv.jsonl"):
+                        starts = [str(edu.first_token) for edu in doc.edus[::2]]
+                        fh.write(f"{doc.doc_id}\t{' '.join(starts)}\n")
+            stdout.append(run("stats", "conv.jsonl", "--by-genre", "--sents", str(sents),
+                              "--csv"))
+            stdout.append(run("parse", "conv.jsonl", "-o", "pred.jsonl", "--oracle"))
+            stdout.append(run("eval", "conv.jsonl", "pred.jsonl", "--by-genre", "--csv"))
+            files = {name: (work / name).read_bytes() for name in sorted(os.listdir(work))}
+            results.append((stdout, files))
+        assert sorted(results[0][1]) == ["conv.jsonl", "pred.jsonl"]
+        assert results[0][0][1].count(b"\nconv/") >= 2  # several genre rows
+        assert results[0] == results[1]
 
 
 class TestCollectorPause:

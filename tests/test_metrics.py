@@ -464,9 +464,9 @@ class TestCorpusStats:
             for i in range(4)
         ]
         corpus = Corpus(docs)
-        breakdown = genre_breakdown(corpus)
+        whole, breakdown = genre_breakdown(corpus)
         assert list(breakdown) == ["news"]
-        assert breakdown["news"] == corpus_stats(docs)
+        assert breakdown["news"] == whole == corpus_stats(docs)
 
     def test_median_equals_statistics_median(self):
         rng = random.Random(23)

@@ -16,7 +16,6 @@ from rstkit.preprocess import (
     parse_remap_rules,
     preprocess_corpus,
     preprocess_records,
-    remap_rrt_labels,
     remap_tree_counting,
     split_forest,
 )
@@ -99,7 +98,7 @@ class TestRemapTree:
         raw = list(RAW_LABEL_CYCLE)
         for _ in range(20):
             tree = random_tree(rng, rng.randint(2, 10), raw)
-            remapped = remap_rrt_labels(tree, TABLE)
+            remapped = remap_tree_counting(tree, TABLE)[0]
             assert remapped.n_leaves == tree.n_leaves
             assert remapped.depth() == tree.depth()
             shape = lambda d: d if isinstance(d, int) else (shape(d[0]), shape(d[1]))
@@ -107,7 +106,7 @@ class TestRemapTree:
 
     def test_child_order_is_preserved_on_nuclearity_flip(self):
         tree = build_tree((0, 1, "solutionhood_NS"))
-        remapped = remap_rrt_labels(tree, TABLE)
+        remapped = remap_tree_counting(tree, TABLE)[0]
         assert remapped.left.is_leaf and remapped.left.edu_index == 0
         assert remapped.label == RelationLabel("solutionhood", Nuclearity.SN)
 
@@ -117,7 +116,7 @@ class TestRemapTree:
         )
         doc = make_document("d", tree)
         before = label_histogram([doc])
-        remapped = remap_rrt_labels(tree, TABLE)
+        remapped = remap_tree_counting(tree, TABLE)[0]
         after = label_histogram([make_document("d", remapped)])
         assert sum(before.values()) == sum(after.values()) == 3
         assert after == Counter(
@@ -128,7 +127,7 @@ class TestRemapTree:
         # A label no rule matches is kept as it is; no inventory is consulted.
         for label in ("elaboration_NS", "mystery_NS"):
             tree = build_tree((0, 1, label))
-            assert remap_rrt_labels(tree, TABLE) == tree
+            assert remap_tree_counting(tree, TABLE)[0] == tree
 
     def test_rewrite_counts(self):
         tree = build_tree(((0, 1, "antithesis_NS"), 2, "antithesis_SN"))
