@@ -1,8 +1,12 @@
 """Command-line entry point: one subcommand per pipeline stage.
 
 Every subcommand is deterministic for identical inputs and seeds.
-``convert`` and ``preprocess`` write documents in sorted id order;
-``segment`` and ``parse`` keep the input order and read their input once.
+``convert`` and ``preprocess`` write documents in sorted id order; they
+hold one encoded line per document plus the trees of one ``.rs3`` file,
+and read their input files in order, so a defect in an earlier file (a
+forest under ``--no-split-forests``) is reported before an XML error in a
+later one.  ``segment`` and ``parse`` keep the input order and read their
+input once.
 ``stats`` (always), ``segment`` and ``parse`` stream documents one at a
 time, so their memory stays bounded by the largest document (``stats``
 keeps each id and token count), except that ``parse --scores`` also holds
@@ -46,7 +50,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .core import Corpus, RstError, RstTree, Split
+from .core import RstError, RstTree, Split
 from . import treebank as tb_mod
 
 # Every other module is imported by the commands that use it (see the
@@ -122,34 +126,6 @@ def _read_split_map(path: str | None) -> dict[str, Split]:
     return table
 
 
-def _load_rs3_corpus(args, drop_single_edu: bool, table, split_forests: bool = True):
-    from . import preprocess as prep_mod
-
-    paths = _rs3_paths(_input_path(args.input))
-    splits = _read_split_map(getattr(args, "split_map", None))
-    files = []
-    genres = {}
-    for path in paths:
-        file_id = path.stem
-        files.append((file_id, tb_mod.read_rs3_file(path)))
-        genres[file_id] = (
-            args.genre
-            if args.genre is not None
-            else _guess_genre(file_id, args.genre_field)
-        )
-    default_split = Split(args.split)
-    split_map = {fid: splits.get(fid, default_split) for fid, _ in files}
-    return prep_mod.preprocess_corpus(
-        files,
-        genre=genres,
-        lang=args.lang,
-        splits=split_map,
-        table=table,
-        drop_single_edu=drop_single_edu,
-        split_forests=split_forests,
-    )
-
-
 @contextmanager
 def _output_file(path: str, mode: str = "w"):
     """Open a file that replaces ``path`` only if the block succeeds;
@@ -182,12 +158,6 @@ def _output_file(path: str, mode: str = "w"):
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def _write_sorted(corpus: Corpus, path: str) -> None:
-    with _output_file(path) as out:
-        for doc in sorted(corpus.documents, key=lambda d: d.doc_id):
-            tb_mod.write_record(out, doc)
 
 
 @contextmanager
@@ -227,14 +197,6 @@ def _add_rs3_input_flags(parser) -> None:
     )
 
 
-def cmd_convert(args) -> int:
-    corpus, report = _load_rs3_corpus(args, drop_single_edu=False, table=None)
-    _write_sorted(corpus, args.output)
-    print(report.render())
-    print(f"wrote {len(corpus.documents)} records to {args.output}")
-    return 0
-
-
 def _load_remap(value: str | None):
     from . import preprocess as prep_mod
 
@@ -245,26 +207,58 @@ def _load_remap(value: str | None):
     return prep_mod.load_remap_table(_input_path(value))
 
 
+def _rs3_documents(paths: list[Path], args):
+    """Stream the documents of the ``.rs3`` files in ``paths``, holding one
+    file's trees at a time; each file's genre and split are worked out as
+    it is read, and an error in a file names it."""
+    from . import preprocess as prep_mod
+
+    splits = _read_split_map(args.split_map)
+    unknown = sorted(set(splits) - {path.stem for path in paths})
+    if unknown:
+        raise RstError(f"{args.split_map}: unknown file ids {unknown}")
+    default_split = Split(args.split)
+    for path in paths:
+        file_id = path.stem
+        genre = args.genre
+        if genre is None:
+            genre = _guess_genre(file_id, args.genre_field)
+        split = splits.get(file_id, default_split)
+        try:
+            components = tb_mod.read_rs3_file(path)
+            documents = prep_mod.split_forest(file_id, components, genre, args.lang, split)
+        except RstError as exc:
+            raise RstError(f"{path}: {exc}") from None
+        if not args.split_forests and len(documents) > 1:
+            raise RstError(f"{path}: holds {len(documents)} trees; "
+                           "enable forest splitting to process it")
+        yield from documents
+
+
 def cmd_preprocess(args) -> int:
     from . import preprocess as prep_mod
 
-    table = _load_remap(args.remap)
+    step = prep_mod.Preprocessor(_load_remap(args.remap), args.drop_single_edu)
     in_path = _input_path(args.input)
-    if in_path.is_dir() or in_path.suffix == ".rs3":
-        corpus, report = _load_rs3_corpus(
-            args,
-            drop_single_edu=args.drop_single_edu,
-            table=table,
-            split_forests=args.split_forests,
-        )
+    if args.command == "convert" or in_path.is_dir() or in_path.suffix == ".rs3":
+        paths = _rs3_paths(in_path)
+        documents_in, documents = len(paths), _rs3_documents(paths, args)
     else:
-        records = list(_records(in_path))
-        corpus, report = prep_mod.preprocess_records(
-            records, len(records), table=table, drop_single_edu=args.drop_single_edu
-        )
-    _write_sorted(corpus, args.output)
-    print(report.render())
-    print(f"wrote {len(corpus.documents)} records to {args.output}")
+        documents_in, documents = None, _records(in_path)
+    # each kept document is held only as its id and canonical line
+    lines = []
+    for doc in documents:
+        doc = step(doc)
+        if doc is not None:
+            lines.append((doc.doc_id, tb_mod.encode_record(doc)))
+    lines.sort()
+    repeated = sorted({a for (a, _), (b, _) in zip(lines, lines[1:]) if a == b})
+    if repeated:
+        raise RstError(f"duplicate document ids: {repeated}")
+    with _output_file(args.output) as out:
+        out.writelines(f"{line}\n" for _, line in lines)
+    print(step.report(step.trees if documents_in is None else documents_in).render())
+    print(f"wrote {len(lines)} records to {args.output}")
     return 0
 
 
@@ -338,7 +332,7 @@ def cmd_segment(args) -> int:
 
     model, extractor = crf_mod.load_model(_input_path(args.model))
     if extractor is None:
-        raise RstError("model file does not carry feature settings")
+        raise RstError(f"{args.model}: model file does not carry feature settings")
     if model.labels != crf_mod.DEFAULT_LABELS:
         raise RstError(f"{args.model}: segmenter labels must be B, I; got {model.labels}")
     count = 0
@@ -356,7 +350,7 @@ def _read_inventory(path: str) -> tuple[str, ...]:
     with open(_input_path(path), "r", encoding="utf-8") as fh:
         labels = tuple(line.strip() for line in fh if line.strip())
     if not labels:
-        raise RstError("inventory file is empty")
+        raise RstError(f"{path}: inventory file is empty")
     return labels
 
 
@@ -503,7 +497,10 @@ def cmd_dwa_sim(args) -> int:
                 rows.append([float(x) for x in row])
             except ValueError:
                 if not first:  # a header is only allowed on the first line
-                    raise RstError(f"non-numeric loss row: {row}") from None
+                    raise RstError(
+                        f"{args.losses}: line {reader.line_num}: "
+                        f"non-numeric loss row: {row}"
+                    ) from None
             first = False
     if not rows:
         raise RstError(f"{args.losses}: no loss rows")
@@ -531,7 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help=".rs3 file or directory")
     p.add_argument("-o", "--output", required=True, help="canonical output file")
     _add_rs3_input_flags(p)
-    p.set_defaults(func=cmd_convert)
+    # convert is preprocess of .rs3 input that neither remaps nor drops
+    p.set_defaults(
+        func=cmd_preprocess, remap=None, drop_single_edu=False, split_forests=True
+    )
 
     p = sub.add_parser(
         "preprocess", help="remap labels, split forests, drop single-EDU documents"

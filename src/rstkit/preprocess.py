@@ -8,17 +8,16 @@ that change the nuclearity suffix (e.g. solutionhood_NS -> solutionhood_SN)
 relabel the node in place: children keep their text order, their roles swap.
 
 All transforms are pure and per-document; mapping them over a corpus in
-parallel is safe.
+parallel is safe; :class:`Preprocessor` applies them and tallies counts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
-    Corpus,
     DocumentRecord,
     Nuclearity,
     RelationLabel,
@@ -35,10 +34,8 @@ __all__ = [
     "default_rrt_remap_table",
     "load_remap_table",
     "parse_remap_rules",
-    "remap_document",
     "split_forest",
-    "preprocess_records",
-    "preprocess_corpus",
+    "Preprocessor",
     "label_histogram",
 ]
 
@@ -177,15 +174,6 @@ def remap_tree_counting(tree: RstTree, table: RemapTable) -> tuple[RstTree, Coun
     return remapped, counts
 
 
-def remap_document(
-    doc: DocumentRecord, table: RemapTable
-) -> tuple[DocumentRecord, Counter]:
-    if doc.tree is None:
-        return doc, Counter()
-    tree, counts = remap_tree_counting(doc.tree, table)
-    return doc.with_tree(tree), counts
-
-
 def split_forest(
     file_id: str,
     components: Sequence[Rs3Component],
@@ -199,8 +187,6 @@ def split_forest(
     ``<file_id>_part_1 .. _part_k`` in text order, all inheriting the
     original split assignment.
     """
-    if not components:
-        return []
     if len(components) == 1:
         return [component_to_record(components[0], file_id, genre, lang, split)]
     return [
@@ -209,18 +195,16 @@ def split_forest(
     ]
 
 
-def _single_edu(doc: DocumentRecord) -> bool:
-    return len(doc.edus) == 1 and (doc.tree is None or doc.tree.is_leaf)
+def _tally_labels(hist: Counter, tree: RstTree) -> None:
+    hist.update(node.label.merged for node in tree.internal_nodes())  # type: ignore
 
 
 def label_histogram(documents: Iterable[DocumentRecord]) -> Counter:
     """Merged-label counts over all internal nodes."""
     hist: Counter = Counter()
     for doc in documents:
-        if doc.tree is None:
-            continue
-        for node in doc.tree.internal_nodes():
-            hist[node.label.merged] += 1  # type: ignore[union-attr]
+        if doc.tree is not None:
+            _tally_labels(hist, doc.tree)
     return hist
 
 
@@ -263,79 +247,55 @@ class PreprocessReport:
         return "\n".join(lines)
 
 
-def preprocess_records(
-    records: Sequence[DocumentRecord],
-    documents_in: int,
-    table: RemapTable | None = None,
-    drop_single_edu: bool = True,
-) -> tuple[Corpus, PreprocessReport]:
-    """Remap labels, build the corpus and drop single-EDU documents.
+class Preprocessor:
+    """The one step each document of ``convert`` and ``preprocess`` takes:
+    called on a document, it rewrites its labels by ``table``, tallies its
+    merged labels before and after, and returns it, or ``None`` when
+    ``drop_single_edu`` drops it.  It keeps counts, never documents."""
 
-    ``records`` holds one document per extracted tree, read from
-    ``documents_in`` input files.
-    """
-    histogram_before = histogram_after = label_histogram(records)
+    __slots__ = ("table", "drop_single_edu", "trees", "dropped", "rewrites",
+                 "before", "after")
 
-    rewrites: Counter = Counter()
-    if table is not None:
-        remapped = []
-        for doc in records:
-            doc, counts = remap_document(doc, table)
-            rewrites.update(counts)
-            remapped.append(doc)
-        records = remapped
-        histogram_after = label_histogram(records)
+    def __init__(
+        self, table: RemapTable | None = None, drop_single_edu: bool = True
+    ) -> None:
+        self.table = table
+        self.drop_single_edu = drop_single_edu
+        self.trees = self.dropped = 0
+        self.rewrites: Counter = Counter()  # by rule index
+        self.before: Counter = Counter()
+        # without a table no label changes, so one histogram serves both
+        self.after: Counter = self.before if table is None else Counter()
 
-    # A single-EDU document has no internal node, so dropping it leaves
-    # the histogram as it is.
-    kept = records
-    if drop_single_edu:
-        kept = [doc for doc in records if not _single_edu(doc)]
-    corpus = Corpus(tuple(kept))
-    dropped = len(records) - len(kept)
+    def __call__(self, doc: DocumentRecord) -> DocumentRecord | None:
+        self.trees += 1
+        tree = doc.tree
+        if tree is not None:
+            _tally_labels(self.before, tree)
+            if self.table is not None:
+                tree, counts = remap_tree_counting(tree, self.table)
+                self.rewrites.update(counts)
+                _tally_labels(self.after, tree)
+                doc = doc.with_tree(tree)
+        # A single-EDU document has no internal node, so dropping it leaves
+        # the histograms as they are.
+        if self.drop_single_edu and len(doc.edus) == 1 and (tree is None or tree.is_leaf):
+            self.dropped += 1
+            return None
+        return doc
 
-    rule_counts = tuple(
-        (rule.as_text().replace("\t", " -> "), rewrites.get(i, 0))
-        for i, rule in enumerate(table.rules)
-    ) if table is not None else ()
-    report = PreprocessReport(
-        documents_in=documents_in,
-        documents_out=len(corpus.documents),
-        trees_extracted=len(records),
-        single_edu_dropped=dropped,
-        rewrites=rule_counts,
-        histogram_before=tuple(sorted(histogram_before.items())),
-        histogram_after=tuple(sorted(histogram_after.items())),
-    )
-    return corpus, report
-
-
-def preprocess_corpus(
-    files: Sequence[tuple[str, Sequence[Rs3Component]]],
-    genre: str | Mapping[str, str] = "unknown",
-    lang: str = "en",
-    splits: Mapping[str, Split | str] | None = None,
-    table: RemapTable | None = None,
-    drop_single_edu: bool = True,
-    split_forests: bool = True,
-) -> tuple[Corpus, PreprocessReport]:
-    """Run the full preprocessing pipeline over parsed rs3 files.
-
-    ``files`` pairs a file id with its extracted components.  ``genre`` is a
-    constant or a per-file mapping; ``splits`` optionally assigns train/dev/
-    test per file id (defaulting to train).  The records split out of the
-    files go through :func:`preprocess_records`.
-    """
-    records: list[DocumentRecord] = []
-    for file_id, components in files:
-        file_genre = genre if isinstance(genre, str) else genre.get(file_id, "unknown")
-        file_split = Split.TRAIN if splits is None else splits.get(file_id, Split.TRAIN)
-        if not split_forests and len(components) > 1:
-            raise RstError(
-                f"{file_id} holds {len(components)} trees; "
-                "enable forest splitting to process it"
-            )
-        records.extend(split_forest(file_id, components, file_genre, lang, file_split))
-    return preprocess_records(
-        records, len(files), table=table, drop_single_edu=drop_single_edu
-    )
+    def report(self, documents_in: int) -> PreprocessReport:
+        """The report of every document seen, from ``documents_in`` inputs."""
+        rule_counts = tuple(
+            (rule.as_text().replace("\t", " -> "), self.rewrites.get(i, 0))
+            for i, rule in enumerate(self.table.rules)
+        ) if self.table is not None else ()
+        return PreprocessReport(
+            documents_in=documents_in,
+            documents_out=self.trees - self.dropped,
+            trees_extracted=self.trees,
+            single_edu_dropped=self.dropped,
+            rewrites=rule_counts,
+            histogram_before=tuple(sorted(self.before.items())),
+            histogram_after=tuple(sorted(self.after.items())),
+        )

@@ -736,9 +736,14 @@ def record_from_json(obj: dict) -> DocumentRecord:
 _encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 
 
+def encode_record(doc: DocumentRecord) -> str:
+    """The canonical line of ``doc``, without its newline."""
+    return _encode(record_to_json(doc))
+
+
 def write_record(fh, doc: DocumentRecord) -> None:
     """Append one canonical line to an open text stream."""
-    fh.write(_encode(record_to_json(doc)))
+    fh.write(encode_record(doc))
     fh.write("\n")
 
 

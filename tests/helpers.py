@@ -39,7 +39,7 @@ from rstkit.core import (
     enumerate_constituents,
 )
 from rstkit.crf import CrfGradients, CrfModel, log_likelihood
-from rstkit.preprocess import RemapTable
+from rstkit.preprocess import PreprocessReport, Preprocessor, RemapTable
 from rstkit.treebank import SchemaViolation
 
 TEST_LABELS = (
@@ -813,8 +813,19 @@ def reference_spanned_sentence_counts(
 
 
 # ---------------------------------------------------------------------------
-# Remap tables
+# Remap tables and preprocessing
 # ---------------------------------------------------------------------------
+
+
+def preprocess_documents(
+    documents, documents_in: int, table: RemapTable | None = None,
+    drop_single_edu: bool = True,
+) -> tuple[list[DocumentRecord], PreprocessReport]:
+    """The documents a :class:`Preprocessor` keeps, in order, and its
+    report, for ``documents`` read from ``documents_in`` input files."""
+    step = Preprocessor(table, drop_single_edu)
+    kept = [doc for doc in map(step, documents) if doc is not None]
+    return kept, step.report(documents_in)
 
 
 def dump_remap_table(table: RemapTable, path) -> None:

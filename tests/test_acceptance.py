@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rstkit.core import enumerate_constituents
+from rstkit.core import Corpus, enumerate_constituents
 from rstkit.crf import CrfModel, TrainConfig, log_likelihood, train, viterbi
 from rstkit.decoder import (
     DecodeConfig,
@@ -36,7 +36,7 @@ from rstkit.metrics import corpus_stats, genre_breakdown, parseval
 from rstkit.preprocess import (
     default_rrt_remap_table,
     label_histogram,
-    preprocess_corpus,
+    split_forest,
 )
 from rstkit.treebank import extract_forest, parse_rs3, read_sentence_file
 
@@ -48,6 +48,7 @@ from helpers import (
     catalan,
     enumerate_paths,
     finite_difference_grads,
+    preprocess_documents,
     random_edus,
     random_tree,
     relative_error,
@@ -104,16 +105,14 @@ def _load_gum():
     paths = sorted(Path(directory).glob("*.rs3"))
     if not paths:
         pytest.skip(f"{GUM_DIR_ENV}={directory} contains no .rs3 files")
-    files = []
-    genres = {}
+    records = []
     for path in paths:
-        files.append((path.stem, extract_forest(parse_rs3(path.read_bytes()))))
+        forest = extract_forest(parse_rs3(path.read_bytes()))
         parts = path.stem.split("_")
-        genres[path.stem] = parts[1] if len(parts) > 1 else "unknown"
-    corpus, _ = preprocess_corpus(
-        files, genre=genres, lang="en", drop_single_edu=False
-    )
-    return corpus
+        genre = parts[1] if len(parts) > 1 else "unknown"
+        records.extend(split_forest(path.stem, forest, genre, "en"))
+    documents, _ = preprocess_documents(records, len(paths), drop_single_edu=False)
+    return Corpus(tuple(documents))
 
 
 def test_criterion_1_gum_corpus_statistics():
@@ -169,15 +168,16 @@ def test_criterion_2_spanned_sentence_coverage():
         rstdt_dir = os.environ.get(RSTDT_DIR_ENV)
         rstdt_sents = os.environ.get(RSTDT_SENTS_ENV)
         if rstdt_dir and rstdt_sents:
-            files = [
-                (p.stem, extract_forest(parse_rs3(p.read_bytes())))
-                for p in sorted(Path(rstdt_dir).glob("*.rs3"))
+            paths = sorted(Path(rstdt_dir).glob("*.rs3"))
+            records = [
+                doc
+                for p in paths
+                for doc in split_forest(p.stem, extract_forest(parse_rs3(p.read_bytes())),
+                                        "news")
             ]
-            rstdt, _ = preprocess_corpus(
-                files, genre="news", drop_single_edu=False
-            )
+            rstdt, _ = preprocess_documents(records, len(paths), drop_single_edu=False)
             rstdt_stats = corpus_stats(
-                rstdt.documents, sentences=read_sentence_file(rstdt_sents)
+                rstdt, sentences=read_sentence_file(rstdt_sents)
             )
             assert abs(rstdt_stats.spanned_pct - RSTDT_SPANNED_NON_ELEMENTARY) <= 1.5
 
@@ -185,21 +185,24 @@ def test_criterion_2_spanned_sentence_coverage():
 def test_criterion_3_forest_preprocessing(tmp_path):
     with criterion(3, "forest splitting, filtering and remapping counts"):
         fixture = build_forest_corpus(tmp_path / "rrt_like")
-        files = [
-            (path.stem, extract_forest(parse_rs3(path.read_bytes())))
-            for path in sorted(fixture.directory.glob("*.rs3"))
+        paths = sorted(fixture.directory.glob("*.rs3"))
+        records = [
+            doc
+            for path in paths
+            for doc in split_forest(path.stem, extract_forest(parse_rs3(path.read_bytes())),
+                                    lang="ru")
         ]
-        corpus, report = preprocess_corpus(
-            files, lang="ru", table=default_rrt_remap_table()
+        documents, report = preprocess_documents(
+            records, len(paths), table=default_rrt_remap_table()
         )
         trees_per_file = report.trees_extracted / report.documents_in
         assert abs(trees_per_file - 11.7) <= 0.2
         assert report.single_edu_dropped == fixture.n_single_edu
-        small = sum(1 for doc in corpus.documents if 2 <= len(doc.edus) <= 4)
-        pct_small = 100.0 * small / len(corpus.documents)
+        small = sum(1 for doc in documents if 2 <= len(doc.edus) <= 4)
+        pct_small = 100.0 * small / len(documents)
         assert abs(pct_small - 12.8) <= 0.5
         assert report.classes_after == EXPECTED_REMAPPED_CLASSES == 24
-        assert len(label_histogram(corpus.documents)) == 24
+        assert len(label_histogram(documents)) == 24
 
 
 def test_criterion_4_matcher_equivalence_and_oracle_decode():

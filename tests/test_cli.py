@@ -98,6 +98,14 @@ class TestConvert:
         assert len(corpus) == 3
         assert {d.genre for d in corpus.documents} == {"news"}
 
+    def test_a_file_is_read_as_rs3_whatever_its_suffix(self, rs3_dir, tmp_path):
+        # preprocess reads a file without the .rs3 suffix as canonical input
+        xml = tmp_path / "demo_news_0.xml"
+        xml.write_bytes((rs3_dir / "demo_news_0.rs3").read_bytes())
+        out = tmp_path / "out.jsonl"
+        assert main(["convert", str(xml), "-o", str(out)]) == 0
+        assert [d.doc_id for d in read_canonical(out)] == ["demo_news_0"]
+
     def test_outputs_are_byte_identical_across_runs(self, rs3_dir, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert main(["convert", str(rs3_dir), "-o", str(a)]) == 0
@@ -126,6 +134,16 @@ class TestConvert:
         assert code == 1
         err = capsys.readouterr().err
         assert "line 3" in err and "'demo_news_0'" in err
+        assert not out.exists()
+
+    def test_unknown_split_map_id_is_a_user_error(self, rs3_dir, tmp_path, capsys):
+        # a typo would leave the file in the default split, train
+        split_map = tmp_path / "splits.tsv"
+        split_map.write_text("demo_news_0\ttest\ndemo_nwes_1\ttest\n")
+        out = tmp_path / "x"
+        code = main(["convert", str(rs3_dir), "-o", str(out), "--split-map", str(split_map)])
+        assert code == 1
+        assert f"{split_map}: unknown file ids ['demo_nwes_1']" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -1115,6 +1133,35 @@ class TestDwaSim:
         assert main(["dwa-sim", str(losses)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "error" in captured.err
+
+
+class TestInputErrorsNameTheFile:
+    def test_empty_inventory(self, gold_file, tmp_path, capsys):
+        inventory = tmp_path / "empty.labels"
+        inventory.write_text("\n", encoding="utf-8")
+        out = tmp_path / "pred.jsonl"
+        assert main(["parse", str(gold_file), "-o", str(out), "--oracle",
+                     "--inventory", str(inventory)]) == 1
+        assert f"{inventory}: inventory file is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_loss_row(self, tmp_path, capsys):
+        losses = tmp_path / "losses.csv"
+        losses.write_text("1.0,1.0,1.0\nfoo,bar,baz\n", encoding="utf-8")
+        assert main(["dwa-sim", str(losses)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{losses}: line 2: non-numeric loss row: ['foo', 'bar', 'baz']"
+                in captured.err)
+
+    def test_model_without_feature_settings(self, gold_file, tmp_path, capsys):
+        model = tmp_path / "bare.npz"
+        crf_mod.save_model(crf_mod.CrfModel.create(8), model)
+        out = tmp_path / "seg.jsonl"
+        assert main(["segment", str(model), str(gold_file), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{model}: model file does not carry feature settings" in err
+        assert not out.exists()
 
 
 class TestCliContract:

@@ -14,8 +14,6 @@ from rstkit.preprocess import (
     default_rrt_remap_table,
     label_histogram,
     parse_remap_rules,
-    preprocess_corpus,
-    preprocess_records,
     remap_tree_counting,
     split_forest,
 )
@@ -26,6 +24,7 @@ from helpers import (
     describe,
     dump_remap_table,
     make_document,
+    preprocess_documents,
     random_tree,
 )
 
@@ -175,16 +174,17 @@ class TestSplitForest:
 class TestPreprocessCorpus:
     def test_pipeline_on_forest_fixture(self, tmp_path):
         fixture = build_forest_corpus(tmp_path / "rrt")
-        files = []
+        records = []
         for path in sorted(fixture.directory.glob("*.rs3")):
-            files.append((path.stem, extract_forest(parse_rs3(path.read_bytes()))))
-        corpus, report = preprocess_corpus(files, lang="ru", table=TABLE)
+            forest = extract_forest(parse_rs3(path.read_bytes()))
+            records.extend(split_forest(path.stem, forest, lang="ru"))
+        documents, report = preprocess_documents(records, fixture.n_files, table=TABLE)
         assert report.documents_in == fixture.n_files
         assert report.trees_extracted == fixture.n_trees
         assert report.single_edu_dropped == fixture.n_single_edu
         assert report.documents_out == fixture.n_kept
         assert report.classes_after == EXPECTED_REMAPPED_CLASSES
-        small = sum(1 for d in corpus.documents if 2 <= len(d.edus) <= 4)
+        small = sum(1 for d in documents if 2 <= len(d.edus) <= 4)
         assert small == fixture.n_small_trees
         assert report.render()
 
@@ -195,25 +195,16 @@ class TestPreprocessCorpus:
         records = []
         for path in sorted(fixture.directory.glob("*.rs3")):
             records.extend(split_forest(path.stem, extract_forest(parse_rs3(path.read_bytes()))))
-        corpus, report = preprocess_records(records, fixture.n_files, table=table,
-                                            drop_single_edu=drop)
+        documents, report = preprocess_documents(records, fixture.n_files, table=table,
+                                                 drop_single_edu=drop)
         assert report.histogram_before == tuple(sorted(label_histogram(records).items()))
         assert report.histogram_after == tuple(
-            sorted(label_histogram(corpus.documents).items())
+            sorted(label_histogram(documents).items())
         )
         assert report.single_edu_dropped == (fixture.n_single_edu if drop else 0)
         if table is None:
-            assert corpus.documents == tuple(
-                d for d in records if not (drop and len(d.edus) == 1)
-            )
+            assert documents == [d for d in records if not (drop and len(d.edus) == 1)]
 
     def test_report_invariant_enforced(self):
         with pytest.raises(RstError):
             PreprocessReport(1, 2, 4, 1, (), (), ())
-
-    def test_no_split_forests_rejects_multi_component_files(self):
-        rng = random.Random(1)
-        docs = [make_document(f"c{i}", random_tree(rng, 3)) for i in range(2)]
-        forest = extract_forest(parse_rs3(serialize_rs3_forest(docs)))
-        with pytest.raises(RstError):
-            preprocess_corpus([("f", forest)], split_forests=False)
