@@ -11,9 +11,9 @@ input once.
 time, so their memory stays bounded by the largest document (``stats``
 keeps each id and token count), except that ``parse --scores`` also holds
 the whole score dump; ``eval`` holds the predictions and
-``train-segmenter`` only the documents of its ``--split``.  One reader,
-``_records``, reads every canonical input: an id may occur once per file,
-and every error about a line of a canonical or ``--sents`` file names it.  An
+``train-segmenter`` only the documents of its ``--split``.  Every input
+file read line by line goes through ``core.InputLines``, so an error about
+a line reads ``<path>: line N: ...``; an id may occur once per file.  An
 output file given with ``-o`` appears only when its command succeeds: it
 is written next to its path and moved there at the end, so a failed run
 leaves no new or partial file and does not touch a file already at that
@@ -50,7 +50,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .core import RstError, RstTree, Split
+from .core import InputLines, RelationLabel, RstError, RstTree, Split
 from . import treebank as tb_mod
 
 # Every other module is imported by the commands that use it (see the
@@ -101,27 +101,23 @@ def _guess_genre(file_id: str, field: int) -> str:
     return parts[field] if 0 <= field < len(parts) else "unknown"
 
 
-def _read_split_map(path: str | None) -> dict[str, Split]:
-    if path is None:
-        return {}
+def _read_split_map(path: str) -> dict[str, Split]:
     table = {}
-    with open(_input_path(path), "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+    with InputLines(_input_path(path)) as lines:
+        for line in lines:
+            if line.startswith("#"):
                 continue
             doc_id, _, split = line.partition("\t")
             if not split:
                 doc_id, _, split = line.partition(" ")
             doc_id = doc_id.strip()
             if doc_id in table:
-                raise RstError(f"{path}: line {line_number}: repeated file id {doc_id!r}")
+                raise RstError(f"repeated file id {doc_id!r}")
             try:
                 table[doc_id] = Split(split.strip())
             except ValueError:
                 raise RstError(
-                    f"{path}: line {line_number}: split must be train, dev or "
-                    f"test, got {split.strip()!r}"
+                    f"split must be train, dev or test, got {split.strip()!r}"
                 ) from None
     return table
 
@@ -160,41 +156,21 @@ def _output_file(path: str, mode: str = "w"):
         raise
 
 
-@contextmanager
-def _naming(path: Path):
-    """Prefix the ``line N: ...`` of a malformed line with its file."""
-    try:
-        yield
-    except tb_mod.SchemaViolation as exc:
-        raise RstError(f"{path}: {exc}") from None
-
-
-def _records(path: Path, seen: set[str] | None = None):
-    """Stream a canonical file, the only way a command reads one: every
-    error names the file, and a document id seen before is rejected; the
-    ids go into ``seen`` when given."""
-    seen = set() if seen is None else seen
-    with _naming(path):
-        for doc in tb_mod.iter_canonical(path):
-            if doc.doc_id in seen:
-                raise RstError(f"{path}: duplicate document id {doc.doc_id}")
-            seen.add(doc.doc_id)
-            yield doc
+# Flags that only .rs3 input reads; each defaults to None, so that a command
+# can tell whether it was given, and _rs3_documents fills in the defaults.
+_RS3_INPUT_FLAGS = ("genre", "genre_field", "lang", "split", "split_map")
 
 
 def _add_rs3_input_flags(parser) -> None:
-    parser.add_argument("--genre", default=None, help="constant genre for all files")
+    parser.add_argument("--genre", help="constant genre for all files")
     parser.add_argument(
         "--genre-field",
         type=int,
-        default=1,
         help="underscore-separated filename field holding the genre (default 1)",
     )
-    parser.add_argument("--lang", default="en", choices=("en", "ru", "other"))
-    parser.add_argument("--split", default="train", choices=("train", "dev", "test"))
-    parser.add_argument(
-        "--split-map", default=None, help="two-column file assigning splits by file id"
-    )
+    parser.add_argument("--lang", choices=("en", "ru", "other"))
+    parser.add_argument("--split", choices=("train", "dev", "test"))
+    parser.add_argument("--split-map", help="two-column file assigning splits by file id")
 
 
 def _load_remap(value: str | None):
@@ -213,20 +189,22 @@ def _rs3_documents(paths: list[Path], args):
     it is read, and an error in a file names it."""
     from . import preprocess as prep_mod
 
-    splits = _read_split_map(args.split_map)
+    splits = {} if args.split_map is None else _read_split_map(args.split_map)
     unknown = sorted(set(splits) - {path.stem for path in paths})
     if unknown:
         raise RstError(f"{args.split_map}: unknown file ids {unknown}")
-    default_split = Split(args.split)
+    default_split = Split(args.split or "train")
+    lang = args.lang or "en"
+    genre_field = 1 if args.genre_field is None else args.genre_field
     for path in paths:
         file_id = path.stem
         genre = args.genre
         if genre is None:
-            genre = _guess_genre(file_id, args.genre_field)
+            genre = _guess_genre(file_id, genre_field)
         split = splits.get(file_id, default_split)
         try:
             components = tb_mod.read_rs3_file(path)
-            documents = prep_mod.split_forest(file_id, components, genre, args.lang, split)
+            documents = prep_mod.split_forest(file_id, components, genre, lang, split)
         except RstError as exc:
             raise RstError(f"{path}: {exc}") from None
         if not args.split_forests and len(documents) > 1:
@@ -242,9 +220,13 @@ def cmd_preprocess(args) -> int:
     in_path = _input_path(args.input)
     if args.command == "convert" or in_path.is_dir() or in_path.suffix == ".rs3":
         paths = _rs3_paths(in_path)
-        documents_in, documents = len(paths), _rs3_documents(paths, args)
+        files_in, documents = len(paths), _rs3_documents(paths, args)
     else:
-        documents_in, documents = None, _records(in_path)
+        given = [f"--{name.replace('_', '-')}" for name in _RS3_INPUT_FLAGS
+                 if getattr(args, name) is not None]
+        if given:
+            raise RstError(f"flags {', '.join(given)} apply only to .rs3 input")
+        files_in, documents = 1, tb_mod.iter_canonical(in_path)
     # each kept document is held only as its id and canonical line
     lines = []
     for doc in documents:
@@ -257,7 +239,7 @@ def cmd_preprocess(args) -> int:
         raise RstError(f"duplicate document ids: {repeated}")
     with _output_file(args.output) as out:
         out.writelines(f"{line}\n" for _, line in lines)
-    print(step.report(step.trees if documents_in is None else documents_in).render())
+    print(step.report(files_in).render())
     print(f"wrote {len(lines)} records to {args.output}")
     return 0
 
@@ -278,13 +260,17 @@ def cmd_stats(args) -> int:
     from . import metrics as metrics_mod
 
     in_path = _input_path(args.input)
-    sents_path = args.sents and _input_path(args.sents)
-    with _naming(sents_path):
-        sentences = tb_mod.read_sentence_file(sents_path) if sents_path else None
+    sentences = tb_mod.read_sentence_file(_input_path(args.sents)) if args.sents else None
     doc_ids: set[str] = set()
+
+    def documents():
+        for doc in tb_mod.iter_canonical(in_path):
+            doc_ids.add(doc.doc_id)
+            yield doc
+
     # one streaming pass gives the whole-corpus row and every genre's row
     whole, per_genre = metrics_mod.genre_breakdown(
-        _records(in_path, doc_ids), sentences, not args.no_spanned
+        documents(), sentences, not args.no_spanned
     )
     rows = {in_path.stem: whole}
     if args.by_genre:
@@ -303,7 +289,7 @@ def cmd_train_segmenter(args) -> int:
     from . import crf as crf_mod
 
     in_path = _input_path(args.input)
-    docs = [d for d in _records(in_path) if args.split in ("all", d.split.value)]
+    docs = [d for d in tb_mod.iter_canonical(in_path) if args.split in ("all", d.split.value)]
     if not docs:
         raise RstError(f"no documents in split {args.split!r}")
     extractor = crf_mod.HashedWindowFeatures(args.buckets)
@@ -337,7 +323,7 @@ def cmd_segment(args) -> int:
         raise RstError(f"{args.model}: segmenter labels must be B, I; got {model.labels}")
     count = 0
     with _output_file(args.output) as out:
-        for doc in _records(_input_path(args.input)):
+        for doc in tb_mod.iter_canonical(_input_path(args.input)):
             labels = crf_mod.viterbi(model, extractor(doc.token_texts()))
             edus = crf_mod.labels_to_edus(labels)
             tb_mod.write_record(out, replace(doc, edus=edus, tree=None))
@@ -347,11 +333,16 @@ def cmd_segment(args) -> int:
 
 
 def _read_inventory(path: str) -> tuple[str, ...]:
-    with open(_input_path(path), "r", encoding="utf-8") as fh:
-        labels = tuple(line.strip() for line in fh if line.strip())
+    labels: dict[str, None] = {}  # in file order
+    with InputLines(_input_path(path)) as lines:
+        for line in lines:
+            RelationLabel.from_merged(line)
+            if line in labels:
+                raise RstError(f"label inventory repeats {[line]}")
+            labels[line] = None
     if not labels:
         raise RstError(f"{path}: inventory file is empty")
-    return labels
+    return tuple(labels)
 
 
 def cmd_parse(args) -> int:
@@ -399,7 +390,7 @@ def cmd_parse(args) -> int:
 
     count = 0
     with _output_file(args.output) as out:
-        for doc in _records(in_path):
+        for doc in tb_mod.iter_canonical(in_path):
             labels = fixed
             if args.oracle:
                 if doc.tree is None:
@@ -426,7 +417,7 @@ def cmd_eval(args) -> int:
     from . import metrics as metrics_mod
 
     # predictions are indexed in memory; gold documents stream past them
-    pred_by_id = {doc.doc_id: doc for doc in _records(_input_path(args.pred))}
+    pred_by_id = {doc.doc_id: doc for doc in tb_mod.iter_canonical(_input_path(args.pred))}
 
     def score_pair(gold_doc, pred_doc):
         if pred_doc.tree is None:
@@ -448,7 +439,7 @@ def cmd_eval(args) -> int:
     total = metrics_mod.ParsevalScores.zero()
     by_genre: dict[str, tuple] = {}
     scored = 0
-    for gold_doc in _records(_input_path(args.gold)):
+    for gold_doc in tb_mod.iter_canonical(_input_path(args.gold)):
         pred_doc = pred_by_id.pop(gold_doc.doc_id, None)
         if args.genre is not None and gold_doc.genre != args.genre:
             continue
@@ -486,30 +477,30 @@ def cmd_dwa_sim(args) -> int:
 
     from . import dwa as dwa_mod
 
-    with open(_input_path(args.losses), "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = []
+    def loss_rows(lines):
         first = True
-        for row in reader:
-            if not row or row[0].strip().startswith("#"):
+        for line in lines:
+            row = next(csv.reader([line]))  # a quote does not run on to the next line
+            if row[0].strip().startswith("#"):
                 continue
             try:
-                rows.append([float(x) for x in row])
+                yield [float(x) for x in row]
             except ValueError:
                 if not first:  # a header is only allowed on the first line
-                    raise RstError(
-                        f"{args.losses}: line {reader.line_num}: "
-                        f"non-numeric loss row: {row}"
-                    ) from None
+                    raise RstError(f"non-numeric loss row: {row}") from None
             first = False
-    if not rows:
+
+    # The rows are read as the scheduler takes them, so that an error in a
+    # row, the scheduler's too, names its line.
+    with InputLines(_input_path(args.losses)) as lines:
+        trajectory = dwa_mod.simulate(
+            loss_rows(lines),
+            args.tasks,
+            dwa_mod.DEFAULT_WINDOW if args.window is None else args.window,
+            dwa_mod.DEFAULT_TEMPERATURE if args.temp is None else args.temp,
+        )
+    if not trajectory:
         raise RstError(f"{args.losses}: no loss rows")
-    trajectory = dwa_mod.simulate(
-        rows,
-        args.tasks,
-        dwa_mod.DEFAULT_WINDOW if args.window is None else args.window,
-        dwa_mod.DEFAULT_TEMPERATURE if args.temp is None else args.temp,
-    )
     sink = nullcontext(sys.stdout) if args.output is None else _output_file(args.output)
     with sink as out:
         writer = csv.writer(out)

@@ -45,6 +45,51 @@ class DimensionMismatch(RstError):
     """Array or vector sizes disagree with the expected dimensions."""
 
 
+class SchemaViolation(RstError):
+    """A malformed line of an input file: ``<path>: line N: <message>``."""
+
+    def __init__(self, path, line_number: int, message: str) -> None:
+        super().__init__(f"{path}: line {line_number}: {message}")
+        self.path = path
+        self.line_number = line_number
+
+
+class InputLines:
+    """``with InputLines(path) as lines: for line in lines: ...`` reads the
+    lines of a UTF-8 file, numbered from 1 and stripped, and skips blank
+    ones.  An RstError raised in the block while a line is current (from
+    when it is yielded until the next one is), and a line that is not
+    UTF-8, leave the block as a SchemaViolation naming ``path`` and the
+    line; other exceptions pass unchanged."""
+
+    def __init__(self, path) -> None:
+        self.path = path
+        self.line_number = 0  # the current line; 0 before the first and after the last
+        # Bytes that are not UTF-8 are read as lone surrogates, which UTF-8
+        # cannot encode, so a bad line is found where it is, not read ahead.
+        self._file = open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+    def __enter__(self) -> "InputLines":
+        return self
+
+    def __iter__(self) -> Iterator[str]:
+        for self.line_number, line in enumerate(self._file, 1):
+            line = line.strip()
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise RstError("not UTF-8") from None
+            if line:
+                yield line
+        self.line_number = 0
+
+    def __exit__(self, kind, error, traceback) -> None:
+        self._file.close()
+        if self.line_number and isinstance(error, RstError):
+            raise SchemaViolation(self.path, self.line_number, str(error)) from None
+
+
 class Nuclearity(str, Enum):
     """Nuclearity pattern of a binary discourse relation."""
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Sequence
 
-from .core import RelationLabel, RstError, RstTree
+from .core import InputLines, RelationLabel, RstError, RstTree
 
 __all__ = [
     "ScoreProvider",
@@ -427,11 +427,8 @@ class ScoreTable:
     @classmethod
     def load(cls, path) -> "ScoreTable":
         table = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_number, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        with InputLines(path) as lines:
+            for line in lines:
                 try:
                     # raw_decode skips json.loads's per-call checks; on a
                     # failure json.loads raises its own error for the line.
@@ -463,9 +460,7 @@ class ScoreTable:
                         raise ValueError(f"unknown kind {kind!r}")
                 except (KeyError, ValueError, TypeError, OverflowError,
                         RecursionError) as exc:  # RecursionError: nested too deeply
-                    raise RstError(
-                        f"{path}: line {line_number}: bad score record ({exc})"
-                    ) from None
+                    raise RstError(f"bad score record ({exc})") from None
         return table
 
     def provider(self, doc_id: str) -> ScoreProvider:

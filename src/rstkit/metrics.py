@@ -445,6 +445,22 @@ def _fmt(value: float | None) -> str:
     return "-" if value is None else f"{value:.1f}"
 
 
+def _aligned(table: list[list[str]]) -> str:
+    """Rows of cells as text columns, each padded to its widest cell and
+    two spaces apart, with no trailing spaces."""
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in table
+    )
+
+
+def _csv(table: list[list]) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerows(table)
+    return out.getvalue()
+
+
 PARSEVAL_METRICS = ("S", "N", "R", "Full")
 
 
@@ -474,12 +490,7 @@ def format_parseval_table(
                 *(_fmt(mapping[m].f1) for m in selected),
             ]
         )
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    lines = [
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        for row in table
-    ]
-    return "\n".join(lines)
+    return _aligned(table)
 
 
 def parseval_csv(
@@ -487,25 +498,17 @@ def parseval_csv(
     metrics: Sequence[str] | None = None,
 ) -> str:
     selected = _select_metrics(metrics)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(
-        ["name", "metric", "precision", "recall", "f1", "matched", "gold", "predicted"]
-    )
+    table = [["name", "metric", "precision", "recall", "f1", "matched", "gold",
+              "predicted"]]
     for name, (seg, scores) in rows.items():
-        if seg is not None:
-            writer.writerow(
-                [name, "Segm.", f"{seg.precision:.4f}", f"{seg.recall:.4f}",
-                 f"{seg.f1:.4f}", seg.matched, seg.gold, seg.predicted]
-            )
         mapping = scores.as_mapping()
-        for metric in selected:
-            counts = mapping[metric]
-            writer.writerow(
+        counted = [("Segm.", seg)] if seg is not None else []
+        for metric, counts in counted + [(m, mapping[m]) for m in selected]:
+            table.append(
                 [name, metric, f"{counts.precision:.4f}", f"{counts.recall:.4f}",
                  f"{counts.f1:.4f}", counts.matched, counts.gold, counts.predicted]
             )
-    return out.getvalue()
+    return _csv(table)
 
 
 _STATS_COLUMNS = (
@@ -523,26 +526,17 @@ _STATS_COLUMNS = (
 )
 
 
-def format_stats_table(rows: Mapping[str, CorpusStats]) -> str:
-    header = ["name"] + [name for name, _ in _STATS_COLUMNS]
-    table = [header]
+def _stats_table(rows: Mapping[str, CorpusStats], columns) -> list[list[str]]:
+    table = [["name"] + [name for name, _ in columns]]
     for name, stats in rows.items():
-        table.append([name] + [getter(stats) for _, getter in _STATS_COLUMNS])
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    return "\n".join(
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        for row in table
-    )
+        table.append([name] + [getter(stats) for _, getter in columns])
+    return table
+
+
+def format_stats_table(rows: Mapping[str, CorpusStats]) -> str:
+    return _aligned(_stats_table(rows, _STATS_COLUMNS))
 
 
 def stats_csv(rows: Mapping[str, CorpusStats]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["name"] + [name for name, _ in _STATS_COLUMNS] + ["spanned all %"])
-    for name, stats in rows.items():
-        writer.writerow(
-            [name]
-            + [getter(stats) for _, getter in _STATS_COLUMNS]
-            + [_fmt(stats.spanned_all_pct)]
-        )
-    return out.getvalue()
+    columns = _STATS_COLUMNS + (("spanned all %", lambda s: _fmt(s.spanned_all_pct)),)
+    return _csv(_stats_table(rows, columns))

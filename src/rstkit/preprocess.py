@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 from .core import (
     DocumentRecord,
+    InputLines,
     Nuclearity,
     RelationLabel,
     RstError,
@@ -56,6 +57,8 @@ class RemapRule:
             or self.replace_nuclearity == self.match_nuclearity
         ):
             raise RstError(f"rule maps {self.match_relation!r} to itself")
+        # a replacement no label can carry would fail when first applied
+        RelationLabel(self.replace_relation, self.replace_nuclearity or Nuclearity.NN)
 
     def matches(self, label: RelationLabel) -> bool:
         return label.relation == self.match_relation and (
@@ -118,8 +121,8 @@ def parse_remap_rules(lines: Iterable[str]) -> RemapTable:
 
 
 def load_remap_table(path) -> RemapTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_remap_rules(fh)
+    with InputLines(path) as lines:
+        return parse_remap_rules(lines)
 
 
 # Name-level merges first, then the nuclearity-specific renamings; rewrites

@@ -36,11 +36,13 @@ from .core import (
     Corpus,
     DocumentRecord,
     EduSpan,
+    InputLines,
     MissingTree,
     Nuclearity,
     RelationLabel,
     RstError,
     RstTree,
+    SchemaViolation,  # raised by the readers here, and caught under this name
     Split,
 )
 
@@ -64,14 +66,6 @@ class UnknownRelname(RstError):
 
 class EmptySegmentText(RstError):
     """A segment carries no text."""
-
-
-class SchemaViolation(RstError):
-    """A canonical-format line violates the record schema."""
-
-    def __init__(self, line_number: int, message: str) -> None:
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 # ---------------------------------------------------------------------------
@@ -757,24 +751,27 @@ def write_canonical(corpus: Corpus, path) -> None:
 def iter_canonical(path):
     """Stream documents from a canonical corpus file, one at a time.
 
-    Raises SchemaViolation with the line number of the first offending
-    record.  Memory stays bounded by the largest single document.
+    Raises SchemaViolation naming the first offending line, which may be
+    malformed or repeat an earlier document's id.  Memory stays bounded by
+    the largest single document, plus the ids read so far.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    seen: set[str] = set()
+    with InputLines(path) as lines:
+        for line in lines:
             try:
                 obj = json.loads(line)
             except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
-                raise SchemaViolation(line_number, f"invalid JSON: {exc}") from None
+                raise RstError(f"invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
-                raise SchemaViolation(line_number, "record is not a JSON object")
+                raise RstError("record is not a JSON object")
             try:
-                yield record_from_json(obj)
-            except (RstError, KeyError, TypeError, ValueError) as exc:
-                raise SchemaViolation(line_number, str(exc)) from None
+                doc = record_from_json(obj)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise RstError(str(exc)) from None
+            if doc.doc_id in seen:
+                raise RstError(f"duplicate document id {doc.doc_id}")
+            seen.add(doc.doc_id)
+            yield doc
 
 
 def read_canonical(path) -> Corpus:
@@ -788,21 +785,21 @@ def read_rs3_file(path) -> list[Rs3Component]:
 
 
 def read_sentence_file(path) -> dict[str, tuple[int, ...]]:
-    """Read external sentence boundaries: ``doc_id<TAB>i0 i1 i2 ...`` lines."""
+    """Read external sentence boundaries: ``doc_id<TAB>i0 i1 i2 ...`` lines;
+    a line starting with ``#`` is a comment."""
     table: dict[str, tuple[int, ...]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
+    with InputLines(path) as lines:
+        for line in lines:
+            if line.startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise SchemaViolation(line_number, "expected 'doc_id<TAB>indices'")
+                raise RstError("expected 'doc_id<TAB>indices'")
             try:
                 bounds = tuple(int(x) for x in parts[1].split())
             except ValueError:
-                raise SchemaViolation(line_number, "boundary indices must be ints") from None
+                raise RstError("boundary indices must be ints") from None
             if parts[0] in table:
-                raise SchemaViolation(line_number, f"repeated document id {parts[0]!r}")
+                raise RstError(f"repeated document id {parts[0]!r}")
             table[parts[0]] = bounds
     return table

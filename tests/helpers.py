@@ -712,7 +712,7 @@ def reference_read(path) -> list[DocumentRecord]:
             try:
                 docs.append(reference_record_from_json(json.loads(line)))
             except (RstError, KeyError, TypeError, ValueError) as exc:
-                raise SchemaViolation(line_number, str(exc)) from None
+                raise SchemaViolation(path, line_number, str(exc)) from None
     return docs
 
 

@@ -171,10 +171,27 @@ class TestPreprocess:
         corpus = read_canonical(out)
         assert len(corpus) == forest_corpus.n_kept
 
-    def test_canonical_input_remap_only(self, gold_file, tmp_path):
+    def test_canonical_input_remap_only(self, gold_file, tmp_path, capsys):
         out = tmp_path / "remapped.jsonl"
         assert main(["preprocess", str(gold_file), "-o", str(out)]) == 0
         assert len(read_canonical(out)) == 4
+        assert "input files:        1\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--split", "test", "--lang", "ru", "--genre", "zzz"], "--genre, --lang, --split"),
+        (["--genre-field", "0"], "--genre-field"),
+        (["--split-map", "SPLITS"], "--split-map"),
+    ])
+    def test_canonical_input_rejects_rs3_flags(self, gold_file, tmp_path, capsys,
+                                               flags, named):
+        splits = tmp_path / "splits.tsv"
+        splits.write_text("no_such_id\ttest\n", encoding="utf-8")
+        flags = [str(splits) if flag == "SPLITS" else flag for flag in flags]
+        out = tmp_path / "out.jsonl"
+        assert main(["preprocess", str(gold_file), "-o", str(out), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"rstkit: error: flags {named} apply only to .rs3 input\n"
+        assert captured.out == "" and not out.exists()
 
 
 class TestDumpRemapTable:
@@ -967,7 +984,8 @@ class TestRepeatedIdsLeaveNoOutput:
         if command == "convert":  # forest parts collide after the files are read
             assert f"duplicate document ids: ['{repeated}']" in err
         else:
-            assert f"{argv[1]}: duplicate document id {repeated}" in err
+            line = len(gold_file.read_text(encoding="utf-8").splitlines()) + 1
+            assert f"{argv[1]}: line {line}: duplicate document id {repeated}" in err
         assert os.listdir(out_dir) == []
 
 
@@ -1153,6 +1171,67 @@ class TestInputErrorsNameTheFile:
         assert captured.out == ""
         assert (f"{losses}: line 2: non-numeric loss row: ['foo', 'bar', 'baz']"
                 in captured.err)
+
+    @staticmethod
+    def _one_error(capsys, path, line, message):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rstkit: error: {path}: line {line}: {message}\n"
+
+    @pytest.mark.parametrize("rule, message", [
+        ("bogus", "remap rule needs two columns: 'bogus'"),
+        ("cause\tcause", "rule maps 'cause' to itself"),
+        ("cause\tcause_x", "relation name 'cause_x' contains a reserved character"),
+    ])
+    def test_bad_remap_rule(self, gold_file, tmp_path, capsys, rule, message):
+        rules = tmp_path / "rules.tsv"
+        rules.write_text(f"effect\tcause-effect\n{rule}\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["preprocess", str(gold_file), "-o", str(out),
+                     "--remap", str(rules)]) == 1
+        self._one_error(capsys, rules, 2, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label, message", [
+        ("elaboration_NS", "label inventory repeats ['elaboration_NS']"),
+        ("foo", "not a relation_NUC label: 'foo'"),
+    ])
+    def test_bad_inventory_label(self, gold_file, tmp_path, capsys, label, message):
+        inventory = tmp_path / "labels.txt"
+        inventory.write_text(f"elaboration_NS\n{label}\n", encoding="utf-8")
+        out = tmp_path / "pred.jsonl"
+        assert main(["parse", str(gold_file), "-o", str(out), "--oracle",
+                     "--inventory", str(inventory)]) == 1
+        self._one_error(capsys, inventory, 2, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.0,-2.0,1.0", "task 1 loss must be > 0, got -2.0"),
+        ("1.0,1.0", "expected 3 losses, got 2"),
+        ('"1.0\n2.0",1.0,1.0', "expected 3 losses, got 1"),  # one row per line
+    ])
+    def test_loss_row_the_scheduler_rejects(self, tmp_path, capsys, row, message):
+        losses = tmp_path / "losses.csv"
+        losses.write_text(f"1.0,1.0,1.0\n{row}\n", encoding="utf-8")
+        out = tmp_path / "weights.csv"
+        assert main(["dwa-sim", str(losses), "-o", str(out)]) == 1
+        self._one_error(capsys, losses, 2, message)
+        assert not out.exists()
+
+    def test_a_bad_window_names_no_line(self, tmp_path, capsys):
+        losses = tmp_path / "losses.csv"
+        losses.write_text("1.0,1.0,1.0\n", encoding="utf-8")
+        assert main(["dwa-sim", str(losses), "--window", "0"]) == 1
+        assert capsys.readouterr().err == "rstkit: error: window size must be >= 1\n"
+
+    def test_line_that_is_not_utf8(self, gold_file, tmp_path, capsys):
+        lines = gold_file.read_bytes().splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"".join(lines[:2] + [lines[2].replace(b'"', b'"\xd0', 1)]))
+        out = tmp_path / "out.jsonl"
+        assert main(["parse", str(bad), "-o", str(out), "--oracle"]) == 1
+        assert capsys.readouterr().err == f"rstkit: error: {bad}: line 3: not UTF-8\n"
+        assert not out.exists()
 
     def test_model_without_feature_settings(self, gold_file, tmp_path, capsys):
         model = tmp_path / "bare.npz"

@@ -12,6 +12,7 @@ from rstkit.core import (
     Corpus,
     DocumentRecord,
     EduSpan,
+    InputLines,
     LabelParseError,
     NonBinaryNode,
     NonContiguousChildren,
@@ -19,6 +20,7 @@ from rstkit.core import (
     RelationLabel,
     RstError,
     RstTree,
+    SchemaViolation,
     enumerate_constituents,
 )
 
@@ -500,3 +502,58 @@ class TestCorpus:
         ]
         corpus = Corpus(docs)
         assert len(corpus) == 20
+
+
+class TestInputLines:
+    def test_lines_are_numbered_stripped_and_blank_ones_skipped(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_text("  a b \n\n \t\nc\r\n\u00a0d\n", encoding="utf-8")
+        seen = []
+        with InputLines(path) as lines:
+            for line in lines:
+                seen.append((lines.line_number, line))
+        assert seen == [(1, "a b"), (4, "c"), (5, "d")]
+
+    def test_an_error_on_a_line_names_the_path_and_the_line(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_text("a\n\nb\nc\n", encoding="utf-8")
+        with pytest.raises(SchemaViolation) as err:
+            with InputLines(path) as lines:
+                for line in lines:
+                    if line == "b":
+                        raise RstError("bad b")
+        assert str(err.value) == f"{path}: line 3: bad b"
+        assert (err.value.path, err.value.line_number) == (path, 3)
+
+    def test_errors_before_the_first_line_and_after_the_last_pass(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_text("a\n", encoding="utf-8")
+        for where in ("before", "after"):
+            with pytest.raises(RstError) as err:
+                with InputLines(path) as lines:
+                    if where == "after":
+                        list(lines)
+                    raise RstError(where)
+            assert type(err.value) is RstError and str(err.value) == where
+
+    def test_other_exceptions_pass_unchanged(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_text("a\n", encoding="utf-8")
+        with pytest.raises(KeyError):
+            with InputLines(path) as lines:
+                for line in lines:
+                    raise KeyError(line)
+
+    def test_a_line_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"ok\r\nfine\r\n\xd0\xbf\xd0\n")
+        with pytest.raises(SchemaViolation) as err:
+            with InputLines(path) as lines:
+                list(lines)
+        assert str(err.value) == f"{path}: line 3: not UTF-8"
+        # the bad bytes are found on their line, not when read ahead
+        with pytest.raises(SchemaViolation, match="line 2: bad"):
+            with InputLines(path) as lines:
+                for line in lines:
+                    if line == "fine":
+                        raise RstError("bad")

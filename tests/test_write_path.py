@@ -15,7 +15,9 @@ from helpers import make_document, random_edus, random_tree
 
 # sha256 of (stdout, output file) for each command line of ``_grid``, run
 # on ``conftest.build_forest_corpus``; recorded before the write path was
-# streamed, so any change to the bytes shows here.
+# streamed, so any change to the bytes shows here.  The four ``CONV``
+# stdout digests were recorded again when canonical input began to report
+# ``input files: 1`` in place of its record count.
 GOLDEN = {
     "convert": (
         "c5c72dd79ec83e81be6b82038962dd5a2ca48e0f5014d916603354a0c268cb2c",
@@ -42,19 +44,19 @@ GOLDEN = {
         "7c5189fb565729c0730f5b4a3be236787f3240d946d6eba8f5d0cf8552f526e1",
     ),
     "preprocess CONV --remap default --drop-single-edu": (
-        "21be8989bf2875c6c3f412c592513a6b931557af2f05bda1cbff38b372190047",
+        "154f4b10756d63319ee68fc03aa1e875c8a4ab0937d99b973702d17e506ebc70",
         "81d58a86926be56190d53fd9bcee3b9f1228a9f53e252d503eeb11f54a49511b",
     ),
     "preprocess CONV --remap default --no-drop-single-edu": (
-        "36e6b43868e272e2a0e7c96c0c009c2e3d7ec6c617303abaa713f3b0018f7bbe",
+        "3e9b953f86f4ea6b47e2e43e11afe75f2fa7fddbaa8bb4b84b3d534fe0f5ac0b",
         "aa2ced9a2523be29b5bd211718107469a4e7d5d581d13fb214476bbd90da3b71",
     ),
     "preprocess CONV --remap none --drop-single-edu": (
-        "8b2bf1dfc627eabeec7eae8b5b22c01c199b1460d3d9d4134a6254fa5461fa81",
+        "47208763e60d823011936997bdef9faee24e409d2985ec7e07444fee3e4d7f76",
         "d17c16279c98cf6030d83d597202965a0fa17667fad0141e1e5a77a7daf9e607",
     ),
     "preprocess CONV --remap none --no-drop-single-edu": (
-        "c7d2749fc689f65952aa8f05655d5cace234bc9c937bd0aaa6d5243294d4183d",
+        "6ecb2c4de7691906750d9ce96af30054cd9433c10fb4f656471d17bef4df0d7a",
         "7c5189fb565729c0730f5b4a3be236787f3240d946d6eba8f5d0cf8552f526e1",
     ),
 }
