@@ -50,7 +50,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .core import InputLines, RelationLabel, RstError, RstTree, Split
+from .core import InputLines, RelationLabel, RstError, RstTree, Split, excerpt
 from . import treebank as tb_mod
 
 # Every other module is imported by the commands that use it (see the
@@ -480,14 +480,17 @@ def cmd_dwa_sim(args) -> int:
     def loss_rows(lines):
         first = True
         for line in lines:
-            row = next(csv.reader([line]))  # a quote does not run on to the next line
+            try:  # a quote does not run on to the next line
+                row = next(csv.reader([line]))
+            except csv.Error as exc:  # a field past csv's size limit
+                raise RstError(f"bad CSV row: {exc}") from None
             if row[0].strip().startswith("#"):
                 continue
             try:
                 yield [float(x) for x in row]
             except ValueError:
                 if not first:  # a header is only allowed on the first line
-                    raise RstError(f"non-numeric loss row: {row}") from None
+                    raise RstError(f"non-numeric loss row {excerpt(line)}") from None
             first = False
 
     # The rows are read as the scheduler takes them, so that an error in a

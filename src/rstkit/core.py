@@ -25,6 +25,22 @@ class RstError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def excerpt(text: str) -> str:
+    """``text`` quoted for an error message, which must stay one short line:
+    its length, then its first 60 characters."""
+    head = f"{text[:60]!r}..." if len(text) > 60 else repr(text)
+    return f"(length {len(text)}): {head}"
+
+
+def check_sentence_starts(bounds: Sequence[int]) -> None:
+    """Raise RstError unless the sentence-initial token indices ``bounds``
+    start at 0 and strictly increase."""
+    if not bounds or bounds[0] != 0:
+        raise RstError("sentence boundaries must start at 0")
+    if not all(map(lt, bounds, bounds[1:])):
+        raise RstError("sentence boundaries must strictly increase")
+
+
 class NonBinaryNode(RstError):
     """A constituent description does not describe a binary node."""
 
@@ -514,11 +530,13 @@ class DocumentRecord:
             raise RstError(f"{self.doc_id}: tree must start at EDU 0")
 
     def check_sentence_boundaries(self, bounds: Sequence[int]) -> None:
-        """Raise RstError naming the document unless ``bounds`` start at 0,
-        strictly increase and stay below the token count."""
-        if not bounds or bounds[0] != 0:
-            raise RstError(f"{self.doc_id}: sentence boundaries must start at 0")
-        if list(bounds) != sorted(set(bounds)) or bounds[-1] >= len(self.tokens):
+        """Raise RstError naming the document unless ``bounds`` pass
+        :func:`check_sentence_starts` and stay below the token count."""
+        try:
+            check_sentence_starts(bounds)
+        except RstError as exc:
+            raise RstError(f"{self.doc_id}: {exc}") from None
+        if bounds[-1] >= len(self.tokens):
             raise RstError(f"{self.doc_id}: bad sentence boundaries")
 
     def _check_edu_partition(self) -> None:

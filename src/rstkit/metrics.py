@@ -305,7 +305,10 @@ def _spanned_sentence_counts(
         raise MissingSentences(f"{doc.doc_id}: sentence boundaries required")
     if doc.tree is None:
         raise MissingTree(f"{doc.doc_id} has no tree")
-    doc.check_sentence_boundaries(boundaries)
+    # read_sentence_file and DocumentRecord check that the boundaries start
+    # at 0 and increase; the bound needs the document
+    if not boundaries or boundaries[-1] >= len(doc.tokens):
+        raise RstError(f"{doc.doc_id}: bad sentence boundaries")
     bounds = list(boundaries) + [len(doc.tokens)]
     sentences = [(bounds[i], bounds[i + 1] - 1) for i in range(len(bounds) - 1)]
     node_spans = {node.token_span(doc.edus) for node in doc.tree.nodes()}
@@ -425,9 +428,10 @@ def corpus_stats(
 ) -> CorpusStats:
     """Aggregate tree statistics over documents.
 
-    ``sentences`` optionally overrides the per-document sentence boundaries
-    (sentence-initial token indices: starting at 0, strictly increasing and
-    below the token count, else RstError names the document).  The spanned
+    ``sentences`` optionally overrides the per-document sentence boundaries:
+    sentence-initial token indices, starting at 0 and strictly increasing
+    (as :func:`~rstkit.treebank.read_sentence_file` checks).  One at or past
+    the token count raises RstError naming the document.  The spanned
     percentage is the share of non-elementary sentences (those containing
     at least two EDUs) whose exact token span equals some tree-node span;
     the all-sentence variant is also reported.  With ``spanned=False`` no

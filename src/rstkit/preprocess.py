@@ -25,6 +25,7 @@ from .core import (
     RstError,
     RstTree,
     Split,
+    excerpt,
 )
 from .treebank import Rs3Component, component_to_record
 
@@ -113,7 +114,7 @@ def parse_remap_rules(lines: Iterable[str]) -> RemapTable:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise RstError(f"remap rule needs two columns: {raw.rstrip()!r}")
+            raise RstError(f"remap rule needs two columns {excerpt(raw.rstrip())}")
         match_rel, match_nuc = _parse_side(parts[0])
         repl_rel, repl_nuc = _parse_side(parts[1])
         rules.append(RemapRule(match_rel, match_nuc, repl_rel, repl_nuc))

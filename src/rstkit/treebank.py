@@ -29,6 +29,8 @@ import io
 import json
 import re
 import unicodedata
+from bisect import bisect_left
+from collections import defaultdict
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
@@ -44,6 +46,8 @@ from .core import (
     RstTree,
     SchemaViolation,  # raised by the readers here, and caught under this name
     Split,
+    check_sentence_starts,
+    excerpt,
 )
 
 # The rs3 reader and writer import xml.etree themselves, so commands that
@@ -153,12 +157,6 @@ class Rs3Document(NamedTuple):
     segments: tuple[Rs3Segment, ...]
     groups: tuple[Rs3Group, ...]
 
-    def relation_kinds(self) -> dict[str, set[str]]:
-        kinds: dict[str, set[str]] = {}
-        for rel in self.relations:
-            kinds.setdefault(rel.name, set()).add(rel.kind)
-        return kinds
-
 
 def parse_rs3(data: bytes) -> Rs3Document:
     """Parse rs3 file bytes into the raw node table.
@@ -215,7 +213,7 @@ def parse_rs3(data: bytes) -> Rs3Document:
             groups.append(Rs3Group(node_id, kind, parent, relname))
 
     doc = Rs3Document(tuple(relations), tuple(segments), tuple(groups))
-    _validate_rs3(doc)
+    _validate_rs3(doc, seen_ids)
     return doc
 
 
@@ -223,8 +221,9 @@ def _normalize_space(text: str) -> str:
     return " ".join(text.split())
 
 
-def _validate_rs3(doc: Rs3Document) -> None:
-    ids = {seg.node_id for seg in doc.segments} | {g.node_id for g in doc.groups}
+def _validate_rs3(doc: Rs3Document, ids: set[str]) -> None:
+    """Every parent is a node of ``ids``, and every relname but ``span``
+    is in the relations table."""
     known_relnames = {rel.name for rel in doc.relations}
     nodes: list[Union[Rs3Segment, Rs3Group]] = [*doc.segments, *doc.groups]
     for node in nodes:
@@ -257,155 +256,124 @@ def extract_forest(doc: Rs3Document) -> list[Rs3Component]:
     Components are ordered by the document position of their first segment.
     Satellites attach nearest-first; when a nucleus has pending satellites
     on both sides, the right one is folded first (innermost).
+
+    One pass over the nodes files each child under its parent, in document
+    order, as a nucleus or a satellite: ``relname="span"`` (or none) makes
+    it the nucleus of a segment or span group, a relation with a
+    ``multinuc`` entry one nucleus of a multinuc group, and any other
+    relation a satellite (a ``span`` child of a multinuc group is neither).
+    Each node is then built once, after its children.  Node ids are unique,
+    as :func:`parse_rs3` checks.
     """
-    kinds = doc.relation_kinds()
+    multinuc = {rel.name for rel in doc.relations if rel.kind == "multinuc"}
+    multinuc_groups = {g.node_id for g in doc.groups if g.kind == "multinuc"}
     nodes: dict[str, Union[Rs3Segment, Rs3Group]] = {}
-    order: dict[str, int] = {}
-    for pos, seg in enumerate(doc.segments):
+    for seg in doc.segments:
         nodes[seg.node_id] = seg
-        order[seg.node_id] = pos
     for group in doc.groups:
         nodes[group.node_id] = group
 
     children: dict[str, list[str]] = {nid: [] for nid in nodes}
+    nuclei: defaultdict[str, list[str]] = defaultdict(list)
+    satellites: defaultdict[str, list[str]] = defaultdict(list)
     roots: list[str] = []
     for nid, node in nodes.items():
-        if node.parent_id is None:
+        pid = node.parent_id
+        if pid is None:
             roots.append(nid)
+            continue
+        children[pid].append(nid)
+        relname = node.relname
+        if relname is None or relname == "span":
+            if pid not in multinuc_groups:
+                nuclei[pid].append(nid)
+        elif relname in multinuc and pid in multinuc_groups:
+            nuclei[pid].append(nid)
         else:
-            children[node.parent_id].append(nid)
+            satellites[pid].append(nid)
 
-    # Component root for every node, found by walking parent chains.
+    # A walk down from each root lists its tree's nodes, parents before
+    # children; a node that no walk reaches hangs off a parent cycle.
     component: dict[str, str] = {}
-    for nid in nodes:
-        chain: list[str] = []
-        cur = nid
-        while cur not in component and nodes[cur].parent_id is not None:
-            chain.append(cur)
-            if len(chain) > len(nodes):
-                raise MalformedXml(f"parent cycle involving node {nid}")
-            cur = nodes[cur].parent_id  # type: ignore[assignment]
-        root = component.get(cur, cur)
-        component[cur] = root
-        for item in chain:
-            component[item] = root
+    walks: dict[str, list[str]] = {}
+    for root in roots:
+        stack = [root]
+        walk = walks[root] = []
+        while stack:
+            nid = stack.pop()
+            walk.append(nid)
+            component[nid] = root
+            stack += children[nid]
+    if len(component) < len(nodes):
+        nid = next(nid for nid in nodes if nid not in component)
+        raise MalformedXml(f"parent cycle involving node {nid}")
 
-    # Global EDU numbering follows segment order; each component renumbers
-    # its own EDUs from zero below.
-    segment_ids = [seg.node_id for seg in doc.segments]
+    # Each component's segments in text order (its EDUs 0, 1, ...), keyed
+    # by its root, components in the order of their first segments; one
+    # without segments is skipped.
     by_component: dict[str, list[str]] = {}
-    for sid in segment_ids:
-        by_component.setdefault(component[sid], []).append(sid)
-
-    ordered_roots = sorted(
-        (root for root in roots if root in by_component),
-        key=lambda root: order[by_component[root][0]],
-    )
+    for seg in doc.segments:
+        by_component.setdefault(component[seg.node_id], []).append(seg.node_id)
 
     results = []
-    for root in ordered_roots:
-        seg_ids = by_component[root]
+    for root, seg_ids in by_component.items():
         edu_index = {sid: i for i, sid in enumerate(seg_ids)}
-        tree = _resolve_component(root, nodes, children, kinds, edu_index)
+        resolved: dict[str, RstTree] = {}
+        for nid in reversed(walks[root]):  # children before parents
+            node = nodes[nid]
+            nucs = nuclei.get(nid, ())
+            if type(node) is Rs3Segment:
+                if nucs:
+                    raise MalformedXml(f"segment {nid} has span/multinuc children")
+                base = RstTree.leaf(edu_index[nid])
+            elif node.kind == "span":
+                if len(nucs) != 1:
+                    raise MalformedXml(f"span group {nid} has {len(nucs)} span children")
+                base = resolved[nucs[0]]
+            else:  # multinuc group
+                if len(nucs) < 2:
+                    raise MalformedXml(f"multinuc group {nid} has {len(nucs)} nuclei")
+                ordered = sorted(nucs, key=lambda cid: resolved[cid].first_edu)
+                label = RelationLabel.from_merged(
+                    f"{nodes[ordered[0]].relname or 'joint'}_NN"
+                )
+                # k nuclei become a right-branching cascade of k-1 NN nodes
+                base = resolved[ordered[-1]]
+                for cid in ordered[-2::-1]:
+                    base = RstTree.internal(resolved[cid], base, label)
+            if nid in satellites:
+                base = _attach_satellites(nid, base, satellites[nid], nodes, resolved)
+            resolved[nid] = base
         texts = tuple(nodes[sid].text for sid in seg_ids)  # type: ignore[union-attr]
-        results.append(Rs3Component(tree, texts))
+        results.append(Rs3Component(resolved[root], texts))
     return results
 
 
-def _attachment_kind(
-    child: Union[Rs3Segment, Rs3Group],
-    parent: Union[Rs3Segment, Rs3Group, None],
-    kinds: dict[str, set[str]],
-) -> str:
-    """Classify how a node hangs off its parent: span, multinuc or satellite."""
-    relname = child.relname
-    if relname is None or relname == "span":
-        return "span"
-    rel_kinds = kinds.get(relname, set())
-    parent_is_multinuc = isinstance(parent, Rs3Group) and parent.kind == "multinuc"
-    if parent_is_multinuc and "multinuc" in rel_kinds:
-        return "multinuc"
-    return "satellite"
-
-
-def _resolve_component(
-    root: str,
-    nodes: dict[str, Union[Rs3Segment, Rs3Group]],
-    children: dict[str, list[str]],
-    kinds: dict[str, set[str]],
-    edu_index: dict[str, int],
-) -> RstTree:
-    # Bottom-up resolution in dependency order (children before parents).
-    stack = [root]
-    topo: list[str] = []
-    while stack:
-        nid = stack.pop()
-        topo.append(nid)
-        stack.extend(children[nid])
-    resolved: dict[str, RstTree] = {}
-    for nid in reversed(topo):
-        resolved[nid] = _resolve_node(nid, nodes, children, kinds, edu_index, resolved)
-    return resolved[root]
-
-
-def _resolve_node(
+def _attach_satellites(
     nid: str,
+    base: RstTree,
+    satellites: list[str],
     nodes: dict[str, Union[Rs3Segment, Rs3Group]],
-    children: dict[str, list[str]],
-    kinds: dict[str, set[str]],
-    edu_index: dict[str, int],
     resolved: dict[str, RstTree],
 ) -> RstTree:
-    node = nodes[nid]
-    span_children: list[str] = []
-    multinuc_children: list[str] = []
-    satellites: list[str] = []
-    for cid in children[nid]:
-        kind = _attachment_kind(nodes[cid], node, kinds)
-        if kind == "span":
-            span_children.append(cid)
-        elif kind == "multinuc":
-            multinuc_children.append(cid)
-        else:
-            satellites.append(cid)
-
-    if isinstance(node, Rs3Segment):
-        if span_children or multinuc_children:
-            raise MalformedXml(f"segment {nid} has span/multinuc children")
-        base = RstTree.leaf(edu_index[nid])
-    elif node.kind == "span":
-        if len(span_children) != 1:
-            raise MalformedXml(
-                f"span group {nid} has {len(span_children)} span children"
-            )
-        base = resolved[span_children[0]]
-    else:  # multinuc group
-        if len(multinuc_children) < 2:
-            raise MalformedXml(
-                f"multinuc group {nid} has {len(multinuc_children)} nuclei"
-            )
-        nuclei = sorted(multinuc_children, key=lambda c: resolved[c].first_edu)
-        label = RelationLabel.from_merged(f"{nodes[nuclei[0]].relname or 'joint'}_NN")
-        # k nuclei become a right-branching cascade of k-1 NN nodes
-        base = resolved[nuclei[-1]]
-        for cid in nuclei[-2::-1]:
-            base = RstTree.internal(resolved[cid], base, label)
-
-    pending = [(resolved[cid], nodes[cid].relname or "") for cid in satellites]
+    """Fold satellites onto ``base``, each time the first one (in document
+    order) that is adjacent on the right, else the first on the left."""
+    pending = [(resolved[cid], nodes[cid].relname) for cid in satellites]
     while pending:
-        right = [p for p in pending if p[0].first_edu == base.last_edu + 1]
-        left = [p for p in pending if p[0].last_edu == base.first_edu - 1]
-        if right:
-            sat, relname = right[0]
-            base = RstTree.internal(base, sat, RelationLabel.from_merged(f"{relname}_NS"))
-        elif left:
-            sat, relname = left[0]
-            base = RstTree.internal(sat, base, RelationLabel.from_merged(f"{relname}_SN"))
+        for i, (sat, relname) in enumerate(pending):
+            if sat.first_edu == base.last_edu + 1:
+                base = RstTree.internal(base, sat, f"{relname}_NS")
+                break
         else:
-            raise MalformedXml(
-                f"satellite of node {nid} is not adjacent to its nucleus"
-            )
-        pending = [p for p in pending if p[0] is not sat]
+            for i, (sat, relname) in enumerate(pending):
+                if sat.last_edu == base.first_edu - 1:
+                    base = RstTree.internal(sat, base, f"{relname}_SN")
+                    break
+            else:
+                raise MalformedXml(
+                    f"satellite of node {nid} is not adjacent to its nucleus"
+                )
+        del pending[i]
     return base
 
 
@@ -421,23 +389,30 @@ def component_to_record(
     lang: str = "en",
     split: Split | str = Split.TRAIN,
 ) -> DocumentRecord:
-    """Tokenize one forest component into a document record with its tree."""
-    tokens: list[tuple[str, int]] = []
+    """Tokenize one forest component into a document record with its tree.
+
+    The EDU texts are joined by single spaces and tokenized in one call.
+    No token crosses a space, so EDU ``k``'s tokens are those that start
+    before EDU ``k + 1``'s text: a ``bisect`` on the token offsets cuts
+    each EDU.
+    """
+    pairs = tokenize(" ".join(component.edu_texts))
+    texts, starts = zip(*pairs) if pairs else ((), ())
     edus: list[EduSpan] = []
-    char_offset = 0
+    first = end = 0
     for text in component.edu_texts:
-        start = len(tokens)
-        tokens += tokenize(text, char_offset)
-        char_offset += len(text) + 1  # EDU texts joined by single spaces
-        if len(tokens) == start:
+        end += len(text) + 1  # where the next EDU's text starts
+        last = bisect_left(starts, end)
+        if last == first:
             raise EmptySegmentText(f"{doc_id}: EDU with no tokens")
-        edus.append(EduSpan(start, len(tokens) - 1))
+        edus.append(EduSpan(first, last - 1))
+        first = last
     return DocumentRecord(
         doc_id=doc_id,
         genre=genre,
         lang=lang,
-        tokens=tuple(text for text, _ in tokens),
-        char_starts=tuple(start for _, start in tokens),
+        tokens=texts,
+        char_starts=starts,
         edus=tuple(edus),
         tree=component.tree,
         split=Split(split),
@@ -648,9 +623,7 @@ def tree_from_string(text: str) -> RstTree:
         else:
             raise RstError("multiple root nodes in tree string")
     if stack or root is None:
-        # a tree string runs to kilobytes: quote its start, give its length
-        head = f"{text[:60]!r}..." if len(text) > 60 else repr(text)
-        raise RstError(f"unbalanced tree string (length {len(text)}): {head}")
+        raise RstError(f"unbalanced tree string {excerpt(text)}")
     return root
 
 
@@ -786,7 +759,9 @@ def read_rs3_file(path) -> list[Rs3Component]:
 
 def read_sentence_file(path) -> dict[str, tuple[int, ...]]:
     """Read external sentence boundaries: ``doc_id<TAB>i0 i1 i2 ...`` lines;
-    a line starting with ``#`` is a comment."""
+    a line starting with ``#`` is a comment.  Each line's indices must
+    start at 0 and strictly increase; whether they stay below the token
+    count is checked against the document when it is scored."""
     table: dict[str, tuple[int, ...]] = {}
     with InputLines(path) as lines:
         for line in lines:
@@ -799,6 +774,7 @@ def read_sentence_file(path) -> dict[str, tuple[int, ...]]:
                 bounds = tuple(int(x) for x in parts[1].split())
             except ValueError:
                 raise RstError("boundary indices must be ints") from None
+            check_sentence_starts(bounds)
             if parts[0] in table:
                 raise RstError(f"repeated document id {parts[0]!r}")
             table[parts[0]] = bounds

@@ -8,7 +8,9 @@ chart over all ranges, gradients from central finite differences,
 canonical records from a per-token loop with a shift-reduce tree parser,
 tree strings from a piece-by-piece renderer, canonical lines from
 ``json.dumps`` of plain lists, tokens from peeling every chunk one
-character at a time, and sentence statistics from a scan over every EDU.
+character at a time, rs3 forests from a resolver that classifies every
+child when its parent is built, records from tokenizing one EDU at a
+time, and sentence statistics from a scan over every EDU.
 Trees are written in tests as nested ``(left, right, label)`` descriptions
 (:func:`build_tree`).
 """
@@ -40,7 +42,16 @@ from rstkit.core import (
 )
 from rstkit.crf import CrfGradients, CrfModel, log_likelihood
 from rstkit.preprocess import PreprocessReport, Preprocessor, RemapTable
-from rstkit.treebank import SchemaViolation
+from rstkit.treebank import (
+    EmptySegmentText,
+    MalformedXml,
+    Rs3Component,
+    Rs3Document,
+    Rs3Group,
+    Rs3Segment,
+    SchemaViolation,
+    tokenize,
+)
 
 TEST_LABELS = (
     "attribution_SN",
@@ -783,6 +794,168 @@ def reference_tokenize(text: str, char_offset: int = 0) -> list[tuple[str, int]]
         tokens.append((chunk[lo:hi], base + lo))
         tokens += tail[::-1]
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# rs3 oracles: the resolver that classifies every child of a node when the
+# node is built, and the record builder that tokenizes one EDU at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_extract_forest(doc: Rs3Document) -> list[Rs3Component]:
+    """:func:`rstkit.treebank.extract_forest`, resolving each node from
+    its list of children with a per-child attachment lookup."""
+    kinds: dict[str, set[str]] = {}
+    for rel in doc.relations:
+        kinds.setdefault(rel.name, set()).add(rel.kind)
+    nodes: dict[str, Union[Rs3Segment, Rs3Group]] = {}
+    order: dict[str, int] = {}
+    for pos, seg in enumerate(doc.segments):
+        nodes[seg.node_id] = seg
+        order[seg.node_id] = pos
+    for group in doc.groups:
+        nodes[group.node_id] = group
+
+    children: dict[str, list[str]] = {nid: [] for nid in nodes}
+    roots: list[str] = []
+    for nid, node in nodes.items():
+        if node.parent_id is None:
+            roots.append(nid)
+        else:
+            children[node.parent_id].append(nid)
+
+    component: dict[str, str] = {}
+    for nid in nodes:
+        chain: list[str] = []
+        cur = nid
+        while cur not in component and nodes[cur].parent_id is not None:
+            chain.append(cur)
+            if len(chain) > len(nodes):
+                raise MalformedXml(f"parent cycle involving node {nid}")
+            cur = nodes[cur].parent_id
+        root = component.get(cur, cur)
+        component[cur] = root
+        for item in chain:
+            component[item] = root
+
+    by_component: dict[str, list[str]] = {}
+    for seg in doc.segments:
+        by_component.setdefault(component[seg.node_id], []).append(seg.node_id)
+    ordered_roots = sorted(
+        (root for root in roots if root in by_component),
+        key=lambda root: order[by_component[root][0]],
+    )
+
+    results = []
+    for root in ordered_roots:
+        seg_ids = by_component[root]
+        edu_index = {sid: i for i, sid in enumerate(seg_ids)}
+        tree = _reference_resolve_component(root, nodes, children, kinds, edu_index)
+        results.append(Rs3Component(tree, tuple(nodes[sid].text for sid in seg_ids)))
+    return results
+
+
+def _reference_attachment_kind(child, parent, kinds: dict[str, set[str]]) -> str:
+    relname = child.relname
+    if relname is None or relname == "span":
+        return "span"
+    parent_is_multinuc = isinstance(parent, Rs3Group) and parent.kind == "multinuc"
+    if parent_is_multinuc and "multinuc" in kinds.get(relname, set()):
+        return "multinuc"
+    return "satellite"
+
+
+def _reference_resolve_component(root, nodes, children, kinds, edu_index) -> RstTree:
+    stack = [root]
+    topo: list[str] = []
+    while stack:
+        nid = stack.pop()
+        topo.append(nid)
+        stack.extend(children[nid])
+    resolved: dict[str, RstTree] = {}
+    for nid in reversed(topo):
+        resolved[nid] = _reference_resolve_node(
+            nid, nodes, children, kinds, edu_index, resolved
+        )
+    return resolved[root]
+
+
+def _reference_resolve_node(nid, nodes, children, kinds, edu_index, resolved) -> RstTree:
+    node = nodes[nid]
+    span_children: list[str] = []
+    multinuc_children: list[str] = []
+    satellites: list[str] = []
+    for cid in children[nid]:
+        kind = _reference_attachment_kind(nodes[cid], node, kinds)
+        if kind == "span":
+            span_children.append(cid)
+        elif kind == "multinuc":
+            multinuc_children.append(cid)
+        else:
+            satellites.append(cid)
+
+    if isinstance(node, Rs3Segment):
+        if span_children or multinuc_children:
+            raise MalformedXml(f"segment {nid} has span/multinuc children")
+        base = RstTree.leaf(edu_index[nid])
+    elif node.kind == "span":
+        if len(span_children) != 1:
+            raise MalformedXml(f"span group {nid} has {len(span_children)} span children")
+        base = resolved[span_children[0]]
+    else:
+        if len(multinuc_children) < 2:
+            raise MalformedXml(f"multinuc group {nid} has {len(multinuc_children)} nuclei")
+        nuclei = sorted(multinuc_children, key=lambda c: resolved[c].first_edu)
+        label = RelationLabel.from_merged(f"{nodes[nuclei[0]].relname or 'joint'}_NN")
+        base = resolved[nuclei[-1]]
+        for cid in nuclei[-2::-1]:
+            base = RstTree.internal(resolved[cid], base, label)
+
+    pending = [(resolved[cid], nodes[cid].relname or "") for cid in satellites]
+    while pending:
+        right = [p for p in pending if p[0].first_edu == base.last_edu + 1]
+        left = [p for p in pending if p[0].last_edu == base.first_edu - 1]
+        if right:
+            sat, relname = right[0]
+            base = RstTree.internal(base, sat, RelationLabel.from_merged(f"{relname}_NS"))
+        elif left:
+            sat, relname = left[0]
+            base = RstTree.internal(sat, base, RelationLabel.from_merged(f"{relname}_SN"))
+        else:
+            raise MalformedXml(f"satellite of node {nid} is not adjacent to its nucleus")
+        pending = [p for p in pending if p[0] is not sat]
+    return base
+
+
+def reference_component_to_record(
+    component: Rs3Component,
+    doc_id: str,
+    genre: str = "unknown",
+    lang: str = "en",
+    split: Split | str = Split.TRAIN,
+) -> DocumentRecord:
+    """:func:`rstkit.treebank.component_to_record`, tokenizing one EDU at
+    a time at its offset in the space-joined text."""
+    tokens: list[tuple[str, int]] = []
+    edus: list[EduSpan] = []
+    char_offset = 0
+    for text in component.edu_texts:
+        start = len(tokens)
+        tokens += tokenize(text, char_offset)
+        char_offset += len(text) + 1
+        if len(tokens) == start:
+            raise EmptySegmentText(f"{doc_id}: EDU with no tokens")
+        edus.append(EduSpan(start, len(tokens) - 1))
+    return DocumentRecord(
+        doc_id=doc_id,
+        genre=genre,
+        lang=lang,
+        tokens=tuple(text for text, _ in tokens),
+        char_starts=tuple(start for _, start in tokens),
+        edus=tuple(edus),
+        tree=component.tree,
+        split=Split(split),
+    )
 
 
 # ---------------------------------------------------------------------------

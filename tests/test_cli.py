@@ -2,9 +2,11 @@ import csv
 import errno
 import gc
 import io
+import itertools
 import json
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -22,7 +24,7 @@ from rstkit import crf as crf_mod
 from rstkit import dwa as dwa_mod
 from rstkit import treebank as tb_mod
 from rstkit.cli import main
-from rstkit.core import Corpus, EduSpan, RstTree
+from rstkit.core import Corpus, DocumentRecord, EduSpan, RstTree
 from rstkit.decoder import OracleProvider
 from rstkit.metrics import corpus_stats, genre_breakdown, stats_csv
 from rstkit.preprocess import label_histogram
@@ -240,8 +242,9 @@ class TestStats:
 
     @pytest.mark.parametrize("by_genre", [[], ["--by-genre"]])
     @pytest.mark.parametrize("bounds, problem", [
-        ("0 50 30 99999", "bad sentence boundaries"),
-        ("5 9", "sentence boundaries must start at 0"),
+        ("0 50 30 99999", "line 1: sentence boundaries must strictly increase"),
+        ("5 9", "line 1: sentence boundaries must start at 0"),
+        ("0 99999", "doc0: bad sentence boundaries"),  # the bound needs the document
     ])
     def test_sentence_file_boundaries_are_checked_per_document(
         self, gold_file, tmp_path, by_genre, bounds, problem, capsys
@@ -253,8 +256,20 @@ class TestStats:
         args = ["stats", str(gold_file), "--sents", str(sents), *by_genre]
         assert main(args) == 1
         captured = capsys.readouterr()
-        assert f"doc0: {problem}" in captured.err
+        where = f"{sents}: " if problem.startswith("line") else ""
+        assert f"rstkit: error: {where}{problem}\n" == captured.err
         assert "spanned" not in captured.out
+
+    @pytest.mark.parametrize("spanned", [[], ["--no-spanned"]])
+    def test_a_non_increasing_sentence_line_is_rejected_by_line(
+        self, gold_file, tmp_path, spanned, capsys
+    ):
+        sents = tmp_path / "gold.sents"
+        sents.write_text("doc0\t0 1\ndoc1\t0 3 1\n", encoding="utf-8")
+        assert main(["stats", str(gold_file), "--sents", str(sents), *spanned]) == 1
+        assert capsys.readouterr().err == (
+            f"rstkit: error: {sents}: line 2: sentence boundaries must strictly increase\n"
+        )
 
     @pytest.mark.parametrize("by_genre", [[], ["--by-genre"]])
     def test_repeated_id_is_a_user_error(self, gold_file, tmp_path, by_genre, capsys):
@@ -1169,7 +1184,7 @@ class TestInputErrorsNameTheFile:
         assert main(["dwa-sim", str(losses)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert (f"{losses}: line 2: non-numeric loss row: ['foo', 'bar', 'baz']"
+        assert (f"{losses}: line 2: non-numeric loss row (length 11): 'foo,bar,baz'"
                 in captured.err)
 
     @staticmethod
@@ -1179,7 +1194,7 @@ class TestInputErrorsNameTheFile:
         assert captured.err == f"rstkit: error: {path}: line {line}: {message}\n"
 
     @pytest.mark.parametrize("rule, message", [
-        ("bogus", "remap rule needs two columns: 'bogus'"),
+        ("bogus", "remap rule needs two columns (length 5): 'bogus'"),
         ("cause\tcause", "rule maps 'cause' to itself"),
         ("cause\tcause_x", "relation name 'cause_x' contains a reserved character"),
     ])
@@ -1217,6 +1232,38 @@ class TestInputErrorsNameTheFile:
         assert main(["dwa-sim", str(losses), "-o", str(out)]) == 1
         self._one_error(capsys, losses, 2, message)
         assert not out.exists()
+
+    def test_loss_field_past_the_csv_size_limit(self, tmp_path, capsys):
+        # csv refuses a field over 131,072 characters; that once exited 2
+        losses = tmp_path / "losses.csv"
+        losses.write_text(f"1.0,1.0,1.0\n{'9' * 140_000},1.0,1.0\n", encoding="utf-8")
+        out = tmp_path / "weights.csv"
+        assert main(["dwa-sim", str(losses), "-o", str(out)]) == 1
+        self._one_error(capsys, losses, 2,
+                        "bad CSV row: field larger than field limit (131072)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["remap rule", "loss row", "tree string"])
+    def test_a_long_bad_line_is_quoted_short(self, gold_file, tmp_path, kind, capsys):
+        path = tmp_path / "long.in"
+        if kind == "remap rule":
+            path.write_text("effect\tcause-effect\n" + "a " * 1500 + "\n", encoding="utf-8")
+            argv = ["preprocess", str(gold_file), "-o", str(tmp_path / "o"), "--remap"]
+        elif kind == "loss row":
+            path.write_text("1.0,1.0,1.0\n" + ",".join(["x1"] * 1001) + "\n",
+                            encoding="utf-8")
+            argv = ["dwa-sim"]
+        else:
+            obj = json.loads(gold_file.read_text(encoding="utf-8").splitlines()[0])
+            obj["tree"] = "(" * 3000
+            path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+            argv = ["stats", "--no-spanned"]
+        assert main([*argv, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode("utf-8")) <= 300, err
+        line = 2 if kind != "tree string" else 1
+        assert err.startswith(f"rstkit: error: {path}: line {line}: ")
+        assert re.search(r" \(length \d{4}\): '.{60}'\.\.\.$", err), err
 
     def test_a_bad_window_names_no_line(self, tmp_path, capsys):
         losses = tmp_path / "losses.csv"
@@ -1331,9 +1378,11 @@ class TestHashSeedReproducibility:
     and histograms come from dicts and sets, and only sorting fixes their
     order."""
 
-    def test_chain_is_byte_identical_under_two_hash_seeds(self, forest_corpus,
-                                                          tmp_path):
-        sents = tmp_path / "forest.sents"
+    @staticmethod
+    def _chain_outputs(rs3_dir, tmp_path):
+        """stdout of convert, stats, parse --oracle and eval --by-genre run
+        as subprocesses under hash seeds 0 and 1, with their output files."""
+        sents = tmp_path / "chain.sents"
         results = []
         for hash_seed in ("0", "1"):
             work = tmp_path / f"hash{hash_seed}"
@@ -1348,7 +1397,7 @@ class TestHashSeedReproducibility:
                 assert result.returncode == 0, result.stderr
                 return result.stdout
 
-            stdout = [run("convert", str(forest_corpus.directory), "-o", "conv.jsonl")]
+            stdout = [run("convert", str(rs3_dir), "-o", "conv.jsonl")]
             if hash_seed == "0":  # a sentence per two EDUs, for both runs
                 with open(sents, "w", encoding="utf-8") as fh:
                     for doc in iter_canonical(work / "conv.jsonl"):
@@ -1361,7 +1410,35 @@ class TestHashSeedReproducibility:
             files = {name: (work / name).read_bytes() for name in sorted(os.listdir(work))}
             results.append((stdout, files))
         assert sorted(results[0][1]) == ["conv.jsonl", "pred.jsonl"]
+        return results
+
+    def test_chain_is_byte_identical_under_two_hash_seeds(self, forest_corpus,
+                                                          tmp_path):
+        results = self._chain_outputs(forest_corpus.directory, tmp_path)
         assert results[0][0][1].count(b"\nconv/") >= 2  # several genre rows
+        assert results[0] == results[1]
+
+    def test_cyrillic_chain_is_byte_identical_under_two_hash_seeds(self, tmp_path):
+        # Russian tokens and genre names, forests and single trees
+        rng = random.Random(19)
+        words = ("Привет", ",", "мир", "«связь»", "ёж", ".", "дискурс", "don't", "—")
+        rs3_dir = tmp_path / "rs3"
+        rs3_dir.mkdir()
+        for i, genre in enumerate(("новости", "news", "проза", "новости", "fiction")):
+            docs = []
+            for k in range(1 + i % 2):
+                n = rng.randint(2, 7)
+                edus = random_edus(rng, n)
+                tokens = tuple(rng.choice(words) for _ in range(edus[-1].last_token + 1))
+                starts = tuple(itertools.accumulate((len(t) + 1 for t in tokens[:-1]),
+                                                    initial=0))
+                docs.append(DocumentRecord(
+                    doc_id=f"d{k}", genre=genre, lang="ru", tokens=tokens,
+                    char_starts=starts, edus=edus, tree=random_tree(rng, n)))
+            (rs3_dir / f"GUM_{genre}_{i}.rs3").write_bytes(tb_mod.serialize_rs3_forest(docs))
+        results = self._chain_outputs(rs3_dir, tmp_path)
+        assert "проза".encode("utf-8") in results[0][0][3]
+        assert "Привет".encode("utf-8") in results[0][1]["conv.jsonl"]
         assert results[0] == results[1]
 
 

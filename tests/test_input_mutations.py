@@ -10,9 +10,7 @@ the mutated line, and leaves no output file.
 
 A mutation cuts a line at a random byte (the line keeps at least one byte,
 so it is cut, not removed), repeats a line, or replaces a line by ``[]``,
-``null`` or a Cyrillic word.  ``stats --sents`` runs with ``--no-spanned``:
-whether the boundaries on a line fit their document is checked against the
-corpus when the document is scored, which is not a check of the line.
+``null`` or a Cyrillic word.
 """
 
 import json
@@ -90,7 +88,7 @@ def inputs(tmp_path_factory):
         "canonical": ("".join(f"{encode_record(d)}\n" for d in docs),
                       ["preprocess", "FILE", "-o", "OUT"]),
         "sents": ("".join(f"{d.doc_id}\t0 {len(d.tokens) // 2}\n" for d in docs),
-                  ["stats", str(corpus), "--sents", "FILE", "--no-spanned"]),
+                  ["stats", str(corpus), "--sents", "FILE"]),
         "scores": ("".join(f"{json.dumps(line, ensure_ascii=False)}\n"
                            for d in docs for line in _score_lines(d, labels)),
                    ["parse", str(corpus), "-o", "OUT", "--scores", "FILE",
