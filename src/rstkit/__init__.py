@@ -3,9 +3,9 @@
 Subpackages by pipeline stage:
 
 * :mod:`rstkit.core`       domain types (trees, documents, corpora)
-* :mod:`rstkit.treebank`   .rs3 parsing/serialization (a multinuclear group
-                           is read as a right-branching binary cascade),
-                           canonical JSON-lines corpus format
+* :mod:`rstkit.treebank`   .rs3 parsing (a multinuclear group is read as a
+                           right-branching binary cascade), canonical
+                           JSON-lines corpus format
 * :mod:`rstkit.preprocess` relation remapping, forest splitting, filtering
 * :mod:`rstkit.crf`        linear-chain CRF EDU segmenter
 * :mod:`rstkit.decoder`    top-down span-splitting tree decoder

@@ -324,7 +324,7 @@ def cmd_segment(args) -> int:
     count = 0
     with _output_file(args.output) as out:
         for doc in tb_mod.iter_canonical(_input_path(args.input)):
-            labels = crf_mod.viterbi(model, extractor(doc.token_texts()))
+            labels = crf_mod.viterbi(model, extractor(doc.tokens))
             edus = crf_mod.labels_to_edus(labels)
             tb_mod.write_record(out, replace(doc, edus=edus, tree=None))
             count += 1

@@ -283,12 +283,6 @@ class RstTree:
         return self.left is None
 
     @property
-    def edu_index(self) -> int:
-        if not self.is_leaf:
-            raise RstError("edu_index is only defined for leaves")
-        return self.first_edu
-
-    @property
     def n_leaves(self) -> int:
         return self.last_edu - self.first_edu + 1
 
@@ -316,22 +310,6 @@ class RstTree:
                 stack.append(node.right)  # type: ignore[arg-type]
             if node.left.left is not None:  # type: ignore[union-attr]
                 stack.append(node.left)  # type: ignore[arg-type]
-
-    def leaves(self) -> Iterator["RstTree"]:
-        return (node for node in self.nodes() if node.is_leaf)
-
-    def depth(self) -> int:
-        """Maximum number of edges from the root to any leaf."""
-        best = 0
-        stack = [(self, 0)]
-        while stack:
-            node, d = stack.pop()
-            if node.is_leaf:
-                best = max(best, d)
-            else:
-                stack.append((node.left, d + 1))  # type: ignore[arg-type]
-                stack.append((node.right, d + 1))  # type: ignore[arg-type]
-        return best
 
     def token_span(self, edus: Sequence[EduSpan] | None = None) -> tuple[int, int]:
         """Inclusive token span of this node.
@@ -559,9 +537,6 @@ class DocumentRecord:
     @property
     def n_tokens(self) -> int:
         return len(self.tokens)
-
-    def token_texts(self) -> list[str]:
-        return list(self.tokens)
 
 
 @dataclass(frozen=True, slots=True)

@@ -388,9 +388,7 @@ def document_labels(doc: DocumentRecord) -> list[str]:
 def dataset_from_corpus(
     corpus_docs: Iterable[DocumentRecord], extractor: FeatureExtractor
 ) -> list[tuple[Features, list[str]]]:
-    return [
-        (extractor(doc.token_texts()), document_labels(doc)) for doc in corpus_docs
-    ]
+    return [(extractor(doc.tokens), document_labels(doc)) for doc in corpus_docs]
 
 
 # ---------------------------------------------------------------------------

@@ -284,7 +284,6 @@ class CorpusStats:
     non_span_constituents: int
     spanned_pct: float | None = None
     spanned_all_pct: float | None = None
-    sources: int | None = None  # not derivable from document records
 
     def __post_init__(self) -> None:
         if self.docs < 1:

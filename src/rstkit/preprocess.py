@@ -38,7 +38,6 @@ __all__ = [
     "parse_remap_rules",
     "split_forest",
     "Preprocessor",
-    "label_histogram",
 ]
 
 
@@ -201,15 +200,6 @@ def split_forest(
 
 def _tally_labels(hist: Counter, tree: RstTree) -> None:
     hist.update(node.label.merged for node in tree.internal_nodes())  # type: ignore
-
-
-def label_histogram(documents: Iterable[DocumentRecord]) -> Counter:
-    """Merged-label counts over all internal nodes."""
-    hist: Counter = Counter()
-    for doc in documents:
-        if doc.tree is not None:
-            _tally_labels(hist, doc.tree)
-    return hist
 
 
 @dataclass(frozen=True, slots=True)

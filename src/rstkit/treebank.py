@@ -1,4 +1,4 @@
-"""Parsing and serialization of ``.rs3`` treebanks and the canonical format.
+"""Reading ``.rs3`` treebanks; reading and writing the canonical format.
 
 The ``.rs3`` XML schema encodes an RST analysis as a flat list of nodes:
 ``<segment>`` elements are EDUs and ``<group>`` elements are either ``span``
@@ -12,8 +12,7 @@ A child's ``relname`` decides how it attaches to its parent:
 Under-annotated files contain several disconnected trees; parsing yields the
 whole forest, ordered by first segment position, as binary
 :class:`~rstkit.core.RstTree` trees: a multinuclear group with k nuclei is
-read as a right-branching cascade of k-1 nodes with the same NN label, and
-such a cascade is written back as one group.
+read as a right-branching cascade of k-1 nodes with the same NN label.
 
 The canonical corpus format is UTF-8 JSON-lines, one document per line with
 the fixed fields ``id, genre, lang, tokens, edus, tree, sents, split``;
@@ -25,22 +24,18 @@ All operations are pure functions; files can be processed in parallel.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import unicodedata
 from bisect import bisect_left
 from collections import defaultdict
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 from .core import (
-    Corpus,
     DocumentRecord,
     EduSpan,
     InputLines,
-    MissingTree,
-    Nuclearity,
     RelationLabel,
     RstError,
     RstTree,
@@ -49,11 +44,6 @@ from .core import (
     check_sentence_starts,
     excerpt,
 )
-
-# The rs3 reader and writer import xml.etree themselves, so commands that
-# only read the canonical format do not load it.
-if TYPE_CHECKING:
-    import xml.etree.ElementTree as ET
 
 
 class MalformedXml(RstError):
@@ -164,7 +154,7 @@ def parse_rs3(data: bytes) -> Rs3Document:
     Raises MalformedXml, DanglingParentId, UnknownRelname or
     EmptySegmentText.  Input must be UTF-8; a BOM is stripped.
     """
-    import xml.etree.ElementTree as ET
+    import xml.etree.ElementTree as ET  # here: canonical-only commands skip it
 
     if data.startswith(b"\xef\xbb\xbf"):
         data = data[3:]
@@ -261,9 +251,10 @@ def extract_forest(doc: Rs3Document) -> list[Rs3Component]:
     order, as a nucleus or a satellite: ``relname="span"`` (or none) makes
     it the nucleus of a segment or span group, a relation with a
     ``multinuc`` entry one nucleus of a multinuc group, and any other
-    relation a satellite (a ``span`` child of a multinuc group is neither).
-    Each node is then built once, after its children.  Node ids are unique,
-    as :func:`parse_rs3` checks.
+    relation a satellite.  A child of a multinuc group with ``span`` or no
+    relname is neither, and raises MalformedXml naming both nodes.  Each
+    node is then built once, after its children.  Node ids are unique, as
+    :func:`parse_rs3` checks.
     """
     multinuc = {rel.name for rel in doc.relations if rel.kind == "multinuc"}
     multinuc_groups = {g.node_id for g in doc.groups if g.kind == "multinuc"}
@@ -276,6 +267,7 @@ def extract_forest(doc: Rs3Document) -> list[Rs3Component]:
     children: dict[str, list[str]] = {nid: [] for nid in nodes}
     nuclei: defaultdict[str, list[str]] = defaultdict(list)
     satellites: defaultdict[str, list[str]] = defaultdict(list)
+    strays: dict[str, str] = {}  # multinuc group -> error for its first span child
     roots: list[str] = []
     for nid, node in nodes.items():
         pid = node.parent_id
@@ -285,7 +277,10 @@ def extract_forest(doc: Rs3Document) -> list[Rs3Component]:
         children[pid].append(nid)
         relname = node.relname
         if relname is None or relname == "span":
-            if pid not in multinuc_groups:
+            if pid in multinuc_groups:  # raised once the group is built
+                has = "no relname" if relname is None else "relname 'span'"
+                strays.setdefault(pid, f"multinuc group {pid}: child {nid} has {has}")
+            else:
                 nuclei[pid].append(nid)
         elif relname in multinuc and pid in multinuc_groups:
             nuclei[pid].append(nid)
@@ -331,6 +326,8 @@ def extract_forest(doc: Rs3Document) -> list[Rs3Component]:
                     raise MalformedXml(f"span group {nid} has {len(nucs)} span children")
                 base = resolved[nucs[0]]
             else:  # multinuc group
+                if nid in strays:
+                    raise MalformedXml(strays[nid])
                 if len(nucs) < 2:
                     raise MalformedXml(f"multinuc group {nid} has {len(nucs)} nuclei")
                 ordered = sorted(nucs, key=lambda cid: resolved[cid].first_edu)
@@ -420,135 +417,6 @@ def component_to_record(
 
 
 # ---------------------------------------------------------------------------
-# rs3 serialization
-# ---------------------------------------------------------------------------
-
-
-def serialize_rs3(doc: DocumentRecord) -> bytes:
-    """Emit rs3 XML for one document; :func:`extract_forest` reads it back
-    as an equal tree.  Raises MissingTree when the record has no tree."""
-    return serialize_rs3_forest([doc])
-
-
-def serialize_rs3_forest(docs: Sequence[DocumentRecord]) -> bytes:
-    """Emit one rs3 file holding several trees (an under-annotated forest).
-
-    A right cascade of nodes with the same NN label is written as one
-    multinuc group, the inverse of how :func:`extract_forest` reads it.
-    """
-    import xml.etree.ElementTree as ET
-
-    for doc in docs:
-        if doc.tree is None:
-            raise MissingTree(f"{doc.doc_id} has no tree")
-
-    relations = {
-        (node.label.relation, "multinuc" if node.label.nuclearity is Nuclearity.NN else "rst")
-        for doc in docs
-        for node in doc.tree.internal_nodes()  # type: ignore[union-attr]
-    }
-
-    root = ET.Element("rst")
-    header = ET.SubElement(root, "header")
-    rels = ET.SubElement(header, "relations")
-    for name, kind in sorted(relations):
-        ET.SubElement(rels, "rel", name=name, type=kind)
-    body = ET.SubElement(root, "body")
-
-    next_group_id = sum(len(doc.edus) for doc in docs) + 1
-    segment_base = 1
-    segments: list[ET.Element] = []
-    groups: list[ET.Element] = []
-    for doc in docs:
-        next_group_id = _emit_component(doc, segment_base, next_group_id, segments, groups)
-        segment_base += len(doc.edus)
-    # Segments first, in text order, then groups; editors expect this layout.
-    body.extend(segments + groups)
-
-    buffer = io.BytesIO()
-    ET.indent(root)
-    ET.ElementTree(root).write(buffer, encoding="utf-8", xml_declaration=True)
-    return buffer.getvalue()
-
-
-def _group_children(node: RstTree) -> list[RstTree]:
-    """Children of the rs3 group written for an internal node: an NN node
-    absorbs the right cascade of nodes that carry its label."""
-    label = node.label
-    assert label is not None and node.left is not None and node.right is not None
-    if label.nuclearity is not Nuclearity.NN:
-        return [node.left, node.right]
-    children = []
-    while not node.is_leaf and node.label == label:
-        children.append(node.left)
-        node = node.right  # type: ignore[assignment]
-    children.append(node)
-    return children
-
-
-def _emit_component(
-    doc: DocumentRecord,
-    segment_base: int,
-    next_group_id: int,
-    segments: list[ET.Element],
-    groups: list[ET.Element],
-) -> int:
-    """Append one tree's segments and groups, each in id order; returns the
-    next free group id."""
-    import xml.etree.ElementTree as ET
-
-    # First pass: rs3 ids for every group (pre-order, last child first) and
-    # segment, and the children of each group.
-    node_ids: dict[int, str] = {}
-    group_nodes: list[tuple[RstTree, list[RstTree]]] = []
-    group_id = next_group_id
-    stack = [doc.tree]
-    while stack:
-        node = stack.pop()
-        assert node is not None
-        if node.is_leaf:
-            node_ids[id(node)] = str(segment_base + node.edu_index)
-        else:
-            node_ids[id(node)] = str(group_id)
-            group_id += 1
-            children = _group_children(node)
-            group_nodes.append((node, children))
-            stack.extend(children)
-
-    # Second pass: attachment edges, rs3 id -> (parent id, relname).
-    attach: dict[str, tuple[str, str]] = {}
-    for node, children in group_nodes:
-        label = node.label
-        assert label is not None
-        gid = node_ids[id(node)]
-        if label.nuclearity is Nuclearity.NN:
-            for child in children:
-                attach[node_ids[id(child)]] = (gid, label.relation)
-        else:
-            nucleus, satellite = (
-                children if label.nuclearity is Nuclearity.NS else children[::-1]
-            )
-            attach[node_ids[id(nucleus)]] = (gid, "span")
-            attach[node_ids[id(satellite)]] = (node_ids[id(nucleus)], label.relation)
-
-    def attrib(nid: str, **extra: str) -> dict[str, str]:
-        # id/type first, then attachment, mirrors common rs3 layout
-        out = {"id": nid, **extra}
-        if nid in attach:
-            out["parent"], out["relname"] = attach[nid]
-        return out
-
-    for i, span in enumerate(doc.edus):
-        segment = ET.Element("segment", attrib(str(segment_base + i)))
-        segment.text = " ".join(doc.tokens[span.first_token : span.last_token + 1])
-        segments.append(segment)
-    for node, _ in group_nodes:
-        kind = "multinuc" if node.label.nuclearity is Nuclearity.NN else "span"  # type: ignore[union-attr]
-        groups.append(ET.Element("group", attrib(node_ids[id(node)], type=kind)))
-    return group_id
-
-
-# ---------------------------------------------------------------------------
 # Bracketed tree strings
 # ---------------------------------------------------------------------------
 
@@ -579,10 +447,6 @@ def tree_from_string(text: str) -> RstTree:
     the runs between brackets and whitespace (``str.split``'s whitespace,
     the same code points as the regular expression ``\\s``).
     """
-    if not isinstance(text, str):
-        raise TypeError(
-            f"expected string or bytes-like object, got {type(text).__name__!r}"
-        )
     stack: list = []  # None (an open bracket), label strings and nodes
     root: RstTree | None = None
     for tok in text.replace("(", " ( ").replace(")", " ) ").split():
@@ -664,6 +528,28 @@ def _json_ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
+_JSON_TYPES = {type(None): "null", bool: "bool", int: "int", float: "float", dict: "object"}
+
+
+def _expected(field: str, what: str, value) -> RstError:
+    """``<field>: expected <what>, got <value's JSON type>``; a string is
+    quoted instead, as it may be of the right type with a wrong value."""
+    if type(value) is list:
+        got = f"array of {len(value)}"
+    else:
+        got = excerpt(value) if type(value) is str else _JSON_TYPES[type(value)]
+    return RstError(f"{field}: expected {what}, got {got}")
+
+
+def _edus_error(edus) -> RstError:
+    """The error for an ``edus`` value that is no array of pairs."""
+    if type(edus) is list:
+        for i, pair in enumerate(edus):
+            if type(pair) is not list or len(pair) != 2:
+                return _expected(f"edus[{i}]", "a [first, last] pair", pair)
+    return _expected("edus", "an array of [first, last] pairs", edus)
+
+
 def record_from_json(obj: dict) -> DocumentRecord:
     missing = [f for f in _CANONICAL_FIELDS if f not in obj]
     if missing:
@@ -679,12 +565,29 @@ def record_from_json(obj: dict) -> DocumentRecord:
         if set(map(len, pairs)) - {2}:
             raise RstError("every token must be a [text, char_start] pair") from None
         texts = starts = ()
-    _json_ints(chain.from_iterable(obj["edus"]), "EDU bounds")
-    edus = tuple(EduSpan(a, b) for a, b in obj["edus"])
-    tree = tree_from_string(obj["tree"]) if obj["tree"] is not None else None
+    # The checks that name a field's wrong JSON type run only once a fast
+    # check has failed.
+    edus = obj["edus"]
+    try:
+        _json_ints(chain.from_iterable(edus), "EDU bounds")
+        edus = tuple(EduSpan(a, b) for a, b in edus)
+    except (TypeError, ValueError):
+        raise _edus_error(edus) from None
+    tree = obj["tree"]
+    if type(tree) is str:
+        tree = tree_from_string(tree)
+    elif tree is not None:
+        raise _expected("tree", "a tree string or null", tree)
     sents = obj["sents"]
     if sents is not None:
-        sents = _json_ints(sents, "sentence boundaries")
+        try:
+            sents = _json_ints(sents, "sentence boundaries")
+        except TypeError:
+            raise _expected("sents", "an array of integers or null", sents) from None
+    try:
+        split = Split(obj["split"])
+    except ValueError:
+        raise _expected("split", '"train", "dev" or "test"', obj["split"]) from None
     return DocumentRecord(
         doc_id=obj["id"],
         genre=obj["genre"],
@@ -694,7 +597,7 @@ def record_from_json(obj: dict) -> DocumentRecord:
         edus=edus,
         tree=tree,
         sentence_boundaries=sents,
-        split=Split(obj["split"]),
+        split=split,
     )
 
 
@@ -712,13 +615,6 @@ def write_record(fh, doc: DocumentRecord) -> None:
     """Append one canonical line to an open text stream."""
     fh.write(encode_record(doc))
     fh.write("\n")
-
-
-def write_canonical(corpus: Corpus, path) -> None:
-    """Write one JSON object per document, UTF-8, in corpus order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus.documents:
-            write_record(fh, doc)
 
 
 def iter_canonical(path):
@@ -745,11 +641,6 @@ def iter_canonical(path):
                 raise RstError(f"duplicate document id {doc.doc_id}")
             seen.add(doc.doc_id)
             yield doc
-
-
-def read_canonical(path) -> Corpus:
-    """Read a whole canonical corpus file; see :func:`iter_canonical`."""
-    return Corpus(tuple(iter_canonical(path)))
 
 
 def read_rs3_file(path) -> list[Rs3Component]:

@@ -10,9 +10,8 @@ from pathlib import Path
 import pytest
 
 from rstkit.core import RelationLabel, RstTree
-from rstkit.treebank import serialize_rs3_forest
 
-from helpers import make_document
+from helpers import make_document, serialize_rs3_forest
 
 # Raw labels drawn round-robin by the fixture trees.  Together they exercise
 # every shipped remap rule and land on exactly 24 distinct merged labels

@@ -11,18 +11,23 @@ tree strings from a piece-by-piece renderer, canonical lines from
 character at a time, rs3 forests from a resolver that classifies every
 child when its parent is built, records from tokenizing one EDU at a
 time, and sentence statistics from a scan over every EDU.
+The package reads ``.rs3`` and never writes it: the rs3 fixture writer is
+here, beside ``write_corpus`` for canonical fixture files.
 Trees are written in tests as nested ``(left, right, label)`` descriptions
 (:func:`build_tree`).
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
 import random
 import re
 import unicodedata
+import xml.etree.ElementTree as ET
+from collections import Counter
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -32,6 +37,7 @@ from rstkit.core import (
     DocumentRecord,
     EduSpan,
     LabelParseError,
+    MissingTree,
     NonBinaryNode,
     Nuclearity,
     RelationLabel,
@@ -51,6 +57,7 @@ from rstkit.treebank import (
     Rs3Segment,
     SchemaViolation,
     tokenize,
+    write_record,
 )
 
 TEST_LABELS = (
@@ -143,7 +150,7 @@ def describe(tree: RstTree) -> TreeDescription:
         op, node = stack.pop()
         if op == "visit":
             if node.is_leaf:
-                result.append(node.edu_index)
+                result.append(node.first_edu)
             else:
                 stack.append(("combine", node))
                 stack.append(("visit", node.right))
@@ -759,7 +766,7 @@ def reference_tree_to_string(tree: RstTree) -> str:
         if op == "close":
             out.append(")")
         elif node.is_leaf:
-            out.append(f"#{node.edu_index}")
+            out.append(f"#{node.first_edu}")
         else:
             out.append(f"({node.label.merged}")
             stack.append(("close", None))
@@ -903,6 +910,10 @@ def _reference_resolve_node(nid, nodes, children, kinds, edu_index, resolved) ->
             raise MalformedXml(f"span group {nid} has {len(span_children)} span children")
         base = resolved[span_children[0]]
     else:
+        if span_children:
+            cid = span_children[0]
+            has = "no relname" if nodes[cid].relname is None else "relname 'span'"
+            raise MalformedXml(f"multinuc group {nid}: child {cid} has {has}")
         if len(multinuc_children) < 2:
             raise MalformedXml(f"multinuc group {nid} has {len(multinuc_children)} nuclei")
         nuclei = sorted(multinuc_children, key=lambda c: resolved[c].first_edu)
@@ -983,6 +994,150 @@ def reference_spanned_sentence_counts(
             multi += 1
             spanned_multi += matched
     return spanned_multi, multi, spanned_any, len(sentences)
+
+
+# ---------------------------------------------------------------------------
+# Fixture writers: rs3 files and canonical corpora
+# ---------------------------------------------------------------------------
+
+
+def serialize_rs3(doc: DocumentRecord) -> bytes:
+    """Emit rs3 XML for one document;
+    :func:`rstkit.treebank.extract_forest` reads it back as an equal tree.  Raises MissingTree when the record has no tree."""
+    return serialize_rs3_forest([doc])
+
+
+def serialize_rs3_forest(docs: Sequence[DocumentRecord]) -> bytes:
+    """Emit one rs3 file holding several trees (an under-annotated forest).
+
+    A right cascade of nodes with the same NN label is written as one
+    multinuc group, the inverse of how
+    :func:`rstkit.treebank.extract_forest` reads it.
+    """
+    for doc in docs:
+        if doc.tree is None:
+            raise MissingTree(f"{doc.doc_id} has no tree")
+
+    relations = {
+        (node.label.relation, "multinuc" if node.label.nuclearity is Nuclearity.NN else "rst")
+        for doc in docs
+        for node in doc.tree.internal_nodes()  # type: ignore[union-attr]
+    }
+
+    root = ET.Element("rst")
+    header = ET.SubElement(root, "header")
+    rels = ET.SubElement(header, "relations")
+    for name, kind in sorted(relations):
+        ET.SubElement(rels, "rel", name=name, type=kind)
+    body = ET.SubElement(root, "body")
+
+    next_group_id = sum(len(doc.edus) for doc in docs) + 1
+    segment_base = 1
+    segments: list[ET.Element] = []
+    groups: list[ET.Element] = []
+    for doc in docs:
+        next_group_id = _emit_component(doc, segment_base, next_group_id, segments, groups)
+        segment_base += len(doc.edus)
+    # Segments first, in text order, then groups; editors expect this layout.
+    body.extend(segments + groups)
+
+    buffer = io.BytesIO()
+    ET.indent(root)
+    ET.ElementTree(root).write(buffer, encoding="utf-8", xml_declaration=True)
+    return buffer.getvalue()
+
+
+def _group_children(node: RstTree) -> list[RstTree]:
+    """Children of the rs3 group written for an internal node: an NN node
+    absorbs the right cascade of nodes that carry its label."""
+    label = node.label
+    assert label is not None and node.left is not None and node.right is not None
+    if label.nuclearity is not Nuclearity.NN:
+        return [node.left, node.right]
+    children = []
+    while not node.is_leaf and node.label == label:
+        children.append(node.left)
+        node = node.right  # type: ignore[assignment]
+    children.append(node)
+    return children
+
+
+def _emit_component(
+    doc: DocumentRecord,
+    segment_base: int,
+    next_group_id: int,
+    segments: list[ET.Element],
+    groups: list[ET.Element],
+) -> int:
+    """Append one tree's segments and groups, each in id order; returns the
+    next free group id."""
+    # First pass: rs3 ids for every group (pre-order, last child first) and
+    # segment, and the children of each group.
+    node_ids: dict[int, str] = {}
+    group_nodes: list[tuple[RstTree, list[RstTree]]] = []
+    group_id = next_group_id
+    stack = [doc.tree]
+    while stack:
+        node = stack.pop()
+        assert node is not None
+        if node.is_leaf:
+            node_ids[id(node)] = str(segment_base + node.first_edu)
+        else:
+            node_ids[id(node)] = str(group_id)
+            group_id += 1
+            children = _group_children(node)
+            group_nodes.append((node, children))
+            stack.extend(children)
+
+    # Second pass: attachment edges, rs3 id -> (parent id, relname).
+    attach: dict[str, tuple[str, str]] = {}
+    for node, children in group_nodes:
+        label = node.label
+        assert label is not None
+        gid = node_ids[id(node)]
+        if label.nuclearity is Nuclearity.NN:
+            for child in children:
+                attach[node_ids[id(child)]] = (gid, label.relation)
+        else:
+            nucleus, satellite = (
+                children if label.nuclearity is Nuclearity.NS else children[::-1]
+            )
+            attach[node_ids[id(nucleus)]] = (gid, "span")
+            attach[node_ids[id(satellite)]] = (node_ids[id(nucleus)], label.relation)
+
+    def attrib(nid: str, **extra: str) -> dict[str, str]:
+        # id/type first, then attachment, mirrors common rs3 layout
+        out = {"id": nid, **extra}
+        if nid in attach:
+            out["parent"], out["relname"] = attach[nid]
+        return out
+
+    for i, span in enumerate(doc.edus):
+        segment = ET.Element("segment", attrib(str(segment_base + i)))
+        segment.text = " ".join(doc.tokens[span.first_token : span.last_token + 1])
+        segments.append(segment)
+    for node, _ in group_nodes:
+        kind = "multinuc" if node.label.nuclearity is Nuclearity.NN else "span"  # type: ignore[union-attr]
+        groups.append(ET.Element("group", attrib(node_ids[id(node)], type=kind)))
+    return group_id
+
+
+def write_corpus(docs, path) -> None:
+    """Write ``docs`` as a canonical corpus file, one line each, in order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for doc in docs:
+            write_record(fh, doc)
+
+
+def label_histogram(documents) -> Counter:
+    """Merged-label counts over the internal nodes of every tree."""
+    return Counter(node.label.merged for doc in documents if doc.tree is not None
+                   for node in doc.tree.internal_nodes())
+
+
+def leaves(tree: RstTree) -> list[RstTree]:
+    """The leaves of ``tree``, left to right."""
+    return [node for node in tree.nodes() if node.is_leaf]
 
 
 # ---------------------------------------------------------------------------

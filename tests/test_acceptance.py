@@ -33,11 +33,7 @@ from rstkit.decoder import (
 )
 from rstkit.dwa import DwaScheduler
 from rstkit.metrics import corpus_stats, genre_breakdown, parseval
-from rstkit.preprocess import (
-    default_rrt_remap_table,
-    label_histogram,
-    split_forest,
-)
+from rstkit.preprocess import default_rrt_remap_table, split_forest
 from rstkit.treebank import extract_forest, parse_rs3, read_sentence_file
 
 from conftest import EXPECTED_REMAPPED_CLASSES, build_forest_corpus
@@ -48,6 +44,7 @@ from helpers import (
     catalan,
     enumerate_paths,
     finite_difference_grads,
+    label_histogram,
     preprocess_documents,
     random_edus,
     random_tree,
@@ -134,8 +131,7 @@ def test_criterion_1_gum_corpus_statistics():
 
 def test_gum_loader_plumbing(monkeypatch, tmp_path):
     """The corpus loader behind criteria 1-2 works on a GUM-style layout."""
-    from rstkit.treebank import serialize_rs3
-    from helpers import make_document
+    from helpers import make_document, serialize_rs3
 
     rng = random.Random(0)
     for i in range(2):

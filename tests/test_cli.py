@@ -24,27 +24,23 @@ from rstkit import crf as crf_mod
 from rstkit import dwa as dwa_mod
 from rstkit import treebank as tb_mod
 from rstkit.cli import main
-from rstkit.core import Corpus, DocumentRecord, EduSpan, RstTree
+from rstkit.core import DocumentRecord, EduSpan, RstTree
 from rstkit.decoder import OracleProvider
 from rstkit.metrics import corpus_stats, genre_breakdown, stats_csv
-from rstkit.preprocess import label_histogram
-from rstkit.treebank import (
-    iter_canonical,
-    read_canonical,
-    serialize_rs3,
-    serialize_rs3_forest,
-    write_canonical,
-    write_record,
-)
+from rstkit.treebank import iter_canonical, write_record
 
 from helpers import (
     TEST_LABELS,
+    label_histogram,
     make_document,
     oracle_counts,
     perturb_tree,
     random_edus,
     random_partition,
     random_tree,
+    serialize_rs3,
+    serialize_rs3_forest,
+    write_corpus,
 )
 
 
@@ -78,7 +74,7 @@ def gold_file(tmp_path):
             )
         )
     path = tmp_path / "gold.jsonl"
-    write_canonical(Corpus(docs), path)
+    write_corpus(docs, path)
     return path
 
 
@@ -96,9 +92,9 @@ class TestConvert:
         assert main(["convert", str(rs3_dir), "-o", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "trees extracted" in printed
-        corpus = read_canonical(out)
-        assert len(corpus) == 3
-        assert {d.genre for d in corpus.documents} == {"news"}
+        docs = list(iter_canonical(out))
+        assert len(docs) == 3
+        assert {d.genre for d in docs} == {"news"}
 
     def test_a_file_is_read_as_rs3_whatever_its_suffix(self, rs3_dir, tmp_path):
         # preprocess reads a file without the .rs3 suffix as canonical input
@@ -106,7 +102,7 @@ class TestConvert:
         xml.write_bytes((rs3_dir / "demo_news_0.rs3").read_bytes())
         out = tmp_path / "out.jsonl"
         assert main(["convert", str(xml), "-o", str(out)]) == 0
-        assert [d.doc_id for d in read_canonical(out)] == ["demo_news_0"]
+        assert [d.doc_id for d in iter_canonical(out)] == ["demo_news_0"]
 
     def test_outputs_are_byte_identical_across_runs(self, rs3_dir, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -148,6 +144,27 @@ class TestConvert:
         assert f"{split_map}: unknown file ids ['demo_nwes_1']" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("attrs, has", [
+        (' relname="span"', "relname 'span'"),
+        ("", "no relname"),
+    ])
+    def test_span_child_of_a_multinuc_group_names_both_nodes(self, tmp_path, capsys,
+                                                             attrs, has):
+        # joint, span, joint: the middle EDU is neither a nucleus nor a satellite
+        rs3 = tmp_path / "demo_news_9.rs3"
+        rs3.write_text(
+            '<rst><header><relations><rel name="joint" type="multinuc"/></relations>'
+            '</header><body>'
+            '<segment id="1" parent="4" relname="joint">a.</segment>'
+            f'<segment id="2" parent="4"{attrs}>b.</segment>'
+            '<segment id="3" parent="4" relname="joint">c.</segment>'
+            '<group id="4" type="multinuc"/></body></rst>', encoding="utf-8")
+        out = tmp_path / "x.jsonl"
+        assert main(["convert", str(rs3), "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"rstkit: error: {rs3}: multinuc group 4: child 2 has {has}\n"
+        assert captured.out == "" and not out.exists()
+
 
 class TestPreprocess:
     def test_forest_pipeline_via_cli(self, forest_corpus, tmp_path, capsys):
@@ -170,13 +187,12 @@ class TestPreprocess:
         printed = capsys.readouterr().out
         assert f"trees extracted:    {forest_corpus.n_trees}" in printed
         assert f"single-EDU dropped: {forest_corpus.n_single_edu}" in printed
-        corpus = read_canonical(out)
-        assert len(corpus) == forest_corpus.n_kept
+        assert len(list(iter_canonical(out))) == forest_corpus.n_kept
 
     def test_canonical_input_remap_only(self, gold_file, tmp_path, capsys):
         out = tmp_path / "remapped.jsonl"
         assert main(["preprocess", str(gold_file), "-o", str(out)]) == 0
-        assert len(read_canonical(out)) == 4
+        assert len(list(iter_canonical(out))) == 4
         assert "input files:        1\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags, named", [
@@ -229,7 +245,7 @@ class TestStats:
     def test_no_spanned_skips_sentences(self, tmp_path, capsys):
         doc = make_document("d", random_tree(random.Random(0), 3))
         path = tmp_path / "nosents.jsonl"
-        write_canonical(Corpus([doc]), path)
+        write_corpus([doc], path)
         assert main(["stats", str(path)]) == 1  # boundaries required
         assert main(["stats", str(path), "--no-spanned"]) == 0
 
@@ -321,7 +337,7 @@ class TestStats:
             docs.append(make_document(f"g{i}", random_tree(rng, n), edus,
                                       genre=rng.choice(genres), sents=[0]))
         path = tmp_path / "multi.jsonl"
-        write_canonical(Corpus(docs), path)
+        write_corpus(docs, path)
         if spanned:
             sents = tmp_path / "multi.sents"
             sents.write_text("".join(f"{doc_id}\t{' '.join(map(str, bounds))}\n"
@@ -348,9 +364,9 @@ class TestStats:
             for i in range(24)
         ]
         once, four = tmp_path / "once.jsonl", tmp_path / "four.jsonl"
-        write_canonical(Corpus(docs), once)
-        write_canonical(Corpus([replace(doc, doc_id=f"{doc.doc_id}_{k}")
-                                for k in range(4) for doc in docs]), four)
+        write_corpus(docs, once)
+        write_corpus([replace(doc, doc_id=f"{doc.doc_id}_{k}")
+                      for k in range(4) for doc in docs], four)
 
         def peak(path):
             tracemalloc.start()
@@ -402,7 +418,7 @@ class TestSegmenterCommands:
                 )
             )
         train_path = tmp_path / "train.jsonl"
-        write_canonical(Corpus(docs), train_path)
+        write_corpus(docs, train_path)
         model_path = tmp_path / "model.npz"
         assert (
             main(
@@ -422,9 +438,8 @@ class TestSegmenterCommands:
         assert model_path.exists()
         out_path = tmp_path / "segmented.jsonl"
         assert main(["segment", str(model_path), str(train_path), "-o", str(out_path)]) == 0
-        segmented = read_canonical(out_path)
-        gold = {doc.doc_id: doc for doc in read_canonical(train_path)}
-        for doc in segmented.documents:
+        gold = {doc.doc_id: doc for doc in iter_canonical(train_path)}
+        for doc in iter_canonical(out_path):
             assert doc.tree is None
             assert doc.edus == gold[doc.doc_id].edus  # perfectly learnable
 
@@ -647,9 +662,9 @@ class TestParseAndEval:
         assert main(["eval", str(gold_file), str(gold), "--genre", "news"]) == 0
 
     def test_mismatched_edus_need_end_to_end(self, gold_file, tmp_path, capsys):
-        gold = read_canonical(gold_file)
+        gold = list(iter_canonical(gold_file))
         docs = []
-        for doc in gold.documents:
+        for doc in gold:
             if len(doc.edus) > 1:
                 merged = (EduSpan(0, doc.edus[1].last_token),) + doc.edus[2:]
                 tree = random_tree(random.Random(0), len(merged))
@@ -665,7 +680,7 @@ class TestParseAndEval:
         from rstkit.core import DocumentRecord
 
         rebuilt = []
-        for gold_doc, pred_doc in zip(gold.documents, docs):
+        for gold_doc, pred_doc in zip(gold, docs):
             rebuilt.append(
                 DocumentRecord(
                     doc_id=gold_doc.doc_id,
@@ -679,7 +694,7 @@ class TestParseAndEval:
                     split=gold_doc.split,
                 )
             )
-        write_canonical(Corpus(rebuilt), pred_path)
+        write_corpus(rebuilt, pred_path)
         assert main(["eval", str(gold_file), str(pred_path)]) == 1
         capsys.readouterr()
         assert main(["eval", str(gold_file), str(pred_path), "--end-to-end"]) == 0
@@ -713,7 +728,7 @@ class TestEvalOnImperfectPredictions:
         for name, docs in (("gold", gold), ("resplit", resplit),
                            ("resegmented", resegmented)):
             paths[name] = tmp_path / f"{name}.jsonl"
-            write_canonical(Corpus(docs), paths[name])
+            write_corpus(docs, paths[name])
         return paths, gold, {"resplit": resplit, "resegmented": resegmented}
 
     @staticmethod
@@ -801,7 +816,7 @@ def random_file(tmp_path):
     ]
     rng.shuffle(docs)
     path = tmp_path / "random.jsonl"
-    write_canonical(Corpus(docs), path)
+    write_corpus(docs, path)
     return path
 
 
@@ -889,7 +904,7 @@ class TestSinglePassParse:
         # a leaf.
         docs = [make_document(f"s{i}", RstTree.leaf(0)) for i in range(3)]
         path = tmp_path / "single_edu.jsonl"
-        write_canonical(Corpus(docs), path)
+        write_corpus(docs, path)
         out = tmp_path / "pred.jsonl"
         assert main(["parse", str(path), "-o", str(out), "--oracle"]) == 0
         assert out.read_bytes() == path.read_bytes()
@@ -898,7 +913,7 @@ class TestSinglePassParse:
         # even when no document of the input needs a decode config
         docs = [make_document(f"s{i}", RstTree.leaf(0)) for i in range(3)]
         path = tmp_path / "single_edu.jsonl"
-        write_canonical(Corpus(docs), path)
+        write_corpus(docs, path)
         out = tmp_path / "pred.jsonl"
         assert main(["parse", str(path), "-o", str(out), "--oracle",
                      "--beam", "0"]) == 1
@@ -1168,6 +1183,40 @@ class TestDwaSim:
         assert captured.out == "" and "error" in captured.err
 
 
+class TestDataDir:
+    """An input path that does not exist as given is looked up under
+    ``RSTKIT_DATA_DIR``."""
+
+    @pytest.fixture()
+    def cwd(self, gold_file, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli_mod.DATA_DIR_ENV, str(gold_file.parent))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        return cwd
+
+    def test_a_relative_path_is_found_under_the_data_dir(self, gold_file, cwd, capsys):
+        assert main(["stats", str(gold_file)]) == 0
+        direct = capsys.readouterr().out
+        assert main(["stats", gold_file.name]) == 0
+        assert capsys.readouterr().out == direct
+
+    def test_a_path_in_the_working_directory_wins(self, gold_file, cwd, capsys):
+        write_corpus(list(iter_canonical(gold_file))[:1], cwd / gold_file.name)
+        assert main(["stats", str(cwd / gold_file.name)]) == 0
+        direct = capsys.readouterr().out
+        assert main(["stats", gold_file.name]) == 0
+        assert capsys.readouterr().out == direct
+        assert main(["stats", str(gold_file)]) == 0
+        assert capsys.readouterr().out != direct
+
+    def test_a_path_missing_from_both_is_a_user_error(self, cwd, capsys):
+        assert main(["stats", "nope.jsonl"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rstkit: error: input path does not exist: nope.jsonl\n"
+
+
 class TestInputErrorsNameTheFile:
     def test_empty_inventory(self, gold_file, tmp_path, capsys):
         inventory = tmp_path / "empty.labels"
@@ -1435,7 +1484,7 @@ class TestHashSeedReproducibility:
                 docs.append(DocumentRecord(
                     doc_id=f"d{k}", genre=genre, lang="ru", tokens=tokens,
                     char_starts=starts, edus=edus, tree=random_tree(rng, n)))
-            (rs3_dir / f"GUM_{genre}_{i}.rs3").write_bytes(tb_mod.serialize_rs3_forest(docs))
+            (rs3_dir / f"GUM_{genre}_{i}.rs3").write_bytes(serialize_rs3_forest(docs))
         results = self._chain_outputs(rs3_dir, tmp_path)
         assert "проза".encode("utf-8") in results[0][0][3]
         assert "Привет".encode("utf-8") in results[0][1]["conv.jsonl"]
@@ -1484,7 +1533,7 @@ class TestCollectorPause:
                 docs.append(make_document(f"{name}_news_{i}", random_tree(rng, n),
                                           random_edus(rng, n), genre="news", sents=[0]))
             path = tmp_path / f"{name}.jsonl"
-            write_canonical(Corpus(docs), path)
+            write_corpus(docs, path)
             rs3 = tmp_path / f"{name}_rs3"
             rs3.mkdir()
             for doc in docs:

@@ -29,6 +29,7 @@ from helpers import (
     DuplicateLeaf,
     build_tree,
     describe,
+    leaves,
     make_document,
     random_edus,
     random_tree,
@@ -91,9 +92,9 @@ class TestBuildTree:
         # and compare their union with the cached root span.
         covered = sorted(
             t
-            for leaf in tree.leaves()
+            for leaf in leaves(tree)
             for t in range(
-                edus[leaf.edu_index].first_token, edus[leaf.edu_index].last_token + 1
+                edus[leaf.first_edu].first_token, edus[leaf.first_edu].last_token + 1
             )
         )
         assert covered == list(range(covered[0], covered[-1] + 1))
@@ -338,7 +339,7 @@ class TestTreeProperties:
         tree = build_tree(description)
         edus = random_edus(random.Random(seed), tree.n_leaves)
         for node in tree.nodes():
-            leaf_indices = [leaf.edu_index for leaf in node.leaves()]
+            leaf_indices = [leaf.first_edu for leaf in leaves(node)]
             assert sorted(leaf_indices) == list(
                 range(node.first_edu, node.last_edu + 1)
             )
@@ -366,7 +367,7 @@ class TestTreeProperties:
                 RstTree.leaf(i), node, RelationLabel("joint", Nuclearity.NN)
             )
         assert node.n_leaves == n
-        assert node.depth() == n - 1
+        assert sum(1 for _ in node.nodes()) == 2 * n - 1
         assert len(enumerate_constituents(node)) == 2 * n - 2
         assert build_tree(describe(node)) == node
 
@@ -407,7 +408,6 @@ class TestDocumentRecord:
             edus=[EduSpan(0, 1)],
         )
         assert doc.tokens == ("a", "b") and doc.char_starts == (0, 2)
-        assert doc.token_texts() == ["a", "b"]
 
     def test_edu_gap_rejected(self):
         with pytest.raises(RstError):

@@ -27,6 +27,7 @@ from helpers import (
     build_tree,
     catalan,
     enumerate_trees,
+    leaves,
     random_tree,
     reference_decode,
     reference_exact,
@@ -181,7 +182,7 @@ class TestGreedyDecode:
             key=lambda t: tree_score(t, provider, TEST_LABELS),
         )
         assert tree == best
-        assert not tree.left.is_leaf or tree.left.edu_index == 0
+        assert not tree.left.is_leaf or tree.left.first_edu == 0
         assert tree.left.token_span() == (0, 0)
 
     def test_tie_break_earliest_split_lowest_label(self):
@@ -370,9 +371,9 @@ class TestBeam:
             n = 1 + 11 * seed  # up to 122 EDUs
             for width in (1, 16):
                 config = DecodeConfig(TEST_LABELS, "beam" if width > 1 else "greedy", width)
-                leaves = list(decode(n, RandomProvider(seed), config).leaves())
-                assert [leaf.first_edu for leaf in leaves] == list(range(n))
-                assert all(leaf is RstTree.leaf(i) for i, leaf in enumerate(leaves))
+                tree_leaves = leaves(decode(n, RandomProvider(seed), config))
+                assert [leaf.first_edu for leaf in tree_leaves] == list(range(n))
+                assert all(leaf is RstTree.leaf(i) for i, leaf in enumerate(tree_leaves))
 
     def test_beam_width_validation(self):
         with pytest.raises(RstError):

@@ -287,11 +287,10 @@ def _span_child_of_multinuc(table: _Table, rng: random.Random):
     groups = table.groups("multinuc")
     if not groups:
         return None
-    # the child is neither a nucleus nor a satellite, so its EDUs fall out
-    # of the tree, which some later check rejects
+    # the child is neither a nucleus nor a satellite
     nucleus = rng.choice(table.nuclei(rng.choice(groups)))
     table.nodes[nucleus][1] = rng.choice(("span", None))
-    return ""
+    return f": child {nucleus} has "
 
 
 MUTATIONS = (_cycle, _span_group_children, _lone_nucleus, _far_satellite,

@@ -23,9 +23,9 @@ from rstkit.cli import main
 from rstkit.core import DocumentRecord
 from rstkit.decoder import OracleProvider
 from rstkit.preprocess import default_rrt_remap_table
-from rstkit.treebank import encode_record, serialize_rs3
+from rstkit.treebank import encode_record
 
-from helpers import random_edus, random_tree
+from helpers import random_edus, random_tree, serialize_rs3
 
 SEED = 2024
 ROUNDS = 16  # cases per format and mutation, about 2 s in all

@@ -12,20 +12,21 @@ from rstkit.preprocess import (
     PreprocessReport,
     RemapRule,
     default_rrt_remap_table,
-    label_histogram,
     parse_remap_rules,
     remap_tree_counting,
     split_forest,
 )
-from rstkit.treebank import extract_forest, parse_rs3, serialize_rs3_forest
+from rstkit.treebank import extract_forest, parse_rs3
 
 from helpers import (
     build_tree,
     describe,
     dump_remap_table,
+    label_histogram,
     make_document,
     preprocess_documents,
     random_tree,
+    serialize_rs3_forest,
 )
 
 from conftest import RAW_LABEL_CYCLE, EXPECTED_REMAPPED_CLASSES, build_forest_corpus
@@ -99,14 +100,13 @@ class TestRemapTree:
             tree = random_tree(rng, rng.randint(2, 10), raw)
             remapped = remap_tree_counting(tree, TABLE)[0]
             assert remapped.n_leaves == tree.n_leaves
-            assert remapped.depth() == tree.depth()
             shape = lambda d: d if isinstance(d, int) else (shape(d[0]), shape(d[1]))
             assert shape(describe(remapped)) == shape(describe(tree))
 
     def test_child_order_is_preserved_on_nuclearity_flip(self):
         tree = build_tree((0, 1, "solutionhood_NS"))
         remapped = remap_tree_counting(tree, TABLE)[0]
-        assert remapped.left.is_leaf and remapped.left.edu_index == 0
+        assert remapped.left.is_leaf and remapped.left.first_edu == 0
         assert remapped.label == RelationLabel("solutionhood", Nuclearity.SN)
 
     def test_histogram_mass_moves_along_rules(self):

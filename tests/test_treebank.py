@@ -35,21 +35,17 @@ from rstkit.treebank import (
     parse_rs3,
     record_from_json,
     record_to_json,
-    read_canonical,
-    serialize_rs3,
-    serialize_rs3_forest,
     tokenize,
     tree_from_string,
     read_sentence_file,
     tree_to_string,
-    write_canonical,
     write_record,
 )
-from rstkit.core import Corpus
 
 from helpers import (
     TEST_LABELS,
     build_tree,
+    leaves,
     make_document,
     random_edus,
     random_tree,
@@ -59,18 +55,21 @@ from helpers import (
     reference_tree_from_string,
     reference_tree_to_string,
     reference_write_record,
+    serialize_rs3,
+    serialize_rs3_forest,
+    write_corpus,
 )
 
 
 def assert_shared_leaves(tree: RstTree) -> None:
     """Every leaf of ``tree`` below the interning cap is ``RstTree.leaf(i)``."""
-    for leaf in tree.leaves():
+    for leaf in leaves(tree):
         if leaf.first_edu < core._INTERN_LIMIT:
             assert leaf is RstTree.leaf(leaf.first_edu), leaf
 
 
-# serialize_rs3_forest output for the two documents of
-# TestSerializeRs3.test_forest_bytes_are_pinned.
+# serialize_rs3_forest output (the fixture writer in helpers) for the two
+# documents of TestSerializeRs3.test_forest_bytes_are_pinned.
 FOREST_RS3 = """\
 <?xml version='1.0' encoding='utf-8'?>
 <rst>
@@ -417,7 +416,7 @@ class TestSerializeRs3:
         for i in range(30):
             docs = [make_document(f"d{i}_{k}", random_tree(rng, rng.randint(1, 30)))
                     for k in range(rng.randint(2, 3))]
-            assert next(docs[0].tree.leaves()) is next(docs[1].tree.leaves())
+            assert leaves(docs[0].tree)[0] is leaves(docs[1].tree)[0]
             forest = extract_forest(parse_rs3(serialize_rs3_forest(docs)))
             assert [component.tree for component in forest] == [doc.tree for doc in docs]
             for component in forest:
@@ -520,7 +519,7 @@ class TestComponentToRecord:
         )
         (component,) = extract_forest(parse_rs3(data))
         record = component_to_record(component, "doc", "news", "en")
-        assert record.token_texts() == ["One", "two", ",", "three", ".", "Four", "!"]
+        assert record.tokens == ("One", "two", ",", "three", ".", "Four", "!")
         assert record.edus == (EduSpan(0, 4), EduSpan(5, 6))
         assert record.tree == build_tree((0, 1, "elaboration_NS"))
 
@@ -641,6 +640,11 @@ class TestTreeStrings:
 
 
 _PAIR_MESSAGE = "every token must be a [text, char_start] pair"
+_TREE = "expected a tree string or null, got"
+_PAIR = "expected a [first, last] pair, got"
+_PAIRS = "expected an array of [first, last] pairs, got"
+_SENTS = "expected an array of integers or null, got"
+_SPLIT = 'expected "train", "dev" or "test", got'
 
 
 class TestCanonicalFormat:
@@ -660,18 +664,18 @@ class TestCanonicalFormat:
                     sents=[0],
                 )
             )
-        return Corpus(docs)
+        return docs
 
     def test_empty_corpus_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        write_canonical(Corpus([]), path)
+        write_corpus([], path)
         assert path.read_text() == ""
-        assert len(read_canonical(path)) == 0
+        assert list(iter_canonical(path)) == []
 
     def test_one_line_per_document(self, tmp_path):
         corpus = self.make_corpus()
         path = tmp_path / "c.jsonl"
-        write_canonical(corpus, path)
+        write_corpus(corpus, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
         assert list(json.loads(lines[0])) == [
@@ -681,27 +685,28 @@ class TestCanonicalFormat:
     def test_write_then_read_is_equal(self, tmp_path):
         corpus = self.make_corpus()
         path = tmp_path / "fixture.jsonl"
-        write_canonical(corpus, path)
-        assert read_canonical(path) == corpus
+        write_corpus(corpus, path)
+        assert list(iter_canonical(path)) == corpus
 
     def test_schema_violation_reports_line_number(self, tmp_path):
         corpus = self.make_corpus(n_docs=2)
         path = tmp_path / "c.jsonl"
-        write_canonical(corpus, path)
+        write_corpus(corpus, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[1] = "{not json"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(SchemaViolation) as err:
-            read_canonical(path)
+            list(iter_canonical(path))
         assert err.value.line_number == 2
 
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("tree", 5, "got 'int'"),
-            ("tree", True, "got 'bool'"),
-            ("tree", ["#0"], "got 'list'"),
-            ("tree", {"#0": 1}, "got 'dict'"),
+            # the fields other than tokens name the field and its JSON type
+            pytest.param("tree", 5, f"tree: {_TREE} int", id="tree-int"),
+            pytest.param("tree", True, f"tree: {_TREE} bool", id="tree-bool"),
+            pytest.param("tree", ["#0"], f"tree: {_TREE} array of 1", id="tree-array"),
+            pytest.param("tree", {"#0": 1}, f"tree: {_TREE} object", id="tree-object"),
             ("tokens", None, "not iterable"),
             ("tokens", 0, "not iterable"),
             ("tokens", "", "no tokens"),
@@ -712,6 +717,19 @@ class TestCanonicalFormat:
             ("tokens", [["w0"]], _PAIR_MESSAGE),
             ("tokens", [["w0", 0, 1]], _PAIR_MESSAGE),
             ("tokens", [["w0", 0], ["w1", 3, 1]], _PAIR_MESSAGE),
+            pytest.param("edus", [1, 2], f"edus[0]: {_PAIR} int", id="edus-int"),
+            pytest.param("edus", [[0]], f"edus[0]: {_PAIR} array of 1", id="edus-short"),
+            pytest.param("edus", [[0, 0], [1, 2, 3]], f"edus[1]: {_PAIR} array of 3",
+                         id="edus-long"),
+            pytest.param("edus", None, f"edus: {_PAIRS} null", id="edus-null"),
+            pytest.param("edus", 0.5, f"edus: {_PAIRS} float", id="edus-float"),
+            pytest.param("sents", 5, f"sents: {_SENTS} int", id="sents-int"),
+            pytest.param("sents", True, f"sents: {_SENTS} bool", id="sents-bool"),
+            pytest.param("split", 5, f"split: {_SPLIT} int", id="split-int"),
+            pytest.param("split", None, f"split: {_SPLIT} null", id="split-null"),
+            pytest.param("split", ["dev"], f"split: {_SPLIT} array of 1", id="split-array"),
+            pytest.param("split", "final", f"split: {_SPLIT} (length 5): 'final'",
+                         id="split-unknown"),
         ],
     )
     def test_wrong_json_types_name_the_line(self, field, value, message, tmp_path):
@@ -720,23 +738,25 @@ class TestCanonicalFormat:
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
         with pytest.raises(SchemaViolation, match=re.escape(message)) as err:
-            read_canonical(path)
+            list(iter_canonical(path))
         assert err.value.line_number == 1
+        if field != "tokens":
+            assert str(err.value) == f"{path}: line 1: {message}"
 
     def test_missing_and_unknown_fields(self, tmp_path):
         corpus = self.make_corpus(n_docs=1)
         path = tmp_path / "c.jsonl"
-        write_canonical(corpus, path)
+        write_corpus(corpus, path)
         obj = json.loads(path.read_text(encoding="utf-8"))
         del obj["edus"]
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
         with pytest.raises(SchemaViolation):
-            read_canonical(path)
+            list(iter_canonical(path))
         obj2 = json.loads(write_and_reload(corpus, tmp_path))
         obj2["surprise"] = 1
         path.write_text(json.dumps(obj2) + "\n", encoding="utf-8")
         with pytest.raises(SchemaViolation):
-            read_canonical(path)
+            list(iter_canonical(path))
 
 
 _WORDS = ("the", "cat", ",", "sat", ".", "«", "Привет", "»", "don't", "—", "a1", "?!")
@@ -878,8 +898,8 @@ class TestReaderOracle:
             lines = [json.dumps(random_record_obj(rng, f"d{i}")) for i in range(5)]
             path = tmp_path / f"c{round_}.jsonl"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            docs = read_canonical(path).documents
-            assert list(docs) == reference_read(path)
+            docs = list(iter_canonical(path))
+            assert docs == reference_read(path)
             for doc in docs:
                 if doc.tree is not None:
                     assert_shared_leaves(doc.tree)
@@ -893,8 +913,8 @@ class TestReaderOracle:
         ]
         path = tmp_path / "respaced.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        docs = read_canonical(path).documents
-        assert list(docs) == reference_read(path)
+        docs = list(iter_canonical(path))
+        assert docs == reference_read(path)
         assert [doc.tree for doc in docs] == [tree_from_string(o["tree"]) for o in objs]
 
     def test_tree_strings_parse_equal_to_the_reference(self):
@@ -971,7 +991,7 @@ class TestWriterOracle:
         out = io.StringIO()
         write_record(out, GOLDEN_RECORD)
         assert out.getvalue().encode("utf-8") == GOLDEN_PATH.read_bytes()
-        assert read_canonical(GOLDEN_PATH).documents == (GOLDEN_RECORD,)
+        assert list(iter_canonical(GOLDEN_PATH)) == [GOLDEN_RECORD]
 
 
 class TestReadMemory:
@@ -999,7 +1019,7 @@ class TestReadMemory:
 
 def write_and_reload(corpus, tmp_path):
     path = tmp_path / "tmp.jsonl"
-    write_canonical(corpus, path)
+    write_corpus(corpus, path)
     return path.read_text(encoding="utf-8").splitlines()[0]
 
 

@@ -9,9 +9,14 @@ import shutil
 import tracemalloc
 
 from rstkit.cli import main
-from rstkit.treebank import serialize_rs3, serialize_rs3_forest
 
-from helpers import make_document, random_edus, random_tree
+from helpers import (
+    make_document,
+    random_edus,
+    random_tree,
+    serialize_rs3,
+    serialize_rs3_forest,
+)
 
 # sha256 of (stdout, output file) for each command line of ``_grid``, run
 # on ``conftest.build_forest_corpus``; recorded before the write path was
