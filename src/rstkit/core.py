@@ -41,26 +41,6 @@ def check_sentence_starts(bounds: Sequence[int]) -> None:
         raise RstError("sentence boundaries must strictly increase")
 
 
-class NonBinaryNode(RstError):
-    """A constituent description does not describe a binary node."""
-
-
-class NonContiguousChildren(RstError):
-    """Sibling subtrees do not cover adjacent EDU ranges in order."""
-
-
-class MissingTree(RstError):
-    """An operation requiring a tree was called on a tree-less document."""
-
-
-class LabelParseError(RstError):
-    """A merged ``relation_NUC`` label string could not be parsed."""
-
-
-class DimensionMismatch(RstError):
-    """Array or vector sizes disagree with the expected dimensions."""
-
-
 class SchemaViolation(RstError):
     """A malformed line of an input file: ``<path>: line N: <message>``."""
 
@@ -145,11 +125,9 @@ class RelationLabel:
             object.__setattr__(self, "nuclearity", Nuclearity(self.nuclearity))
         relation = self.relation.strip().lower()
         if not relation:
-            raise LabelParseError("relation name must be non-empty")
+            raise RstError("relation name must be non-empty")
         if any(ch in _FORBIDDEN_RELATION_CHARS for ch in relation):
-            raise LabelParseError(
-                f"relation name {relation!r} contains a reserved character"
-            )
+            raise RstError(f"relation name {relation!r} contains a reserved character")
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "merged", f"{relation}_{self.nuclearity.value}")
 
@@ -160,7 +138,7 @@ class RelationLabel:
         if label is None:
             relation, sep, suffix = merged.rpartition("_")
             if not sep or suffix not in Nuclearity.__members__:
-                raise LabelParseError(f"not a relation_NUC label: {merged!r}")
+                raise RstError(f"not a relation_NUC label: {merged!r}")
             label = cls(relation, Nuclearity[suffix])
             if len(_INTERNED) < _INTERN_LIMIT:
                 _INTERNED[merged] = label
@@ -237,23 +215,23 @@ class RstTree:
         right: "RstTree | None" = None,
     ) -> None:
         if (left is None) != (right is None):
-            raise NonBinaryNode("internal nodes need exactly two children")
+            raise RstError("internal nodes need exactly two children")
         if left is None:
             if label is not None:
-                raise NonBinaryNode("leaves carry no relation label")
+                raise RstError("leaves carry no relation label")
             if first_edu != last_edu or first_edu < 0:
                 raise RstError("leaf span must be a single EDU index")
         else:
             assert right is not None
             if label is None:
-                raise NonBinaryNode("internal nodes must carry a label")
+                raise RstError("internal nodes must carry a label")
             if left.last_edu + 1 != right.first_edu:
-                raise NonContiguousChildren(
+                raise RstError(
                     f"left child ends at EDU {left.last_edu}, right "
                     f"child starts at EDU {right.first_edu}"
                 )
             if first_edu != left.first_edu or last_edu != right.last_edu:
-                raise NonContiguousChildren("cached span != union of children")
+                raise RstError("cached span != union of children")
         _set_first_edu(self, first_edu)
         _set_last_edu(self, last_edu)
         _set_label(self, label)

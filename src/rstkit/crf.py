@@ -32,14 +32,12 @@ from typing import Iterable, Protocol, Sequence, Union
 
 import numpy as np
 
-from .core import DimensionMismatch, DocumentRecord, EduSpan, RstError
+from .core import DocumentRecord, EduSpan, RstError
 
 __all__ = [
     "CrfModel",
     "CrfGradients",
     "TrainConfig",
-    "DimensionMismatch",
-    "EmptyDataset",
     "FeatureExtractor",
     "HashedWindowFeatures",
     "SparseFeatures",
@@ -55,10 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_LABELS = ("B", "I")
-
-
-class EmptyDataset(RstError):
-    """Training was invoked without any sequences."""
 
 
 # Features of one sequence: sparse rows, or a dense [seq_len, dim] matrix.
@@ -82,16 +76,16 @@ class CrfModel:
         self.labels = tuple(self.labels)
         n = len(self.labels)
         if n < 2:
-            raise DimensionMismatch("label set must have at least two labels")
+            raise RstError("label set must have at least two labels")
         if self.emission.ndim != 2 or self.emission.shape[0] != n:
-            raise DimensionMismatch("emission weights must be [labels, features]")
+            raise RstError("emission weights must be [labels, features]")
         if self.transition.shape != (n, n):
-            raise DimensionMismatch("transition matrix must be [labels, labels]")
+            raise RstError("transition matrix must be [labels, labels]")
         if self.start.shape != (n,) or self.stop.shape != (n,):
-            raise DimensionMismatch("start/stop must be [labels]")
+            raise RstError("start/stop must be [labels]")
         for arr in (self.emission, self.transition, self.start, self.stop):
             if not np.all(np.isfinite(arr)):
-                raise DimensionMismatch("model parameters must be finite")
+                raise RstError("model parameters must be finite")
 
     @property
     def num_labels(self) -> int:
@@ -143,25 +137,23 @@ def _check_features(
     if not isinstance(features, SparseFeatures):
         features = _DenseFeatures(np.asarray(features, dtype=float))
     if len(features.shape) != 2 or features.shape[1] != model.feature_dim:
-        raise DimensionMismatch(
+        raise RstError(
             f"features must be [seq_len, {model.feature_dim}], "
             f"got {features.shape}"
         )
     if features.shape[0] < 1:
-        raise DimensionMismatch("sequence must have at least one position")
+        raise RstError("sequence must have at least one position")
     return features
 
 
 def _gold_indices(model: CrfModel, gold: Sequence[str], seq_len: int) -> np.ndarray:
     if len(gold) != seq_len:
-        raise DimensionMismatch(
-            f"gold length {len(gold)} != sequence length {seq_len}"
-        )
+        raise RstError(f"gold length {len(gold)} != sequence length {seq_len}")
     index = {label: i for i, label in enumerate(model.labels)}
     try:
         return np.array([index[g] for g in gold], dtype=np.intp)
     except KeyError as exc:
-        raise DimensionMismatch(f"unknown label {exc.args[0]!r}") from None
+        raise RstError(f"unknown label {exc.args[0]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +321,7 @@ def train(
     mean NLL per epoch.
     """
     if not dataset:
-        raise EmptyDataset("no training sequences")
+        raise RstError("no training sequences")
     model = model.clone()
     params = [model.emission, model.transition, model.start, model.stop]
     opt = _Adam([p.shape for p in params], config.learning_rate)
@@ -367,7 +359,7 @@ def labels_to_edus(labels: Sequence[str]) -> tuple[EduSpan, ...]:
     """
     for label in labels:
         if label not in ("B", "I"):
-            raise ValueError(f"labels must be 'B' or 'I', got {label!r}")
+            raise RstError(f"labels must be 'B' or 'I', got {label!r}")
     if not labels:
         return ()
     starts = [0] + [t for t in range(1, len(labels)) if labels[t] == "B"]
@@ -421,11 +413,11 @@ class SparseFeatures:
 
     def __post_init__(self) -> None:
         if self.idx.ndim != 2 or self.idx.shape != self.vals.shape:
-            raise DimensionMismatch("sparse idx and vals must be equal [seq_len, k]")
+            raise RstError("sparse idx and vals must be equal [seq_len, k]")
         if not np.issubdtype(self.idx.dtype, np.integer):
-            raise DimensionMismatch(f"sparse idx must be integers, got {self.idx.dtype}")
+            raise RstError(f"sparse idx must be integers, got {self.idx.dtype}")
         if self.idx.size and (self.idx.min() < 0 or self.idx.max() >= self.dim):
-            raise DimensionMismatch(f"sparse feature index outside [0, {self.dim})")
+            raise RstError(f"sparse feature index outside [0, {self.dim})")
 
     @property
     def shape(self) -> tuple[int, int]:

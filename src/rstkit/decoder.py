@@ -60,27 +60,12 @@ from .core import InputLines, RelationLabel, RstError, RstTree
 __all__ = [
     "ScoreProvider",
     "DecodeConfig",
-    "ProviderLengthMismatch",
-    "ProviderVectorError",
-    "MissingScore",
     "decode",
     "tree_score",
     "OracleProvider",
     "RightBranchingProvider",
     "ScoreTable",
 ]
-
-
-class ProviderLengthMismatch(RstError):
-    """A provider returned a vector of the wrong length."""
-
-
-class ProviderVectorError(RstError):
-    """A provider returned something other than a flat sequence of numbers."""
-
-
-class MissingScore(RstError):
-    """An external score file lacks an entry the decoder asked for."""
 
 
 class ScoreProvider(ABC):
@@ -90,8 +75,7 @@ class ScoreProvider(ABC):
     one each time a query is repeated.  A ``list`` or an ``array('d')``
     is read as it is, so a list must already be flat; any other sequence
     is copied once into an ``array('d')``, and one that does not convert
-    (nested, or holding something other than numbers) raises
-    ProviderVectorError.
+    (nested, or holding something other than numbers) raises RstError.
     """
 
     @abstractmethod
@@ -146,7 +130,7 @@ def _vector(scores, query: str, args: tuple) -> Sequence[float]:
     try:
         return array("d", scores)
     except (TypeError, OverflowError) as exc:  # nested, or not numbers
-        raise ProviderVectorError(
+        raise RstError(
             f"{query}{args} must be a flat sequence of numbers ({exc})"
         ) from None
 
@@ -154,7 +138,7 @@ def _vector(scores, query: str, args: tuple) -> Sequence[float]:
 def _splits(provider: ScoreProvider, start: int, end: int) -> Sequence[float]:
     scores = _vector(provider.split_scores(start, end), "split_scores", (start, end))
     if len(scores) != end - start - 1:
-        raise ProviderLengthMismatch(
+        raise RstError(
             f"split_scores({start}, {end}) must have length {end - start - 1}, "
             f"got length {len(scores)}"
         )
@@ -169,7 +153,7 @@ def _labels(
 ) -> Sequence[float]:
     scores = _vector(provider.label_scores(left, right), "label_scores", (left, right))
     if len(scores) != n_labels:
-        raise ProviderLengthMismatch(
+        raise RstError(
             f"label_scores({left}, {right}) must have length {n_labels}, "
             f"got length {len(scores)}"
         )
@@ -360,7 +344,7 @@ class _TableProvider(ScoreProvider):
         try:
             return self._split_table[(start, end)]
         except KeyError:
-            raise MissingScore(
+            raise RstError(
                 f"{self.doc_id}: no split scores for range [{start}, {end})"
             ) from None
 
@@ -370,7 +354,7 @@ class _TableProvider(ScoreProvider):
         try:
             return self._label_table[(left, right)]
         except KeyError:
-            raise MissingScore(
+            raise RstError(
                 f"{self.doc_id}: no label scores for {left} + {right}"
             ) from None
 
@@ -465,7 +449,7 @@ class ScoreTable:
 
     def provider(self, doc_id: str) -> ScoreProvider:
         if doc_id not in self._splits and doc_id not in self._labels:
-            raise MissingScore(f"no scores for document {doc_id}")
+            raise RstError(f"no scores for document {doc_id}")
         return _TableProvider(
             doc_id,
             self._splits.get(doc_id, {}),

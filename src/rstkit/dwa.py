@@ -23,13 +23,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DimensionMismatch, RstError
+from .core import RstError
 
 __all__ = [
     "DwaScheduler",
-    "NonPositiveLoss",
-    "NaNLoss",
-    "DimensionMismatch",
     "simulate",
     "DEFAULT_WINDOW",
     "DEFAULT_TEMPERATURE",
@@ -40,14 +37,6 @@ __all__ = [
 # trees) and a softening temperature of 2.
 DEFAULT_WINDOW = 12
 DEFAULT_TEMPERATURE = 2.0
-
-
-class NonPositiveLoss(RstError):
-    """Losses must be strictly positive to form descent-rate ratios."""
-
-
-class NaNLoss(RstError):
-    """A loss value is NaN or infinite."""
 
 
 class DwaScheduler:
@@ -65,7 +54,7 @@ class DwaScheduler:
         temperature: float = DEFAULT_TEMPERATURE,
     ) -> None:
         if num_tasks < 2:
-            raise DimensionMismatch("need at least two tasks")
+            raise RstError("need at least two tasks")
         if window < 1:
             raise RstError("window size must be >= 1")
         if not temperature > 0.0:
@@ -81,15 +70,13 @@ class DwaScheduler:
 
     def _validate(self, losses: Sequence[float]) -> list[float]:
         if len(losses) != self.num_tasks:
-            raise DimensionMismatch(
-                f"expected {self.num_tasks} losses, got {len(losses)}"
-            )
+            raise RstError(f"expected {self.num_tasks} losses, got {len(losses)}")
         values = [float(x) for x in losses]
         for k, value in enumerate(values):
             if math.isnan(value) or math.isinf(value):
-                raise NaNLoss(f"task {k} loss is not finite: {value}")
+                raise RstError(f"task {k} loss is not finite: {value}")
             if value <= 0.0:
-                raise NonPositiveLoss(f"task {k} loss must be > 0, got {value}")
+                raise RstError(f"task {k} loss must be > 0, got {value}")
         return values
 
     def weights(self) -> np.ndarray:

@@ -30,7 +30,6 @@ from .core import (
     SPAN_RELATION,
     DocumentRecord,
     EduSpan,
-    MissingTree,
     Nuclearity,
     RstError,
     RstTree,
@@ -40,9 +39,6 @@ __all__ = [
     "MetricCounts",
     "ParsevalScores",
     "CorpusStats",
-    "SpanRangeMismatch",
-    "NotAPartition",
-    "MissingSentences",
     "parseval",
     "segmentation_f1",
     "end_to_end_eval",
@@ -53,18 +49,6 @@ __all__ = [
     "format_stats_table",
     "stats_csv",
 ]
-
-
-class SpanRangeMismatch(RstError):
-    """Gold and predicted trees cover different token ranges."""
-
-
-class NotAPartition(RstError):
-    """EDU spans do not partition the token range."""
-
-
-class MissingSentences(RstError):
-    """Sentence boundaries are required but absent."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,7 +163,7 @@ def parseval(
 ) -> ParsevalScores:
     """Score one predicted tree against gold over token-offset constituents.
 
-    Both trees must cover the same token range (SpanRangeMismatch
+    Both trees must cover the same token range (RstError
     otherwise); pass the EDU spans to express constituents in token offsets,
     or omit both to score in EDU-index space.  Each tree becomes one table
     from token span to (role, relation), and the four metrics are counted
@@ -187,7 +171,7 @@ def parseval(
     reference listing of the same constituents.
     """
     if gold.token_span(gold_edus) != pred.token_span(pred_edus):
-        raise SpanRangeMismatch(
+        raise RstError(
             f"gold covers {gold.token_span(gold_edus)}, "
             f"predicted covers {pred.token_span(pred_edus)}"
         )
@@ -217,12 +201,10 @@ def _check_partition(edus: Sequence[EduSpan], n_tokens: int, side: str) -> None:
     expected = 0
     for edu in edus:
         if edu.first_token != expected:
-            raise NotAPartition(f"{side} EDUs leave a gap at token {expected}")
+            raise RstError(f"{side} EDUs leave a gap at token {expected}")
         expected = edu.last_token + 1
     if expected != n_tokens:
-        raise NotAPartition(
-            f"{side} EDUs cover {expected} of {n_tokens} tokens"
-        )
+        raise RstError(f"{side} EDUs cover {expected} of {n_tokens} tokens")
 
 
 def segmentation_f1(
@@ -247,7 +229,7 @@ def end_to_end_eval(
 ) -> tuple[MetricCounts, ParsevalScores]:
     """Score predicted segmentation plus tree against a gold document."""
     if gold_doc.tree is None:
-        raise MissingTree(f"{gold_doc.doc_id} has no gold tree")
+        raise RstError(f"{gold_doc.doc_id} has no gold tree")
     if pred_tree.n_leaves != len(pred_edus):
         raise RstError(
             f"predicted tree has {pred_tree.n_leaves} leaves "
@@ -301,9 +283,9 @@ def _spanned_sentence_counts(
 ) -> tuple[int, int, int, int]:
     """(spanned non-elementary, non-elementary, spanned any, sentences)."""
     if boundaries is None:
-        raise MissingSentences(f"{doc.doc_id}: sentence boundaries required")
+        raise RstError(f"{doc.doc_id}: sentence boundaries required")
     if doc.tree is None:
-        raise MissingTree(f"{doc.doc_id} has no tree")
+        raise RstError(f"{doc.doc_id} has no tree")
     # read_sentence_file and DocumentRecord check that the boundaries start
     # at 0 and increase; the bound needs the document
     if not boundaries or boundaries[-1] >= len(doc.tokens):
@@ -351,7 +333,7 @@ class _Tally:
     def add(self, doc: DocumentRecord, sentences, spanned: bool) -> None:
         tree = doc.tree
         if tree is None:
-            raise MissingTree(f"{doc.doc_id} has no tree")
+            raise RstError(f"{doc.doc_id} has no tree")
         self.genres.add(doc.genre)
         first, last = tree.token_span(doc.edus)
         self.token_counts.append(last - first + 1)

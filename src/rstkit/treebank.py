@@ -46,22 +46,6 @@ from .core import (
 )
 
 
-class MalformedXml(RstError):
-    """The input is not well-formed rs3 XML."""
-
-
-class DanglingParentId(RstError):
-    """A node references a parent id that does not exist."""
-
-
-class UnknownRelname(RstError):
-    """An attachment uses a relation missing from the relations table."""
-
-
-class EmptySegmentText(RstError):
-    """A segment carries no text."""
-
-
 # ---------------------------------------------------------------------------
 # Tokenization
 # ---------------------------------------------------------------------------
@@ -151,8 +135,9 @@ class Rs3Document(NamedTuple):
 def parse_rs3(data: bytes) -> Rs3Document:
     """Parse rs3 file bytes into the raw node table.
 
-    Raises MalformedXml, DanglingParentId, UnknownRelname or
-    EmptySegmentText.  Input must be UTF-8; a BOM is stripped.
+    Raises RstError for XML that is malformed or not UTF-8, a dangling
+    parent id, an undeclared relname or an empty segment.  A BOM is
+    stripped.
     """
     import xml.etree.ElementTree as ET  # here: canonical-only commands skip it
 
@@ -161,18 +146,18 @@ def parse_rs3(data: bytes) -> Rs3Document:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedXml(f"input is not UTF-8: {exc}") from None
+        raise RstError(f"input is not UTF-8: {exc}") from None
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
-        raise MalformedXml(str(exc)) from None
+        raise RstError(str(exc)) from None
 
     relations = []
     for rel in root.iter("rel"):
         name = (rel.get("name") or "").strip().lower()
         kind = (rel.get("type") or "").strip().lower()
         if not name or kind not in ("rst", "multinuc"):
-            raise MalformedXml(f"bad relation entry name={name!r} type={kind!r}")
+            raise RstError(f"bad relation entry name={name!r} type={kind!r}")
         relations.append(Rs3Relation(name, kind))
 
     segments = []
@@ -183,9 +168,9 @@ def parse_rs3(data: bytes) -> Rs3Document:
             continue
         node_id = (elem.get("id") or "").strip()
         if not node_id:
-            raise MalformedXml(f"<{elem.tag}> without id")
+            raise RstError(f"<{elem.tag}> without id")
         if node_id in seen_ids:
-            raise MalformedXml(f"duplicate node id {node_id!r}")
+            raise RstError(f"duplicate node id {node_id!r}")
         seen_ids.add(node_id)
         parent = elem.get("parent")
         parent = parent.strip() if parent is not None else None
@@ -194,12 +179,12 @@ def parse_rs3(data: bytes) -> Rs3Document:
         if elem.tag == "segment":
             seg_text = _normalize_space(elem.text or "")
             if not seg_text:
-                raise EmptySegmentText(f"segment {node_id} has no text")
+                raise RstError(f"segment {node_id} has no text")
             segments.append(Rs3Segment(node_id, parent, relname, seg_text))
         else:
             kind = (elem.get("type") or "").strip().lower()
             if kind not in ("span", "multinuc"):
-                raise MalformedXml(f"group {node_id} has bad type {kind!r}")
+                raise RstError(f"group {node_id} has bad type {kind!r}")
             groups.append(Rs3Group(node_id, kind, parent, relname))
 
     doc = Rs3Document(tuple(relations), tuple(segments), tuple(groups))
@@ -218,12 +203,10 @@ def _validate_rs3(doc: Rs3Document, ids: set[str]) -> None:
     nodes: list[Union[Rs3Segment, Rs3Group]] = [*doc.segments, *doc.groups]
     for node in nodes:
         if node.parent_id is not None and node.parent_id not in ids:
-            raise DanglingParentId(
-                f"node {node.node_id} has missing parent {node.parent_id}"
-            )
+            raise RstError(f"node {node.node_id} has missing parent {node.parent_id}")
         if node.relname is not None and node.relname != "span":
             if node.relname not in known_relnames:
-                raise UnknownRelname(
+                raise RstError(
                     f"node {node.node_id} uses unknown relation {node.relname!r}"
                 )
 
@@ -252,7 +235,7 @@ def extract_forest(doc: Rs3Document) -> list[Rs3Component]:
     it the nucleus of a segment or span group, a relation with a
     ``multinuc`` entry one nucleus of a multinuc group, and any other
     relation a satellite.  A child of a multinuc group with ``span`` or no
-    relname is neither, and raises MalformedXml naming both nodes.  Each
+    relname is neither, and raises RstError naming both nodes.  Each
     node is then built once, after its children.  Node ids are unique, as
     :func:`parse_rs3` checks.
     """
@@ -301,7 +284,7 @@ def extract_forest(doc: Rs3Document) -> list[Rs3Component]:
             stack += children[nid]
     if len(component) < len(nodes):
         nid = next(nid for nid in nodes if nid not in component)
-        raise MalformedXml(f"parent cycle involving node {nid}")
+        raise RstError(f"parent cycle involving node {nid}")
 
     # Each component's segments in text order (its EDUs 0, 1, ...), keyed
     # by its root, components in the order of their first segments; one
@@ -319,17 +302,17 @@ def extract_forest(doc: Rs3Document) -> list[Rs3Component]:
             nucs = nuclei.get(nid, ())
             if type(node) is Rs3Segment:
                 if nucs:
-                    raise MalformedXml(f"segment {nid} has span/multinuc children")
+                    raise RstError(f"segment {nid} has span/multinuc children")
                 base = RstTree.leaf(edu_index[nid])
             elif node.kind == "span":
                 if len(nucs) != 1:
-                    raise MalformedXml(f"span group {nid} has {len(nucs)} span children")
+                    raise RstError(f"span group {nid} has {len(nucs)} span children")
                 base = resolved[nucs[0]]
             else:  # multinuc group
                 if nid in strays:
-                    raise MalformedXml(strays[nid])
+                    raise RstError(strays[nid])
                 if len(nucs) < 2:
-                    raise MalformedXml(f"multinuc group {nid} has {len(nucs)} nuclei")
+                    raise RstError(f"multinuc group {nid} has {len(nucs)} nuclei")
                 ordered = sorted(nucs, key=lambda cid: resolved[cid].first_edu)
                 label = RelationLabel.from_merged(
                     f"{nodes[ordered[0]].relname or 'joint'}_NN"
@@ -367,7 +350,7 @@ def _attach_satellites(
                     base = RstTree.internal(sat, base, f"{relname}_SN")
                     break
             else:
-                raise MalformedXml(
+                raise RstError(
                     f"satellite of node {nid} is not adjacent to its nucleus"
                 )
         del pending[i]
@@ -401,7 +384,7 @@ def component_to_record(
         end += len(text) + 1  # where the next EDU's text starts
         last = bisect_left(starts, end)
         if last == first:
-            raise EmptySegmentText(f"{doc_id}: EDU with no tokens")
+            raise RstError(f"{doc_id}: EDU with no tokens")
         edus.append(EduSpan(first, last - 1))
         first = last
     return DocumentRecord(
@@ -541,13 +524,16 @@ def _expected(field: str, what: str, value) -> RstError:
     return RstError(f"{field}: expected {what}, got {got}")
 
 
-def _edus_error(edus) -> RstError:
-    """The error for an ``edus`` value that is no array of pairs."""
-    if type(edus) is list:
-        for i, pair in enumerate(edus):
-            if type(pair) is not list or len(pair) != 2:
-                return _expected(f"edus[{i}]", "a [first, last] pair", pair)
-    return _expected("edus", "an array of [first, last] pairs", edus)
+def _edus_error(edus, error: Exception) -> Exception:
+    """The error to report for a bad ``edus`` value: the shape it lacks if
+    it is no array of [first, last] pairs, else ``error``, which a pair of
+    that shape raised for its values."""
+    if type(edus) is not list:
+        return _expected("edus", "an array of [first, last] pairs", edus)
+    for i, pair in enumerate(edus):
+        if type(pair) is not list or len(pair) != 2:
+            return _expected(f"edus[{i}]", "a [first, last] pair", pair)
+    return error
 
 
 def record_from_json(obj: dict) -> DocumentRecord:
@@ -571,8 +557,8 @@ def record_from_json(obj: dict) -> DocumentRecord:
     try:
         _json_ints(chain.from_iterable(edus), "EDU bounds")
         edus = tuple(EduSpan(a, b) for a, b in edus)
-    except (TypeError, ValueError):
-        raise _edus_error(edus) from None
+    except (TypeError, ValueError, RstError) as exc:
+        raise _edus_error(edus, exc) from None
     tree = obj["tree"]
     if type(tree) is str:
         tree = tree_from_string(tree)
@@ -582,7 +568,9 @@ def record_from_json(obj: dict) -> DocumentRecord:
     if sents is not None:
         try:
             sents = _json_ints(sents, "sentence boundaries")
-        except TypeError:
+        except (TypeError, RstError):
+            if type(sents) is list:  # a wrong value, not a wrong type
+                raise
             raise _expected("sents", "an array of integers or null", sents) from None
     try:
         split = Split(obj["split"])

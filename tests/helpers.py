@@ -36,9 +36,6 @@ from rstkit.core import (
     Constituent,
     DocumentRecord,
     EduSpan,
-    LabelParseError,
-    MissingTree,
-    NonBinaryNode,
     Nuclearity,
     RelationLabel,
     RstError,
@@ -49,8 +46,6 @@ from rstkit.core import (
 from rstkit.crf import CrfGradients, CrfModel, log_likelihood
 from rstkit.preprocess import PreprocessReport, Preprocessor, RemapTable
 from rstkit.treebank import (
-    EmptySegmentText,
-    MalformedXml,
     Rs3Component,
     Rs3Document,
     Rs3Group,
@@ -88,9 +83,9 @@ def build_tree(description: TreeDescription) -> RstTree:
 
     Leaves are written as plain EDU indices and internal nodes as
     ``(left, right, label)`` triples, e.g. ``((0, 1, "joint_NN"), 2,
-    "elaboration_NS")``.  Raises NonBinaryNode for malformed nesting,
-    DuplicateLeaf for repeated EDU indices and NonContiguousChildren when
-    sibling ranges are not adjacent and in order.
+    "elaboration_NS")``.  Raises RstError for malformed nesting or when
+    sibling ranges are not adjacent and in order, and its subclass
+    DuplicateLeaf for repeated EDU indices.
     """
     _check_duplicate_leaves(description)
     # Iterative post-order construction; frames are (description, children).
@@ -100,12 +95,12 @@ def build_tree(description: TreeDescription) -> RstTree:
         op, payload = stack.pop()
         if op == "build":
             if isinstance(payload, (bool,)):
-                raise NonBinaryNode(f"not a constituent description: {payload!r}")
+                raise RstError(f"not a constituent description: {payload!r}")
             if isinstance(payload, int):
                 result.append(RstTree.leaf(payload))
             elif isinstance(payload, (tuple, list)):
                 if len(payload) != 3:
-                    raise NonBinaryNode(
+                    raise RstError(
                         f"expected (left, right, label), got {len(payload)} items"
                     )
                 left, right, label = payload
@@ -113,15 +108,13 @@ def build_tree(description: TreeDescription) -> RstTree:
                 stack.append(("build", right))
                 stack.append(("build", left))
             else:
-                raise NonBinaryNode(
-                    f"not a constituent description: {payload!r}"
-                )
+                raise RstError(f"not a constituent description: {payload!r}")
         else:  # combine
             label = payload
             if isinstance(label, str):
                 label = RelationLabel.from_merged(label)
             if not isinstance(label, RelationLabel):
-                raise NonBinaryNode(f"not a relation label: {payload!r}")
+                raise RstError(f"not a relation label: {payload!r}")
             right = result.pop()
             left = result.pop()
             result.append(RstTree.internal(left, right, label))
@@ -634,7 +627,7 @@ def reference_label(merged: str) -> RelationLabel:
     """A fresh RelationLabel for every call."""
     relation, sep, suffix = merged.rpartition("_")
     if not sep or suffix not in Nuclearity.__members__:
-        raise LabelParseError(f"not a relation_NUC label: {merged!r}")
+        raise RstError(f"not a relation_NUC label: {merged!r}")
     return RelationLabel(relation, Nuclearity[suffix])
 
 
@@ -838,7 +831,7 @@ def reference_extract_forest(doc: Rs3Document) -> list[Rs3Component]:
         while cur not in component and nodes[cur].parent_id is not None:
             chain.append(cur)
             if len(chain) > len(nodes):
-                raise MalformedXml(f"parent cycle involving node {nid}")
+                raise RstError(f"parent cycle involving node {nid}")
             cur = nodes[cur].parent_id
         root = component.get(cur, cur)
         component[cur] = root
@@ -903,19 +896,19 @@ def _reference_resolve_node(nid, nodes, children, kinds, edu_index, resolved) ->
 
     if isinstance(node, Rs3Segment):
         if span_children or multinuc_children:
-            raise MalformedXml(f"segment {nid} has span/multinuc children")
+            raise RstError(f"segment {nid} has span/multinuc children")
         base = RstTree.leaf(edu_index[nid])
     elif node.kind == "span":
         if len(span_children) != 1:
-            raise MalformedXml(f"span group {nid} has {len(span_children)} span children")
+            raise RstError(f"span group {nid} has {len(span_children)} span children")
         base = resolved[span_children[0]]
     else:
         if span_children:
             cid = span_children[0]
             has = "no relname" if nodes[cid].relname is None else "relname 'span'"
-            raise MalformedXml(f"multinuc group {nid}: child {cid} has {has}")
+            raise RstError(f"multinuc group {nid}: child {cid} has {has}")
         if len(multinuc_children) < 2:
-            raise MalformedXml(f"multinuc group {nid} has {len(multinuc_children)} nuclei")
+            raise RstError(f"multinuc group {nid} has {len(multinuc_children)} nuclei")
         nuclei = sorted(multinuc_children, key=lambda c: resolved[c].first_edu)
         label = RelationLabel.from_merged(f"{nodes[nuclei[0]].relname or 'joint'}_NN")
         base = resolved[nuclei[-1]]
@@ -933,7 +926,7 @@ def _reference_resolve_node(nid, nodes, children, kinds, edu_index, resolved) ->
             sat, relname = left[0]
             base = RstTree.internal(sat, base, RelationLabel.from_merged(f"{relname}_SN"))
         else:
-            raise MalformedXml(f"satellite of node {nid} is not adjacent to its nucleus")
+            raise RstError(f"satellite of node {nid} is not adjacent to its nucleus")
         pending = [p for p in pending if p[0] is not sat]
     return base
 
@@ -955,7 +948,7 @@ def reference_component_to_record(
         tokens += tokenize(text, char_offset)
         char_offset += len(text) + 1
         if len(tokens) == start:
-            raise EmptySegmentText(f"{doc_id}: EDU with no tokens")
+            raise RstError(f"{doc_id}: EDU with no tokens")
         edus.append(EduSpan(start, len(tokens) - 1))
     return DocumentRecord(
         doc_id=doc_id,
@@ -1003,7 +996,7 @@ def reference_spanned_sentence_counts(
 
 def serialize_rs3(doc: DocumentRecord) -> bytes:
     """Emit rs3 XML for one document;
-    :func:`rstkit.treebank.extract_forest` reads it back as an equal tree.  Raises MissingTree when the record has no tree."""
+    :func:`rstkit.treebank.extract_forest` reads it back as an equal tree.  Raises RstError when the record has no tree."""
     return serialize_rs3_forest([doc])
 
 
@@ -1016,7 +1009,7 @@ def serialize_rs3_forest(docs: Sequence[DocumentRecord]) -> bytes:
     """
     for doc in docs:
         if doc.tree is None:
-            raise MissingTree(f"{doc.doc_id} has no tree")
+            raise RstError(f"{doc.doc_id} has no tree")
 
     relations = {
         (node.label.relation, "multinuc" if node.label.nuclearity is Nuclearity.NN else "rst")

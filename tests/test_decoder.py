@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from array import array
 from collections import Counter
 
@@ -10,10 +11,7 @@ import pytest
 from rstkit.core import RstError, RstTree
 from rstkit.decoder import (
     DecodeConfig,
-    MissingScore,
     OracleProvider,
-    ProviderLengthMismatch,
-    ProviderVectorError,
     RightBranchingProvider,
     ScoreProvider,
     ScoreTable,
@@ -206,7 +204,9 @@ class TestGreedyDecode:
             def label_scores(self, left, right):
                 return [0.0] * len(TEST_LABELS)
 
-        with pytest.raises(ProviderLengthMismatch):
+        with pytest.raises(
+            RstError, match=r"split_scores\(0, 4\) must have length 3, got length 1"
+        ):
             decode(4, BadProvider(), CONFIG)
 
     def test_deterministic(self):
@@ -459,7 +459,7 @@ class TestScoreTable:
         path = tmp_path / "scores.jsonl"
         path.write_text("", encoding="utf-8")
         table = ScoreTable.load(path)
-        with pytest.raises(MissingScore):
+        with pytest.raises(RstError, match="no scores for document ghost"):
             table.provider("ghost")
 
     def test_missing_range(self, tmp_path):
@@ -474,7 +474,7 @@ class TestScoreTable:
             encoding="utf-8",
         )
         table = ScoreTable.load(path)
-        with pytest.raises(MissingScore):
+        with pytest.raises(RstError, match=re.escape("d: no label scores for (0, 1) + (1, 3)")):
             decode(3, table.provider("d"), CONFIG)
 
     def test_bad_record(self, tmp_path):
@@ -644,9 +644,10 @@ class TestProviderRepresentations:
                 scores = [0.0] * len(TEST_LABELS)
                 return scores if self.nest_splits else nested(scores)
 
-        with pytest.raises(ProviderVectorError, match=r"split_scores\(0, 4\)"):
+        flat = "must be a flat sequence of numbers"
+        with pytest.raises(RstError, match=rf"split_scores\(0, 4\) {flat}"):
             decode(4, Nested(True), CONFIG)
-        with pytest.raises(ProviderVectorError, match=r"label_scores\(\(0, 1\), \(1, 4\)\)"):
+        with pytest.raises(RstError, match=rf"label_scores\(\(0, 1\), \(1, 4\)\) {flat}"):
             decode(4, Nested(False), CONFIG)
 
     @pytest.mark.parametrize("kind", SEQUENCE_KINDS, ids=list(SEQUENCE_KINDS))
@@ -656,7 +657,9 @@ class TestProviderRepresentations:
     def test_wrong_length_is_rejected(self, kind, extra):
         base = RandomProvider(3)
         provider = Served(base, SEQUENCE_KINDS[kind], *extra)
-        with pytest.raises(ProviderLengthMismatch):
+        query = "split_scores" if extra[0] else "label_scores"
+        message = rf"{query}\(.*\) must have length \d+, got length \d+"
+        with pytest.raises(RstError, match=message):
             decode(5, provider, CONFIG)
-        with pytest.raises(ProviderLengthMismatch):
+        with pytest.raises(RstError, match=message):
             tree_score(decode(5, base, CONFIG), provider, TEST_LABELS)

@@ -1,16 +1,15 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
+from rstkit.core import RstError
 from rstkit.dwa import (
     DEFAULT_TEMPERATURE,
     DEFAULT_WINDOW,
-    DimensionMismatch,
     DwaScheduler,
-    NaNLoss,
-    NonPositiveLoss,
     simulate,
 )
 
@@ -117,25 +116,25 @@ class TestUpdate:
 class TestValidation:
     def test_non_positive_loss(self):
         scheduler = DwaScheduler(3)
-        with pytest.raises(NonPositiveLoss):
+        with pytest.raises(RstError, match=re.escape("task 1 loss must be > 0, got 0.0")):
             scheduler.update([1.0, 0.0, 2.0])
-        with pytest.raises(NonPositiveLoss):
+        with pytest.raises(RstError, match=re.escape("task 1 loss must be > 0, got -3.0")):
             scheduler.update([1.0, -3.0, 2.0])
 
     def test_nan_and_inf_losses(self):
         scheduler = DwaScheduler(3)
-        with pytest.raises(NaNLoss):
+        with pytest.raises(RstError, match="task 1 loss is not finite: nan"):
             scheduler.update([1.0, float("nan"), 2.0])
-        with pytest.raises(NaNLoss):
+        with pytest.raises(RstError, match="task 1 loss is not finite: inf"):
             scheduler.update([1.0, float("inf"), 2.0])
 
     def test_wrong_task_count(self):
         scheduler = DwaScheduler(3)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(RstError, match="expected 3 losses, got 2"):
             scheduler.update([1.0, 2.0])
 
     def test_constructor_validation(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(RstError, match="need at least two tasks"):
             DwaScheduler(num_tasks=1)
         with pytest.raises(Exception):
             DwaScheduler(window=0)

@@ -1,4 +1,5 @@
 import random
+import re
 import statistics
 
 import pytest
@@ -11,9 +12,6 @@ from rstkit.core import (
 from rstkit.core import Corpus
 from rstkit.metrics import (
     MetricCounts,
-    MissingSentences,
-    NotAPartition,
-    SpanRangeMismatch,
     corpus_stats,
     end_to_end_eval,
     format_parseval_table,
@@ -84,7 +82,9 @@ class TestParseval:
     def test_span_range_mismatch(self):
         gold = build_tree((0, 1, "joint_NN"))
         pred = build_tree((0, 1, "joint_NN"))
-        with pytest.raises(SpanRangeMismatch):
+        with pytest.raises(
+            RstError, match=re.escape("gold covers (0, 3), predicted covers (0, 1)")
+        ):
             parseval(gold, pred, (EduSpan(0, 1), EduSpan(2, 3)), (EduSpan(0, 0), EduSpan(1, 1)))
 
     def test_full_is_bounded_by_all_metrics(self):
@@ -176,9 +176,8 @@ class TestParsevalDifferential:
             args = (collapsed, partition)
         else:
             args = (partition, collapsed)
-        with pytest.raises(RstError, match="duplicate constituent span") as info:
+        with pytest.raises(RstError, match="duplicate constituent span"):
             parseval(tree, tree, *args)
-        assert not isinstance(info.value, SpanRangeMismatch)
 
 
 class TestSegmentationF1:
@@ -210,9 +209,9 @@ class TestSegmentationF1:
         assert scores.gold == 1
 
     def test_not_a_partition(self):
-        with pytest.raises(NotAPartition):
+        with pytest.raises(RstError, match="gold EDUs cover 2 of 3 tokens"):
             segmentation_f1((EduSpan(0, 1),), (EduSpan(0, 0),), 3)
-        with pytest.raises(NotAPartition):
+        with pytest.raises(RstError, match="gold EDUs leave a gap at token 3"):
             segmentation_f1((EduSpan(0, 2), EduSpan(4, 4)), (EduSpan(0, 4),), 5)
 
 
@@ -437,7 +436,7 @@ class TestCorpusStats:
 
     def test_missing_sentences(self):
         doc = make_document("d", build_tree((0, 1, "joint_NN")))
-        with pytest.raises(MissingSentences):
+        with pytest.raises(RstError, match="d: sentence boundaries required"):
             corpus_stats([doc])
         stats = corpus_stats([doc], spanned=False)
         assert stats.spanned_pct is None

@@ -16,19 +16,13 @@ from rstkit import core
 from rstkit.core import (
     DocumentRecord,
     EduSpan,
-    LabelParseError,
-    MissingTree,
     Nuclearity,
     RelationLabel,
     RstError,
     RstTree,
 )
 from rstkit.treebank import (
-    DanglingParentId,
-    EmptySegmentText,
-    MalformedXml,
     SchemaViolation,
-    UnknownRelname,
     component_to_record,
     extract_forest,
     iter_canonical,
@@ -229,7 +223,7 @@ class TestParseRs3:
             <group id="3" type="multinuc"/>
             """
         )
-        with pytest.raises(MalformedXml):
+        with pytest.raises(RstError, match="multinuc group 3 has 1 nuclei"):
             extract_forest(parse_rs3(data))
 
     def test_span_group_with_two_span_children_rejected(self):
@@ -241,7 +235,7 @@ class TestParseRs3:
             <group id="4" type="span"/>
             """
         )
-        with pytest.raises(MalformedXml):
+        with pytest.raises(RstError, match="span group 4 has 3 span children"):
             extract_forest(parse_rs3(data))
 
     def test_forest_components_ordered_by_text_position(self):
@@ -320,12 +314,12 @@ class TestParseRs3:
         else:
             body += '<group id="9" type="multinuc"/>'
         data = rs3(body, f'<rel name="same_unit" type="{kind}"/>')
-        with pytest.raises(LabelParseError, match="reserved character"):
+        with pytest.raises(RstError, match="reserved character"):
             extract_forest(parse_rs3(data))
 
     def test_dangling_parent(self):
         data = rs3('<segment id="1" parent="99" relname="elaboration">x</segment>')
-        with pytest.raises(DanglingParentId):
+        with pytest.raises(RstError, match="node 1 has missing parent 99"):
             parse_rs3(data)
 
     def test_unknown_relname(self):
@@ -335,16 +329,16 @@ class TestParseRs3:
             <segment id="2">y</segment>
             """
         )
-        with pytest.raises(UnknownRelname):
+        with pytest.raises(RstError, match="node 1 uses unknown relation 'mystery'"):
             parse_rs3(data)
 
     def test_empty_segment_text(self):
         data = rs3('<segment id="1">   </segment>')
-        with pytest.raises(EmptySegmentText):
+        with pytest.raises(RstError, match="segment 1 has no text"):
             parse_rs3(data)
 
     def test_malformed_xml(self):
-        with pytest.raises(MalformedXml):
+        with pytest.raises(RstError, match="no element found"):
             parse_rs3(b"<rst><header>")
 
     def test_parent_cycle(self):
@@ -354,7 +348,7 @@ class TestParseRs3:
             <segment id="2" parent="1" relname="elaboration">b</segment>
             """
         )
-        with pytest.raises(MalformedXml):
+        with pytest.raises(RstError, match="parent cycle involving node 1"):
             extract_forest(parse_rs3(data))
 
     def test_bom_is_stripped(self):
@@ -396,7 +390,7 @@ class TestSerializeRs3:
 
     def test_record_without_tree_is_rejected(self):
         doc = replace(make_document("d", build_tree((0, 1, "joint_NN"))), tree=None)
-        with pytest.raises(MissingTree):
+        with pytest.raises(RstError, match="d has no tree"):
             serialize_rs3(doc)
 
     def test_round_trip_on_random_documents(self):
@@ -723,8 +717,18 @@ class TestCanonicalFormat:
                          id="edus-long"),
             pytest.param("edus", None, f"edus: {_PAIRS} null", id="edus-null"),
             pytest.param("edus", 0.5, f"edus: {_PAIRS} float", id="edus-float"),
+            # a string or object is named, not read as its characters or keys
+            pytest.param("edus", "ab", f"edus: {_PAIRS} (length 2): 'ab'", id="edus-string"),
+            pytest.param("edus", {"a": 1}, f"edus: {_PAIRS} object", id="edus-object"),
+            pytest.param("edus", ["ab"], f"edus[0]: {_PAIR} (length 2): 'ab'",
+                         id="edus-string-pair"),
+            # a pair of the right shape with a wrong value names the value
+            pytest.param("edus", [["a", "b"]], "EDU bounds must be integers, got 'a'",
+                         id="edus-string-bounds"),
             pytest.param("sents", 5, f"sents: {_SENTS} int", id="sents-int"),
             pytest.param("sents", True, f"sents: {_SENTS} bool", id="sents-bool"),
+            pytest.param("sents", "ab", f"sents: {_SENTS} (length 2): 'ab'", id="sents-string"),
+            pytest.param("sents", {"a": 1}, f"sents: {_SENTS} object", id="sents-object"),
             pytest.param("split", 5, f"split: {_SPLIT} int", id="split-int"),
             pytest.param("split", None, f"split: {_SPLIT} null", id="split-null"),
             pytest.param("split", ["dev"], f"split: {_SPLIT} array of 1", id="split-array"),
