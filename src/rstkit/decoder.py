@@ -30,11 +30,14 @@ history through parent pointers, so no step copies it.
 
 The beam is kept in decision order, so a path's position is its rank.  A
 step lays out every path's candidates in one flat list, path by path and
-split by split; a stable sort of that list on the score alone then keeps
-exactly the candidates the tie rules prefer, and sorting the survivors
-back by position gives the next beam in decision order.  Greedy and beam
-runs of one decode() share a memo of split vectors and label argmaxes, so
-the provider is asked each distinct query once per call.
+split by split, and notes the offset where each path's run starts; a
+stable sort of that list on the score alone then keeps exactly the
+candidates the tie rules prefer, and sorting the survivors back by
+position gives the next beam in decision order.  A survivor's path is the
+last one whose offset is at or before it, and its split is its distance
+from that offset, so nothing is stored per candidate but its score.
+Greedy and beam runs of one decode() share a memo of split vectors and
+label argmaxes, so the provider is asked each distinct query once per call.
 
 Pruning on partial scores can drop the greedy path, so a beam may end below
 greedy.  decode() therefore also runs width 1 and keeps that tree when it
@@ -47,12 +50,12 @@ provider is safe for concurrent read-only queries.
 from __future__ import annotations
 
 import json
-import math
 from abc import ABC, abstractmethod
 from array import array
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
+from math import isfinite
 from typing import Sequence
 
 from .core import InputLines, RelationLabel, RstError, RstTree
@@ -175,17 +178,18 @@ def _search(
         # same number of decisions, so the flat candidate order is (parent
         # rank, split) order: a stable sort on the score alone breaks ties
         # by the earlier decision sequence, then the earlier split.
-        neg: list[float] = []
-        owners: list[int] = []
-        splits_at: list[int] = []
-        for rank, (score, _, _, ((start, end), _)) in enumerate(beam):
+        rows = []  # (-score, split vector) of each path
+        offsets: list[int] = []  # where each path's candidates start in neg
+        size = 0
+        for score, _, _, ((start, end), _) in beam:
             scores = memo.get((start, end))
             if scores is None:
                 scores = memo[(start, end)] = _splits(provider, start, end)
-            base = -score
-            neg += [base - s for s in scores]
-            owners += repeat(rank, end - start - 1)
-            splits_at += range(start + 1, end)
+            offsets.append(size)
+            size += end - start - 1
+            rows.append((-score, scores))
+        # one comprehension per step, not per path: each one is a function call
+        neg = [base - s for base, scores in rows for s in scores]
         if width == 1:
             picks = (neg.index(min(neg)),)  # the first of equal minima
         else:
@@ -193,9 +197,11 @@ def _search(
             picks = sorted(sorted(range(len(neg)), key=neg.__getitem__)[:width])
         survivors = []
         for k in picks:
-            parent = beam[owners[k]]
-            split = splits_at[k]
+            # every path has a candidate, so offsets strictly increase
+            rank = bisect_right(offsets, k) - 1
+            parent = beam[rank]
             (start, end), pending = parent[3]
+            split = start + 1 + k - offsets[rank]
             label = memo.get((start, split, end))
             if label is None:
                 scores = _labels(provider, (start, split), (split, end), n_labels)
@@ -362,28 +368,6 @@ class _TableProvider(ScoreProvider):
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _index_pair(pair) -> tuple[int, int]:
-    """A score record's ``[start, end]``: exactly two JSON integers."""
-    start, end = pair
-    if type(start) is not int or type(end) is not int:
-        raise ValueError(f"indices must be integers, got {pair!r}")
-    return start, end
-
-
-def _score_vector(values) -> array:
-    """A flat list of finite JSON numbers as an ``array('d')``.  The array
-    converts the list in C, so a string, a null or a nested list raises
-    TypeError and an integer beyond a double's range OverflowError, without
-    a loop over the scores; only a vector whose sum is not finite gets a
-    check of each value, so a finite vector whose sum overflows loads."""
-    if type(values) is not list:
-        raise ValueError("scores must be a flat list")
-    scores = array("d", values)
-    if not math.isfinite(sum(scores)) and not all(map(math.isfinite, scores)):
-        raise ValueError("scores must be finite")
-    return scores
-
-
 class ScoreTable:
     """External scores loaded from a JSON-lines dump.
 
@@ -411,6 +395,9 @@ class ScoreTable:
     @classmethod
     def load(cls, path) -> "ScoreTable":
         table = cls()
+        # the documents whose split and label tables were looked up last, so
+        # a run of lines for one document looks each table up once
+        split_doc = label_doc = object()
         with InputLines(path) as lines:
             for line in lines:
                 try:
@@ -432,14 +419,31 @@ class ScoreTable:
                     maybe_bool = ("u" in line and "true" in line) or "false" in line
                     if maybe_bool and bool in map(type, values):
                         raise ValueError("scores must be a list of numbers")
-                    scores = _score_vector(values)
+                    if type(values) is not list:
+                        raise ValueError("scores must be a flat list")
+                    # The array converts in C (a string, null or list raises
+                    # TypeError, a huge integer OverflowError); only a vector
+                    # whose sum is not finite gets a check of each value.
+                    scores = array("d", values)
+                    if not isfinite(sum(scores)) and not all(map(isfinite, scores)):
+                        raise ValueError("scores must be finite")
                     if kind == "split":
-                        rng = _index_pair((obj["start"], obj["end"]))
-                        table._splits[doc][rng] = scores
+                        start, stop = key = obj["start"], obj["end"]
+                        if type(start) is not int or type(stop) is not int:
+                            raise ValueError(f"indices must be integers, got {key!r}")
+                        if doc != split_doc:
+                            splits, split_doc = table._splits[doc], doc
+                        splits[key] = scores
                     elif kind == "label":
-                        left = _index_pair(obj["left"])
-                        right = _index_pair(obj["right"])
-                        table._labels[doc][(left, right)] = scores
+                        a, b = pair = obj["left"]
+                        if type(a) is not int or type(b) is not int:
+                            raise ValueError(f"indices must be integers, got {pair!r}")
+                        c, d = pair = obj["right"]
+                        if type(c) is not int or type(d) is not int:
+                            raise ValueError(f"indices must be integers, got {pair!r}")
+                        if doc != label_doc:
+                            labels, label_doc = table._labels[doc], doc
+                        labels[((a, b), (c, d))] = scores
                     else:
                         raise ValueError(f"unknown kind {kind!r}")
                 except (KeyError, ValueError, TypeError, OverflowError,

@@ -552,11 +552,13 @@ def record_from_json(obj: dict) -> DocumentRecord:
             raise RstError("every token must be a [text, char_start] pair") from None
         texts = starts = ()
     # The checks that name a field's wrong JSON type run only once a fast
-    # check has failed.
+    # check has failed, or once an empty value may be a "" or {}.
     edus = obj["edus"]
     try:
         _json_ints(chain.from_iterable(edus), "EDU bounds")
-        edus = tuple(EduSpan(a, b) for a, b in edus)
+        spans = tuple(EduSpan(a, b) for a, b in edus)
+        if not spans and type(edus) is not list:
+            raise TypeError
     except (TypeError, ValueError, RstError) as exc:
         raise _edus_error(edus, exc) from None
     tree = obj["tree"]
@@ -567,11 +569,14 @@ def record_from_json(obj: dict) -> DocumentRecord:
     sents = obj["sents"]
     if sents is not None:
         try:
-            sents = _json_ints(sents, "sentence boundaries")
+            bounds = _json_ints(sents, "sentence boundaries")
+            if not bounds and type(sents) is not list:
+                raise TypeError
         except (TypeError, RstError):
             if type(sents) is list:  # a wrong value, not a wrong type
                 raise
             raise _expected("sents", "an array of integers or null", sents) from None
+        sents = bounds
     try:
         split = Split(obj["split"])
     except ValueError:
@@ -582,7 +587,7 @@ def record_from_json(obj: dict) -> DocumentRecord:
         lang=obj["lang"],
         tokens=texts,
         char_starts=starts,
-        edus=edus,
+        edus=spans,
         tree=tree,
         sentence_boundaries=sents,
         split=split,

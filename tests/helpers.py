@@ -42,6 +42,7 @@ from rstkit.core import (
     RstTree,
     Split,
     enumerate_constituents,
+    excerpt,
 )
 from rstkit.crf import CrfGradients, CrfModel, log_likelihood
 from rstkit.preprocess import PreprocessReport, Preprocessor, RemapTable
@@ -640,7 +641,7 @@ def reference_tree_from_string(text: str) -> RstTree:
             while stack and stack[-1] != "(":
                 items.append(stack.pop())
             if not stack:
-                raise RstError("unbalanced ')'")
+                raise RstError("unbalanced ')' in tree string")
             stack.pop()
             items.reverse()
             if (
@@ -648,14 +649,14 @@ def reference_tree_from_string(text: str) -> RstTree:
                 or not isinstance(items[0], str)
                 or not all(isinstance(x, RstTree) for x in items[1:])
             ):
-                raise RstError("expected (label left right)")
+                raise RstError("tree string: expected (label left right)")
             label, left, right = items
             node = RstTree.internal(left, right, reference_label(label))
         elif tok.startswith("#"):
             try:
                 index = int(tok[1:])
             except ValueError:
-                raise RstError(f"bad leaf {tok!r}") from None
+                raise RstError(f"bad leaf token {tok!r}") from None
             node = RstTree(index, index)  # a node of its own, not the shared leaf
         else:  # "(" opens a frame; any other atom is a label
             stack.append(tok)
@@ -665,9 +666,9 @@ def reference_tree_from_string(text: str) -> RstTree:
         elif result is None:
             result = node
         else:
-            raise RstError("several roots")
+            raise RstError("multiple root nodes in tree string")
     if stack or result is None:
-        raise RstError("unbalanced tree string")
+        raise RstError(f"unbalanced tree string {excerpt(text)}")
     return result
 
 

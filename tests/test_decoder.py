@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -148,6 +149,30 @@ class DenseRandomProvider(ScoreProvider):
 
     def label_scores(self, left, right):
         return self.labels[left[0], left[1], right[1]]
+
+
+class EdgeSplitProvider(ScoreProvider):
+    """Split scores that favour the first and the last split of every range,
+    so a beam step keeps candidates at the edges of each path's run in the
+    flat candidate list, and on 2-EDU ranges, whose one split is both.
+    With ``integer`` the edge and label scores are 0 or 1, so edges tie."""
+
+    def __init__(self, seed, integer=False):
+        self.seed, self.integer = seed, integer
+
+    def _draw(self, rng):
+        return float(rng.randrange(2)) if self.integer else rng.random()
+
+    def split_scores(self, start, end):
+        rng = random.Random(f"{self.seed}|split|{start}|{end}")
+        scores = [rng.uniform(-3.0, -2.0) for _ in range(end - start - 1)]
+        scores[0] = self._draw(rng)
+        scores[-1] = self._draw(rng)
+        return scores
+
+    def label_scores(self, left, right):
+        rng = random.Random(f"{self.seed}|label|{left}|{right}")
+        return [self._draw(rng) for _ in TEST_LABELS]
 
 
 CONFIG = DecodeConfig(labels=TEST_LABELS)
@@ -366,6 +391,38 @@ class TestBeam:
             )
             assert set(log.asked.values()) == {1}, (seed, log.asked.most_common(1))
 
+    def test_survivors_at_path_edges_match_reference_search(self):
+        # A step finds a survivor's path and split from where each path's
+        # candidates start in the flat list; the first and the last split
+        # of a path, and a 2-EDU range's one split, sit on those starts.
+        for seed in range(120):
+            n = 2 + seed % 40  # up to 41 EDUs
+            provider = EdgeSplitProvider(seed, integer=seed % 2 == 1)
+            greedy_score, greedy = reference_search(n, provider, TEST_LABELS, 1)
+            for width in (2, 3, 16):
+                score, expected = reference_search(n, provider, TEST_LABELS, width)
+                if greedy_score > score:  # decode keeps greedy only when strictly better
+                    expected = greedy
+                config = DecodeConfig(TEST_LABELS, "beam", width)
+                assert decode(n, provider, config) == expected, (seed, width)
+
+    def test_query_set_is_unchanged(self):
+        # The sorted distinct queries of each decode below, digested with
+        # the search whose step kept per-candidate owner and split lists.
+        # The benchmark records its score dump by replaying decode with the
+        # code under test, so only this test sees a change in what is asked.
+        digest = hashlib.sha256()
+        for n in range(2, 61):
+            for base in (RandomProvider(n), IntegerProvider(n), RoundingTieProvider(n)):
+                for width in (1, 4, 16):
+                    log = QueryLog(base)
+                    strategy = "beam" if width > 1 else "greedy"
+                    decode(n, log, DecodeConfig(TEST_LABELS, strategy, width))
+                    digest.update(repr((n, width, sorted(log.asked))).encode())
+        assert digest.hexdigest() == (
+            "2864762eb9d9f7199d4495853885f295e01ebecf69ee50df5e3d4c0ebeabf924"
+        )
+
     def test_leaves_are_the_shared_leaves(self):
         for seed in range(12):
             n = 1 + 11 * seed  # up to 122 EDUs
@@ -582,6 +639,41 @@ class TestScoreTable:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         scores = ScoreTable.load(path).provider("d").split_scores(0, 4)
         assert scores.tolist() == [1.5e308, 1.5e308, -1.5e308]
+        # integers too: summed before conversion, two of 10**308 would leave
+        # a double's range
+        for row in ([10**308, 10**308, -10**308], [10**308, 10**308]):
+            record = {"doc": "d", "kind": "split", "start": 0, "end": len(row) + 1,
+                      "scores": row}
+            path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+            scores = ScoreTable.load(path).provider("d").split_scores(0, len(row) + 1)
+            assert scores.tolist() == list(map(float, row))
+
+    def test_interleaved_documents_load_into_their_own_tables(self, tmp_path):
+        # lines for A, then B, then A again, with the kinds interleaved too
+        records = []
+        for doc, start in (("doc_A", 0), ("doc_B", 0), ("doc_A", 3), ("doc_B", 3),
+                           ("doc_A", 6)):
+            records += [
+                {"doc": doc, "kind": "split", "start": start, "end": start + 3,
+                 "scores": [len(records), -1.0]},
+                {"doc": doc, "kind": "label", "left": [start, start + 1],
+                 "right": [start + 1, start + 3], "scores": [len(records) + 1]},
+                {"doc": doc, "kind": "split", "start": start + 1, "end": start + 3,
+                 "scores": [len(records) + 2]},
+            ]
+        path = tmp_path / "scores.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        table = ScoreTable.load(path)
+        for doc in ("doc_A", "doc_B"):
+            provider = table.provider(doc)
+            ours = [r for r in records if r["doc"] == doc]
+            for r in ours:
+                if r["kind"] == "split":
+                    got = provider.split_scores(r["start"], r["end"])
+                else:
+                    got = provider.label_scores(tuple(r["left"]), tuple(r["right"]))
+                assert got.tolist() == r["scores"], r
+            assert len(provider._split_table) + len(provider._label_table) == len(ours)
 
 
 class Served(ScoreProvider):

@@ -619,7 +619,7 @@ class TestTreeStrings:
         except RstError as exc:
             with pytest.raises(RstError) as err:
                 tree_from_string(text)
-            assert type(err.value) is type(exc)
+            assert str(err.value) == str(exc)
         else:
             assert tree_from_string(text) == expected
 
@@ -720,6 +720,9 @@ class TestCanonicalFormat:
             # a string or object is named, not read as its characters or keys
             pytest.param("edus", "ab", f"edus: {_PAIRS} (length 2): 'ab'", id="edus-string"),
             pytest.param("edus", {"a": 1}, f"edus: {_PAIRS} object", id="edus-object"),
+            # an empty one too, not read as an empty array
+            pytest.param("edus", "", f"edus: {_PAIRS} (length 0): ''", id="edus-empty-string"),
+            pytest.param("edus", {}, f"edus: {_PAIRS} object", id="edus-empty-object"),
             pytest.param("edus", ["ab"], f"edus[0]: {_PAIR} (length 2): 'ab'",
                          id="edus-string-pair"),
             # a pair of the right shape with a wrong value names the value
@@ -729,6 +732,9 @@ class TestCanonicalFormat:
             pytest.param("sents", True, f"sents: {_SENTS} bool", id="sents-bool"),
             pytest.param("sents", "ab", f"sents: {_SENTS} (length 2): 'ab'", id="sents-string"),
             pytest.param("sents", {"a": 1}, f"sents: {_SENTS} object", id="sents-object"),
+            pytest.param("sents", "", f"sents: {_SENTS} (length 0): ''",
+                         id="sents-empty-string"),
+            pytest.param("sents", {}, f"sents: {_SENTS} object", id="sents-empty-object"),
             pytest.param("split", 5, f"split: {_SPLIT} int", id="split-int"),
             pytest.param("split", None, f"split: {_SPLIT} null", id="split-null"),
             pytest.param("split", ["dev"], f"split: {_SPLIT} array of 1", id="split-array"),
