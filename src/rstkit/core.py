@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
 from operator import lt
 from typing import Iterator, Sequence
 
@@ -99,6 +98,10 @@ class Nuclearity(str, Enum):
 SPAN_RELATION = "span"
 
 _FORBIDDEN_RELATION_CHARS = set("()_ \t\r\n")
+
+# The JSON type names of the values json.loads returns, for error messages.
+JSON_TYPES = {type(None): "null", bool: "bool", int: "int", float: "float",
+              str: "string", list: "array", dict: "object"}
 
 # Shared RelationLabel instances by merged string; see from_merged.  Only
 # well-formed strings are stored, and at most _INTERN_LIMIT of them.
@@ -183,21 +186,21 @@ class RstTree:
 
     A node is either a leaf (``label`` and children are None, ``first_edu ==
     last_edu`` is the EDU index) or an internal node with exactly two children
-    covering adjacent EDU ranges.  Use :meth:`leaf` and :meth:`internal` to
-    construct nodes; the EDU span of every node is cached on construction.
+    covering adjacent EDU ranges, built by :meth:`leaf` and :meth:`internal`;
+    the EDU span of every node is cached on construction.
 
     Leaves below ``_INTERN_LIMIT`` are shared: ``RstTree.leaf(i) is
     RstTree.leaf(i)``, and every tree over EDU ``i`` holds that one node.
     Node identity therefore means nothing across trees; an ``id()`` key is
     only safe within one tree, where each leaf occurs once.
 
-    ``__init__`` is written by hand (``init=False``).  The generated one of
-    a frozen dataclass stores each field through ``object.__setattr__`` and
-    then calls ``__post_init__``, which costs more than the checks do, and
-    a corpus read builds a node per EDU and per relation.  This one runs
-    the same checks and stores the fields through the slots' descriptors.
-    The class is still a frozen dataclass: ``dataclasses.fields`` and
-    ``replace`` work, and assignment raises ``FrozenInstanceError``.
+    ``internal`` is the one builder of internal nodes (a string label is
+    parsed): it checks what a caller can get wrong (two children, a label,
+    adjacent children), then fills the slots of an ``object.__new__`` node
+    through their descriptors, as a corpus read builds a node per relation
+    and ``__init__`` would add a frame and a span check.  ``__init__``
+    (``init=False``) serves ``replace`` and direct callers.  The class is
+    still a frozen dataclass: assignment raises ``FrozenInstanceError``.
     """
 
     first_edu: int
@@ -214,23 +217,14 @@ class RstTree:
         left: "RstTree | None" = None,
         right: "RstTree | None" = None,
     ) -> None:
-        if (left is None) != (right is None):
-            raise RstError("internal nodes need exactly two children")
-        if left is None:
+        if left is None and right is None:
             if label is not None:
                 raise RstError("leaves carry no relation label")
             if first_edu != last_edu or first_edu < 0:
                 raise RstError("leaf span must be a single EDU index")
         else:
-            assert right is not None
-            if label is None:
-                raise RstError("internal nodes must carry a label")
-            if left.last_edu + 1 != right.first_edu:
-                raise RstError(
-                    f"left child ends at EDU {left.last_edu}, right "
-                    f"child starts at EDU {right.first_edu}"
-                )
-            if first_edu != left.first_edu or last_edu != right.last_edu:
+            node = RstTree.internal(left, right, label)  # type: ignore[arg-type]
+            if first_edu != node.first_edu or last_edu != node.last_edu:
                 raise RstError("cached span != union of children")
         _set_first_edu(self, first_edu)
         _set_last_edu(self, last_edu)
@@ -254,7 +248,20 @@ class RstTree:
     ) -> "RstTree":
         if isinstance(label, str):
             label = RelationLabel.from_merged(label)
-        return cls(left.first_edu, right.last_edu, label, left, right)
+        if left is None or right is None:
+            raise RstError("internal nodes need exactly two children")
+        if label is None:
+            raise RstError("internal nodes must carry a label")
+        if left.last_edu + 1 != right.first_edu:
+            raise RstError(f"left child ends at EDU {left.last_edu}, right "
+                           f"child starts at EDU {right.first_edu}")
+        node = _new_node(cls)
+        _set_first_edu(node, left.first_edu)
+        _set_last_edu(node, right.last_edu)
+        _set_label(node, label)
+        _set_left(node, left)
+        _set_right(node, right)
+        return node
 
     @property
     def is_leaf(self) -> bool:
@@ -324,7 +331,8 @@ class RstTree:
         return f"RstTree<{kind} edus {self.first_edu}..{self.last_edu}>"
 
 
-# Slot setters for RstTree.__init__; they bypass the frozen __setattr__.
+# Slot setters for RstTree's builders; they bypass the frozen __setattr__.
+_new_node = object.__new__
 _set_first_edu = RstTree.first_edu.__set__  # type: ignore[attr-defined]
 _set_last_edu = RstTree.last_edu.__set__  # type: ignore[attr-defined]
 _set_label = RstTree.label.__set__  # type: ignore[attr-defined]
@@ -450,8 +458,12 @@ class DocumentRecord:
             raise RstError(f"{self.doc_id}: document has no tokens")
         if len(texts) != len(starts):
             raise RstError(f"{self.doc_id}: token texts and offsets differ in length")
-        if not all(map(isinstance, texts, repeat(str))) or "" in texts:
-            raise RstError(f"{self.doc_id}: token texts must be non-empty strings")
+        try:
+            "".join(texts)  # raises TypeError at a token that is not a string
+            if "" in texts:
+                raise TypeError
+        except TypeError:
+            raise RstError(f"{self.doc_id}: token texts must be non-empty strings") from None
         if set(map(type, starts)) != {int} or starts[0] < 0:  # bool is not an offset
             raise RstError(f"{self.doc_id}: char offsets must be non-negative ints")
         if not all(map(lt, starts, starts[1:])):

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from math import isfinite
 from typing import Sequence
 
-from .core import InputLines, RelationLabel, RstError, RstTree
+from .core import JSON_TYPES, InputLines, RelationLabel, RstError, RstTree
 
 __all__ = [
     "ScoreProvider",
@@ -368,6 +368,12 @@ class _TableProvider(ScoreProvider):
 _raw_decode = json.JSONDecoder().raw_decode
 
 
+def _doc_id(doc) -> str:  # a score line's "doc", which must be a JSON string
+    if type(doc) is not str:
+        raise ValueError(f"doc must be a string, got {JSON_TYPES[type(doc)]}")
+    return doc
+
+
 class ScoreTable:
     """External scores loaded from a JSON-lines dump.
 
@@ -377,10 +383,10 @@ class ScoreTable:
         {"doc": ID, "kind": "label", "left": [i, s], "right": [s, j],
          "scores": [...]}
 
-    so score dumps from any model can drive the decoder.  Indices must be
-    JSON integers and ``scores`` a list of finite JSON numbers that fit a
-    double, with no ``true`` or ``false``, ``NaN`` or ``Infinity`` among
-    them; a line that breaks either rule raises RstError naming it.
+    so score dumps from any model can drive the decoder.  ``ID`` is a JSON
+    string, indices are JSON integers and ``scores`` a list of finite JSON
+    numbers that fit a double, none ``true``, ``false``, ``NaN`` or
+    ``Infinity``; a line that breaks a rule raises RstError naming it.
     Split vectors must have length end-start-1; label vectors must match
     the inventory size.
     """
@@ -396,7 +402,7 @@ class ScoreTable:
     def load(cls, path) -> "ScoreTable":
         table = cls()
         # the documents whose split and label tables were looked up last, so
-        # a run of lines for one document looks each table up once
+        # a run of lines for one document checks its id and looks each up once
         split_doc = label_doc = object()
         with InputLines(path) as lines:
             for line in lines:
@@ -412,6 +418,8 @@ class ScoreTable:
                     doc = obj["doc"]
                     kind = obj["kind"]
                     values = obj["scores"]
+                    if type(values) is not list:
+                        raise ValueError("scores must be a flat list")
                     # array('d') takes a boolean among numbers as 0 or 1, so a
                     # line whose text holds "true" or "false" gets an exact
                     # scan ("u" is a memchr that spares most lines the
@@ -419,8 +427,6 @@ class ScoreTable:
                     maybe_bool = ("u" in line and "true" in line) or "false" in line
                     if maybe_bool and bool in map(type, values):
                         raise ValueError("scores must be a list of numbers")
-                    if type(values) is not list:
-                        raise ValueError("scores must be a flat list")
                     # The array converts in C (a string, null or list raises
                     # TypeError, a huge integer OverflowError); only a vector
                     # whose sum is not finite gets a check of each value.
@@ -432,7 +438,7 @@ class ScoreTable:
                         if type(start) is not int or type(stop) is not int:
                             raise ValueError(f"indices must be integers, got {key!r}")
                         if doc != split_doc:
-                            splits, split_doc = table._splits[doc], doc
+                            splits, split_doc = table._splits[_doc_id(doc)], doc
                         splits[key] = scores
                     elif kind == "label":
                         a, b = pair = obj["left"]
@@ -442,7 +448,7 @@ class ScoreTable:
                         if type(c) is not int or type(d) is not int:
                             raise ValueError(f"indices must be integers, got {pair!r}")
                         if doc != label_doc:
-                            labels, label_doc = table._labels[doc], doc
+                            labels, label_doc = table._labels[_doc_id(doc)], doc
                         labels[((a, b), (c, d))] = scores
                     else:
                         raise ValueError(f"unknown kind {kind!r}")

@@ -25,16 +25,16 @@ All operations are pure functions; files can be processed in parallel.
 from __future__ import annotations
 
 import json
-import re
-import unicodedata
 from bisect import bisect_left
 from collections import defaultdict
-from itertools import chain
+from itertools import chain, starmap
 from typing import NamedTuple, Union
+from unicodedata import category
 
 from .core import (
     DocumentRecord,
     EduSpan,
+    JSON_TYPES,
     InputLines,
     RelationLabel,
     RstError,
@@ -50,14 +50,6 @@ from .core import (
 # Tokenization
 # ---------------------------------------------------------------------------
 
-_CHUNK_RE = re.compile(r"\S+")
-
-
-def _splittable(ch: str) -> bool:
-    # Punctuation and symbol characters are peeled off token edges.
-    return unicodedata.category(ch)[0] in ("P", "S")
-
-
 def tokenize(text: str, char_offset: int = 0) -> list[tuple[str, int]]:
     """Deterministic whitespace-plus-punctuation tokenizer.
 
@@ -65,7 +57,7 @@ def tokenize(text: str, char_offset: int = 0) -> list[tuple[str, int]]:
 
     Rules, applied identically to every language (Unicode-aware):
 
-    1. split on Unicode whitespace;
+    1. split on Unicode whitespace, where ``str.isspace()`` holds (``\\s``);
     2. peel leading punctuation/symbol characters off each chunk, one
        character per token;
     3. peel trailing punctuation/symbol characters the same way;
@@ -73,24 +65,25 @@ def tokenize(text: str, char_offset: int = 0) -> list[tuple[str, int]]:
        and apostrophes are never split).
     """
     tokens: list[tuple[str, int]] = []
-    for match in _CHUNK_RE.finditer(text):
-        chunk = match.group()
-        base = match.start() + char_offset
+    end = 0
+    for chunk in text.split():
+        start = text.find(chunk, end)  # from end, only whitespace precedes it
+        end = start + len(chunk)
+        base = start + char_offset
         # Most chunks are whole tokens: no alphanumeric character is in a
         # P* or S* category, so alphanumeric ends are never peeled.
-        if len(chunk) == 1 or (chunk[0].isalnum() and chunk[-1].isalnum()):
+        if chunk.isalnum() or len(chunk) == 1 or (
+                chunk[0].isalnum() and chunk[-1].isalnum()):
             tokens.append((chunk, base))
             continue
-        lo, hi = 0, len(chunk)
-        head: list[tuple[str, int]] = []
-        tail: list[tuple[str, int]] = []
-        while hi - lo > 1 and _splittable(chunk[lo]):
-            head.append((chunk[lo], base + lo))
+        lo, hi = 0, len(chunk)  # peel punctuation (P*) and symbols (S*)
+        while hi - lo > 1 and category(chunk[lo])[0] in "PS":
+            tokens.append((chunk[lo], base + lo))
             lo += 1
-        while hi - lo > 1 and _splittable(chunk[hi - 1]):
-            tail.append((chunk[hi - 1], base + hi - 1))
+        tail: list[tuple[str, int]] = []
+        while hi - lo > 1 and category(chunk[hi - 1])[0] in "PS":
             hi -= 1
-        tokens += head
+            tail.append((chunk[hi], base + hi))
         tokens.append((chunk[lo:hi], base + lo))
         tokens += tail[::-1]
     return tokens
@@ -102,7 +95,9 @@ def tokenize(text: str, char_offset: int = 0) -> list[tuple[str, int]]:
 
 
 # The rs3 node table is made of named tuples: immutable, and cheaper than
-# frozen dataclasses both to define at import and to build per node.
+# frozen dataclasses both to define at import and to build per node (by
+# tuple.__new__ in parse_rs3: their generated __new__ without its frame).
+_tuple_new = tuple.__new__
 
 
 class Rs3Relation(NamedTuple):
@@ -177,23 +172,19 @@ def parse_rs3(data: bytes) -> Rs3Document:
         relname = elem.get("relname")
         relname = relname.strip().lower() if relname is not None else None
         if elem.tag == "segment":
-            seg_text = _normalize_space(elem.text or "")
+            seg_text = " ".join((elem.text or "").split())
             if not seg_text:
                 raise RstError(f"segment {node_id} has no text")
-            segments.append(Rs3Segment(node_id, parent, relname, seg_text))
+            segments.append(_tuple_new(Rs3Segment, (node_id, parent, relname, seg_text)))
         else:
             kind = (elem.get("type") or "").strip().lower()
             if kind not in ("span", "multinuc"):
                 raise RstError(f"group {node_id} has bad type {kind!r}")
-            groups.append(Rs3Group(node_id, kind, parent, relname))
+            groups.append(_tuple_new(Rs3Group, (node_id, kind, parent, relname)))
 
     doc = Rs3Document(tuple(relations), tuple(segments), tuple(groups))
     _validate_rs3(doc, seen_ids)
     return doc
-
-
-def _normalize_space(text: str) -> str:
-    return " ".join(text.split())
 
 
 def _validate_rs3(doc: Rs3Document, ids: set[str]) -> None:
@@ -425,10 +416,10 @@ def tree_from_string(text: str) -> RstTree:
 
     One pass over the tokens with one stack: ``None`` marks an open
     bracket, which only a label may follow directly, then come the child
-    nodes.  Each node is built by ``RstTree``, which checks adjacency, and
-    each ``#k`` is the shared ``RstTree.leaf(k)``.  Tokens are brackets and
-    the runs between brackets and whitespace (``str.split``'s whitespace,
-    the same code points as the regular expression ``\\s``).
+    nodes.  Each node is built by ``RstTree.internal``, which checks
+    adjacency, and each ``#k`` is the shared ``RstTree.leaf(k)``.  Tokens
+    are brackets and the runs between brackets and whitespace (that of
+    ``str.split``, the same code points as the regular expression ``\\s``).
     """
     stack: list = []  # None (an open bracket), label strings and nodes
     root: RstTree | None = None
@@ -446,8 +437,7 @@ def tree_from_string(text: str) -> RstTree:
             # third from the top these four are the whole innermost frame.
             if type(name) is not str or left is None or right is None:
                 raise RstError("tree string: expected (label left right)")
-            label = RelationLabel.from_merged(name)
-            node = RstTree(left.first_edu, right.last_edu, label, left, right)
+            node = RstTree.internal(left, right, name)
         elif tok[0] == "#":
             try:
                 index = int(tok[1:])
@@ -511,16 +501,13 @@ def _json_ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
-_JSON_TYPES = {type(None): "null", bool: "bool", int: "int", float: "float", dict: "object"}
-
-
 def _expected(field: str, what: str, value) -> RstError:
     """``<field>: expected <what>, got <value's JSON type>``; a string is
     quoted instead, as it may be of the right type with a wrong value."""
     if type(value) is list:
         got = f"array of {len(value)}"
     else:
-        got = excerpt(value) if type(value) is str else _JSON_TYPES[type(value)]
+        got = excerpt(value) if type(value) is str else JSON_TYPES[type(value)]
     return RstError(f"{field}: expected {what}, got {got}")
 
 
@@ -556,7 +543,7 @@ def record_from_json(obj: dict) -> DocumentRecord:
     edus = obj["edus"]
     try:
         _json_ints(chain.from_iterable(edus), "EDU bounds")
-        spans = tuple(EduSpan(a, b) for a, b in edus)
+        spans = tuple(starmap(EduSpan, edus))
         if not spans and type(edus) is not list:
             raise TypeError
     except (TypeError, ValueError, RstError) as exc:

@@ -186,6 +186,62 @@ class TestRstTreeContract:
             RstTree(*args)
 
 
+def rebuilt_by_constructor(tree: RstTree) -> RstTree:
+    """A copy of ``tree`` whose internal nodes are built by ``RstTree(...)``."""
+    built: list[RstTree] = []
+    stack: list = [tree]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # both subtrees are built
+            right, left = built.pop(), built.pop()
+            built.append(RstTree(left.first_edu, right.last_edu, node[0], left, right))
+        elif node.is_leaf:
+            built.append(RstTree(node.first_edu, node.last_edu))
+        else:
+            stack += ((node.label,), node.right, node.left)
+    (copy,) = built
+    return copy
+
+
+class TestInternalBuilder:
+    """``RstTree.internal`` is the one builder of internal nodes: it skips
+    ``__init__`` but keeps its checks, and its nodes are the dataclass's."""
+
+    def test_equals_constructor_built_trees(self):
+        rng = random.Random(24)
+        for _ in range(300):
+            tree = random_tree(rng, rng.randint(1, 40), first=rng.randint(0, 5))
+            assert rebuilt_by_constructor(tree) == tree  # no node is shared
+
+    def test_its_nodes_are_frozen_and_replace_works(self):
+        tree = random_tree(random.Random(5), 12)
+        for node in tree.internal_nodes():
+            for name in ("first_edu", "last_edu", "label", "left", "right"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, name, getattr(node, name))
+            relabeled = dataclasses.replace(node, label=JOINT)
+            assert relabeled.label is JOINT and relabeled.left is node.left
+            assert relabeled.right is node.right and relabeled.n_leaves == node.n_leaves
+            with pytest.raises(RstError, match=re.escape("cached span != union")):
+                dataclasses.replace(node, last_edu=node.last_edu + 1)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((LEAF0, LEAF2, JOINT), "left child ends at EDU 0, right child starts at EDU 2"),
+            ((LEAF1, LEAF0, JOINT), "left child ends at EDU 1, right child starts at EDU 0"),
+            ((None, LEAF1, JOINT), "internal nodes need exactly two children"),
+            ((LEAF0, None, JOINT), "internal nodes need exactly two children"),
+            ((LEAF0, LEAF1, None), "internal nodes must carry a label"),
+            ((LEAF0, LEAF1, "joint"), "not a relation_NUC label: 'joint'"),
+        ],
+        ids=["gap", "reversed", "no-left", "no-right", "no-label", "bad-label"],
+    )
+    def test_errors(self, args, message):
+        with pytest.raises(RstError, match=f"^{re.escape(message)}$"):
+            RstTree.internal(*args)
+
+
 class TestSharedLeaves:
     """``RstTree.leaf`` shares one node per EDU index below the interning
     cap; beyond it, and for ``RstTree(i, i)``, every call builds a node."""

@@ -648,6 +648,38 @@ class TestScoreTable:
             scores = ScoreTable.load(path).provider("d").split_scores(0, len(row) + 1)
             assert scores.tolist() == list(map(float, row))
 
+    @pytest.mark.parametrize(
+        "doc, json_type",
+        [(1, "int"), (1.5, "float"), (True, "bool"), (None, "null"), ([1], "array"),
+         ({"d": 1}, "object")],
+        ids=["int", "float", "bool", "null", "array", "object"],
+    )
+    @pytest.mark.parametrize("kind", ["split", "label"])
+    def test_doc_that_is_not_a_string_names_its_type(self, doc, json_type, kind, tmp_path):
+        fields = {"split": {"start": 0, "end": 2, "scores": [1.0]},
+                  "label": {"left": [0, 1], "right": [1, 2], "scores": [1.0]}}[kind]
+        good = {"doc": "1", "kind": kind, **fields}
+        path = tmp_path / "scores.jsonl"
+        message = f"bad score record (doc must be a string, got {json_type})"
+        # as the first line, and after a run of lines for a string id
+        for lines, bad_line in (([{**good, "doc": doc}], 1),
+                                ([good, good, {**good, "doc": doc}, good], 3)):
+            path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+            with pytest.raises(RstError) as got:
+                ScoreTable.load(path)
+            assert str(got.value) == f"{path}: line {bad_line}: {message}"
+
+    @pytest.mark.parametrize("doc", ["false", "d", "true"])
+    def test_scores_that_are_no_list_are_named_so(self, doc, tmp_path):
+        # the boolean scan, which a "true" or "false" in the line triggers,
+        # runs only on a list
+        path = tmp_path / "scores.jsonl"
+        record = {"doc": doc, "kind": "split", "start": 0, "end": 2, "scores": 1.5}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(RstError) as got:
+            ScoreTable.load(path)
+        assert str(got.value).endswith("line 1: bad score record (scores must be a flat list)")
+
     def test_interleaved_documents_load_into_their_own_tables(self, tmp_path):
         # lines for A, then B, then A again, with the kinds interleaved too
         records = []

@@ -153,6 +153,17 @@ class TestTokenize:
         ]
         assert peelable == []
 
+    def test_str_whitespace_is_the_regex_whitespace(self):
+        # tokenize splits with str.split() and the reference with \S+; the
+        # two chunk a text alike only while this holds for every code point.
+        space = re.compile(r"\s")
+        differ = [
+            hex(cp)
+            for cp in range(sys.maxunicode + 1)
+            if chr(cp).isspace() != (space.fullmatch(chr(cp)) is not None)
+        ]
+        assert differ == []
+
     def test_equals_the_peeling_reference_on_random_strings(self):
         alphabet = (
             "aZqé"  # Latin
@@ -163,6 +174,7 @@ class TestTokenize:
             "\u0301\u0308"  # combining marks
             "½²"
             " \u00a0\u3000"  # space, no-break space, ideographic space
+            "\t\n\x1c\x85\u2028"  # tab, newline, file separator, NEL, line separator
         )
         rng = random.Random(8)
         mismatches = []
