@@ -10,8 +10,12 @@ input once.
 ``stats`` (always), ``segment`` and ``parse`` stream documents one at a
 time, so their memory stays bounded by the largest document (``stats``
 keeps each id and token count), except that ``parse --scores`` also holds
-the whole score dump; ``eval`` holds the predictions and
-``train-segmenter`` only the documents of its ``--split``.  Every input
+the whole score dump; ``train-segmenter`` holds only the documents of its
+``--split``.  ``eval`` walks its two files in step: it reads a gold
+document, then predictions up to that document's, so it holds only the
+predictions that arrive ahead of their gold document (none when both
+files are in one order, as ``convert`` and ``parse`` write them), and of
+two bad lines it reports the first this walk meets.  Every input
 file read line by line goes through ``core.InputLines``, so an error about
 a line reads ``<path>: line N: ...``; an id may occur once per file.  An
 output file given with ``-o`` appears only when its command succeeds: it
@@ -416,8 +420,10 @@ def cmd_parse(args) -> int:
 def cmd_eval(args) -> int:
     from . import metrics as metrics_mod
 
-    # predictions are indexed in memory; gold documents stream past them
-    pred_by_id = {doc.doc_id: doc for doc in tb_mod.iter_canonical(_input_path(args.pred))}
+    # The files stream in step (see the module docstring); `ahead` holds
+    # the predictions read before their gold document.
+    preds = tb_mod.iter_canonical(_input_path(args.pred))
+    ahead: dict = {}
 
     def score_pair(gold_doc, pred_doc):
         if pred_doc.tree is None:
@@ -440,7 +446,14 @@ def cmd_eval(args) -> int:
     by_genre: dict[str, tuple] = {}
     scored = 0
     for gold_doc in tb_mod.iter_canonical(_input_path(args.gold)):
-        pred_doc = pred_by_id.pop(gold_doc.doc_id, None)
+        pred_doc = ahead.pop(gold_doc.doc_id, None)
+        if pred_doc is None:
+            for pred_doc in preds:
+                if pred_doc.doc_id == gold_doc.doc_id:
+                    break
+                ahead[pred_doc.doc_id] = pred_doc
+            else:
+                pred_doc = None
         if args.genre is not None and gold_doc.genre != args.genre:
             continue
         if pred_doc is None:
@@ -456,8 +469,9 @@ def cmd_eval(args) -> int:
             )
             by_genre[gold_doc.genre] = (prev_seg + seg, prev + scores)
 
-    if pred_by_id:
-        raise RstError(f"predictions without a gold document: {sorted(pred_by_id)}")
+    unmatched = sorted([*ahead, *(doc.doc_id for doc in preds)])
+    if unmatched:
+        raise RstError(f"predictions without a gold document: {unmatched}")
     if not scored:
         raise RstError("no documents matched the evaluation filter")
     rows = {"all": (total_seg if args.end_to_end else None, total)}

@@ -141,7 +141,7 @@ class RelationLabel:
         if label is None:
             relation, sep, suffix = merged.rpartition("_")
             if not sep or suffix not in Nuclearity.__members__:
-                raise RstError(f"not a relation_NUC label: {merged!r}")
+                raise RstError(f"not a relation_NUC label {excerpt(merged)}")
             label = cls(relation, Nuclearity[suffix])
             if len(_INTERNED) < _INTERN_LIMIT:
                 _INTERNED[merged] = label
@@ -199,8 +199,9 @@ class RstTree:
     adjacent children), then fills the slots of an ``object.__new__`` node
     through their descriptors, as a corpus read builds a node per relation
     and ``__init__`` would add a frame and a span check.  ``__init__``
-    (``init=False``) serves ``replace`` and direct callers.  The class is
-    still a frozen dataclass: assignment raises ``FrozenInstanceError``.
+    (``init=False``) serves ``replace`` and direct callers, and stores the
+    label that ``internal`` parsed.  The class is still a frozen dataclass:
+    assignment raises ``FrozenInstanceError``.
     """
 
     first_edu: int
@@ -226,6 +227,7 @@ class RstTree:
             node = RstTree.internal(left, right, label)  # type: ignore[arg-type]
             if first_edu != node.first_edu or last_edu != node.last_edu:
                 raise RstError("cached span != union of children")
+            label = node.label
         _set_first_edu(self, first_edu)
         _set_last_edu(self, last_edu)
         _set_label(self, label)

@@ -41,6 +41,7 @@ from .core import (
     RstTree,
     SchemaViolation,  # raised by the readers here, and caught under this name
     Split,
+    _INTERN_LIMIT,
     check_sentence_starts,
     excerpt,
 )
@@ -411,18 +412,26 @@ def tree_to_string(tree: RstTree) -> str:
     return " ".join(pieces).replace(" )", ")")
 
 
+# Shared leaves by their ``#k`` token text, as a file spells a few leaves
+# thousands of times; tree_from_string stores only leaves RstTree.leaf
+# shares, and at most _INTERN_LIMIT spellings (plus one per racing thread).
+_LEAF_TOKENS: dict[str, RstTree] = {}
+
+
 def tree_from_string(text: str) -> RstTree:
     """Parse the bracketed tree format produced by :func:`tree_to_string`.
 
     One pass over the tokens with one stack: ``None`` marks an open
     bracket, which only a label may follow directly, then come the child
     nodes.  Each node is built by ``RstTree.internal``, which checks
-    adjacency, and each ``#k`` is the shared ``RstTree.leaf(k)``.  Tokens
+    adjacency, and each ``#k`` is the shared ``RstTree.leaf(k)``, found by
+    its text in ``_LEAF_TOKENS`` once it has been seen.  Tokens
     are brackets and the runs between brackets and whitespace (that of
     ``str.split``, the same code points as the regular expression ``\\s``).
     """
     stack: list = []  # None (an open bracket), label strings and nodes
     root: RstTree | None = None
+    seen_leaf = _LEAF_TOKENS.get
     for tok in text.replace("(", " ( ").replace(")", " ) ").split():
         if tok == "(":
             stack.append(None)
@@ -439,11 +448,15 @@ def tree_from_string(text: str) -> RstTree:
                 raise RstError("tree string: expected (label left right)")
             node = RstTree.internal(left, right, name)
         elif tok[0] == "#":
-            try:
-                index = int(tok[1:])
-            except ValueError:
-                raise RstError(f"bad leaf token {tok!r}") from None
-            node = RstTree.leaf(index)
+            node = seen_leaf(tok)
+            if node is None:
+                try:
+                    index = int(tok[1:])
+                except ValueError:
+                    raise RstError(f"bad leaf token {excerpt(tok)}") from None
+                node = RstTree.leaf(index)
+                if 0 <= index < _INTERN_LIMIT and len(_LEAF_TOKENS) < _INTERN_LIMIT:
+                    _LEAF_TOKENS[tok] = node
         elif not stack:  # a label outside any bracket: unbalanced
             root = None
             break

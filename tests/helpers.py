@@ -628,7 +628,7 @@ def reference_label(merged: str) -> RelationLabel:
     """A fresh RelationLabel for every call."""
     relation, sep, suffix = merged.rpartition("_")
     if not sep or suffix not in Nuclearity.__members__:
-        raise RstError(f"not a relation_NUC label: {merged!r}")
+        raise RstError(f"not a relation_NUC label {excerpt(merged)}")
     return RelationLabel(relation, Nuclearity[suffix])
 
 
@@ -656,7 +656,7 @@ def reference_tree_from_string(text: str) -> RstTree:
             try:
                 index = int(tok[1:])
             except ValueError:
-                raise RstError(f"bad leaf token {tok!r}") from None
+                raise RstError(f"bad leaf token {excerpt(tok)}") from None
             node = RstTree(index, index)  # a node of its own, not the shared leaf
         else:  # "(" opens a frame; any other atom is a label
             stack.append(tok)
@@ -1121,6 +1121,19 @@ def write_corpus(docs, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for doc in docs:
             write_record(fh, doc)
+
+
+def repeat_corpus(path, k: int, out) -> None:
+    """Write every record of the canonical file ``path`` to ``out`` ``k``
+    times in a row, under the ids ``<id>~0`` ... ``<id>~<k-1>``; the other
+    fields, and the order of the records, stay as they are."""
+    with open(path, encoding="utf-8") as src, open(out, "w", encoding="utf-8") as dst:
+        for line in src:
+            obj = json.loads(line)
+            doc_id = obj["id"]
+            for i in range(k):
+                obj["id"] = f"{doc_id}~{i}"
+                dst.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
 def label_histogram(documents) -> Counter:

@@ -38,6 +38,7 @@ from helpers import (
     random_edus,
     random_partition,
     random_tree,
+    repeat_corpus,
     serialize_rs3,
     serialize_rs3_forest,
     write_corpus,
@@ -393,6 +394,21 @@ class TestStats:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and len(err.encode("utf-8")) <= 300
         assert f"{path}: line 1: unbalanced tree string" in err
+
+    @pytest.mark.parametrize("tree, message", [
+        ("(joint_NN #0 #" + "7" * 1998 + "x)", "bad leaf token (length 2000): '#777"),
+        ("(" + "x" * 2000 + " #0 #1)", "not a relation_NUC label (length 2000): 'xxx"),
+    ], ids=["leaf", "label"])
+    def test_long_bad_token_error_is_one_short_line(self, tmp_path, capsys, tree,
+                                                    message):
+        obj = tb_mod.record_to_json(make_document("long", random_tree(random.Random(6), 2)))
+        obj["tree"] = tree
+        path = tmp_path / "long.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        assert main(["stats", str(path), "--no-spanned"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode("utf-8")) <= 300
+        assert err.startswith(f"rstkit: error: {path}: line 1: {message}")
 
 
 class TestSegmenterCommands:
@@ -774,6 +790,89 @@ class TestEvalOnImperfectPredictions:
         paths, _, _ = corpora
         assert main(["eval", str(paths["gold"]), str(paths["resegmented"])]) == 1
         assert "use --end-to-end" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    @pytest.mark.parametrize("pred_name", ["resplit", "resegmented"])
+    def test_prediction_order_does_not_matter(self, corpora, tmp_path, order,
+                                              pred_name, capsys):
+        paths, gold, preds = corpora
+        docs = list(reversed(preds[pred_name]))
+        if order == "shuffled":
+            random.Random(25).shuffle(docs)
+        assert [d.doc_id for d in docs] != [d.doc_id for d in gold]
+        reordered = tmp_path / f"{order}.jsonl"
+        write_corpus(docs, reordered)
+        outs = []
+        for pred in (paths[pred_name], reordered):
+            assert main(["eval", str(paths["gold"]), str(pred), "--csv", "--by-genre",
+                         "--end-to-end"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0]
+        table = list(csv.reader(io.StringIO(outs[1])))
+        got = {(r[0], r[1]): tuple(map(int, r[5:8])) for r in table[1:]}
+        assert got == self.expected_rows(gold, preds[pred_name], True)
+
+    def test_genre_filter_with_only_that_genre_predicted(self, corpora, tmp_path,
+                                                        capsys):
+        paths, _, preds = corpora
+        news = tmp_path / "news.jsonl"
+        write_corpus([d for d in preds["resplit"] if d.genre == "news"], news)
+        outs = []
+        for pred in (paths["resplit"], news):
+            assert main(["eval", str(paths["gold"]), str(pred), "--genre", "news"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0]
+
+    @pytest.mark.parametrize("order", ["in order", "reversed"])
+    def test_missing_prediction_is_named(self, corpora, tmp_path, order, capsys):
+        paths, _, preds = corpora
+        docs = [d for d in preds["resplit"] if d.doc_id != "doc7"]
+        pred = tmp_path / "pred.jsonl"
+        write_corpus(docs if order == "in order" else docs[::-1], pred)
+        assert main(["eval", str(paths["gold"]), str(pred)]) == 1
+        assert capsys.readouterr().err == (
+            "rstkit: error: prediction missing for document doc7\n")
+
+    def test_first_bad_line_of_the_walk_is_reported(self, corpora, tmp_path, capsys):
+        # The walk reads gold line 2 before prediction line 5 (README rule).
+        paths, _, _ = corpora
+        broken = {}
+        for name, line in (("gold", 2), ("resplit", 5)):
+            lines = paths[name].read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[line - 1] = '{"id": 1}\n'
+            broken[name] = tmp_path / f"broken_{name}.jsonl"
+            broken[name].write_text("".join(lines), encoding="utf-8")
+        assert main(["eval", str(broken["gold"]), str(broken["resplit"])]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"rstkit: error: {broken['gold']}: line 2: record is missing fields")
+
+    def test_memory_does_not_grow_with_the_corpus(self, tmp_path, capsys):
+        # Predictions in gold order are never held, so a corpus four times
+        # as long peaks at about the same memory.
+        rng = random.Random(25)
+        docs = [make_document(f"m{i}", random_tree(rng, 40), random_edus(rng, 40, 20),
+                              genre=self.GENRES[i % 3])
+                for i in range(24)]
+        gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+        write_corpus(docs, gold)
+        write_corpus([doc.with_tree(perturb_tree(rng, doc.tree)) for doc in docs], pred)
+        for path in (gold, pred):
+            repeat_corpus(path, 4, path.with_suffix(".x4"))
+
+        def peak(suffix):
+            argv = ["eval", str(gold.with_suffix(suffix)), str(pred.with_suffix(suffix)),
+                    "--by-genre"]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert main(["eval", str(gold), str(pred), "--by-genre"]) == 0  # warm caches
+        once, four = peak(".jsonl"), peak(".x4")
+        capsys.readouterr()
+        assert four < 1.25 * once
 
 
 def _inventory_file(path, tmp_path, extra=()):
@@ -1258,7 +1357,7 @@ class TestInputErrorsNameTheFile:
 
     @pytest.mark.parametrize("label, message", [
         ("elaboration_NS", "label inventory repeats ['elaboration_NS']"),
-        ("foo", "not a relation_NUC label: 'foo'"),
+        ("foo", "not a relation_NUC label (length 3): 'foo'"),
     ])
     def test_bad_inventory_label(self, gold_file, tmp_path, capsys, label, message):
         inventory = tmp_path / "labels.txt"

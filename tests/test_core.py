@@ -21,6 +21,7 @@ from rstkit.core import (
     SchemaViolation,
     enumerate_constituents,
 )
+from rstkit.treebank import tree_to_string
 
 from helpers import (
     TEST_LABELS,
@@ -46,11 +47,11 @@ class TestRelationLabel:
         )
 
     MERGED_ERRORS = {
-        "elaboration": "not a relation_NUC label: 'elaboration'",
-        "x_NX": "not a relation_NUC label: 'x_NX'",
+        "elaboration": "not a relation_NUC label (length 11): 'elaboration'",
+        "x_NX": "not a relation_NUC label (length 4): 'x_NX'",
         "_NS": "relation name must be non-empty",
         "a b_NS": "relation name 'a b' contains a reserved character",
-        "": "not a relation_NUC label: ''",
+        "": "not a relation_NUC label (length 0): ''",
         "(x)_NS": "relation name '(x)' contains a reserved character",
     }
 
@@ -225,6 +226,19 @@ class TestInternalBuilder:
             with pytest.raises(RstError, match=re.escape("cached span != union")):
                 dataclasses.replace(node, last_edu=node.last_edu + 1)
 
+    def test_constructor_stores_a_parsed_string_label(self):
+        node = RstTree(0, 1, "joint_NN", LEAF0, LEAF1)
+        assert node.label is RelationLabel.from_merged("joint_NN")
+        assert tree_to_string(node) == "(joint_NN #0 #1)"
+        assert node == RstTree.internal(LEAF0, LEAF1, "joint_NN")
+
+    def test_replace_stores_a_parsed_string_label(self):
+        node = dataclasses.replace(RstTree.internal(LEAF0, LEAF1, JOINT),
+                                   label="elaboration_NS")
+        assert node.label is RelationLabel.from_merged("elaboration_NS")
+        assert tree_to_string(node) == "(elaboration_NS #0 #1)"
+        assert node == RstTree.internal(LEAF0, LEAF1, "elaboration_NS")
+
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -233,7 +247,7 @@ class TestInternalBuilder:
             ((None, LEAF1, JOINT), "internal nodes need exactly two children"),
             ((LEAF0, None, JOINT), "internal nodes need exactly two children"),
             ((LEAF0, LEAF1, None), "internal nodes must carry a label"),
-            ((LEAF0, LEAF1, "joint"), "not a relation_NUC label: 'joint'"),
+            ((LEAF0, LEAF1, "joint"), "not a relation_NUC label (length 5): 'joint'"),
         ],
         ids=["gap", "reversed", "no-left", "no-right", "no-label", "bad-label"],
     )

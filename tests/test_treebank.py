@@ -3,6 +3,7 @@ import json
 import random
 import re
 import sys
+import threading
 import tracemalloc
 import unicodedata
 from dataclasses import fields, replace
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rstkit import core
+from rstkit import core, treebank
 from rstkit.core import (
     DocumentRecord,
     EduSpan,
@@ -570,6 +571,14 @@ _SPACING_CASES = [
     "( (joint_NN #0 #1)",
     "\u2003",
     "",
+    # leaf spellings that int() accepts or rejects
+    "(joint_NN #6 #07)",
+    "(joint_NN #0 #+1)",
+    "(joint_NN #9 #1_0)",
+    "(joint_NN #2 #\u0663)",  # an Arabic-Indic three
+    "(joint_NN #4095 #4096)",  # past the cap: a leaf of its own
+    "#-1",
+    pytest.param("(joint_NN #0 #" + "7" * 1998 + "x)", id="2000-character bad leaf"),
 ]
 
 
@@ -626,14 +635,65 @@ class TestTreeStrings:
 
     @pytest.mark.parametrize("text", _SPACING_CASES)
     def test_odd_spacing_agrees_with_the_reference(self, text):
+        # the second parse takes its leaves from the table the first filled
+        for _ in range(2):
+            try:
+                expected = reference_tree_from_string(text)
+            except RstError as exc:
+                with pytest.raises(RstError) as err:
+                    tree_from_string(text)
+                assert str(err.value) == str(exc)
+                assert len(str(exc)) < 300
+            else:
+                tree = tree_from_string(text)
+                assert tree == expected
+                assert_shared_leaves(tree)
+
+    def test_leaf_table_is_capped(self, monkeypatch):
+        monkeypatch.setattr(treebank, "_LEAF_TOKENS", {})
+        # a leaf past the cap is never stored: each parse builds a node
+        assert tree_from_string("#4096") is not tree_from_string("#4096")
+        assert treebank._LEAF_TOKENS == {}
+        # 4,200 spellings of leaf 0, more than the table may hold
+        spellings = [f"#{sign}{'0' * k}" for sign in ("", "+") for k in range(1, 2101)]
+        assert len(spellings) > core._INTERN_LIMIT
+        for spelling in spellings:
+            assert tree_from_string(spelling) is RstTree.leaf(0)
+            assert len(treebank._LEAF_TOKENS) <= core._INTERN_LIMIT
+        assert len(treebank._LEAF_TOKENS) == core._INTERN_LIMIT
+        assert tree_from_string(f"(joint_NN {spellings[-1]} #1)").left is RstTree.leaf(0)
+
+    def test_concurrent_parses_never_store_a_wrong_leaf(self, monkeypatch):
+        # Threads race to fill the table past its cap; a lost or extra
+        # update may cost sharing, never a wrong leaf.
+        monkeypatch.setattr(treebank, "_LEAF_TOKENS", {})
+        limit = core._INTERN_LIMIT
+        wrong: list[str] = []
+
+        def work(seed: int) -> None:
+            rng = random.Random(seed)
+            for _ in range(2000):
+                i = rng.randrange(limit + 8)
+                spelling = f"#{'0' * rng.randrange(3)}{i}"
+                leaf = tree_from_string(spelling)
+                if leaf != RstTree(i, i):
+                    wrong.append(spelling)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            expected = reference_tree_from_string(text)
-        except RstError as exc:
-            with pytest.raises(RstError) as err:
-                tree_from_string(text)
-            assert str(err.value) == str(exc)
-        else:
-            assert tree_from_string(text) == expected
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert len(treebank._LEAF_TOKENS) <= limit + len(threads)
+        for spelling, leaf in treebank._LEAF_TOKENS.items():
+            assert leaf == RstTree.leaf(int(spelling[1:]))
 
     def test_split_whitespace_is_the_regex_whitespace(self):
         # tree_from_string splits with str.split(); the reference tokenizes
