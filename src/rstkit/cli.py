@@ -162,7 +162,8 @@ def _output_file(path: str, mode: str = "w"):
 
 # Flags that only .rs3 input reads; each defaults to None, so that a command
 # can tell whether it was given, and _rs3_documents fills in the defaults.
-_RS3_INPUT_FLAGS = ("genre", "genre_field", "lang", "split", "split_map")
+_RS3_INPUT_FLAGS = ("genre", "genre_field", "lang", "split", "split_map",
+                    "split_forests")
 
 
 def _add_rs3_input_flags(parser) -> None:
@@ -211,7 +212,7 @@ def _rs3_documents(paths: list[Path], args):
             documents = prep_mod.split_forest(file_id, components, genre, lang, split)
         except RstError as exc:
             raise RstError(f"{path}: {exc}") from None
-        if not args.split_forests and len(documents) > 1:
+        if args.split_forests is False and len(documents) > 1:
             raise RstError(f"{path}: holds {len(documents)} trees; "
                            "enable forest splitting to process it")
         yield from documents
@@ -358,9 +359,6 @@ def cmd_parse(args) -> int:
         decode,
     )
 
-    modes = [bool(args.oracle), args.baseline is not None, args.scores is not None]
-    if sum(modes) != 1:
-        raise RstError("choose exactly one of --oracle, --baseline, --scores")
     if args.scores is not None and args.inventory is None:
         # Score vectors are indexed by the scorer's inventory, which the
         # input corpus cannot know.
@@ -554,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--split-forests",
         action=argparse.BooleanOptionalAction,
-        default=True,
         help="treat each connected tree as a separate document",
     )
     p.add_argument(
@@ -602,10 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="decode trees with a score provider")
     p.add_argument("input", help="canonical corpus file (EDUs required)")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--oracle", action="store_true", help="replay gold trees")
-    p.add_argument("--baseline", default=None, metavar="LABEL",
-                   help="right-branching baseline with one majority label")
-    p.add_argument("--scores", default=None, help="external score file (JSON lines)")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--oracle", action="store_true", help="replay gold trees")
+    mode.add_argument("--baseline", default=None, metavar="LABEL",
+                      help="right-branching baseline with one majority label")
+    mode.add_argument("--scores", default=None, help="external score file (JSON lines)")
     p.add_argument("--beam", type=int, default=1, help="beam width (1 = greedy)")
     p.add_argument("--inventory", default=None,
                    help="label inventory file, one relation_NUC per line")

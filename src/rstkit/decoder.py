@@ -53,7 +53,6 @@ import json
 from abc import ABC, abstractmethod
 from array import array
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field
 from math import isfinite
 from typing import Sequence
@@ -127,38 +126,19 @@ class DecodeConfig:
         )
 
 
-def _vector(scores, query: str, args: tuple) -> Sequence[float]:
-    if type(scores) is list or type(scores) is array:
-        return scores
-    try:
-        return array("d", scores)
-    except (TypeError, OverflowError) as exc:  # nested, or not numbers
+def _vector(scores, query: str, args: tuple, length: int) -> Sequence[float]:
+    """A provider's answer ``scores`` to ``query(*args)``, checked to be a
+    flat sequence of numbers of the given length."""
+    if type(scores) is not list and type(scores) is not array:
+        try:
+            scores = array("d", scores)
+        except (TypeError, OverflowError) as exc:  # nested, or not numbers
+            raise RstError(
+                f"{query}{args} must be a flat sequence of numbers ({exc})"
+            ) from None
+    if len(scores) != length:
         raise RstError(
-            f"{query}{args} must be a flat sequence of numbers ({exc})"
-        ) from None
-
-
-def _splits(provider: ScoreProvider, start: int, end: int) -> Sequence[float]:
-    scores = _vector(provider.split_scores(start, end), "split_scores", (start, end))
-    if len(scores) != end - start - 1:
-        raise RstError(
-            f"split_scores({start}, {end}) must have length {end - start - 1}, "
-            f"got length {len(scores)}"
-        )
-    return scores
-
-
-def _labels(
-    provider: ScoreProvider,
-    left: tuple[int, int],
-    right: tuple[int, int],
-    n_labels: int,
-) -> Sequence[float]:
-    scores = _vector(provider.label_scores(left, right), "label_scores", (left, right))
-    if len(scores) != n_labels:
-        raise RstError(
-            f"label_scores({left}, {right}) must have length {n_labels}, "
-            f"got length {len(scores)}"
+            f"{query}{args} must have length {length}, got length {len(scores)}"
         )
     return scores
 
@@ -184,7 +164,10 @@ def _search(
         for score, _, _, ((start, end), _) in beam:
             scores = memo.get((start, end))
             if scores is None:
-                scores = memo[(start, end)] = _splits(provider, start, end)
+                scores = memo[(start, end)] = _vector(
+                    provider.split_scores(start, end), "split_scores",
+                    (start, end), end - start - 1,
+                )
             offsets.append(size)
             size += end - start - 1
             rows.append((-score, scores))
@@ -204,7 +187,9 @@ def _search(
             split = start + 1 + k - offsets[rank]
             label = memo.get((start, split, end))
             if label is None:
-                scores = _labels(provider, (start, split), (split, end), n_labels)
+                left, right = (start, split), (split, end)
+                scores = _vector(provider.label_scores(left, right), "label_scores",
+                                 (left, right), n_labels)
                 best = max(scores)  # index() takes the lower of equal labels
                 label = memo[(start, split, end)] = (best, scores.index(best))
             if end - split >= 2:
@@ -267,11 +252,14 @@ def tree_score(
     ):
         start, end = node.first_edu, node.last_edu + 1
         split = node.left.last_edu + 1  # type: ignore[union-attr]
-        split_scores = _splits(provider, start, end)
+        split_scores = _vector(provider.split_scores(start, end), "split_scores",
+                               (start, end), end - start - 1)
         merged = node.label.merged  # type: ignore[union-attr]
         if merged not in label_index:
             raise RstError(f"label {merged} is not in the decode inventory")
-        label_scores = _labels(provider, (start, split), (split, end), len(labels))
+        left, right = (start, split), (split, end)
+        label_scores = _vector(provider.label_scores(left, right), "label_scores",
+                               (left, right), len(labels))
         total += float(split_scores[split - start - 1])
         total += float(label_scores[label_index[merged]])
     return total
@@ -368,12 +356,6 @@ class _TableProvider(ScoreProvider):
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _doc_id(doc) -> str:  # a score line's "doc", which must be a JSON string
-    if type(doc) is not str:
-        raise ValueError(f"doc must be a string, got {JSON_TYPES[type(doc)]}")
-    return doc
-
-
 class ScoreTable:
     """External scores loaded from a JSON-lines dump.
 
@@ -388,22 +370,19 @@ class ScoreTable:
     numbers that fit a double, none ``true``, ``false``, ``NaN`` or
     ``Infinity``; a line that breaks a rule raises RstError naming it.
     Split vectors must have length end-start-1; label vectors must match
-    the inventory size.
+    the inventory size.  A document's lines form one contiguous run: a line
+    for a document whose run has ended raises RstError naming it.
     """
 
     def __init__(self) -> None:
-        # per document; provider() only reads them with `in` and get()
-        self._splits: dict[str, dict[tuple[int, int], array]] = defaultdict(dict)
-        self._labels: dict[
-            str, dict[tuple[tuple[int, int], tuple[int, int]], array]
-        ] = defaultdict(dict)
+        # each document's split and label tables
+        self._docs: dict[str, tuple[dict, dict]] = {}
 
     @classmethod
     def load(cls, path) -> "ScoreTable":
         table = cls()
-        # the documents whose split and label tables were looked up last, so
-        # a run of lines for one document checks its id and looks each up once
-        split_doc = label_doc = object()
+        docs = table._docs
+        run = object()  # the document of the current run of lines
         with InputLines(path) as lines:
             for line in lines:
                 try:
@@ -437,9 +416,6 @@ class ScoreTable:
                         start, stop = key = obj["start"], obj["end"]
                         if type(start) is not int or type(stop) is not int:
                             raise ValueError(f"indices must be integers, got {key!r}")
-                        if doc != split_doc:
-                            splits, split_doc = table._splits[_doc_id(doc)], doc
-                        splits[key] = scores
                     elif kind == "label":
                         a, b = pair = obj["left"]
                         if type(a) is not int or type(b) is not int:
@@ -447,21 +423,28 @@ class ScoreTable:
                         c, d = pair = obj["right"]
                         if type(c) is not int or type(d) is not int:
                             raise ValueError(f"indices must be integers, got {pair!r}")
-                        if doc != label_doc:
-                            labels, label_doc = table._labels[_doc_id(doc)], doc
-                        labels[((a, b), (c, d))] = scores
+                        key = (a, b), (c, d)
                     else:
                         raise ValueError(f"unknown kind {kind!r}")
+                    if doc != run:
+                        if type(doc) is not str:
+                            raise ValueError(
+                                f"doc must be a string, got {JSON_TYPES[type(doc)]}"
+                            )
+                        if doc in docs:
+                            raise ValueError(f"document {doc!r} has an earlier run "
+                                             "of lines; its lines must be contiguous")
+                        splits, labels = docs[doc] = ({}, {})
+                        run = doc
+                    (splits if kind == "split" else labels)[key] = scores
                 except (KeyError, ValueError, TypeError, OverflowError,
                         RecursionError) as exc:  # RecursionError: nested too deeply
                     raise RstError(f"bad score record ({exc})") from None
         return table
 
     def provider(self, doc_id: str) -> ScoreProvider:
-        if doc_id not in self._splits and doc_id not in self._labels:
-            raise RstError(f"no scores for document {doc_id}")
-        return _TableProvider(
-            doc_id,
-            self._splits.get(doc_id, {}),
-            self._labels.get(doc_id, {}),
-        )
+        try:
+            splits, labels = self._docs[doc_id]
+        except KeyError:
+            raise RstError(f"no scores for document {doc_id}") from None
+        return _TableProvider(doc_id, splits, labels)

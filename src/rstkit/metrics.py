@@ -284,12 +284,7 @@ def _spanned_sentence_counts(
     """(spanned non-elementary, non-elementary, spanned any, sentences)."""
     if boundaries is None:
         raise RstError(f"{doc.doc_id}: sentence boundaries required")
-    if doc.tree is None:
-        raise RstError(f"{doc.doc_id} has no tree")
-    # read_sentence_file and DocumentRecord check that the boundaries start
-    # at 0 and increase; the bound needs the document
-    if not boundaries or boundaries[-1] >= len(doc.tokens):
-        raise RstError(f"{doc.doc_id}: bad sentence boundaries")
+    doc.check_sentence_boundaries(boundaries)
     bounds = list(boundaries) + [len(doc.tokens)]
     sentences = [(bounds[i], bounds[i + 1] - 1) for i in range(len(bounds) - 1)]
     node_spans = {node.token_span(doc.edus) for node in doc.tree.nodes()}
@@ -335,8 +330,7 @@ class _Tally:
         if tree is None:
             raise RstError(f"{doc.doc_id} has no tree")
         self.genres.add(doc.genre)
-        first, last = tree.token_span(doc.edus)
-        self.token_counts.append(last - first + 1)
+        self.token_counts.append(len(doc.tokens))
         classes, non_span, nn = self.classes, 0, Nuclearity.NN  # enum reads are slow
         for node in tree.internal_nodes():
             label = node.label

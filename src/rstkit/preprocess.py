@@ -153,28 +153,17 @@ def remap_tree_counting(tree: RstTree, table: RemapTable) -> tuple[RstTree, Coun
     """Rewrite all matched labels in a tree, keeping its structure; the
     counter holds the rewrites per rule index."""
     counts: Counter = Counter()
-    results: list[RstTree] = []
-    stack: list[tuple[str, RstTree]] = [("visit", tree)]
-    while stack:
-        op, node = stack.pop()
-        if op == "visit":
-            if node.is_leaf:
-                results.append(node)
-            else:
-                stack.append(("combine", node))
-                stack.append(("visit", node.right))  # type: ignore[arg-type]
-                stack.append(("visit", node.left))  # type: ignore[arg-type]
-        else:
-            right = results.pop()
-            left = results.pop()
-            label = node.label
-            assert label is not None
-            new_label, rule_index = table.apply(label)
-            if rule_index is not None:
-                counts[rule_index] += 1
-            results.append(RstTree.internal(left, right, new_label))
-    (remapped,) = results
-    return remapped, counts
+    built: list[RstTree] = []
+    # In reverse pre-order a node comes after both its subtrees, and its
+    # left subtree was finished last.
+    for node in reversed(list(tree.internal_nodes())):
+        left = node.left if node.left.is_leaf else built.pop()  # type: ignore
+        right = node.right if node.right.is_leaf else built.pop()  # type: ignore
+        label, rule_index = table.apply(node.label)  # type: ignore[arg-type]
+        if rule_index is not None:
+            counts[rule_index] += 1
+        built.append(RstTree.internal(left, right, label))  # type: ignore[arg-type]
+    return (built.pop() if built else tree), counts
 
 
 def split_forest(
@@ -273,7 +262,7 @@ class Preprocessor:
                 doc = doc.with_tree(tree)
         # A single-EDU document has no internal node, so dropping it leaves
         # the histograms as they are.
-        if self.drop_single_edu and len(doc.edus) == 1 and (tree is None or tree.is_leaf):
+        if self.drop_single_edu and len(doc.edus) == 1:
             self.dropped += 1
             return None
         return doc

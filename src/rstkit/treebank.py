@@ -412,9 +412,9 @@ def tree_to_string(tree: RstTree) -> str:
     return " ".join(pieces).replace(" )", ")")
 
 
-# Shared leaves by their ``#k`` token text, as a file spells a few leaves
-# thousands of times; tree_from_string stores only leaves RstTree.leaf
-# shares, and at most _INTERN_LIMIT spellings (plus one per racing thread).
+# The shared leaves by their ``#k`` tokens, as a file spells a few leaves
+# thousands of times; a leaf has one spelling, so the table holds at most
+# one key per leaf RstTree.leaf shares.
 _LEAF_TOKENS: dict[str, RstTree] = {}
 
 
@@ -425,7 +425,9 @@ def tree_from_string(text: str) -> RstTree:
     bracket, which only a label may follow directly, then come the child
     nodes.  Each node is built by ``RstTree.internal``, which checks
     adjacency, and each ``#k`` is the shared ``RstTree.leaf(k)``, found by
-    its text in ``_LEAF_TOKENS`` once it has been seen.  Tokens
+    its text in ``_LEAF_TOKENS`` once it has been seen.  A leaf token is
+    ``#`` and ASCII digits with no leading zero, as tree_to_string writes
+    it.  Tokens
     are brackets and the runs between brackets and whitespace (that of
     ``str.split``, the same code points as the regular expression ``\\s``).
     """
@@ -452,10 +454,13 @@ def tree_from_string(text: str) -> RstTree:
             if node is None:
                 try:
                     index = int(tok[1:])
-                except ValueError:
-                    raise RstError(f"bad leaf token {excerpt(tok)}") from None
+                except ValueError:  # no number, or more digits than int() reads
+                    index = -1
+                # only tree_to_string's spelling: no sign, "_" or leading zero
+                if index < 0 or tok != f"#{index}":
+                    raise RstError(f"bad leaf token {excerpt(tok)}")
                 node = RstTree.leaf(index)
-                if 0 <= index < _INTERN_LIMIT and len(_LEAF_TOKENS) < _INTERN_LIMIT:
+                if index < _INTERN_LIMIT:
                     _LEAF_TOKENS[tok] = node
         elif not stack:  # a label outside any bracket: unbalanced
             root = None
@@ -524,16 +529,15 @@ def _expected(field: str, what: str, value) -> RstError:
     return RstError(f"{field}: expected {what}, got {got}")
 
 
-def _edus_error(edus, error: Exception) -> Exception:
-    """The error to report for a bad ``edus`` value: the shape it lacks if
-    it is no array of [first, last] pairs, else ``error``, which a pair of
-    that shape raised for its values."""
-    if type(edus) is not list:
-        return _expected("edus", "an array of [first, last] pairs", edus)
-    for i, pair in enumerate(edus):
-        if type(pair) is not list or len(pair) != 2:
-            return _expected(f"edus[{i}]", "a [first, last] pair", pair)
-    return error
+def _pairs_error(field: str, pair: str, value) -> RstError | None:
+    """The error for a ``field`` value that is no array of ``pair``-shaped
+    arrays, naming the first that is not; None if it is one."""
+    if type(value) is not list:
+        return _expected(field, f"an array of {pair} pairs", value)
+    for i, item in enumerate(value):
+        if type(item) is not list or len(item) != 2:
+            return _expected(f"{field}[{i}]", f"a {pair} pair", item)
+    return None
 
 
 def record_from_json(obj: dict) -> DocumentRecord:
@@ -547,10 +551,10 @@ def record_from_json(obj: dict) -> DocumentRecord:
     try:
         texts, starts = zip(*pairs, strict=True)
     except (TypeError, ValueError):
-        # len() names a token that is no sequence; no pairs means no tokens
-        if set(map(len, pairs)) - {2}:
-            raise RstError("every token must be a [text, char_start] pair") from None
-        texts = starts = ()
+        error = _pairs_error("tokens", "[text, char_start]", pairs)
+        if error is not None:
+            raise error from None
+        texts = starts = ()  # no pairs means no tokens
     # The checks that name a field's wrong JSON type run only once a fast
     # check has failed, or once an empty value may be a "" or {}.
     edus = obj["edus"]
@@ -560,7 +564,8 @@ def record_from_json(obj: dict) -> DocumentRecord:
         if not spans and type(edus) is not list:
             raise TypeError
     except (TypeError, ValueError, RstError) as exc:
-        raise _edus_error(edus, exc) from None
+        # the shape the value lacks, else the error a pair's values raised
+        raise _pairs_error("edus", "[first, last]", edus) or exc from None
     tree = obj["tree"]
     if type(tree) is str:
         tree = tree_from_string(tree)

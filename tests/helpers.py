@@ -653,10 +653,11 @@ def reference_tree_from_string(text: str) -> RstTree:
             label, left, right = items
             node = RstTree.internal(left, right, reference_label(label))
         elif tok.startswith("#"):
-            try:
-                index = int(tok[1:])
-            except ValueError:
-                raise RstError(f"bad leaf token {excerpt(tok)}") from None
+            # "#" and a number as str() writes it, in no more digits than
+            # int() reads by default
+            if not re.fullmatch(r"#(0|[1-9][0-9]{0,4299})", tok, re.ASCII):
+                raise RstError(f"bad leaf token {excerpt(tok)}")
+            index = int(tok[1:])
             node = RstTree(index, index)  # a node of its own, not the shared leaf
         else:  # "(" opens a frame; any other atom is a label
             stack.append(tok)

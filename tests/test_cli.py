@@ -200,6 +200,8 @@ class TestPreprocess:
         (["--split", "test", "--lang", "ru", "--genre", "zzz"], "--genre, --lang, --split"),
         (["--genre-field", "0"], "--genre-field"),
         (["--split-map", "SPLITS"], "--split-map"),
+        (["--split-forests"], "--split-forests"),
+        (["--no-split-forests", "--lang", "en"], "--lang, --split-forests"),
     ])
     def test_canonical_input_rejects_rs3_flags(self, gold_file, tmp_path, capsys,
                                                flags, named):
@@ -608,13 +610,19 @@ class TestParseAndEval:
         assert main(["eval", str(gold_file), str(pred), "--metrics", "S,Q"]) == 1
         assert main(["eval", str(gold_file), str(pred), "--genre", "nope"]) == 1
 
-    def test_parse_requires_exactly_one_mode(self, gold_file, tmp_path):
-        assert (
-            main(["parse", str(gold_file), "-o", str(tmp_path / "x"), "--oracle",
-                  "--baseline", "joint_NN"])
-            == 1
-        )
-        assert main(["parse", str(gold_file), "-o", str(tmp_path / "x")]) == 1
+    def test_parse_requires_exactly_one_mode(self, gold_file, tmp_path, capsys):
+        out = tmp_path / "x"
+        modes = {"--oracle": [], "--baseline": ["joint_NN"], "--scores": [str(gold_file)]}
+        cases = [([], "one of the arguments --oracle --baseline --scores is required")]
+        for first, second in itertools.combinations(modes, 2):
+            cases.append(([first, *modes[first], second, *modes[second]],
+                          f"argument {second}: not allowed with argument {first}"))
+        for flags, message in cases:
+            assert main(["parse", str(gold_file), "-o", str(out), *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("usage: rstkit parse ")
+            assert captured.err.endswith(f"rstkit parse: error: {message}\n")
+            assert captured.out == "" and not out.exists()
 
     def test_parse_rejects_repeated_input_id(self, gold_file, tmp_path, capsys):
         dup = _with_repeated_line(gold_file, tmp_path, index=2)
@@ -982,6 +990,25 @@ class TestSinglePassParse:
         assert main(["parse", str(gold_file), "-o", str(out), "--scores", str(scores),
                      "--inventory", str(inventory)]) == 1
         assert "line 1: bad score record" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_document_whose_score_run_has_ended_is_a_user_error(
+        self, gold_file, tmp_path, capsys
+    ):
+        inventory = _inventory_file(gold_file, tmp_path)
+        scores = tmp_path / "scores.jsonl"
+        runs = ["doc0", "doc0", "doc1", "doc0"]
+        scores.write_text("".join(
+            json.dumps({"doc": doc, "kind": "split", "start": 0, "end": 2,
+                        "scores": [1.0]}) + "\n" for doc in runs
+        ), encoding="utf-8")
+        out = tmp_path / "pred.jsonl"
+        assert main(["parse", str(gold_file), "-o", str(out), "--scores", str(scores),
+                     "--inventory", str(inventory)]) == 1
+        assert capsys.readouterr().err == (
+            f"rstkit: error: {scores}: line 4: bad score record (document 'doc0' "
+            "has an earlier run of lines; its lines must be contiguous)\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rstkit.core import RstError, RstTree
+from rstkit.core import RstError, RstTree, SchemaViolation
 from rstkit.decoder import (
     DecodeConfig,
     OracleProvider,
@@ -680,11 +680,10 @@ class TestScoreTable:
             ScoreTable.load(path)
         assert str(got.value).endswith("line 1: bad score record (scores must be a flat list)")
 
-    def test_interleaved_documents_load_into_their_own_tables(self, tmp_path):
-        # lines for A, then B, then A again, with the kinds interleaved too
+    def test_interleaved_runs_are_rejected(self, tmp_path):
+        # runs for A, then B, then A again, with the kinds interleaved in each
         records = []
-        for doc, start in (("doc_A", 0), ("doc_B", 0), ("doc_A", 3), ("doc_B", 3),
-                           ("doc_A", 6)):
+        for doc, start in (("doc_A", 0), ("doc_B", 0), ("doc_A", 3)):
             records += [
                 {"doc": doc, "kind": "split", "start": start, "end": start + 3,
                  "scores": [len(records), -1.0]},
@@ -695,10 +694,19 @@ class TestScoreTable:
             ]
         path = tmp_path / "scores.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(SchemaViolation) as err:
+            ScoreTable.load(path)
+        assert str(err.value) == (
+            f"{path}: line 7: bad score record (document 'doc_A' has an earlier "
+            "run of lines; its lines must be contiguous)"
+        )
+        # without the third run, each document loads into its own tables
+        path.write_text("".join(json.dumps(r) + "\n" for r in records[:6]),
+                        encoding="utf-8")
         table = ScoreTable.load(path)
         for doc in ("doc_A", "doc_B"):
             provider = table.provider(doc)
-            ours = [r for r in records if r["doc"] == doc]
+            ours = [r for r in records[:6] if r["doc"] == doc]
             for r in ours:
                 if r["kind"] == "split":
                     got = provider.split_scores(r["start"], r["end"])

@@ -1,10 +1,15 @@
 """Every name in a module's ``__all__`` resolves, so an export whose
-definition was removed cannot be left behind; and the package reports
-every defect as an RstError, whose one subclass is SchemaViolation."""
+definition was removed cannot be left behind; every private function, class
+and method is named by code outside its own body, so one whose last caller
+was removed cannot be left behind either; and the package reports every
+defect as an RstError, whose one subclass is SchemaViolation."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,40 @@ EXPORTING = [module for module in MODULES if hasattr(module, "__all__")]
 def test_every_exported_name_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def _names(tree: ast.AST) -> list[str]:
+    """Every name the code under ``tree`` reads, calls or sets, bare or as
+    an attribute."""
+    return [
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+
+
+def test_every_private_definition_is_used():
+    # Names are matched by spelling, across the whole package: a method is
+    # used when any attribute of that name is.
+    modules = [
+        ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(Path(rstkit.__file__).parent.glob("*.py"))
+    ]
+    uses = Counter(name for module in modules for name in _names(module))
+    private = [
+        node
+        for module in modules
+        for node in ast.walk(module)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    ]
+    assert len(private) > 40  # the walk found the package's definitions
+    unused = [
+        node.name for node in private
+        if uses[node.name] == _names(node).count(node.name)  # only its own body
+    ]
+    assert unused == []
 
 
 def test_schema_violation_is_the_only_error_subclass():

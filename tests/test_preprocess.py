@@ -7,6 +7,7 @@ from rstkit.core import (
     Nuclearity,
     RelationLabel,
     RstError,
+    RstTree,
 )
 from rstkit.preprocess import (
     PreprocessReport,
@@ -127,6 +128,35 @@ class TestRemapTree:
         for label in ("elaboration_NS", "mystery_NS"):
             tree = build_tree((0, 1, label))
             assert remap_tree_counting(tree, TABLE)[0] == tree
+
+    def test_equals_a_recursive_relabel(self):
+        def relabel(node, counts):
+            # each label against the rules in order, by hand; the first match wins
+            if node.left is None:
+                return node
+            relation, nuclearity = node.label.relation, node.label.nuclearity
+            for i, rule in enumerate(TABLE.rules):
+                if rule.match_relation == relation and rule.match_nuclearity in (
+                    None, nuclearity
+                ):
+                    counts[i] += 1
+                    relation = rule.replace_relation
+                    nuclearity = rule.replace_nuclearity or nuclearity
+                    break
+            left, right = relabel(node.left, counts), relabel(node.right, counts)
+            return RstTree.internal(left, right, RelationLabel(relation, nuclearity))
+
+        rng = random.Random(27)
+        labels = [*RAW_LABEL_CYCLE, "solutionhood_NS", "background_NS",
+                  "elaboration_SN", "evaluation_SN", "interpretation_NN", "joint_NN"]
+        trees = [random_tree(rng, rng.randint(1, 40), labels) for _ in range(60)]
+        for tree in [RstTree.leaf(0), *trees]:
+            expected_counts = Counter()
+            expected = relabel(tree, expected_counts)
+            remapped, counts = remap_tree_counting(tree, TABLE)
+            assert remapped == expected
+            assert counts == expected_counts
+        assert remap_tree_counting(RstTree.leaf(0), TABLE)[0] is RstTree.leaf(0)
 
     def test_rewrite_counts(self):
         tree = build_tree(((0, 1, "antithesis_NS"), 2, "antithesis_SN"))

@@ -571,13 +571,20 @@ _SPACING_CASES = [
     "( (joint_NN #0 #1)",
     "\u2003",
     "",
-    # leaf spellings that int() accepts or rejects
+    # leaf spellings that tree_to_string never writes are bad leaf tokens,
+    # even those int() reads
     "(joint_NN #6 #07)",
     "(joint_NN #0 #+1)",
     "(joint_NN #9 #1_0)",
     "(joint_NN #2 #\u0663)",  # an Arabic-Indic three
     "(joint_NN #4095 #4096)",  # past the cap: a leaf of its own
     "#-1",
+    "(joint_NN #0 #00)",
+    "(joint_NN #-0 #1)",
+    "(joint_NN # #1)",
+    "(joint_NN #1e3 #0x1)",
+    # more digits than int() reads by default
+    pytest.param("(joint_NN #0 #" + "1" * 4301 + ")", id="4301-digit leaf"),
     pytest.param("(joint_NN #0 #" + "7" * 1998 + "x)", id="2000-character bad leaf"),
 ]
 
@@ -654,18 +661,23 @@ class TestTreeStrings:
         # a leaf past the cap is never stored: each parse builds a node
         assert tree_from_string("#4096") is not tree_from_string("#4096")
         assert treebank._LEAF_TOKENS == {}
-        # 4,200 spellings of leaf 0, more than the table may hold
-        spellings = [f"#{sign}{'0' * k}" for sign in ("", "+") for k in range(1, 2101)]
-        assert len(spellings) > core._INTERN_LIMIT
-        for spelling in spellings:
-            assert tree_from_string(spelling) is RstTree.leaf(0)
-            assert len(treebank._LEAF_TOKENS) <= core._INTERN_LIMIT
-        assert len(treebank._LEAF_TOKENS) == core._INTERN_LIMIT
-        assert tree_from_string(f"(joint_NN {spellings[-1]} #1)").left is RstTree.leaf(0)
+        # another spelling of a leaf raises, and stores nothing
+        for spelling in ("#00", "#+0", "#0_0", "#\u0660", "#01", "#+1"):
+            with pytest.raises(RstError, match="bad leaf token"):
+                tree_from_string(spelling)
+        assert treebank._LEAF_TOKENS == {}
+        limit = core._INTERN_LIMIT
+        for _ in range(2):
+            for k in range(limit + 50):
+                assert tree_from_string(f"#{k}") == RstTree(k, k)
+        # one key per shared leaf, the leaf's own spelling
+        assert treebank._LEAF_TOKENS == {f"#{k}": RstTree.leaf(k) for k in range(limit)}
+        assert all(leaf is RstTree.leaf(k) for k, leaf in
+                   enumerate(treebank._LEAF_TOKENS.values()))
 
     def test_concurrent_parses_never_store_a_wrong_leaf(self, monkeypatch):
-        # Threads race to fill the table past its cap; a lost or extra
-        # update may cost sharing, never a wrong leaf.
+        # Threads race to fill the table; a lost update may cost sharing,
+        # never a wrong leaf, and the table never outgrows the cap.
         monkeypatch.setattr(treebank, "_LEAF_TOKENS", {})
         limit = core._INTERN_LIMIT
         wrong: list[str] = []
@@ -674,7 +686,7 @@ class TestTreeStrings:
             rng = random.Random(seed)
             for _ in range(2000):
                 i = rng.randrange(limit + 8)
-                spelling = f"#{'0' * rng.randrange(3)}{i}"
+                spelling = f"#{i}"
                 leaf = tree_from_string(spelling)
                 if leaf != RstTree(i, i):
                     wrong.append(spelling)
@@ -691,9 +703,10 @@ class TestTreeStrings:
         finally:
             sys.setswitchinterval(interval)
         assert wrong == []
-        assert len(treebank._LEAF_TOKENS) <= limit + len(threads)
+        assert len(treebank._LEAF_TOKENS) <= limit
         for spelling, leaf in treebank._LEAF_TOKENS.items():
-            assert leaf == RstTree.leaf(int(spelling[1:]))
+            assert leaf is RstTree.leaf(int(spelling[1:]))
+            assert spelling == f"#{leaf.first_edu}"
 
     def test_split_whitespace_is_the_regex_whitespace(self):
         # tree_from_string splits with str.split(); the reference tokenizes
@@ -705,7 +718,8 @@ class TestTreeStrings:
             assert tree_from_string(f"({space}joint_NN{space}#0{space}#1{space})") == tree
 
 
-_PAIR_MESSAGE = "every token must be a [text, char_start] pair"
+_TOKEN = "expected a [text, char_start] pair, got"
+_TOKENS = "expected an array of [text, char_start] pairs, got"
 _TREE = "expected a tree string or null, got"
 _PAIR = "expected a [first, last] pair, got"
 _PAIRS = "expected an array of [first, last] pairs, got"
@@ -773,16 +787,28 @@ class TestCanonicalFormat:
             pytest.param("tree", True, f"tree: {_TREE} bool", id="tree-bool"),
             pytest.param("tree", ["#0"], f"tree: {_TREE} array of 1", id="tree-array"),
             pytest.param("tree", {"#0": 1}, f"tree: {_TREE} object", id="tree-object"),
-            ("tokens", None, "not iterable"),
-            ("tokens", 0, "not iterable"),
-            ("tokens", "", "no tokens"),
-            ("tokens", [], "no tokens"),
-            ("tokens", {"ab": 1}, "char offsets"),
-            ("tokens", [5], "has no len()"),
-            ("tokens", [["w0", 0], None], "has no len()"),
-            ("tokens", [["w0"]], _PAIR_MESSAGE),
-            ("tokens", [["w0", 0, 1]], _PAIR_MESSAGE),
-            ("tokens", [["w0", 0], ["w1", 3, 1]], _PAIR_MESSAGE),
+            # tokens too, once the fast read of the pairs has failed; these
+            # ids are the ones the rows had when they matched Python's text
+            pytest.param("tokens", None, f"tokens: {_TOKENS} null",
+                         id="tokens-None-not iterable"),
+            pytest.param("tokens", 0, f"tokens: {_TOKENS} int", id="tokens-0-not iterable"),
+            pytest.param("tokens", "", f"tokens: {_TOKENS} (length 0): ''",
+                         id="tokens--no tokens"),
+            pytest.param("tokens", [], "d: document has no tokens",
+                         id="tokens-value7-no tokens"),
+            pytest.param("tokens", {"ab": 1}, "d: char offsets must be non-negative ints",
+                         id="tokens-value8-char offsets"),
+            pytest.param("tokens", [5], f"tokens[0]: {_TOKEN} int",
+                         id="tokens-value9-has no len()"),
+            pytest.param("tokens", [["w0", 0], None], f"tokens[1]: {_TOKEN} null",
+                         id="tokens-value10-has no len()"),
+            pytest.param("tokens", [["w0"]], f"tokens[0]: {_TOKEN} array of 1",
+                         id="tokens-value11-every token must be a [text, char_start] pair"),
+            pytest.param("tokens", [["w0", 0, 1]], f"tokens[0]: {_TOKEN} array of 3",
+                         id="tokens-value12-every token must be a [text, char_start] pair"),
+            pytest.param("tokens", [["w0", 0], ["w1", 3, 1]],
+                         f"tokens[1]: {_TOKEN} array of 3",
+                         id="tokens-value13-every token must be a [text, char_start] pair"),
             pytest.param("edus", [1, 2], f"edus[0]: {_PAIR} int", id="edus-int"),
             pytest.param("edus", [[0]], f"edus[0]: {_PAIR} array of 1", id="edus-short"),
             pytest.param("edus", [[0, 0], [1, 2, 3]], f"edus[1]: {_PAIR} array of 3",
@@ -822,8 +848,7 @@ class TestCanonicalFormat:
         with pytest.raises(SchemaViolation, match=re.escape(message)) as err:
             list(iter_canonical(path))
         assert err.value.line_number == 1
-        if field != "tokens":
-            assert str(err.value) == f"{path}: line 1: {message}"
+        assert str(err.value) == f"{path}: line 1: {message}"
 
     def test_missing_and_unknown_fields(self, tmp_path):
         corpus = self.make_corpus(n_docs=1)
