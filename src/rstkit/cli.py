@@ -9,14 +9,14 @@ later one.  ``segment`` and ``parse`` keep the input order and read their
 input once.
 ``stats`` (always), ``segment`` and ``parse`` stream documents one at a
 time, so their memory stays bounded by the largest document (``stats``
-keeps each id and token count), except that ``parse --scores`` also holds
-the whole score dump; ``train-segmenter`` holds only the documents of its
-``--split``.  ``eval`` walks its two files in step: it reads a gold
-document, then predictions up to that document's, so it holds only the
-predictions that arrive ahead of their gold document (none when both
-files are in one order, as ``convert`` and ``parse`` write them), and of
-two bad lines it reports the first this walk meets.  Every input
-file read line by line goes through ``core.InputLines``, so an error about
+keeps each id and token count); ``train-segmenter`` holds only the
+documents of its ``--split``.  ``eval`` walks its two files in step: it
+reads a gold document, then predictions up to that document's, so it holds
+only the predictions that arrive ahead of their gold document (none when
+both files are in one order, as ``convert`` and ``parse`` write them).
+``parse --scores`` walks its corpus and score dump the same way, and of
+two bad lines each reports the first its walk meets.  Every input file
+read line by line goes through ``core.InputLines``, so an error about
 a line reads ``<path>: line N: ...``; an id may occur once per file.  An
 output file given with ``-o`` appears only when its command succeeds: it
 is written next to its path and moved there at the end, so a failed run
@@ -411,6 +411,8 @@ def cmd_parse(args) -> int:
                 tree = RstTree.leaf(0)
             tb_mod.write_record(out, doc.with_tree(tree))
             count += 1
+        if score_table is not None:  # check the lines no document read
+            score_table.finish()
     print(f"parsed {count} documents -> {args.output}")
     return 0
 

@@ -324,15 +324,10 @@ class RightBranchingProvider(ScoreProvider):
 
 
 class _TableProvider(ScoreProvider):
-    def __init__(
-        self,
-        doc_id: str,
-        splits: dict[tuple[int, int], array],
-        labels_: dict[tuple[tuple[int, int], tuple[int, int]], array],
-    ) -> None:
+    def __init__(self, doc_id: str, splits: dict, labels: dict) -> None:
         self.doc_id = doc_id
-        self._split_table = splits
-        self._label_table = labels_
+        self._split_table = splits  # (start, end) -> array
+        self._label_table = labels  # ((start, split), (split, end)) -> array
 
     def split_scores(self, start: int, end: int) -> array:
         try:
@@ -356,8 +351,74 @@ class _TableProvider(ScoreProvider):
 _raw_decode = json.JSONDecoder().raw_decode
 
 
+def _score_runs(path, seen: set):
+    """Yield ``(doc, splits, labels)`` for each run of a score dump (see
+    ScoreTable); a document joins ``seen`` once the run before it is yielded."""
+    run, splits, labels = object(), None, None  # the current run of lines
+    with InputLines(path) as lines:
+        for line in lines:
+            try:
+                # raw_decode skips json.loads's per-call checks; on a
+                # failure json.loads raises its own error for the line.
+                try:
+                    obj, end = _raw_decode(line)
+                except ValueError:
+                    end = -1
+                if end != len(line):
+                    obj = json.loads(line)
+                doc = obj["doc"]
+                kind = obj["kind"]
+                values = obj["scores"]
+                if type(values) is not list:
+                    raise ValueError("scores must be a flat list")
+                # array('d') takes a boolean among numbers as 0 or 1, so a
+                # line whose text holds "true" or "false" gets an exact
+                # scan ("u" is a memchr that spares most lines the
+                # slower search for "true").
+                maybe_bool = ("u" in line and "true" in line) or "false" in line
+                if maybe_bool and bool in map(type, values):
+                    raise ValueError("scores must be a list of numbers")
+                # The array converts in C (a string, null or list raises
+                # TypeError, a huge integer OverflowError); only a vector
+                # whose sum is not finite gets a check of each value.
+                scores = array("d", values)
+                if not isfinite(sum(scores)) and not all(map(isfinite, scores)):
+                    raise ValueError("scores must be finite")
+                if kind == "split":
+                    start, stop = key = obj["start"], obj["end"]
+                    if type(start) is not int or type(stop) is not int:
+                        raise ValueError(f"indices must be integers, got {key!r}")
+                elif kind == "label":
+                    a, b = pair = obj["left"]
+                    if type(a) is not int or type(b) is not int:
+                        raise ValueError(f"indices must be integers, got {pair!r}")
+                    c, d = pair = obj["right"]
+                    if type(c) is not int or type(d) is not int:
+                        raise ValueError(f"indices must be integers, got {pair!r}")
+                    key = (a, b), (c, d)
+                else:
+                    raise ValueError(f"unknown kind {kind!r}")
+                if doc != run:
+                    if type(doc) is not str:
+                        raise ValueError("doc must be a string, got "
+                                         + JSON_TYPES[type(doc)])
+                    if doc in seen:
+                        raise ValueError(f"document {doc!r} has an earlier run "
+                                         "of lines; its lines must be contiguous")
+                    if splits is not None:
+                        yield run, splits, labels
+                    seen.add(doc)
+                    run, splits, labels = doc, {}, {}
+                (splits if kind == "split" else labels)[key] = scores
+            except (KeyError, ValueError, TypeError, OverflowError,
+                    RecursionError) as exc:  # RecursionError: nested too deeply
+                raise RstError(f"bad score record ({exc})") from None
+    if splits is not None:
+        yield run, splits, labels
+
+
 class ScoreTable:
-    """External scores loaded from a JSON-lines dump.
+    """External scores read from a JSON-lines dump.
 
     Each line is one of::
 
@@ -372,79 +433,37 @@ class ScoreTable:
     Split vectors must have length end-start-1; label vectors must match
     the inventory size.  A document's lines form one contiguous run: a line
     for a document whose run has ended raises RstError naming it.
+
+    ``provider(doc)`` reads the dump to the end of that document's run,
+    keeping the runs it passes, and ``finish()`` reads the rest; a bad line
+    raises from the call that reads it.  Each provider is handed out once.
+    ``provider()`` reads the file, so it must be called from one thread.
     """
 
     def __init__(self) -> None:
-        # each document's split and label tables
-        self._docs: dict[str, tuple[dict, dict]] = {}
+        self._seen: set[str] = set()  # the documents whose runs were read
+        self._ahead: dict[str, list] = {}  # runs read before they were asked for
+        self._runs = iter(())
 
     @classmethod
     def load(cls, path) -> "ScoreTable":
         table = cls()
-        docs = table._docs
-        run = object()  # the document of the current run of lines
-        with InputLines(path) as lines:
-            for line in lines:
-                try:
-                    # raw_decode skips json.loads's per-call checks; on a
-                    # failure json.loads raises its own error for the line.
-                    try:
-                        obj, end = _raw_decode(line)
-                    except ValueError:
-                        end = -1
-                    if end != len(line):
-                        obj = json.loads(line)
-                    doc = obj["doc"]
-                    kind = obj["kind"]
-                    values = obj["scores"]
-                    if type(values) is not list:
-                        raise ValueError("scores must be a flat list")
-                    # array('d') takes a boolean among numbers as 0 or 1, so a
-                    # line whose text holds "true" or "false" gets an exact
-                    # scan ("u" is a memchr that spares most lines the
-                    # slower search for "true").
-                    maybe_bool = ("u" in line and "true" in line) or "false" in line
-                    if maybe_bool and bool in map(type, values):
-                        raise ValueError("scores must be a list of numbers")
-                    # The array converts in C (a string, null or list raises
-                    # TypeError, a huge integer OverflowError); only a vector
-                    # whose sum is not finite gets a check of each value.
-                    scores = array("d", values)
-                    if not isfinite(sum(scores)) and not all(map(isfinite, scores)):
-                        raise ValueError("scores must be finite")
-                    if kind == "split":
-                        start, stop = key = obj["start"], obj["end"]
-                        if type(start) is not int or type(stop) is not int:
-                            raise ValueError(f"indices must be integers, got {key!r}")
-                    elif kind == "label":
-                        a, b = pair = obj["left"]
-                        if type(a) is not int or type(b) is not int:
-                            raise ValueError(f"indices must be integers, got {pair!r}")
-                        c, d = pair = obj["right"]
-                        if type(c) is not int or type(d) is not int:
-                            raise ValueError(f"indices must be integers, got {pair!r}")
-                        key = (a, b), (c, d)
-                    else:
-                        raise ValueError(f"unknown kind {kind!r}")
-                    if doc != run:
-                        if type(doc) is not str:
-                            raise ValueError(
-                                f"doc must be a string, got {JSON_TYPES[type(doc)]}"
-                            )
-                        if doc in docs:
-                            raise ValueError(f"document {doc!r} has an earlier run "
-                                             "of lines; its lines must be contiguous")
-                        splits, labels = docs[doc] = ({}, {})
-                        run = doc
-                    (splits if kind == "split" else labels)[key] = scores
-                except (KeyError, ValueError, TypeError, OverflowError,
-                        RecursionError) as exc:  # RecursionError: nested too deeply
-                    raise RstError(f"bad score record ({exc})") from None
+        table._runs = _score_runs(path, table._seen)
         return table
 
     def provider(self, doc_id: str) -> ScoreProvider:
-        try:
-            splits, labels = self._docs[doc_id]
-        except KeyError:
-            raise RstError(f"no scores for document {doc_id}") from None
-        return _TableProvider(doc_id, splits, labels)
+        if doc_id not in self._seen:  # read on to the end of its run
+            for doc, *tables in self._runs:
+                self._ahead[doc] = tables
+                if doc == doc_id:
+                    break
+        if doc_id in self._ahead:
+            return _TableProvider(doc_id, *self._ahead.pop(doc_id))
+        if doc_id in self._seen:
+            raise RstError(f"scores for document {doc_id} were already handed out")
+        raise RstError(f"no scores for document {doc_id}")
+
+    def finish(self) -> None:
+        """Read and check the rest of the dump."""
+        for _ in self._runs:
+            pass

@@ -586,17 +586,20 @@ def record_from_json(obj: dict) -> DocumentRecord:
         split = Split(obj["split"])
     except ValueError:
         raise _expected("split", '"train", "dev" or "test"', obj["split"]) from None
-    return DocumentRecord(
-        doc_id=obj["id"],
-        genre=obj["genre"],
-        lang=obj["lang"],
-        tokens=texts,
-        char_starts=starts,
-        edus=spans,
-        tree=tree,
-        sentence_boundaries=sents,
-        split=split,
-    )
+    try:
+        return DocumentRecord(
+            doc_id=obj["id"],
+            genre=obj["genre"],
+            lang=obj["lang"],
+            tokens=texts,
+            char_starts=starts,
+            edus=spans,
+            tree=tree,
+            sentence_boundaries=sents,
+            split=split,
+        )
+    except RstError as exc:  # zip also reads {"ab": 1}, or "ab" among the pairs
+        raise _pairs_error("tokens", "[text, char_start]", pairs) or exc from None
 
 
 # json.dumps(obj, ensure_ascii=False) without building an encoder per call;

@@ -1124,17 +1124,19 @@ def write_corpus(docs, path) -> None:
             write_record(fh, doc)
 
 
-def repeat_corpus(path, k: int, out) -> None:
-    """Write every record of the canonical file ``path`` to ``out`` ``k``
-    times in a row, under the ids ``<id>~0`` ... ``<id>~<k-1>``; the other
-    fields, and the order of the records, stay as they are."""
+def repeat_corpus(path, k: int, out, field: str = "id") -> None:
+    """Write every run of lines of the JSON-lines file ``path`` that share
+    a document id in ``field`` to ``out`` ``k`` times in a row, under the
+    ids ``<id>~0`` ... ``<id>~<k-1>``; the other fields, and the order of
+    the runs, stay as they are.  A run of a canonical file is one record;
+    with ``field="doc"``, a run of a score dump is one document's lines."""
     with open(path, encoding="utf-8") as src, open(out, "w", encoding="utf-8") as dst:
-        for line in src:
-            obj = json.loads(line)
-            doc_id = obj["id"]
+        for doc_id, run in itertools.groupby(map(json.loads, src), lambda obj: obj[field]):
+            run = list(run)
             for i in range(k):
-                obj["id"] = f"{doc_id}~{i}"
-                dst.write(json.dumps(obj, ensure_ascii=False) + "\n")
+                for obj in run:
+                    obj[field] = f"{doc_id}~{i}"
+                    dst.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
 def label_histogram(documents) -> Counter:

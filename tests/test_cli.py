@@ -25,7 +25,7 @@ from rstkit import dwa as dwa_mod
 from rstkit import treebank as tb_mod
 from rstkit.cli import main
 from rstkit.core import DocumentRecord, EduSpan, RstTree
-from rstkit.decoder import OracleProvider
+from rstkit.decoder import DecodeConfig, OracleProvider, ScoreProvider, ScoreTable, decode
 from rstkit.metrics import corpus_stats, genre_breakdown, stats_csv
 from rstkit.treebank import iter_canonical, write_record
 
@@ -912,6 +912,49 @@ def _write_full_score_dump(path, labels, out):
                                  + "\n")
 
 
+class _DumpingProvider(ScoreProvider):
+    """Seeded random scores for one document; each query is written to
+    ``fh`` as a score-dump line when it is asked."""
+
+    def __init__(self, doc_id, n_labels, fh):
+        self.doc_id, self.n_labels, self.fh = doc_id, n_labels, fh
+
+    def _scores(self, query, length, fields):
+        rng = random.Random(f"{self.doc_id}|{query}")
+        scores = [rng.uniform(-1.0, 1.0) for _ in range(length)]
+        self.fh.write(json.dumps({"doc": self.doc_id, **fields, "scores": scores}) + "\n")
+        return scores
+
+    def split_scores(self, start, end):
+        return self._scores((start, end), end - start - 1,
+                            {"kind": "split", "start": start, "end": end})
+
+    def label_scores(self, left, right):
+        return self._scores((left, right), self.n_labels,
+                            {"kind": "label", "left": left, "right": right})
+
+
+@pytest.fixture()
+def scored_corpus(tmp_path):
+    """16 seeded documents of 60 EDUs, an inventory and a score dump of what
+    ``parse --beam 4`` asks (greedy's queries among them), in corpus order;
+    the corpus and the dump also repeated four times, with suffix ``.x4``."""
+    rng = random.Random(28)
+    docs = [make_document(f"s{i}", random_tree(rng, 60), random_edus(rng, 60, 20))
+            for i in range(16)]
+    corpus, dump = tmp_path / "corpus.jsonl", tmp_path / "scores.jsonl"
+    write_corpus(docs, corpus)
+    inventory = tmp_path / "labels.txt"
+    inventory.write_text("".join(f"{x}\n" for x in TEST_LABELS), encoding="utf-8")
+    config = DecodeConfig(TEST_LABELS, "beam", 4)
+    with open(dump, "w", encoding="utf-8") as fh:
+        for doc in docs:
+            decode(len(doc.edus), _DumpingProvider(doc.doc_id, len(TEST_LABELS), fh), config)
+    repeat_corpus(corpus, 4, corpus.with_suffix(".x4"))
+    repeat_corpus(dump, 4, dump.with_suffix(".x4"), field="doc")
+    return corpus, dump, inventory
+
+
 @pytest.fixture()
 def random_file(tmp_path):
     """50 seeded documents of 1-40 EDUs, two of them one EDU long."""
@@ -995,12 +1038,17 @@ class TestSinglePassParse:
     def test_a_document_whose_score_run_has_ended_is_a_user_error(
         self, gold_file, tmp_path, capsys
     ):
+        # doc0 (two EDUs) decodes from its first run, lines 1-2; asking for
+        # doc1 then reads on to line 4
         inventory = _inventory_file(gold_file, tmp_path)
+        n_labels = len(inventory.read_text(encoding="utf-8").split())
+        split = {"kind": "split", "start": 0, "end": 2, "scores": [1.0]}
+        label = {"kind": "label", "left": [0, 1], "right": [1, 2],
+                 "scores": [0.0] * n_labels}
+        runs = [("doc0", split), ("doc0", label), ("doc1", split), ("doc0", split)]
         scores = tmp_path / "scores.jsonl"
-        runs = ["doc0", "doc0", "doc1", "doc0"]
         scores.write_text("".join(
-            json.dumps({"doc": doc, "kind": "split", "start": 0, "end": 2,
-                        "scores": [1.0]}) + "\n" for doc in runs
+            json.dumps({"doc": doc, **fields}) + "\n" for doc, fields in runs
         ), encoding="utf-8")
         out = tmp_path / "pred.jsonl"
         assert main(["parse", str(gold_file), "-o", str(out), "--scores", str(scores),
@@ -1024,6 +1072,77 @@ class TestSinglePassParse:
                      "--inventory", str(inventory)]) == 1
         assert "line 1: bad score record" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_first_bad_line_of_the_walk_is_reported(self, gold_file, tmp_path, capsys):
+        # Corpus line 2 is read before the dump's last line.  With a good
+        # corpus, the last line, which follows a run no document asks for, is
+        # read once the last document is written.
+        inventory = _inventory_file(gold_file, tmp_path)
+        scores = tmp_path / "scores.jsonl"
+        _write_full_score_dump(gold_file, inventory.read_text(encoding="utf-8").split(),
+                               scores)
+        with open(scores, "a", encoding="utf-8") as fh:
+            fh.write('{"doc": "unasked", "kind": "split", "start": 0, "end": 2, '
+                     '"scores": [1.0]}\n{"doc": "unasked", "kind": "wat", "scores": []}\n')
+        bad_line = len(scores.read_text(encoding="utf-8").splitlines())
+        lines = gold_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = '{"id": 1}\n'
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "pred.jsonl"
+        for corpus, expected in (
+            (broken, f"{broken}: line 2: record is missing fields"),
+            (gold_file, f"{scores}: line {bad_line}: bad score record (unknown kind 'wat')"),
+        ):
+            assert main(["parse", str(corpus), "-o", str(out), "--scores", str(scores),
+                         "--inventory", str(inventory)]) == 1
+            assert capsys.readouterr().err.startswith(f"rstkit: error: {expected}")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("beam", ["1", "4"])
+    def test_memory_does_not_grow_with_the_corpus(self, beam, scored_corpus, tmp_path,
+                                                  capsys):
+        # The dump is read in step with the corpus, and a run is held only
+        # until the next one is read, so files four times as long peak at
+        # about the same memory.
+        corpus, dump, inventory = scored_corpus
+        out = tmp_path / "pred.jsonl"
+
+        def peak(suffix):
+            argv = ["parse", str(corpus.with_suffix(suffix)), "-o", str(out), "--beam", beam,
+                    "--scores", str(dump.with_suffix(suffix)), "--inventory", str(inventory)]
+            gc.collect()  # empties the free lists, so the tables' tuples are traced
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(".jsonl")  # warm caches
+        once, four = peak(".jsonl"), peak(".x4")
+        capsys.readouterr()
+        assert four < 1.25 * once
+
+    def test_providers_in_file_order_hold_one_run(self, scored_corpus):
+        # the loop of a check that scores each parsed document in turn
+        corpus, dump, _ = scored_corpus
+
+        def peak(suffix):
+            sizes = [(doc.doc_id, len(doc.edus))
+                     for doc in iter_canonical(corpus.with_suffix(suffix))]
+            gc.collect()  # empties the free lists, so the tables' tuples are traced
+            tracemalloc.start()
+            try:
+                table = ScoreTable.load(dump.with_suffix(suffix))
+                for doc_id, n in sizes:
+                    assert len(table.provider(doc_id).split_scores(0, n)) == n - 1
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        once, four = peak(".jsonl"), peak(".x4")
+        assert four < 1.25 * once
 
     def test_one_edu_documents_need_no_inventory(self, tmp_path, capsys):
         # The corpus has no labels at all; each lone EDU still decodes to

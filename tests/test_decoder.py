@@ -1,8 +1,11 @@
+import gc
 import hashlib
 import json
 import math
 import random
 import re
+import sys
+import warnings
 from array import array
 from collections import Counter
 
@@ -538,7 +541,7 @@ class TestScoreTable:
         path = tmp_path / "scores.jsonl"
         path.write_text('{"doc": "d", "kind": "wat"}\n', encoding="utf-8")
         with pytest.raises(RstError):
-            ScoreTable.load(path)
+            ScoreTable.load(path).finish()
 
     @pytest.mark.parametrize(
         "fields",
@@ -575,7 +578,7 @@ class TestScoreTable:
             encoding="utf-8",
         )
         with pytest.raises(RstError, match="line 2: bad score record"):
-            ScoreTable.load(path)
+            ScoreTable.load(path).finish()
 
     @pytest.mark.parametrize(
         "text",
@@ -590,7 +593,7 @@ class TestScoreTable:
         with pytest.raises(json.JSONDecodeError) as expected:
             json.loads(text)
         with pytest.raises(RstError) as got:
-            ScoreTable.load(path)
+            ScoreTable.load(path).finish()
         assert str(got.value).endswith(f"line 1: bad score record ({expected.value})")
 
     def test_boolean_words_outside_the_scores_are_no_error(self, tmp_path):
@@ -630,7 +633,7 @@ class TestScoreTable:
             encoding="utf-8",
         )
         with pytest.raises(RstError, match="line 2: bad score record"):
-            ScoreTable.load(path)
+            ScoreTable.load(path).finish()
 
     def test_finite_scores_whose_sum_overflows_load(self, tmp_path):
         path = tmp_path / "scores.jsonl"
@@ -666,7 +669,7 @@ class TestScoreTable:
                                 ([good, good, {**good, "doc": doc}, good], 3)):
             path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
             with pytest.raises(RstError) as got:
-                ScoreTable.load(path)
+                ScoreTable.load(path).finish()
             assert str(got.value) == f"{path}: line {bad_line}: {message}"
 
     @pytest.mark.parametrize("doc", ["false", "d", "true"])
@@ -677,7 +680,7 @@ class TestScoreTable:
         record = {"doc": doc, "kind": "split", "start": 0, "end": 2, "scores": 1.5}
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(RstError) as got:
-            ScoreTable.load(path)
+            ScoreTable.load(path).finish()
         assert str(got.value).endswith("line 1: bad score record (scores must be a flat list)")
 
     def test_interleaved_runs_are_rejected(self, tmp_path):
@@ -695,7 +698,7 @@ class TestScoreTable:
         path = tmp_path / "scores.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         with pytest.raises(SchemaViolation) as err:
-            ScoreTable.load(path)
+            ScoreTable.load(path).finish()
         assert str(err.value) == (
             f"{path}: line 7: bad score record (document 'doc_A' has an earlier "
             "run of lines; its lines must be contiguous)"
@@ -714,6 +717,85 @@ class TestScoreTable:
                     got = provider.label_scores(tuple(r["left"]), tuple(r["right"]))
                 assert got.tolist() == r["scores"], r
             assert len(provider._split_table) + len(provider._label_table) == len(ours)
+
+    @staticmethod
+    def _write_runs(path, docs, tail=()):
+        """One run per document of ``docs``, a split and a label line whose
+        first score is the line's index, then the records of ``tail``."""
+        records = []
+        for doc in docs:
+            records += [
+                {"doc": doc, "kind": "split", "start": 0, "end": 3,
+                 "scores": [len(records), -1.0]},
+                {"doc": doc, "kind": "label", "left": [0, 1], "right": [1, 3],
+                 "scores": [len(records) + 1]},
+            ]
+        records += tail
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+    @staticmethod
+    def _assert_run(provider, index):
+        """``provider`` holds the run whose split line is line ``index + 1``."""
+        assert provider.split_scores(0, 3).tolist() == [index, -1.0]
+        assert provider.label_scores((0, 1), (1, 3)).tolist() == [index + 1]
+
+    def test_providers_asked_out_of_file_order_read_ahead(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        self._write_runs(path, ["doc_A", "doc_B", "doc_C"])
+        table = ScoreTable.load(path)
+        self._assert_run(table.provider("doc_C"), 4)
+        assert list(table._ahead) == ["doc_A", "doc_B"]  # the runs passed on the way
+        self._assert_run(table.provider("doc_B"), 2)
+        self._assert_run(table.provider("doc_A"), 0)
+        assert table._ahead == {}
+        table.finish()
+
+    def test_a_provider_is_handed_out_once(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        self._write_runs(path, ["doc_A", "doc_B"])
+        table = ScoreTable.load(path)
+        table.provider("doc_B")  # reads doc_A's run ahead
+        table.provider("doc_A")
+        for doc in ("doc_B", "doc_A"):
+            with pytest.raises(RstError) as err:
+                table.provider(doc)
+            assert str(err.value) == f"scores for document {doc} were already handed out"
+
+    def test_finish_names_a_bad_last_line(self, tmp_path):
+        # the lines after the last run asked for are read by finish() alone
+        path = tmp_path / "scores.jsonl"
+        unasked = {"doc": "doc_Z", "kind": "split", "start": 0, "end": 2, "scores": [1.0]}
+        self._write_runs(path, ["doc_A", "doc_B"],
+                         tail=[unasked, {**unasked, "kind": "wat"}])
+        table = ScoreTable.load(path)
+        for index, doc in enumerate(["doc_A", "doc_B"]):
+            self._assert_run(table.provider(doc), 2 * index)
+        with pytest.raises(SchemaViolation) as err:
+            table.finish()
+        assert str(err.value) == f"{path}: line 6: bad score record (unknown kind 'wat')"
+
+    def test_a_missing_document_is_named_once_the_dump_is_read(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        self._write_runs(path, ["doc_A", "doc_B"])
+        table = ScoreTable.load(path)
+        with pytest.raises(RstError) as err:
+            table.provider("ghost")
+        assert str(err.value) == "no scores for document ghost"
+        assert list(table._ahead) == ["doc_A", "doc_B"]
+        self._assert_run(table.provider("doc_B"), 2)
+
+    def test_a_dropped_table_closes_its_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "scores.jsonl"
+        self._write_runs(path, ["doc_A", "doc_B"])
+        unraisable = []  # an unclosed file's ResourceWarning, raised in __del__
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            table = ScoreTable.load(path)
+            table.provider("doc_A")
+            del table
+            gc.collect()
+        assert unraisable == []
 
 
 class Served(ScoreProvider):

@@ -796,8 +796,11 @@ class TestCanonicalFormat:
                          id="tokens--no tokens"),
             pytest.param("tokens", [], "d: document has no tokens",
                          id="tokens-value7-no tokens"),
-            pytest.param("tokens", {"ab": 1}, "d: char offsets must be non-negative ints",
+            # and a value the fast read takes apart, not a later check's text
+            pytest.param("tokens", {"ab": 1}, f"tokens: {_TOKENS} object",
                          id="tokens-value8-char offsets"),
+            pytest.param("tokens", [["w0", 0], "ab"], f"tokens[1]: {_TOKEN} (length 2): 'ab'",
+                         id="tokens-string-pair"),
             pytest.param("tokens", [5], f"tokens[0]: {_TOKEN} int",
                          id="tokens-value9-has no len()"),
             pytest.param("tokens", [["w0", 0], None], f"tokens[1]: {_TOKEN} null",
