@@ -14,10 +14,11 @@ documents of its ``--split``.  ``eval`` walks its two files in step: it
 reads a gold document, then predictions up to that document's, so it holds
 only the predictions that arrive ahead of their gold document (none when
 both files are in one order, as ``convert`` and ``parse`` write them).
-``parse --scores`` walks its corpus and score dump the same way, and of
-two bad lines each reports the first its walk meets.  Every input file
-read line by line goes through ``core.InputLines``, so an error about
-a line reads ``<path>: line N: ...``; an id may occur once per file.  An
+``parse --scores`` walks its corpus and score dump the same way and holds
+one document's run of the dump; of two bad lines each reports the first
+its walk meets.  Every input file read line by line goes through
+``core.InputLines``, so an error about a line reads ``<path>: line N:
+...``; an id may occur once per file.  An
 output file given with ``-o`` appears only when its command succeeds: it
 is written next to its path and moved there at the end, so a failed run
 leaves no new or partial file and does not touch a file already at that
@@ -409,6 +410,7 @@ def cmd_parse(args) -> int:
                 tree = decode(len(doc.edus), provider, config_for(labels))
             else:  # a lone EDU: its gold tree is a leaf with no label
                 tree = RstTree.leaf(0)
+            del provider  # so the next run is read without this one held
             tb_mod.write_record(out, doc.with_tree(tree))
             count += 1
         if score_table is not None:  # check the lines no document read

@@ -324,12 +324,14 @@ class RightBranchingProvider(ScoreProvider):
 
 
 class _TableProvider(ScoreProvider):
+    """One document's run of a score dump, its vectors the lists json built."""
+
     def __init__(self, doc_id: str, splits: dict, labels: dict) -> None:
         self.doc_id = doc_id
-        self._split_table = splits  # (start, end) -> array
-        self._label_table = labels  # ((start, split), (split, end)) -> array
+        self._split_table = splits  # (start, end) -> list
+        self._label_table = labels  # ((start, split), (split, end)) -> list
 
-    def split_scores(self, start: int, end: int) -> array:
+    def split_scores(self, start: int, end: int) -> list:
         try:
             return self._split_table[(start, end)]
         except KeyError:
@@ -339,7 +341,7 @@ class _TableProvider(ScoreProvider):
 
     def label_scores(
         self, left: tuple[int, int], right: tuple[int, int]
-    ) -> array:
+    ) -> list:
         try:
             return self._label_table[(left, right)]
         except KeyError:
@@ -371,18 +373,23 @@ def _score_runs(path, seen: set):
                 values = obj["scores"]
                 if type(values) is not list:
                     raise ValueError("scores must be a flat list")
-                # array('d') takes a boolean among numbers as 0 or 1, so a
-                # line whose text holds "true" or "false" gets an exact
-                # scan ("u" is a memchr that spares most lines the
-                # slower search for "true").
+                # sum() takes a boolean among numbers as 0 or 1, so a line
+                # whose text holds "true" or "false" gets an exact scan ("u"
+                # is a memchr that spares most lines the slower search for
+                # "true").
                 maybe_bool = ("u" in line and "true" in line) or "false" in line
                 if maybe_bool and bool in map(type, values):
                     raise ValueError("scores must be a list of numbers")
-                # The array converts in C (a string, null or list raises
-                # TypeError, a huge integer OverflowError); only a vector
-                # whose sum is not finite gets a check of each value.
-                scores = array("d", values)
-                if not isfinite(sum(scores)) and not all(map(isfinite, scores)):
+                # sum() adds in C; where it raises (a string, null or list, an
+                # integer beyond a double), array('d') raises the error with
+                # the text it always gave.  Only a vector whose sum is not
+                # finite gets a check of each value.
+                try:
+                    total = sum(values, 0.0)
+                except (TypeError, OverflowError):
+                    array("d", values)
+                    raise
+                if not isfinite(total) and not all(map(isfinite, values)):
                     raise ValueError("scores must be finite")
                 if kind == "split":
                     start, stop = key = obj["start"], obj["end"]
@@ -409,7 +416,7 @@ def _score_runs(path, seen: set):
                         yield run, splits, labels
                     seen.add(doc)
                     run, splits, labels = doc, {}, {}
-                (splits if kind == "split" else labels)[key] = scores
+                (splits if kind == "split" else labels)[key] = values
             except (KeyError, ValueError, TypeError, OverflowError,
                     RecursionError) as exc:  # RecursionError: nested too deeply
                 raise RstError(f"bad score record ({exc})") from None
@@ -431,12 +438,16 @@ class ScoreTable:
     numbers that fit a double, none ``true``, ``false``, ``NaN`` or
     ``Infinity``; a line that breaks a rule raises RstError naming it.
     Split vectors must have length end-start-1; label vectors must match
-    the inventory size.  A document's lines form one contiguous run: a line
-    for a document whose run has ended raises RstError naming it.
+    the inventory size.  A vector is kept as the list ``json`` builds, so
+    an integer score stays an ``int``; the decoder turns it into a double
+    exactly where it would turn the same number spelled as a float.  A
+    document's lines form one contiguous run: a line for a document whose
+    run has ended raises RstError naming it.
 
     ``provider(doc)`` reads the dump to the end of that document's run,
     keeping the runs it passes, and ``finish()`` reads the rest; a bad line
-    raises from the call that reads it.  Each provider is handed out once.
+    raises from the call that reads it.  Each provider is handed out once,
+    so a caller that drops it before asking for the next holds one run.
     ``provider()`` reads the file, so it must be called from one thread.
     """
 

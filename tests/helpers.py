@@ -19,14 +19,17 @@ Trees are written in tests as nested ``(left, right, label)`` descriptions
 
 from __future__ import annotations
 
+import gc
 import io
 import itertools
 import json
 import math
 import random
 import re
+import tracemalloc
 import unicodedata
 import xml.etree.ElementTree as ET
+from array import array
 from collections import Counter
 from typing import Iterator, Sequence, Union
 
@@ -36,6 +39,7 @@ from rstkit.core import (
     Constituent,
     DocumentRecord,
     EduSpan,
+    JSON_TYPES,
     Nuclearity,
     RelationLabel,
     RstError,
@@ -616,6 +620,52 @@ def reference_search(
 
 
 # ---------------------------------------------------------------------------
+# Score-dump line oracle: every check of one line in a plain order, scores
+# converted to an array('d')
+# ---------------------------------------------------------------------------
+
+
+def reference_score_line(line: str):
+    """One score-dump line checked as ``ScoreTable`` checks a line that
+    starts a run: ``(doc, kind, key, scores)`` with ``scores`` an
+    ``array('d')``, or the text ``bad score record (...)`` of its defect.
+
+    The checks run in the reader's order: the JSON, the fields ``doc``,
+    ``kind`` and ``scores``, a flat list holding no boolean, the conversion
+    of every value to a double, every value finite, the indices, then a
+    string ``doc``."""
+    try:
+        obj = json.loads(line)
+        doc, kind, values = obj["doc"], obj["kind"], obj["scores"]
+        if type(values) is not list:
+            raise ValueError("scores must be a flat list")
+        if any(type(value) is bool for value in values):
+            raise ValueError("scores must be a list of numbers")
+        scores = array("d", values)
+        if not all(map(math.isfinite, scores)):
+            raise ValueError("scores must be finite")
+        if kind == "split":
+            key = obj["start"], obj["end"]
+            if any(type(index) is not int for index in key):
+                raise ValueError(f"indices must be integers, got {key!r}")
+        elif kind == "label":
+            key = []
+            for name in ("left", "right"):
+                a, b = pair = obj[name]
+                if type(a) is not int or type(b) is not int:
+                    raise ValueError(f"indices must be integers, got {pair!r}")
+                key.append((a, b))
+            key = tuple(key)
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        if type(doc) is not str:
+            raise ValueError(f"doc must be a string, got {JSON_TYPES[type(doc)]}")
+    except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+        return f"bad score record ({exc})"
+    return doc, kind, key, scores
+
+
+# ---------------------------------------------------------------------------
 # Canonical reader and writer oracles: a per-token loop with per-token
 # checks, a shift-reduce tree parser on one mixed stack that tokenizes with
 # a regular expression, uncached label parsing, and json.dumps of lists
@@ -1148,6 +1198,23 @@ def label_histogram(documents) -> Counter:
 def leaves(tree: RstTree) -> list[RstTree]:
     """The leaves of ``tree``, left to right."""
     return [node for node in tree.nodes() if node.is_leaf]
+
+
+def traced_peak(call) -> tuple[int, int]:
+    """``(current, peak)`` bytes that ``tracemalloc`` counts while
+    ``call()`` runs, read before tracing stops, so what ``call`` keeps
+    counts in ``current``.
+
+    A full collection first empties CPython's free lists: an object taken
+    from a free list is no new allocation and is not traced, so without it
+    a peak would depend on the tests run before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

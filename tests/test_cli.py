@@ -11,7 +11,7 @@ import stat
 import subprocess
 import sys
 import threading
-import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -41,6 +41,7 @@ from helpers import (
     repeat_corpus,
     serialize_rs3,
     serialize_rs3_forest,
+    traced_peak,
     write_corpus,
 )
 
@@ -85,6 +86,10 @@ def _with_repeated_line(path, tmp_path, index=0):
     copy = tmp_path / f"dup_{path.name}"
     copy.write_text("".join(lines + [lines[index]]), encoding="utf-8")
     return copy
+
+
+def _succeeds(argv):
+    assert main(argv) == 0
 
 
 class TestConvert:
@@ -372,12 +377,8 @@ class TestStats:
                       for k in range(4) for doc in docs], four)
 
         def peak(path):
-            tracemalloc.start()
-            try:
-                assert main(["stats", str(path), "--by-genre", "--no-spanned"]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            argv = ["stats", str(path), "--by-genre", "--no-spanned"]
+            return traced_peak(lambda: _succeeds(argv))[1]
 
         assert main(["stats", str(once), "--by-genre", "--no-spanned"]) == 0  # warm caches
         grown = peak(four) - peak(once)
@@ -870,12 +871,7 @@ class TestEvalOnImperfectPredictions:
         def peak(suffix):
             argv = ["eval", str(gold.with_suffix(suffix)), str(pred.with_suffix(suffix)),
                     "--by-genre"]
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: _succeeds(argv))[1]
 
         assert main(["eval", str(gold), str(pred), "--by-genre"]) == 0  # warm caches
         once, four = peak(".jsonl"), peak(".x4")
@@ -1111,13 +1107,7 @@ class TestSinglePassParse:
         def peak(suffix):
             argv = ["parse", str(corpus.with_suffix(suffix)), "-o", str(out), "--beam", beam,
                     "--scores", str(dump.with_suffix(suffix)), "--inventory", str(inventory)]
-            gc.collect()  # empties the free lists, so the tables' tuples are traced
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: _succeeds(argv))[1]
 
         peak(".jsonl")  # warm caches
         once, four = peak(".jsonl"), peak(".x4")
@@ -1131,18 +1121,38 @@ class TestSinglePassParse:
         def peak(suffix):
             sizes = [(doc.doc_id, len(doc.edus))
                      for doc in iter_canonical(corpus.with_suffix(suffix))]
-            gc.collect()  # empties the free lists, so the tables' tuples are traced
-            tracemalloc.start()
-            try:
+
+            def read():
                 table = ScoreTable.load(dump.with_suffix(suffix))
                 for doc_id, n in sizes:
                     assert len(table.provider(doc_id).split_scores(0, n)) == n - 1
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+
+            return traced_peak(read)[1]
 
         once, four = peak(".jsonl"), peak(".x4")
         assert four < 1.25 * once
+
+    @pytest.mark.parametrize("beam", ["1", "4"])
+    def test_a_decoded_documents_scores_are_dropped(self, beam, scored_corpus, tmp_path,
+                                                   monkeypatch, capsys):
+        # parse holds one run of the dump: when it asks for a document's
+        # scores, the provider of the document before is gone
+        corpus, dump, inventory = scored_corpus
+        handed, held = [], []
+        original = ScoreTable.provider
+
+        def provider(table, doc_id):
+            held.append(sum(ref() is not None for ref in handed))
+            got = original(table, doc_id)
+            handed.append(weakref.ref(got))
+            return got
+
+        monkeypatch.setattr(ScoreTable, "provider", provider)
+        assert main(["parse", str(corpus), "-o", str(tmp_path / "pred.jsonl"),
+                     "--beam", beam, "--scores", str(dump),
+                     "--inventory", str(inventory)]) == 0
+        capsys.readouterr()
+        assert held == [0] * 16
 
     def test_one_edu_documents_need_no_inventory(self, tmp_path, capsys):
         # The corpus has no labels at all; each lone EDU still decodes to

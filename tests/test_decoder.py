@@ -6,12 +6,14 @@ import random
 import re
 import sys
 import warnings
+import zlib
 from array import array
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from rstkit.cli import main
 from rstkit.core import RstError, RstTree, SchemaViolation
 from rstkit.decoder import (
     DecodeConfig,
@@ -30,10 +32,14 @@ from helpers import (
     catalan,
     enumerate_trees,
     leaves,
+    make_document,
+    random_edus,
     random_tree,
     reference_decode,
     reference_exact,
+    reference_score_line,
     reference_search,
+    write_corpus,
 )
 
 
@@ -479,6 +485,65 @@ class TestExactChart:
                 assert score <= exact + 1e-9 * max(1.0, abs(exact)), (n, width)
 
 
+class GoldNoiseProvider(ScoreProvider):
+    """A noisy scorer that knows the gold tree: unit normal noise, with
+    ``BONUS`` added to the gold split of each gold range and to the gold
+    label of each gold node.  A query's noise is a slice of one seeded pool
+    that starts at a hash of the document and the query, so the scores are
+    a fixed function of (seed, document, query)."""
+
+    POOL, BONUS = 1 << 16, 2.0
+
+    def __init__(self, pool, doc_id, gold):
+        self.pool, self.doc_id = pool, doc_id
+        index = {name: i for i, name in enumerate(TEST_LABELS)}
+        self.gold = {(node.first_edu, node.last_edu + 1):
+                     (node.left.last_edu + 1, index[node.label.merged])
+                     for node in gold.internal_nodes()}
+
+    def _noise(self, key, size):
+        start = zlib.crc32(f"{self.doc_id}|{key}".encode()) % self.POOL
+        return self.pool[start:start + size].copy()
+
+    def split_scores(self, start, end):
+        scores = self._noise(("split", start, end), end - start - 1)
+        gold = self.gold.get((start, end))
+        if gold is not None:
+            scores[gold[0] - start - 1] += self.BONUS
+        return scores.tolist()
+
+    def label_scores(self, left, right):
+        scores = self._noise(("label", left, right), len(TEST_LABELS))
+        gold = self.gold.get((left[0], right[1]))
+        if gold is not None and gold[0] == right[0]:
+            scores[gold[1]] += self.BONUS
+        return scores.tolist()
+
+
+class TestSearchGap:
+    """How far the beam falls below the exact optimum (``reference_exact``), as
+    a pinned table.  A search change that moves the table says why."""
+
+    # documents (of 12) whose decoded tree scores below the exact optimum
+    BELOW_EXACT = {1: 11, 4: 6, 16: 4, 64: 3}
+
+    def test_beam_gap_table(self):
+        rng = random.Random(5)
+        pool = np.random.default_rng(5).standard_normal(GoldNoiseProvider.POOL + 64)
+        below = dict.fromkeys(self.BELOW_EXACT, 0)
+        for k in range(12):
+            n = rng.randint(12, 56)
+            provider = GoldNoiseProvider(pool, f"g{k}", random_tree(rng, n))
+            exact, _ = reference_exact(n, provider, TEST_LABELS)
+            slack = 1e-9 * max(1.0, abs(exact))
+            for width in below:
+                config = DecodeConfig(TEST_LABELS, "beam" if width > 1 else "greedy", width)
+                score = tree_score(decode(n, provider, config), provider, TEST_LABELS)
+                assert score <= exact + slack, (k, n, width)
+                below[width] += score < exact - slack
+        assert below == self.BELOW_EXACT
+
+
 class TestScoreTable:
     def test_load_and_decode(self, tmp_path):
         import json
@@ -602,9 +667,9 @@ class TestScoreTable:
                   "scores": [1.5, 2.0]}
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         scores = ScoreTable.load(path).provider("true_false").split_scores(0, 3)
-        assert scores.tolist() == [1.5, 2.0]
+        assert list(scores) == [1.5, 2.0]
 
-    def test_integer_scores_and_empty_vectors_load_as_floats(self, tmp_path):
+    def test_integer_scores_stay_integers_and_empty_vectors_load(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         records = [
             {"doc": "d", "kind": "split", "start": 0, "end": 3, "scores": [1, 2]},
@@ -612,9 +677,48 @@ class TestScoreTable:
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         provider = ScoreTable.load(path).provider("d")
-        for (start, end), expected in (((0, 3), [1.0, 2.0]), ((0, 1), [])):
+        for (start, end), expected in (((0, 3), [1, 2]), ((0, 1), [])):
             scores = provider.split_scores(start, end)
-            assert scores.typecode == "d" and scores.tolist() == expected
+            assert scores == expected and all(type(x) is int for x in scores)
+
+    @pytest.mark.parametrize("beam", ["1", "4"])
+    def test_integer_spellings_parse_as_their_floats(self, beam, tmp_path, capsys):
+        # Scores in {-2, ..., 2} tie everywhere, so the tie rules decide most
+        # steps; spelled 1 rather than 1.0 they must decide them the same way.
+        rng = random.Random(29)
+        docs = [make_document(f"i{k}", random_tree(rng, n), random_edus(rng, n))
+                for k, n in enumerate((2, 5, 9, 14, 20))]
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(docs, corpus)
+        inventory = tmp_path / "labels.txt"
+        inventory.write_text("".join(f"{x}\n" for x in TEST_LABELS), encoding="utf-8")
+        floats, ints = tmp_path / "floats.jsonl", tmp_path / "ints.jsonl"
+        with open(floats, "w", encoding="utf-8") as fa, \
+                open(ints, "w", encoding="utf-8") as fb:
+            for doc in docs:
+                n = len(doc.edus)
+                queries = [({"kind": "split", "start": i, "end": j}, j - i - 1)
+                           for i in range(n) for j in range(i + 2, n + 1)]
+                queries += [({"kind": "label", "left": [i, s], "right": [s, j]},
+                             len(TEST_LABELS))
+                            for i in range(n) for j in range(i + 2, n + 1)
+                            for s in range(i + 1, j)]
+                for fields, size in queries:
+                    scores = [float(rng.randint(-2, 2)) for _ in range(size)]
+                    record = {"doc": doc.doc_id, **fields, "scores": scores}
+                    fa.write(json.dumps(record) + "\n")
+                    record["scores"] = [int(x) for x in scores]
+                    fb.write(json.dumps(record) + "\n")
+        assert ".0" in floats.read_text(encoding="utf-8")
+        assert ".0" not in ints.read_text(encoding="utf-8")
+        outputs = []
+        for dump in (floats, ints):
+            out = tmp_path / f"pred_{dump.stem}.jsonl"
+            assert main(["parse", str(corpus), "-o", str(out), "--beam", beam,
+                         "--scores", str(dump), "--inventory", str(inventory)]) == 0
+            outputs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "literal",
@@ -641,7 +745,7 @@ class TestScoreTable:
                   "scores": [1.5e308, 1.5e308, -1.5e308]}
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         scores = ScoreTable.load(path).provider("d").split_scores(0, 4)
-        assert scores.tolist() == [1.5e308, 1.5e308, -1.5e308]
+        assert list(scores) == [1.5e308, 1.5e308, -1.5e308]
         # integers too: summed before conversion, two of 10**308 would leave
         # a double's range
         for row in ([10**308, 10**308, -10**308], [10**308, 10**308]):
@@ -649,7 +753,7 @@ class TestScoreTable:
                       "scores": row}
             path.write_text(json.dumps(record) + "\n", encoding="utf-8")
             scores = ScoreTable.load(path).provider("d").split_scores(0, len(row) + 1)
-            assert scores.tolist() == list(map(float, row))
+            assert list(scores) == row  # the integers JSON gave
 
     @pytest.mark.parametrize(
         "doc, json_type",
@@ -715,7 +819,7 @@ class TestScoreTable:
                     got = provider.split_scores(r["start"], r["end"])
                 else:
                     got = provider.label_scores(tuple(r["left"]), tuple(r["right"]))
-                assert got.tolist() == r["scores"], r
+                assert list(got) == r["scores"], r
             assert len(provider._split_table) + len(provider._label_table) == len(ours)
 
     @staticmethod
@@ -736,8 +840,8 @@ class TestScoreTable:
     @staticmethod
     def _assert_run(provider, index):
         """``provider`` holds the run whose split line is line ``index + 1``."""
-        assert provider.split_scores(0, 3).tolist() == [index, -1.0]
-        assert provider.label_scores((0, 1), (1, 3)).tolist() == [index + 1]
+        assert list(provider.split_scores(0, 3)) == [index, -1.0]
+        assert list(provider.label_scores((0, 1), (1, 3))) == [index + 1]
 
     def test_providers_asked_out_of_file_order_read_ahead(self, tmp_path):
         path = tmp_path / "scores.jsonl"
@@ -796,6 +900,86 @@ class TestScoreTable:
             del table
             gc.collect()
         assert unraisable == []
+
+
+class TestScoreLineOracle:
+    """Each score-dump line, read by ``ScoreTable``, gives the numbers or
+    the error text of ``reference_score_line``, which converts every score
+    to a double and checks it one by one."""
+
+    GOOD = ["1.5", "-0.25", "0", "3", "-7", "1e-3", "2.5E+10", "-1E2", "-0.0", "0.0",
+            "1e308", "-1.5e308", "9007199254740993", "123456789012345678901234567890"]
+    BAD = ['"1.5"', "null", "true", "false", "[1.0]", "[]", '{"a": 1}', "NaN",
+           "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400, "-1" + "0" * 400]
+    NOT_LISTS = ["1.5", '"x"', "null", "true", '{"s": [1]}']
+    DOCS = ['"d"', '"true"', '"false"', '"f"', '"true_false"', "1", "null", "true",
+            "[1]", '{"d": 1}']
+    EXTRAS = ['"note": true', '"x": false', '"meta": {"a": [1, 2]}', '"f": "false"',
+              '"scores_seen": null']
+    BAD_INDICES = ["0.5", '"3"', "true", "null"]
+    BAD_PAIRS = ["[0]", "[0, 1, 2]", "0", "[true, 1]", '"ab"', '{"a": 1, "b": 2}']
+
+    def _scores(self, rng):
+        roll = rng.random()
+        if roll < 0.05:
+            return rng.choice(self.NOT_LISTS)
+        if roll < 0.1:
+            return "[1.5e308, 1.5e308]"
+        values = [rng.choice(self.GOOD) for _ in range(rng.randint(0, 6))]
+        if roll < 0.45:
+            for _ in range(rng.randint(1, 2)):
+                values.insert(rng.randint(0, len(values)), rng.choice(self.BAD))
+        return "[" + ", ".join(values) + "]"
+
+    def _line(self, rng):
+        if rng.random() < 0.02:
+            return rng.choice(["[1, 2]", '"s"', "3", '{"doc": "d"', '{"doc": "d"} x'])
+        kind = rng.choice(['"split"'] * 9 + ['"label"'] * 9 + ['"wat"', "1"])
+        fields = {"doc": rng.choice(self.DOCS[:5] * 8 + self.DOCS[5:]), "kind": kind,
+                  "scores": self._scores(rng)}
+        bad = rng.random() < 0.1
+        if kind == '"label"':
+            fields["left"] = rng.choice(self.BAD_PAIRS) if bad else "[0, 1]"
+            fields["right"] = "[1, 3]"
+        else:
+            fields["start"] = rng.choice(self.BAD_INDICES) if bad else "0"
+            fields["end"] = "3"
+        if rng.random() < 0.05:
+            del fields[rng.choice(sorted(fields))]
+        items = [f'"{name}": {value}' for name, value in fields.items()]
+        items += rng.sample(self.EXTRAS, rng.choice([0, 0, 0, 1, 2]))
+        rng.shuffle(items)
+        return "{" + ", ".join(items) + "}"
+
+    def test_lines_read_as_the_reference_reads_them(self, tmp_path):
+        rng = random.Random(29)
+        path = tmp_path / "scores.jsonl"
+        valid, errors = 0, []
+        for _ in range(2400):
+            line = self._line(rng)
+            blanks = rng.randint(0, 2)  # line numbers count blank lines
+            path.write_text("\n" * blanks + line + "\n", encoding="utf-8")
+            expected = reference_score_line(line)
+            table = ScoreTable.load(path)
+            if isinstance(expected, str):
+                with pytest.raises(RstError) as err:
+                    table.finish()
+                assert str(err.value) == f"{path}: line {blanks + 1}: {expected}", line
+                errors.append(expected)
+                continue
+            doc, kind, key, scores = expected
+            provider = table.provider(doc)
+            got = (provider.split_scores if kind == "split" else provider.label_scores)(*key)
+            assert list(map(float, got)) == list(scores), line
+            table.finish()
+            valid += 1
+        assert valid > 800
+        for text in ("scores must be a flat list", "scores must be a list of numbers",
+                     "must be real number, not str", "must be real number, not NoneType",
+                     "must be real number, not list", "must be real number, not dict",
+                     "int too large to convert to float", "scores must be finite",
+                     "indices must be integers", "doc must be a string"):
+            assert sum(f"({text}" in error for error in errors) >= 10, text
 
 
 class Served(ScoreProvider):

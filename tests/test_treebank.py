@@ -4,7 +4,6 @@ import random
 import re
 import sys
 import threading
-import tracemalloc
 import unicodedata
 from dataclasses import fields, replace
 from pathlib import Path
@@ -52,6 +51,7 @@ from helpers import (
     reference_write_record,
     serialize_rs3,
     serialize_rs3_forest,
+    traced_peak,
     write_corpus,
 )
 
@@ -1117,12 +1117,8 @@ class TestReadMemory:
                 edus = random_edus(rng, 120, max_tokens=16)
                 write_record(fh, make_document(f"d{i}", random_tree(rng, 120), edus))
         list(iter_canonical(path))  # labels and other caches filled first
-        tracemalloc.start()
-        try:
-            docs = list(iter_canonical(path))
-            retained, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        docs = []
+        retained, _ = traced_peak(lambda: docs.extend(iter_canonical(path)))
         n_tokens = sum(doc.n_tokens for doc in docs)
         assert retained / n_tokens < self.MAX_BYTES_PER_TOKEN
 

@@ -6,7 +6,6 @@ import hashlib
 import os
 import random
 import shutil
-import tracemalloc
 
 from rstkit.cli import main
 
@@ -16,6 +15,7 @@ from helpers import (
     random_tree,
     serialize_rs3,
     serialize_rs3_forest,
+    traced_peak,
 )
 
 # sha256 of (stdout, output file) for each command line of ``_grid``, run
@@ -156,12 +156,11 @@ def test_convert_memory_grows_with_the_output_not_the_trees(tmp_path, capsys):
 
     def peak(directory):
         out = tmp_path / f"{directory.name}.jsonl"
-        tracemalloc.start()
-        try:
+
+        def run():
             assert main(["convert", str(directory), "-o", str(out)]) == 0
-            return tracemalloc.get_traced_memory()[1], out.stat().st_size
-        finally:
-            tracemalloc.stop()
+
+        return traced_peak(run)[1], out.stat().st_size
 
     assert main(["convert", str(once), "-o", str(tmp_path / "warm.jsonl")]) == 0
     (peak_once, size_once), (peak_four, size_four) = peak(once), peak(four)
