@@ -51,7 +51,6 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager, nullcontext
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -66,6 +65,18 @@ DEFAULT_SEED = 13
 
 
 class _Parser(argparse.ArgumentParser):
+    # A subcommand's parser gets its arguments from ``build`` when it is
+    # first parsed, so a run builds only those of the command it runs.
+    def __init__(self, *args, build=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._build = build
+
+    def parse_known_args(self, args=None, namespace=None):  # noqa: D102
+        build, self._build = self._build, None
+        if build is not None:
+            build(self)
+        return super().parse_known_args(args, namespace)
+
     # argparse exits with 2 on usage errors; the CLI contract reserves 2
     # for internal failures, so remap usage problems to exit code 1.
     def error(self, message):  # noqa: D102
@@ -332,7 +343,7 @@ def cmd_segment(args) -> int:
         for doc in tb_mod.iter_canonical(_input_path(args.input)):
             labels = crf_mod.viterbi(model, extractor(doc.tokens))
             edus = crf_mod.labels_to_edus(labels)
-            tb_mod.write_record(out, replace(doc, edus=edus, tree=None))
+            tb_mod.write_record(out, doc.replace(edus=edus, tree=None))
             count += 1
     print(f"segmented {count} documents -> {args.output}")
     return 0
@@ -534,105 +545,120 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rstkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convert", help="parse .rs3 files, binarize, write canonical")
-    p.add_argument("input", help=".rs3 file or directory")
-    p.add_argument("-o", "--output", required=True, help="canonical output file")
-    _add_rs3_input_flags(p)
-    # convert is preprocess of .rs3 input that neither remaps nor drops
-    p.set_defaults(
-        func=cmd_preprocess, remap=None, drop_single_edu=False, split_forests=True
-    )
+    # Each command's arguments are added by the function given as its
+    # ``build``, which runs only if that command is parsed (see _Parser).
+    def convert(p):
+        p.add_argument("input", help=".rs3 file or directory")
+        p.add_argument("-o", "--output", required=True, help="canonical output file")
+        _add_rs3_input_flags(p)
+        # convert is preprocess of .rs3 input that neither remaps nor drops
+        p.set_defaults(
+            func=cmd_preprocess, remap=None, drop_single_edu=False, split_forests=True
+        )
+    sub.add_parser("convert", help="parse .rs3 files, binarize, write canonical",
+                   build=convert)
 
-    p = sub.add_parser(
-        "preprocess", help="remap labels, split forests, drop single-EDU documents"
-    )
-    p.add_argument("input", help=".rs3 directory/file or canonical file")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument(
-        "--remap",
-        default=None,
-        help="'default', 'none' or a two-column rule file (default: none)",
-    )
-    p.add_argument(
-        "--split-forests",
-        action=argparse.BooleanOptionalAction,
-        help="treat each connected tree as a separate document",
-    )
-    p.add_argument(
-        "--drop-single-edu",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="exclude documents containing only a single EDU",
-    )
-    _add_rs3_input_flags(p)
-    p.set_defaults(func=cmd_preprocess)
+    def preprocess(p):
+        p.add_argument("input", help=".rs3 directory/file or canonical file")
+        p.add_argument("-o", "--output", required=True)
+        p.add_argument(
+            "--remap",
+            default=None,
+            help="'default', 'none' or a two-column rule file (default: none)",
+        )
+        p.add_argument(
+            "--split-forests",
+            action=argparse.BooleanOptionalAction,
+            help="treat each connected tree as a separate document",
+        )
+        p.add_argument(
+            "--drop-single-edu",
+            action=argparse.BooleanOptionalAction,
+            default=True,
+            help="exclude documents containing only a single EDU",
+        )
+        _add_rs3_input_flags(p)
+        p.set_defaults(func=cmd_preprocess)
+    sub.add_parser("preprocess", build=preprocess,
+                   help="remap labels, split forests, drop single-EDU documents")
 
-    p = sub.add_parser("dump-remap-table", help="print the shipped RRT remap table")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_dump_remap_table)
+    def dump_remap_table(p):
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(func=cmd_dump_remap_table)
+    sub.add_parser("dump-remap-table", help="print the shipped RRT remap table",
+                   build=dump_remap_table)
 
-    p = sub.add_parser("stats", help="corpus statistics table")
-    p.add_argument("input", help="canonical corpus file")
-    p.add_argument("--sents", default=None, help="external sentence boundary file")
-    p.add_argument("--by-genre", action="store_true")
-    p.add_argument("--csv", action="store_true")
-    p.add_argument(
-        "--no-spanned",
-        action="store_true",
-        help="skip spanned-sentence coverage (no boundaries needed)",
-    )
-    p.set_defaults(func=cmd_stats)
+    def stats(p):
+        p.add_argument("input", help="canonical corpus file")
+        p.add_argument("--sents", default=None, help="external sentence boundary file")
+        p.add_argument("--by-genre", action="store_true")
+        p.add_argument("--csv", action="store_true")
+        p.add_argument(
+            "--no-spanned",
+            action="store_true",
+            help="skip spanned-sentence coverage (no boundaries needed)",
+        )
+        p.set_defaults(func=cmd_stats)
+    sub.add_parser("stats", help="corpus statistics table", build=stats)
 
-    p = sub.add_parser("train-segmenter", help="train the CRF EDU segmenter")
-    p.add_argument("input", help="canonical corpus file with gold EDUs")
-    p.add_argument("-o", "--output", required=True, help="model file (.npz)")
-    p.add_argument("--split", default="train", choices=("train", "dev", "test", "all"))
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lr", type=float, default=0.2)
-    p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--buckets", type=int, default=1024)
-    p.set_defaults(func=cmd_train_segmenter)
+    def train_segmenter(p):
+        p.add_argument("input", help="canonical corpus file with gold EDUs")
+        p.add_argument("-o", "--output", required=True, help="model file (.npz)")
+        p.add_argument("--split", default="train", choices=("train", "dev", "test", "all"))
+        p.add_argument("--epochs", type=int, default=30)
+        p.add_argument("--lr", type=float, default=0.2)
+        p.add_argument("--l2", type=float, default=0.0)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--buckets", type=int, default=1024)
+        p.set_defaults(func=cmd_train_segmenter)
+    sub.add_parser("train-segmenter", help="train the CRF EDU segmenter",
+                   build=train_segmenter)
 
-    p = sub.add_parser("segment", help="predict EDU boundaries with a trained model")
-    p.add_argument("model", help="model file from train-segmenter")
-    p.add_argument("input", help="canonical corpus file")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_segment)
+    def segment(p):
+        p.add_argument("model", help="model file from train-segmenter")
+        p.add_argument("input", help="canonical corpus file")
+        p.add_argument("-o", "--output", required=True)
+        p.set_defaults(func=cmd_segment)
+    sub.add_parser("segment", help="predict EDU boundaries with a trained model",
+                   build=segment)
 
-    p = sub.add_parser("parse", help="decode trees with a score provider")
-    p.add_argument("input", help="canonical corpus file (EDUs required)")
-    p.add_argument("-o", "--output", required=True)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--oracle", action="store_true", help="replay gold trees")
-    mode.add_argument("--baseline", default=None, metavar="LABEL",
-                      help="right-branching baseline with one majority label")
-    mode.add_argument("--scores", default=None, help="external score file (JSON lines)")
-    p.add_argument("--beam", type=int, default=1, help="beam width (1 = greedy)")
-    p.add_argument("--inventory", default=None,
-                   help="label inventory file, one relation_NUC per line")
-    p.set_defaults(func=cmd_parse)
+    def parse(p):
+        p.add_argument("input", help="canonical corpus file (EDUs required)")
+        p.add_argument("-o", "--output", required=True)
+        mode = p.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--oracle", action="store_true", help="replay gold trees")
+        mode.add_argument("--baseline", default=None, metavar="LABEL",
+                          help="right-branching baseline with one majority label")
+        mode.add_argument("--scores", default=None, help="external score file (JSON lines)")
+        p.add_argument("--beam", type=int, default=1, help="beam width (1 = greedy)")
+        p.add_argument("--inventory", default=None,
+                       help="label inventory file, one relation_NUC per line")
+        p.set_defaults(func=cmd_parse)
+    sub.add_parser("parse", help="decode trees with a score provider", build=parse)
 
-    p = sub.add_parser("eval", help="score predictions against gold")
-    p.add_argument("gold", help="gold canonical file")
-    p.add_argument("pred", help="prediction canonical file")
-    p.add_argument("--end-to-end", action="store_true",
-                   help="score over predicted segmentation")
-    p.add_argument("--by-genre", action="store_true")
-    p.add_argument("--genre", default=None, help="restrict scoring to one genre")
-    p.add_argument("--metrics", default=None,
-                   help="comma-separated subset of S,N,R,Full")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_eval)
+    def eval_(p):
+        p.add_argument("gold", help="gold canonical file")
+        p.add_argument("pred", help="prediction canonical file")
+        p.add_argument("--end-to-end", action="store_true",
+                       help="score over predicted segmentation")
+        p.add_argument("--by-genre", action="store_true")
+        p.add_argument("--genre", default=None, help="restrict scoring to one genre")
+        p.add_argument("--metrics", default=None,
+                       help="comma-separated subset of S,N,R,Full")
+        p.add_argument("--csv", action="store_true")
+        p.set_defaults(func=cmd_eval)
+    sub.add_parser("eval", help="score predictions against gold", build=eval_)
 
-    p = sub.add_parser("dwa-sim", help="replay a loss log through the DWA scheduler")
-    p.add_argument("losses", help="CSV of per-step task losses")
-    p.add_argument("--tasks", "-k", type=int, default=3)
-    # None means dwa.DEFAULT_WINDOW and dwa.DEFAULT_TEMPERATURE
-    p.add_argument("--window", "-b", type=int, default=None)
-    p.add_argument("--temp", type=float, default=None)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_dwa_sim)
+    def dwa_sim(p):
+        p.add_argument("losses", help="CSV of per-step task losses")
+        p.add_argument("--tasks", "-k", type=int, default=3)
+        # None means dwa.DEFAULT_WINDOW and dwa.DEFAULT_TEMPERATURE
+        p.add_argument("--window", "-b", type=int, default=None)
+        p.add_argument("--temp", type=float, default=None)
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(func=cmd_dwa_sim)
+    sub.add_parser("dwa-sim", help="replay a loss log through the DWA scheduler",
+                   build=dwa_sim)
 
     return parser
 

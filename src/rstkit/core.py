@@ -14,10 +14,9 @@ cascades over long documents) do not hit the interpreter recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from operator import lt
-from typing import Iterator, Sequence
+from operator import attrgetter, lt
+from typing import Iterable, Iterator, Sequence
 
 
 class RstError(Exception):
@@ -85,6 +84,64 @@ class InputLines:
             raise SchemaViolation(self.path, self.line_number, str(error)) from None
 
 
+# How a value type's ``__init__`` fills its slots past its own __setattr__.
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass keeps its fields in ``__slots__``, names the ones it is
+    built, compared and shown by in ``_fields`` (in ``__init__``'s order),
+    and checks and sets them in its own ``__init__``: through ``_set``, or
+    all at once by ``self._fill(locals())``.
+    Assigning or deleting an attribute raises AttributeError.  ``==``
+    holds between two instances of one class whose fields are equal, the
+    hash is that of the fields' tuple, and ``repr`` reads
+    ``Name(field=value, ...)``.  ``replace`` and pickling build through
+    ``__init__``, so every check runs again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(  # the fields' tuple of an instance
+            get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+
+    def _fill(self, values: dict) -> None:
+        for name in self._fields:
+            _set(self, name, values[name])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def replace(self, **changes):
+        """A copy with the fields in ``changes`` changed, built by ``__init__``."""
+        for name in self._fields:
+            changes.setdefault(name, getattr(self, name))
+        return self.__class__(**changes)
+
+
 class Nuclearity(str, Enum):
     """Nuclearity pattern of a binary discourse relation."""
 
@@ -109,8 +166,7 @@ _INTERNED: dict[str, "RelationLabel"] = {}
 _INTERN_LIMIT = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class RelationLabel:
+class RelationLabel(_Value):
     """A coarse relation name paired with a nuclearity pattern.
 
     Relation names are case-folded to lowercase; the nuclearity suffix is
@@ -119,20 +175,20 @@ class RelationLabel:
     computed once on construction and takes no part in equality or repr.
     """
 
-    relation: str
-    nuclearity: Nuclearity
-    merged: str = field(init=False, compare=False, repr=False)
+    __slots__ = ("relation", "nuclearity", "merged")
+    _fields = ("relation", "nuclearity")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.nuclearity, Nuclearity):
-            object.__setattr__(self, "nuclearity", Nuclearity(self.nuclearity))
-        relation = self.relation.strip().lower()
+    def __init__(self, relation: str, nuclearity: Nuclearity | str) -> None:
+        if not isinstance(nuclearity, Nuclearity):
+            nuclearity = Nuclearity(nuclearity)
+        relation = relation.strip().lower()
         if not relation:
             raise RstError("relation name must be non-empty")
         if any(ch in _FORBIDDEN_RELATION_CHARS for ch in relation):
             raise RstError(f"relation name {relation!r} contains a reserved character")
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "merged", f"{relation}_{self.nuclearity.value}")
+        _set(self, "relation", relation)
+        _set(self, "nuclearity", nuclearity)
+        _set(self, "merged", f"{relation}_{nuclearity.value}")
 
     @classmethod
     def from_merged(cls, merged: str) -> "RelationLabel":
@@ -151,19 +207,14 @@ class RelationLabel:
         return self.merged
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class EduSpan:
+class EduSpan(_Value):
     """Inclusive token-index span of one elementary discourse unit.
 
-    ``__init__`` is written by hand for the reason given under
-    :class:`RstTree`: a corpus read builds one span per EDU, and the
-    generated frozen ``__init__`` plus ``__post_init__`` cost more than the
-    check.  ``replace``, ``fields``, equality and hashing are the
-    dataclass's, and assignment raises ``FrozenInstanceError``.
+    A corpus read builds one span per EDU, so ``__init__`` fills the slots
+    through their descriptors, as :class:`RstTree`'s builders do.
     """
 
-    first_token: int
-    last_token: int
+    __slots__ = _fields = ("first_token", "last_token")
 
     def __init__(self, first_token: int, last_token: int) -> None:
         if first_token < 0 or first_token > last_token:
@@ -180,8 +231,7 @@ _set_first_token = EduSpan.first_token.__set__  # type: ignore[attr-defined]
 _set_last_token = EduSpan.last_token.__set__  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
-class RstTree:
+class RstTree(_Value):
     """A strictly binary constituent tree over a contiguous EDU range.
 
     A node is either a leaf (``label`` and children are None, ``first_edu ==
@@ -199,16 +249,11 @@ class RstTree:
     adjacent children), then fills the slots of an ``object.__new__`` node
     through their descriptors, as a corpus read builds a node per relation
     and ``__init__`` would add a frame and a span check.  ``__init__``
-    (``init=False``) serves ``replace`` and direct callers, and stores the
-    label that ``internal`` parsed.  The class is still a frozen dataclass:
-    assignment raises ``FrozenInstanceError``.
+    serves ``replace`` and direct callers, and stores the label that
+    ``internal`` parsed.  Trees compare by structure and are unhashable.
     """
 
-    first_edu: int
-    last_edu: int
-    label: RelationLabel | None = None
-    left: "RstTree | None" = None
-    right: "RstTree | None" = None
+    __slots__ = _fields = ("first_edu", "last_edu", "label", "left", "right")
 
     def __init__(
         self,
@@ -355,8 +400,7 @@ def _grow_leaves(edu_index: int) -> tuple[RstTree, ...]:
     return leaves
 
 
-@dataclass(frozen=True, slots=True)
-class Constituent:
+class Constituent(_Value):
     """One evaluation unit: a labeled, role-annotated token span.
 
     ``role`` is the node's nuclearity role under its parent ("N" or "S");
@@ -365,10 +409,10 @@ class Constituent:
     ``"span"``; under NN both children carry the relation).
     """
 
-    first_token: int
-    last_token: int
-    role: str
-    relation: str
+    __slots__ = _fields = ("first_token", "last_token", "role", "relation")
+
+    def __init__(self, first_token: int, last_token: int, role: str, relation: str) -> None:
+        self._fill(locals())
 
     @property
     def span(self) -> tuple[int, int]:
@@ -416,8 +460,7 @@ class Split(str, Enum):
 _LANGUAGE_TAGS = ("en", "ru", "other")
 
 
-@dataclass(frozen=True, slots=True)
-class DocumentRecord:
+class DocumentRecord(_Value):
     """One document: tokens, gold EDU segmentation and (optionally) a tree.
 
     ``doc_id`` is a non-empty ``str`` and ``genre`` a ``str``.  Token ``i``
@@ -425,29 +468,32 @@ class DocumentRecord:
     ``char_starts[i]``; offsets are non-negative ``int`` (not ``bool``) and
     strictly increase.  EDU spans must partition the token sequence;
     sentence boundaries, when present, are sentence-initial token indices
-    starting with 0.
+    starting with 0.  ``__init__`` stores the sequences as tuples, then
+    ``__post_init__`` checks the record.
     """
 
-    doc_id: str
-    genre: str
-    lang: str
-    tokens: tuple[str, ...]
-    char_starts: tuple[int, ...]
-    edus: tuple[EduSpan, ...]
-    tree: RstTree | None = None
-    sentence_boundaries: tuple[int, ...] | None = None
-    split: Split = Split.TRAIN
+    __slots__ = _fields = ("doc_id", "genre", "lang", "tokens", "char_starts",
+                           "edus", "tree", "sentence_boundaries", "split")
+
+    def __init__(self, doc_id: str, genre: str, lang: str, tokens: Sequence[str],
+                 char_starts: Sequence[int], edus: Sequence[EduSpan],
+                 tree: RstTree | None = None,
+                 sentence_boundaries: Sequence[int] | None = None,
+                 split: Split | str = Split.TRAIN) -> None:
+        _set(self, "doc_id", doc_id)
+        _set(self, "genre", genre)
+        _set(self, "lang", lang)
+        _set(self, "tokens", tuple(tokens))
+        _set(self, "char_starts", tuple(char_starts))
+        _set(self, "edus", tuple(edus))
+        _set(self, "tree", tree)
+        if sentence_boundaries is not None:
+            sentence_boundaries = tuple(sentence_boundaries)
+        _set(self, "sentence_boundaries", sentence_boundaries)
+        _set(self, "split", split if isinstance(split, Split) else Split(split))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "char_starts", tuple(self.char_starts))
-        object.__setattr__(self, "edus", tuple(self.edus))
-        if not isinstance(self.split, Split):
-            object.__setattr__(self, "split", Split(self.split))
-        if self.sentence_boundaries is not None:
-            object.__setattr__(
-                self, "sentence_boundaries", tuple(self.sentence_boundaries)
-            )
         if not isinstance(self.doc_id, str) or not self.doc_id:
             raise RstError(f"document id must be a non-empty string, got {self.doc_id!r}")
         if not isinstance(self.genre, str):
@@ -479,15 +525,15 @@ class DocumentRecord:
     def with_tree(self, tree: RstTree) -> "DocumentRecord":
         """This document with ``tree`` in place of its own.
 
-        Equal to ``dataclasses.replace(self, tree=tree)``, but only the tree
-        is checked (one leaf per EDU, starting at EDU 0): every other field
-        is this record's, which construction has already checked.
+        Equal to ``self.replace(tree=tree)``, but only the tree is checked
+        (one leaf per EDU, starting at EDU 0): every other field is this
+        record's, which construction has already checked.
         """
         self._check_tree(tree)
         record = object.__new__(DocumentRecord)
         for name in DocumentRecord.__slots__:
-            object.__setattr__(record, name, getattr(self, name))
-        object.__setattr__(record, "tree", tree)
+            _set(record, name, getattr(self, name))
+        _set(record, "tree", tree)
         return record
 
     def _check_tree(self, tree: RstTree) -> None:
@@ -531,18 +577,20 @@ class DocumentRecord:
         return len(self.tokens)
 
 
-@dataclass(frozen=True, slots=True)
-class Corpus:
+class Corpus(_Value):
     """The documents of one corpus, in order; no two share an id.
 
     Tree labels are not checked against any inventory here: the decoder's
     ``DecodeConfig`` holds the only label inventory of the package.
     """
 
-    documents: tuple[DocumentRecord, ...]
+    __slots__ = _fields = ("documents",)
+
+    def __init__(self, documents: Iterable[DocumentRecord]) -> None:
+        _set(self, "documents", tuple(documents))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "documents", tuple(self.documents))
         ids = [doc.doc_id for doc in self.documents]
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})

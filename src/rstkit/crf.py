@@ -27,12 +27,11 @@ from __future__ import annotations
 import math
 import zipfile
 import zlib
-from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence, Union
 
 import numpy as np
 
-from .core import DocumentRecord, EduSpan, RstError
+from .core import DocumentRecord, EduSpan, RstError, _Value
 
 __all__ = [
     "CrfModel",
@@ -62,30 +61,33 @@ class FeatureExtractor(Protocol):
     def __call__(self, tokens: Sequence[str]) -> Features: ...
 
 
-@dataclass
-class CrfModel:
-    """Parameters of a linear-chain CRF; a single writer may mutate them."""
+class CrfModel(_Value):
+    """Parameters of a linear-chain CRF: ``emission`` is ``[num_labels,
+    feature_dim]``, ``transition`` ``[num_labels, num_labels]`` (from ->
+    to), ``start`` and ``stop`` ``[num_labels]``.  A single writer may
+    mutate them, so the model is unhashable."""
 
-    labels: tuple[str, ...]
-    emission: np.ndarray  # [num_labels, feature_dim]
-    transition: np.ndarray  # [num_labels, num_labels], from -> to
-    start: np.ndarray  # [num_labels]
-    stop: np.ndarray  # [num_labels]
+    __slots__ = _fields = ("labels", "emission", "transition", "start", "stop")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        self.labels = tuple(self.labels)
-        n = len(self.labels)
+    def __init__(self, labels: Sequence[str], emission: np.ndarray,
+                 transition: np.ndarray, start: np.ndarray, stop: np.ndarray) -> None:
+        labels = tuple(labels)
+        n = len(labels)
         if n < 2:
             raise RstError("label set must have at least two labels")
-        if self.emission.ndim != 2 or self.emission.shape[0] != n:
+        if emission.ndim != 2 or emission.shape[0] != n:
             raise RstError("emission weights must be [labels, features]")
-        if self.transition.shape != (n, n):
+        if transition.shape != (n, n):
             raise RstError("transition matrix must be [labels, labels]")
-        if self.start.shape != (n,) or self.stop.shape != (n,):
+        if start.shape != (n,) or stop.shape != (n,):
             raise RstError("start/stop must be [labels]")
-        for arr in (self.emission, self.transition, self.start, self.stop):
+        for arr in (emission, transition, start, stop):
             if not np.all(np.isfinite(arr)):
                 raise RstError("model parameters must be finite")
+        self._fill(locals())
 
     @property
     def num_labels(self) -> int:
@@ -121,14 +123,14 @@ class CrfModel:
         )
 
 
-@dataclass(frozen=True)
-class CrfGradients:
+class CrfGradients(_Value):
     """Gradient of the log-likelihood w.r.t. every parameter block."""
 
-    emission: np.ndarray
-    transition: np.ndarray
-    start: np.ndarray
-    stop: np.ndarray
+    __slots__ = _fields = ("emission", "transition", "start", "stop")
+
+    def __init__(self, emission: np.ndarray, transition: np.ndarray,
+                 start: np.ndarray, stop: np.ndarray) -> None:
+        self._fill(locals())
 
 
 def _check_features(
@@ -269,22 +271,18 @@ def log_likelihood(
     )
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 100
-    learning_rate: float = 0.2
-    l2: float = 0.0
-    seed: int = 13
+class TrainConfig(_Value):
+    __slots__ = _fields = ("epochs", "learning_rate", "l2", "seed")
 
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise RstError(f"epochs must be >= 1, got {self.epochs}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise RstError(
-                f"learning rate must be finite and > 0, got {self.learning_rate}"
-            )
-        if not (math.isfinite(self.l2) and self.l2 >= 0):
-            raise RstError(f"l2 must be finite and >= 0, got {self.l2}")
+    def __init__(self, epochs: int = 100, learning_rate: float = 0.2,
+                 l2: float = 0.0, seed: int = 13) -> None:
+        if epochs < 1:
+            raise RstError(f"epochs must be >= 1, got {epochs}")
+        if not (math.isfinite(learning_rate) and learning_rate > 0):
+            raise RstError(f"learning rate must be finite and > 0, got {learning_rate}")
+        if not (math.isfinite(l2) and l2 >= 0):
+            raise RstError(f"l2 must be finite and >= 0, got {l2}")
+        self._fill(locals())
 
 
 class _Adam:
@@ -398,26 +396,28 @@ def _buckets(prefix: str, words: list[bytes], n_buckets: int) -> list[int]:
 _SENT_FINAL = {".", "!", "?", ";", ":"}
 
 
-@dataclass(frozen=True, eq=False)
-class SparseFeatures:
+class SparseFeatures(_Value):
     """Fixed-width sparse rows of a ``[seq_len, dim]`` feature matrix.
 
     Row t holds ``vals[t, j]`` at column ``idx[t, j]``; a column repeated
-    within a row adds up.  Emission scores and the emission gradient are
-    the only operations inference needs, so the matrix is never built.
+    within a row adds up (``idx`` int32 and ``vals`` float64, both
+    ``[seq_len, k]``).  Emission scores and the emission gradient are the
+    only operations inference needs, so the matrix is never built.
+    Instances compare and hash by identity.
     """
 
-    idx: np.ndarray  # [seq_len, k] int32 column indices
-    vals: np.ndarray  # [seq_len, k] float64
-    dim: int
+    __slots__ = _fields = ("idx", "vals", "dim")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        if self.idx.ndim != 2 or self.idx.shape != self.vals.shape:
+    def __init__(self, idx: np.ndarray, vals: np.ndarray, dim: int) -> None:
+        if idx.ndim != 2 or idx.shape != vals.shape:
             raise RstError("sparse idx and vals must be equal [seq_len, k]")
-        if not np.issubdtype(self.idx.dtype, np.integer):
-            raise RstError(f"sparse idx must be integers, got {self.idx.dtype}")
-        if self.idx.size and (self.idx.min() < 0 or self.idx.max() >= self.dim):
-            raise RstError(f"sparse feature index outside [0, {self.dim})")
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise RstError(f"sparse idx must be integers, got {idx.dtype}")
+        if idx.size and (idx.min() < 0 or idx.max() >= dim):
+            raise RstError(f"sparse feature index outside [0, {dim})")
+        self._fill(locals())
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -461,8 +461,7 @@ class _DenseFeatures:
         return residual @ self.matrix
 
 
-@dataclass(frozen=True)
-class HashedWindowFeatures:
+class HashedWindowFeatures(_Value):
     """Sparse lexical window features, hashed into a fixed dimension.
 
     Per token: hashed one-hot buckets for the lowercased current, previous
@@ -473,15 +472,16 @@ class HashedWindowFeatures:
     (CRC32 hashing, no process salt).
     """
 
-    n_buckets: int = 1024
+    __slots__ = _fields = ("n_buckets",)
 
     N_FLAGS = 5
 
-    def __post_init__(self) -> None:
-        if self.n_buckets < 1:
-            raise RstError(f"buckets must be >= 1, got {self.n_buckets}")
+    def __init__(self, n_buckets: int = 1024) -> None:
+        self._fill(locals())
+        if n_buckets < 1:
+            raise RstError(f"buckets must be >= 1, got {n_buckets}")
         if self.dim > np.iinfo(np.int32).max:
-            raise RstError(f"buckets must be < 2**31 / 3, got {self.n_buckets}")
+            raise RstError(f"buckets must be < 2**31 / 3, got {n_buckets}")
 
     @property
     def dim(self) -> int:

@@ -53,11 +53,10 @@ import json
 from abc import ABC, abstractmethod
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from math import isfinite
 from typing import Sequence
 
-from .core import JSON_TYPES, InputLines, RelationLabel, RstError, RstTree
+from .core import JSON_TYPES, InputLines, RelationLabel, RstError, RstTree, _set, _Value
 
 __all__ = [
     "ScoreProvider",
@@ -91,39 +90,36 @@ class ScoreProvider(ABC):
         """Scores over the label inventory for joining left and right."""
 
 
-@dataclass(frozen=True)
-class DecodeConfig:
-    """Decoding strategy plus the merged label inventory.
+class DecodeConfig(_Value):
+    """Decoding strategy (``"greedy"`` or ``"beam"``) plus the merged label
+    inventory.
 
     ``relations`` holds the inventory parsed once, so a malformed label is
     rejected here rather than when a tree first uses it.
     """
 
-    labels: tuple[str, ...]
-    strategy: str = "greedy"  # "greedy" | "beam"
-    beam_width: int = 1
-    relations: tuple[RelationLabel, ...] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("labels", "strategy", "beam_width", "relations")
+    _fields = ("labels", "strategy", "beam_width")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.labels:
+    def __init__(
+        self, labels: Sequence[str], strategy: str = "greedy", beam_width: int = 1
+    ) -> None:
+        labels = tuple(labels)
+        if not labels:
             raise RstError("decode config needs a label inventory")
-        if len(set(self.labels)) != len(self.labels):
-            repeated = sorted({x for x in self.labels if self.labels.count(x) > 1})
+        if len(set(labels)) != len(labels):
+            repeated = sorted({x for x in labels if labels.count(x) > 1})
             raise RstError(f"label inventory repeats {repeated}")
-        if self.strategy not in ("greedy", "beam"):
-            raise RstError(f"unknown strategy {self.strategy!r}")
-        if self.beam_width < 1:
+        if strategy not in ("greedy", "beam"):
+            raise RstError(f"unknown strategy {strategy!r}")
+        if beam_width < 1:
             raise RstError("beam width must be >= 1")
-        if self.strategy == "greedy" and self.beam_width > 1:
-            raise RstError(
-                f"greedy decoding has beam width 1, got {self.beam_width}"
-            )
-        object.__setattr__(
-            self, "relations", tuple(map(RelationLabel.from_merged, self.labels))
-        )
+        if strategy == "greedy" and beam_width > 1:
+            raise RstError(f"greedy decoding has beam width 1, got {beam_width}")
+        _set(self, "labels", labels)
+        _set(self, "strategy", strategy)
+        _set(self, "beam_width", beam_width)
+        _set(self, "relations", tuple(map(RelationLabel.from_merged, labels)))
 
 
 def _vector(scores, query: str, args: tuple, length: int) -> Sequence[float]:

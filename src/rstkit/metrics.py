@@ -23,7 +23,6 @@ import csv
 import io
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -33,6 +32,7 @@ from .core import (
     Nuclearity,
     RstError,
     RstTree,
+    _Value,
 )
 
 __all__ = [
@@ -51,17 +51,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class MetricCounts:
+class MetricCounts(_Value):
     """Matched/gold/predicted counts for one metric; micro-combinable."""
 
-    matched: int = 0
-    gold: int = 0
-    predicted: int = 0
+    __slots__ = _fields = ("matched", "gold", "predicted")
 
-    def __post_init__(self) -> None:
-        if self.matched > min(self.gold, self.predicted):
+    def __init__(self, matched: int = 0, gold: int = 0, predicted: int = 0) -> None:
+        if matched > min(gold, predicted):
             raise RstError("matched count exceeds gold or predicted total")
+        self._fill(locals())
 
     def __add__(self, other: "MetricCounts") -> "MetricCounts":
         return MetricCounts(
@@ -84,14 +82,14 @@ class MetricCounts:
         return 2.0 * p * r / (p + r) if p + r else 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class ParsevalScores:
+class ParsevalScores(_Value):
     """S / N / R / Full counts with derived micro P, R and F1."""
 
-    span: MetricCounts
-    nuclearity: MetricCounts
-    relation: MetricCounts
-    full: MetricCounts
+    __slots__ = _fields = ("span", "nuclearity", "relation", "full")
+
+    def __init__(self, span: MetricCounts, nuclearity: MetricCounts,
+                 relation: MetricCounts, full: MetricCounts) -> None:
+        self._fill(locals())
 
     def __add__(self, other: "ParsevalScores") -> "ParsevalScores":
         return ParsevalScores(
@@ -250,32 +248,24 @@ def end_to_end_eval(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusStats:
+class CorpusStats(_Value):
     """The descriptive statistics block reported for each treebank."""
 
-    genres: int
-    docs: int
-    classes: int
-    tokens_per_tree_min: int
-    tokens_per_tree_max: int
-    tokens_per_tree_median: float
-    edus: int
-    edus_per_tree: float
-    relation_pairs: int
-    non_span_constituents: int
-    spanned_pct: float | None = None
-    spanned_all_pct: float | None = None
+    __slots__ = _fields = (
+        "genres", "docs", "classes", "tokens_per_tree_min", "tokens_per_tree_max",
+        "tokens_per_tree_median", "edus", "edus_per_tree", "relation_pairs",
+        "non_span_constituents", "spanned_pct", "spanned_all_pct")
 
-    def __post_init__(self) -> None:
-        if self.docs < 1:
+    def __init__(self, genres: int, docs: int, classes: int, tokens_per_tree_min: int,
+                 tokens_per_tree_max: int, tokens_per_tree_median: float, edus: int,
+                 edus_per_tree: float, relation_pairs: int, non_span_constituents: int,
+                 spanned_pct: float | None = None,
+                 spanned_all_pct: float | None = None) -> None:
+        if docs < 1:
             raise RstError("statistics need at least one document")
-        if not (
-            self.tokens_per_tree_min
-            <= self.tokens_per_tree_median
-            <= self.tokens_per_tree_max
-        ):
+        if not tokens_per_tree_min <= tokens_per_tree_median <= tokens_per_tree_max:
             raise RstError("token statistics out of order")
+        self._fill(locals())
 
 
 def _spanned_sentence_counts(

@@ -14,7 +14,6 @@ parallel is safe; :class:`Preprocessor` applies them and tallies counts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
@@ -25,6 +24,7 @@ from .core import (
     RstError,
     RstTree,
     Split,
+    _Value,
     excerpt,
 )
 from .treebank import Rs3Component, component_to_record
@@ -41,24 +41,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class RemapRule:
+class RemapRule(_Value):
     """One rewrite: match a relation (optionally nuclearity-specific) and
     replace the name, optionally forcing a new nuclearity."""
 
-    match_relation: str
-    match_nuclearity: Nuclearity | None
-    replace_relation: str
-    replace_nuclearity: Nuclearity | None
+    __slots__ = _fields = ("match_relation", "match_nuclearity", "replace_relation",
+                           "replace_nuclearity")
 
-    def __post_init__(self) -> None:
-        if self.match_relation == self.replace_relation and (
-            self.replace_nuclearity is None
-            or self.replace_nuclearity == self.match_nuclearity
+    def __init__(self, match_relation: str, match_nuclearity: Nuclearity | None,
+                 replace_relation: str, replace_nuclearity: Nuclearity | None) -> None:
+        if match_relation == replace_relation and (
+            replace_nuclearity is None or replace_nuclearity == match_nuclearity
         ):
-            raise RstError(f"rule maps {self.match_relation!r} to itself")
+            raise RstError(f"rule maps {match_relation!r} to itself")
         # a replacement no label can carry would fail when first applied
-        RelationLabel(self.replace_relation, self.replace_nuclearity or Nuclearity.NN)
+        RelationLabel(replace_relation, replace_nuclearity or Nuclearity.NN)
+        self._fill(locals())
 
     def matches(self, label: RelationLabel) -> bool:
         return label.relation == self.match_relation and (
@@ -80,9 +78,11 @@ class RemapRule:
         return f"{left}\t{right}"
 
 
-@dataclass(frozen=True, slots=True)
-class RemapTable:
-    rules: tuple[RemapRule, ...]
+class RemapTable(_Value):
+    __slots__ = _fields = ("rules",)
+
+    def __init__(self, rules: tuple[RemapRule, ...]) -> None:
+        self._fill(locals())
 
     def apply(self, label: RelationLabel) -> tuple[RelationLabel, int | None]:
         """Rewrite a label by the first matching rule; single pass, no
@@ -191,23 +191,21 @@ def _tally_labels(hist: Counter, tree: RstTree) -> None:
     hist.update(node.label.merged for node in tree.internal_nodes())  # type: ignore
 
 
-@dataclass(frozen=True, slots=True)
-class PreprocessReport:
-    documents_in: int
-    documents_out: int
-    trees_extracted: int
-    single_edu_dropped: int
-    rewrites: tuple[tuple[str, int], ...]
-    histogram_before: tuple[tuple[str, int], ...]
-    histogram_after: tuple[tuple[str, int], ...]
+class PreprocessReport(_Value):
+    __slots__ = _fields = ("documents_in", "documents_out", "trees_extracted",
+                           "single_edu_dropped", "rewrites", "histogram_before",
+                           "histogram_after")
 
-    def __post_init__(self) -> None:
-        if self.trees_extracted != self.documents_out + self.single_edu_dropped:
+    def __init__(self, documents_in: int, documents_out: int, trees_extracted: int,
+                 single_edu_dropped: int, rewrites: tuple[tuple[str, int], ...],
+                 histogram_before: tuple[tuple[str, int], ...],
+                 histogram_after: tuple[tuple[str, int], ...]) -> None:
+        if trees_extracted != documents_out + single_edu_dropped:
             raise RstError(
                 "inconsistent report: trees != documents out + dropped "
-                f"({self.trees_extracted} != {self.documents_out} + "
-                f"{self.single_edu_dropped})"
+                f"({trees_extracted} != {documents_out} + {single_edu_dropped})"
             )
+        self._fill(locals())
 
     @property
     def classes_after(self) -> int:

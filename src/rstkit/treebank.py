@@ -28,6 +28,7 @@ import json
 from bisect import bisect_left
 from collections import defaultdict
 from itertools import chain, starmap
+from operator import length_hint
 from typing import NamedTuple, Union
 from unicodedata import category
 
@@ -95,9 +96,8 @@ def tokenize(text: str, char_offset: int = 0) -> list[tuple[str, int]]:
 # ---------------------------------------------------------------------------
 
 
-# The rs3 node table is made of named tuples: immutable, and cheaper than
-# frozen dataclasses both to define at import and to build per node (by
-# tuple.__new__ in parse_rs3: their generated __new__ without its frame).
+# The rs3 node table is made of named tuples: immutable, and built per node
+# by tuple.__new__ in parse_rs3 (their generated __new__ without its frame).
 _tuple_new = tuple.__new__
 
 
@@ -430,56 +430,73 @@ def tree_from_string(text: str) -> RstTree:
     it.  Tokens
     are brackets and the runs between brackets and whitespace (that of
     ``str.split``, the same code points as the regular expression ``\\s``).
+    An error ends with the 1-based character offset of the token it showed
+    at (a bad label, or children that do not meet, at the bracket closing
+    their frame), or one past the end for a string that ends too soon.
     """
     stack: list = []  # None (an open bracket), label strings and nodes
     root: RstTree | None = None
     seen_leaf = _LEAF_TOKENS.get
-    for tok in text.replace("(", " ( ").replace(")", " ) ").split():
-        if tok == "(":
-            stack.append(None)
-            continue
-        if tok == ")":
-            if not stack:
-                raise RstError("unbalanced ')' in tree string")
-            if len(stack) < 4:
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    rest = iter(tokens)
+    try:
+        for tok in rest:
+            if tok == "(":
+                stack.append(None)
+                continue
+            if tok == ")":
+                if not stack:
+                    raise RstError("unbalanced ')' in tree string")
+                if len(stack) < 4:
+                    raise RstError("tree string: expected (label left right)")
+                right, left, name, _ = stack.pop(), stack.pop(), stack.pop(), stack.pop()
+                # A label only ever follows an open bracket, so with a label
+                # third from the top these four are the whole innermost frame.
+                if type(name) is not str or left is None or right is None:
+                    raise RstError("tree string: expected (label left right)")
+                node = RstTree.internal(left, right, name)
+            elif tok[0] == "#":
+                node = seen_leaf(tok)
+                if node is None:
+                    try:
+                        index = int(tok[1:])
+                    except ValueError:  # no number, or more digits than int() reads
+                        index = -1
+                    # only tree_to_string's spelling: no sign, "_" or leading zero
+                    if index < 0 or tok != f"#{index}":
+                        raise RstError(f"bad leaf token {excerpt(tok)}")
+                    node = RstTree.leaf(index)
+                    if index < _INTERN_LIMIT:
+                        _LEAF_TOKENS[tok] = node
+            elif not stack:  # a label outside any bracket
+                raise RstError(f"unbalanced tree string {excerpt(text)}")
+            elif stack[-1] is not None:
+                # a label may only open its frame
                 raise RstError("tree string: expected (label left right)")
-            right, left, name, _ = stack.pop(), stack.pop(), stack.pop(), stack.pop()
-            # A label only ever follows an open bracket, so with a label
-            # third from the top these four are the whole innermost frame.
-            if type(name) is not str or left is None or right is None:
-                raise RstError("tree string: expected (label left right)")
-            node = RstTree.internal(left, right, name)
-        elif tok[0] == "#":
-            node = seen_leaf(tok)
-            if node is None:
-                try:
-                    index = int(tok[1:])
-                except ValueError:  # no number, or more digits than int() reads
-                    index = -1
-                # only tree_to_string's spelling: no sign, "_" or leading zero
-                if index < 0 or tok != f"#{index}":
-                    raise RstError(f"bad leaf token {excerpt(tok)}")
-                node = RstTree.leaf(index)
-                if index < _INTERN_LIMIT:
-                    _LEAF_TOKENS[tok] = node
-        elif not stack:  # a label outside any bracket: unbalanced
-            root = None
-            break
-        elif stack[-1] is not None:
-            # a label may only open its frame
-            raise RstError("tree string: expected (label left right)")
-        else:
-            stack.append(tok)
-            continue
-        if stack:
-            stack.append(node)
-        elif root is None:
-            root = node
-        else:
-            raise RstError("multiple root nodes in tree string")
+            else:
+                stack.append(tok)
+                continue
+            if stack:
+                stack.append(node)
+            elif root is None:
+                root = node
+            else:
+                raise RstError("multiple root nodes in tree string")
+    except RstError as exc:  # the token at fault is the last one taken from rest
+        at = _token_start(text, tokens, len(tokens) - length_hint(rest))
+        raise RstError(f"{exc} at character {at}") from None
     if stack or root is None:
-        raise RstError(f"unbalanced tree string {excerpt(text)}")
+        raise RstError(f"unbalanced tree string {excerpt(text)} at character "
+                       f"{len(text) + 1}")
     return root
+
+
+def _token_start(text: str, tokens: list[str], k: int) -> int:
+    """The 1-based offset in ``text`` where its ``k``-th token starts."""
+    at = 0
+    for tok in tokens[:k - 1]:  # a token holds no whitespace or bracket
+        at = text.index(tok, at) + len(tok)
+    return text.index(tokens[k - 1], at) + 1
 
 
 # ---------------------------------------------------------------------------

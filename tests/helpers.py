@@ -26,6 +26,7 @@ import json
 import math
 import random
 import re
+import sys
 import tracemalloc
 import unicodedata
 import xml.etree.ElementTree as ET
@@ -683,44 +684,64 @@ def reference_label(merged: str) -> RelationLabel:
 
 
 def reference_tree_from_string(text: str) -> RstTree:
+    """Shift-reduce over the regular-expression tokens of ``text``; an
+    error ends with the 1-based character where its token starts, or one
+    past the end when the string ends too soon."""
     stack: list = []
     result = None
-    for tok in re.findall(r"\(|\)|[^\s()]+", text):
-        if tok == ")":
-            items: list = []
-            while stack and stack[-1] != "(":
-                items.append(stack.pop())
-            if not stack:
-                raise RstError("unbalanced ')' in tree string")
-            stack.pop()
-            items.reverse()
-            if (
-                len(items) != 3
-                or not isinstance(items[0], str)
-                or not all(isinstance(x, RstTree) for x in items[1:])
-            ):
-                raise RstError("tree string: expected (label left right)")
-            label, left, right = items
-            node = RstTree.internal(left, right, reference_label(label))
-        elif tok.startswith("#"):
-            # "#" and a number as str() writes it, in no more digits than
-            # int() reads by default
-            if not re.fullmatch(r"#(0|[1-9][0-9]{0,4299})", tok, re.ASCII):
-                raise RstError(f"bad leaf token {excerpt(tok)}")
-            index = int(tok[1:])
-            node = RstTree(index, index)  # a node of its own, not the shared leaf
-        else:  # "(" opens a frame; any other atom is a label
-            stack.append(tok)
+    for match in re.finditer(r"\(|\)|[^\s()]+", text):
+        tok = match.group()
+        try:
+            node = _reference_step(tok, stack, text)
+        except RstError as exc:
+            raise RstError(f"{exc} at character {match.start() + 1}") from None
+        if node is None:
             continue
         if stack:
             stack.append(node)
         elif result is None:
             result = node
         else:
-            raise RstError("multiple root nodes in tree string")
+            raise RstError(f"multiple root nodes in tree string at character "
+                           f"{match.start() + 1}")
     if stack or result is None:
-        raise RstError(f"unbalanced tree string {excerpt(text)}")
+        raise RstError(f"unbalanced tree string {excerpt(text)} at character "
+                       f"{len(text) + 1}")
     return result
+
+
+def _reference_step(tok: str, stack: list, text: str) -> RstTree | None:
+    """Read ``tok``: the node it completes, or None when it is pushed."""
+    if tok == ")":
+        items: list = []
+        while stack and stack[-1] != "(":
+            items.append(stack.pop())
+        if not stack:
+            raise RstError("unbalanced ')' in tree string")
+        stack.pop()
+        items.reverse()
+        if (
+            len(items) != 3
+            or not isinstance(items[0], str)
+            or not all(isinstance(x, RstTree) for x in items[1:])
+        ):
+            raise RstError("tree string: expected (label left right)")
+        label, left, right = items
+        return RstTree.internal(left, right, reference_label(label))
+    if tok.startswith("#"):
+        # "#" and a number as str() writes it, in no more digits than
+        # int() reads by default
+        if not re.fullmatch(r"#(0|[1-9][0-9]{0,4299})", tok, re.ASCII):
+            raise RstError(f"bad leaf token {excerpt(tok)}")
+        index = int(tok[1:])
+        return RstTree(index, index)  # a node of its own, not the shared leaf
+    if tok != "(":  # a label, which only an open bracket may precede
+        if not stack:
+            raise RstError(f"unbalanced tree string {excerpt(text)}")
+        if not isinstance(stack[-1], str) or stack[-1] != "(":
+            raise RstError("tree string: expected (label left right)")
+    stack.append(tok)
+    return None
 
 
 def reference_record_from_json(obj) -> DocumentRecord:
@@ -1215,6 +1236,25 @@ def traced_peak(call) -> tuple[int, int]:
         return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+
+
+def profiled_calls(call) -> int:
+    """The Python and C function calls made while ``call()`` runs, as
+    ``sys.setprofile`` sees them: deterministic for one input and one
+    interpreter, where a time is not."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" or event == "c_call":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-import dataclasses
+import pickle
 import random
 import re
 import sys
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rstkit import core
 from rstkit.core import (
+    Constituent,
     Corpus,
     DocumentRecord,
     EduSpan,
@@ -136,29 +137,27 @@ LEAF0, LEAF1, LEAF2 = RstTree.leaf(0), RstTree.leaf(1), RstTree.leaf(2)
 
 
 class TestRstTreeContract:
-    """``RstTree`` has a hand-written ``__init__`` but stays a frozen
-    dataclass whose every construction runs the node checks."""
+    """``RstTree`` is a frozen value type whose every construction runs the
+    node checks."""
 
     TREE = RstTree.internal(RstTree.internal(LEAF0, LEAF1, JOINT), LEAF2, "elaboration_NS")
 
     @pytest.mark.parametrize("name", ["first_edu", "last_edu", "label", "left", "right"])
     def test_assignment_and_deletion_raise(self, name):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(self.TREE, name, getattr(self.TREE, name))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
             delattr(self.TREE, name)
         assert not hasattr(self.TREE, "__dict__")
 
     def test_fields_and_replace(self):
-        assert [f.name for f in dataclasses.fields(RstTree)] == [
-            "first_edu", "last_edu", "label", "left", "right"
-        ]
-        relabeled = dataclasses.replace(self.TREE, label=JOINT)
+        assert RstTree._fields == ("first_edu", "last_edu", "label", "left", "right")
+        relabeled = self.TREE.replace(label=JOINT)
         assert relabeled.label is JOINT
         assert relabeled.left is self.TREE.left and relabeled.right is self.TREE.right
         assert relabeled == build_tree(((0, 1, "joint_NN"), 2, "joint_NN"))
         with pytest.raises(RstError, match=re.escape("cached span != union of children")):
-            dataclasses.replace(self.TREE, last_edu=3)
+            self.TREE.replace(last_edu=3)
 
     def test_keyword_construction_equals_positional(self):
         node = RstTree(first_edu=0, last_edu=1, label=JOINT, left=LEAF0, right=LEAF1)
@@ -206,7 +205,7 @@ def rebuilt_by_constructor(tree: RstTree) -> RstTree:
 
 class TestInternalBuilder:
     """``RstTree.internal`` is the one builder of internal nodes: it skips
-    ``__init__`` but keeps its checks, and its nodes are the dataclass's."""
+    ``__init__`` but keeps its checks, and its nodes are ``__init__``'s."""
 
     def test_equals_constructor_built_trees(self):
         rng = random.Random(24)
@@ -218,13 +217,13 @@ class TestInternalBuilder:
         tree = random_tree(random.Random(5), 12)
         for node in tree.internal_nodes():
             for name in ("first_edu", "last_edu", "label", "left", "right"):
-                with pytest.raises(dataclasses.FrozenInstanceError):
+                with pytest.raises(AttributeError, match="cannot assign"):
                     setattr(node, name, getattr(node, name))
-            relabeled = dataclasses.replace(node, label=JOINT)
+            relabeled = node.replace(label=JOINT)
             assert relabeled.label is JOINT and relabeled.left is node.left
             assert relabeled.right is node.right and relabeled.n_leaves == node.n_leaves
             with pytest.raises(RstError, match=re.escape("cached span != union")):
-                dataclasses.replace(node, last_edu=node.last_edu + 1)
+                node.replace(last_edu=node.last_edu + 1)
 
     def test_constructor_stores_a_parsed_string_label(self):
         node = RstTree(0, 1, "joint_NN", LEAF0, LEAF1)
@@ -233,8 +232,7 @@ class TestInternalBuilder:
         assert node == RstTree.internal(LEAF0, LEAF1, "joint_NN")
 
     def test_replace_stores_a_parsed_string_label(self):
-        node = dataclasses.replace(RstTree.internal(LEAF0, LEAF1, JOINT),
-                                   label="elaboration_NS")
+        node = RstTree.internal(LEAF0, LEAF1, JOINT).replace(label="elaboration_NS")
         assert node.label is RelationLabel.from_merged("elaboration_NS")
         assert tree_to_string(node) == "(elaboration_NS #0 #1)"
         assert node == RstTree.internal(LEAF0, LEAF1, "elaboration_NS")
@@ -320,8 +318,8 @@ class TestSharedLeaves:
 
 
 class TestEduSpanContract:
-    """``EduSpan`` has a hand-written ``__init__`` but keeps the frozen
-    dataclass's checks, fields, ``replace``, equality and hashing."""
+    """``EduSpan`` is a frozen value type: checks, fields, ``replace``,
+    equality and hashing."""
 
     @pytest.mark.parametrize("first, last", [(-1, 0), (-1, -1), (3, 2), (5, 0)])
     def test_invalid_spans_raise(self, first, last):
@@ -332,13 +330,13 @@ class TestEduSpanContract:
 
     def test_fields_replace_and_keywords(self):
         span = EduSpan(2, 5)
-        assert [f.name for f in dataclasses.fields(EduSpan)] == ["first_token", "last_token"]
-        assert dataclasses.replace(span, last_token=9) == EduSpan(2, 9)
+        assert EduSpan._fields == ("first_token", "last_token")
+        assert span.replace(last_token=9) == EduSpan(2, 9)
         assert EduSpan(last_token=5, first_token=2) == span
         assert (span.first_token, span.last_token, span.n_tokens) == (2, 5, 4)
         assert repr(span) == "EduSpan(first_token=2, last_token=5)"
         with pytest.raises(RstError, match=r"invalid EDU span \[6, 5\]"):
-            dataclasses.replace(span, first_token=6)
+            span.replace(first_token=6)
 
     def test_equality_and_hash(self):
         assert EduSpan(0, 3) == EduSpan(0, 3) and EduSpan(0, 3) != EduSpan(0, 4)
@@ -349,12 +347,95 @@ class TestEduSpanContract:
     @pytest.mark.parametrize("name", ["first_token", "last_token"])
     def test_assignment_and_deletion_raise(self, name):
         span = EduSpan(1, 4)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(span, name, 2)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
             delattr(span, name)
         assert not hasattr(span, "__dict__")
         assert (span.first_token, span.last_token) == (1, 4)
+
+
+def _value_makers():
+    """A maker of one instance of each hashable value type of the package."""
+    from rstkit import crf, decoder, metrics, preprocess
+
+    counts = metrics.MetricCounts(1, 2, 3)
+    rule = preprocess.RemapRule("cause", Nuclearity.NS, "cause-effect", None)
+    tree = build_tree((0, 1, "joint_NN"))
+    return {
+        "RelationLabel": lambda: RelationLabel("Joint", "NN"),
+        "EduSpan": lambda: EduSpan(0, 3),
+        "Constituent": lambda: Constituent(0, 2, "N", "span"),
+        "DocumentRecord": lambda: make_document("d", tree, sents=[0]).replace(tree=None),
+        "Corpus": lambda: Corpus([make_document("d", tree).replace(tree=None)]),
+        "DecodeConfig": lambda: decoder.DecodeConfig(["joint_NN", "elaboration_NS"], "beam", 4),
+        "MetricCounts": lambda: metrics.MetricCounts(1, 2, 3),
+        "ParsevalScores": lambda: metrics.ParsevalScores(counts, counts, counts, counts),
+        "CorpusStats": lambda: metrics.CorpusStats(1, 2, 3, 4, 9, 5.5, 6, 7.0, 8, 9, 10.0),
+        "RemapRule": lambda: preprocess.RemapRule("cause", Nuclearity.NS, "cause-effect", None),
+        "RemapTable": lambda: preprocess.RemapTable((rule,)),
+        "PreprocessReport": lambda: preprocess.PreprocessReport(
+            1, 2, 3, 1, (("a", 1),), (("b", 2),), ()),
+        "TrainConfig": lambda: crf.TrainConfig(3, 0.1, 0.0, 5),
+        "HashedWindowFeatures": lambda: crf.HashedWindowFeatures(16),
+    }
+
+
+class TestValueTypes:
+    """The value types keep what they had as frozen dataclasses: equality
+    and hash over their fields, the same repr, ``replace`` through
+    ``__init__``, and fields that cannot be assigned or deleted."""
+
+    @pytest.mark.parametrize("name", sorted(_value_makers()))
+    def test_equality_hash_repr_replace_and_pickle(self, name):
+        make = _value_makers()[name]
+        value, twin = make(), make()
+        names = type(value)._fields
+        fields = tuple(getattr(value, field) for field in names)
+        assert type(value).__name__ == name and value is not twin
+        assert value == twin and not value != twin
+        assert hash(value) == hash(twin) == hash(fields)
+        assert value != fields and value.__eq__(fields) is NotImplemented
+        shown = ", ".join(f"{field}={getattr(value, field)!r}" for field in names)
+        assert repr(value) == f"{name}({shown})"
+        assert value.replace() == value and value.replace() is not value
+        assert pickle.loads(pickle.dumps(value)) == value
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{names[0]}'"):
+            setattr(value, names[0], fields[0])
+        with pytest.raises(AttributeError, match=f"cannot delete field '{names[-1]}'"):
+            delattr(value, names[-1])
+        with pytest.raises(AttributeError):
+            value.extra = 1  # no __dict__
+        with pytest.raises(TypeError):
+            value.replace(no_such_field=1)
+
+    def test_replace_runs_the_checks(self):
+        from rstkit import decoder, metrics
+
+        with pytest.raises(RstError, match="matched count exceeds"):
+            metrics.MetricCounts(1, 2, 3).replace(gold=0)
+        with pytest.raises(RstError, match="greedy decoding has beam width 1, got 4"):
+            decoder.DecodeConfig(["joint_NN"], "beam", 4).replace(strategy="greedy")
+        with pytest.raises(RstError, match="relation name must be non-empty"):
+            RelationLabel("joint", "NN").replace(relation=" ")
+        assert RelationLabel("joint", "NN").replace(nuclearity="NS").merged == "joint_NS"
+
+    def test_model_and_features_keep_their_own_contracts(self):
+        import numpy as np
+
+        from rstkit import crf
+
+        model = crf.CrfModel.create(3)
+        model.start = np.ones(2)  # a single writer may mutate a model
+        assert model.start.tolist() == [1.0, 1.0]
+        with pytest.raises(TypeError, match="unhashable type: 'CrfModel'"):
+            hash(model)
+        with pytest.raises(TypeError, match="unhashable type: 'RstTree'"):
+            hash(RstTree.leaf(0))
+        rows = np.zeros((2, 1), dtype=np.int32), np.ones((2, 1))
+        features = crf.SparseFeatures(*rows, 4)
+        assert features == features and features != crf.SparseFeatures(*rows, 4)
+        assert hash(features) == object.__hash__(features)
 
 
 class TestEnumerateConstituents:
@@ -518,12 +599,12 @@ class TestDocumentRecord:
             n = rng.randint(1, 12)
             doc = make_document(f"d{i}", random_tree(rng, n), random_edus(rng, n), sents=[0])
             if i % 2:
-                doc = dataclasses.replace(doc, tree=None)
+                doc = doc.replace(tree=None)
             old_tree, tree = doc.tree, random_tree(rng, n)
             swapped = doc.with_tree(tree)
-            assert swapped == dataclasses.replace(doc, tree=tree)
+            assert swapped == doc.replace(tree=tree)
             assert swapped.tree is tree and doc.tree is old_tree
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match="cannot assign to field 'tree'"):
                 swapped.tree = old_tree  # type: ignore[misc]
 
     @pytest.mark.parametrize("n_leaves, first", [(2, 0), (4, 0), (3, 1)])
@@ -570,7 +651,7 @@ class TestCorpus:
             make_document("a", build_tree((0, 1, "joint_NN"))),
         ]
         corpus = Corpus(docs)
-        assert [field.name for field in dataclasses.fields(corpus)] == ["documents"]
+        assert corpus._fields == ("documents",)
         assert corpus.documents == tuple(docs) and list(corpus) == docs
         assert len(corpus) == 2
 

@@ -5,7 +5,6 @@ import re
 import sys
 import threading
 import unicodedata
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -402,7 +401,7 @@ class TestSerializeRs3:
         assert text.count("<group") == 1
 
     def test_record_without_tree_is_rejected(self):
-        doc = replace(make_document("d", build_tree((0, 1, "joint_NN"))), tree=None)
+        doc = make_document("d", build_tree((0, 1, "joint_NN"))).replace(tree=None)
         with pytest.raises(RstError, match="d has no tree"):
             serialize_rs3(doc)
 
@@ -578,6 +577,8 @@ _SPACING_CASES = [
     "(joint_NN #9 #1_0)",
     "(joint_NN #2 #\u0663)",  # an Arabic-Indic three
     "(joint_NN #4095 #4096)",  # past the cap: a leaf of its own
+    "(joint_NN #0 #1) x",  # a label outside any bracket
+    "x )",
     "#-1",
     "(joint_NN #0 #00)",
     "(joint_NN #-0 #1)",
@@ -655,6 +656,29 @@ class TestTreeStrings:
                 tree = tree_from_string(text)
                 assert tree == expected
                 assert_shared_leaves(tree)
+
+    @pytest.mark.parametrize("text, message", [
+        ("(joint_NN #0 #01)", "bad leaf token (length 3): '#01' at character 14"),
+        ("( joint_NN #0 #1 ) )", "unbalanced ')' in tree string at character 20"),
+        ("#0 #1", "multiple root nodes in tree string at character 4"),
+        ("(joi\u2003nt_NN #0 #1)", "tree string: expected (label left right) at character 6"),
+        ("()", "tree string: expected (label left right) at character 2"),
+        ("(joint #0 #1)", "not a relation_NUC label (length 5): 'joint' at character 13"),
+        ("(joint_NN #0 (elaboration_NS #2 #3))",
+         "left child ends at EDU 0, right child starts at EDU 2 at character 36"),
+        ("elaboration_NS #0", "unbalanced tree string (length 17): 'elaboration_NS #0' "
+                              "at character 1"),
+        ("(elaboration_NS #0", "unbalanced tree string (length 18): '(elaboration_NS #0' "
+                               "at character 19"),
+        ("", "unbalanced tree string (length 0): '' at character 1"),
+    ])
+    def test_an_error_gives_the_offset_of_its_token(self, text, message):
+        # the 1-based character where the token the error showed at starts,
+        # or one past the end of a string that ends too soon
+        for parse in (tree_from_string, reference_tree_from_string):
+            with pytest.raises(RstError) as err:
+                parse(text)
+            assert str(err.value) == message
 
     def test_leaf_table_is_capped(self, monkeypatch):
         monkeypatch.setattr(treebank, "_LEAF_TOKENS", {})
@@ -977,8 +1001,8 @@ class TestReaderOracle:
             obj = random_record_obj(rng, f"d{i}")
             fast = record_from_json(json.loads(json.dumps(obj)))
             slow = reference_record_from_json(json.loads(json.dumps(obj)))
-            for field in fields(DocumentRecord):
-                assert getattr(fast, field.name) == getattr(slow, field.name), field.name
+            for name in DocumentRecord._fields:
+                assert getattr(fast, name) == getattr(slow, name), name
             if fast.tree is not None:
                 # one shared label instance per merged string in the input
                 distinct = set(re.findall(r"\(([^\s()]+)", obj["tree"]))
