@@ -8,12 +8,13 @@ forest under ``--no-split-forests``) is reported before an XML error in a
 later one.  ``segment`` and ``parse`` keep the input order and read their
 input once.
 ``stats`` (always), ``segment`` and ``parse`` stream documents one at a
-time, so their memory stays bounded by the largest document (``stats``
-keeps each id and token count); ``train-segmenter`` holds only the
-documents of its ``--split``.  ``eval`` walks its two files in step: it
-reads a gold document, then predictions up to that document's, so it holds
-only the predictions that arrive ahead of their gold document (none when
-both files are in one order, as ``convert`` and ``parse`` write them).
+time, so they hold the largest document plus each id read, which the
+duplicate-id check keeps (``stats`` also keeps each token count);
+``train-segmenter`` holds only the documents of its ``--split``.  ``eval``
+walks its two files in step: it reads a gold document, then predictions up
+to that document's, so it holds only the predictions that arrive ahead of
+their gold document (none when both files are in one order, as ``convert``
+and ``parse`` write them).
 ``parse --scores`` walks its corpus and score dump the same way and holds
 one document's run of the dump; of two bad lines each reports the first
 its walk meets.  Every input file read line by line goes through
@@ -415,13 +416,13 @@ def cmd_parse(args) -> int:
                 provider = OracleProvider(doc.tree, labels)
             elif args.baseline is not None:
                 provider = RightBranchingProvider(args.baseline, labels)
-            else:
+            elif len(doc.edus) > 1:  # decode asks a lone EDU nothing
                 provider = score_table.provider(doc.doc_id)  # type: ignore[union-attr]
-            if labels:
+            if len(doc.edus) > 1:
                 tree = decode(len(doc.edus), provider, config_for(labels))
-            else:  # a lone EDU: its gold tree is a leaf with no label
+                del provider  # so the next run is read without this one held
+            else:  # a lone EDU: its tree is a leaf with no label
                 tree = RstTree.leaf(0)
-            del provider  # so the next run is read without this one held
             tb_mod.write_record(out, doc.with_tree(tree))
             count += 1
         if score_table is not None:  # check the lines no document read

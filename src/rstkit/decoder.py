@@ -16,15 +16,16 @@ A provider must answer a repeated query the same way: decode() asks each
 distinct query once and reuses the answer, and tree_score() assumes the
 trees it scores were built from the same answers.
 
-Greedy and beam decoding are one search.  A path is a partial tree that
-grows by splitting its leftmost pending range; every tree over n EDUs has
-n-1 internal nodes, so the search runs exactly n-1 steps.  Each step
-expands every path over its split points, keeps the top-w candidates by
-accumulated score, and commits each survivor to its argmax label.  Other
-labelings are dominated (label scores are additive and local), so dropping
-them loses nothing; with a beam at least as wide as the number of binary
-shapes, the search is exhaustive.  Greedy decoding is width 1.  Ties break
-deterministically: earlier split point first, then lower label index;
+A path is a partial tree that grows by splitting its leftmost pending
+range, and each split it takes is committed to its argmax label; other
+labelings are dominated (label scores are additive and local).  A tree over
+n EDUs has n-1 internal nodes, so a search takes exactly n-1 steps.  Greedy
+decoding walks one stack of pending ranges: it pops the leftmost, takes its
+best split and pushes the halves still to split.  Beam decoding generalizes
+that walk over w paths: each step expands every path over its split points
+and keeps the top-w candidates by accumulated score, so a beam as wide as
+the number of binary shapes is exhaustive.  Both keep one tie rule on the
+same rounded sums: the earlier split point first, then the lower label index;
 across paths, the earlier decision sequence wins.  Paths share their
 history through parent pointers, so no step copies it.
 
@@ -40,7 +41,7 @@ Greedy and beam runs of one decode() share a memo of split vectors and
 label argmaxes, so the provider is asked each distinct query once per call.
 
 Pruning on partial scores can drop the greedy path, so a beam may end below
-greedy.  decode() therefore also runs width 1 and keeps that tree when it
+greedy.  decode() therefore also walks greedily and keeps that tree when it
 scores strictly higher: widening the beam never loses to greedy.
 
 decode() is pure; documents can be decoded in parallel as long as the
@@ -67,6 +68,8 @@ __all__ = [
     "RightBranchingProvider",
     "ScoreTable",
 ]
+
+_FLAT = (list, array)  # the score vector types read as they are
 
 
 class ScoreProvider(ABC):
@@ -125,7 +128,7 @@ class DecodeConfig(_Value):
 def _vector(scores, query: str, args: tuple, length: int) -> Sequence[float]:
     """A provider's answer ``scores`` to ``query(*args)``, checked to be a
     flat sequence of numbers of the given length."""
-    if type(scores) is not list and type(scores) is not array:
+    if type(scores) not in _FLAT:
         try:
             scores = array("d", scores)
         except (TypeError, OverflowError) as exc:  # nested, or not numbers
@@ -137,6 +140,47 @@ def _vector(scores, query: str, args: tuple, length: int) -> Sequence[float]:
             f"{query}{args} must have length {length}, got length {len(scores)}"
         )
     return scores
+
+
+def _greedy(n: int, provider: ScoreProvider, n_labels: int, memo: dict) -> tuple:
+    """The path ``_search`` keeps at width 1, over n >= 2 EDUs: the pending
+    ranges are one stack, leftmost on top, and each step takes the first of
+    the equal minima of ``base - s``, as ``_search`` does.  As ``base - s``
+    never rises when a finite ``s`` does, that minimum is ``base - max(s)``,
+    and only an earlier ``s`` that rounds to it can come first.  An answer
+    already in ``memo`` is not asked again; the walk adds none, as decode()
+    runs it last."""
+    path, pending = (0.0, None, None, None), [(0, n)]
+    while pending:
+        start, end = rng = pending.pop()
+        scores = memo.get(rng)
+        if scores is None:
+            scores = provider.split_scores(start, end)
+            if type(scores) not in _FLAT or len(scores) != end - start - 1:
+                scores = _vector(scores, "split_scores", rng, end - start - 1)
+        base = -path[0]
+        top = max(scores)
+        k = scores.index(top)
+        low = base - top
+        if k and base - max(scores[:k]) == low:  # a rounding tie
+            neg = [base - s for s in scores]
+            k = neg.index(low)
+            low = neg[k]
+        split = start + 1 + k
+        label = memo.get((start, split, end))
+        if label is None:
+            left, right = (start, split), (split, end)
+            scores = provider.label_scores(left, right)
+            if type(scores) not in _FLAT or len(scores) != n_labels:
+                scores = _vector(scores, "label_scores", (left, right), n_labels)
+            top = max(scores)
+            label = (top, scores.index(top))
+        path = (-low + label[0], (start, end, split, label[1]), path, None)
+        if end - split >= 2:
+            pending.append((split, end))
+        if split - start >= 2:
+            pending.append((start, split))
+    return path
 
 
 def _search(
@@ -169,11 +213,8 @@ def _search(
             rows.append((-score, scores))
         # one comprehension per step, not per path: each one is a function call
         neg = [base - s for base, scores in rows for s in scores]
-        if width == 1:
-            picks = (neg.index(min(neg)),)  # the first of equal minima
-        else:
-            # re-sorted by flat index, the survivors stay in decision order
-            picks = sorted(sorted(range(len(neg)), key=neg.__getitem__)[:width])
+        # re-sorted by flat index, the survivors stay in decision order
+        picks = sorted(sorted(range(len(neg)), key=neg.__getitem__)[:width])
         survivors = []
         for k in picks:
             # every path has a candidate, so offsets strictly increase
@@ -223,12 +264,12 @@ def decode(n: int, provider: ScoreProvider, config: DecodeConfig) -> RstTree:
         raise RstError("cannot decode an empty document")
     if n == 1:
         return RstTree.leaf(0)
-    n_labels, memo = len(config.labels), {}
-    best = _search(n, provider, n_labels, 1, memo)
-    if config.beam_width > 1:
+    n_labels, memo, beam = len(config.labels), {}, None
+    if config.beam_width > 1:  # first, so that the greedy walk takes its answers
         beam = _search(n, provider, n_labels, config.beam_width, memo)
-        if not best[0] > beam[0]:  # greedy wins only when strictly better
-            best = beam
+    best = _greedy(n, provider, n_labels, memo)
+    if beam is not None and not best[0] > beam[0]:  # greedy wins only if better
+        best = beam
     return _tree(best, config.relations)
 
 
@@ -438,7 +479,7 @@ class ScoreTable:
     an integer score stays an ``int``; the decoder turns it into a double
     exactly where it would turn the same number spelled as a float.  A
     document's lines form one contiguous run: a line for a document whose
-    run has ended raises RstError naming it.
+    run has ended raises RstError naming it; a one-EDU document needs none.
 
     ``provider(doc)`` reads the dump to the end of that document's run,
     keeping the runs it passes, and ``finish()`` reads the rest; a bad line

@@ -43,6 +43,7 @@ from .core import (
     SchemaViolation,  # raised by the readers here, and caught under this name
     Split,
     _INTERN_LIMIT,
+    _INTERNED,
     check_sentence_starts,
     excerpt,
 )
@@ -395,18 +396,31 @@ def component_to_record(
 # Bracketed tree strings
 # ---------------------------------------------------------------------------
 
+# "#k" for each k below its length; like core._LEAVES, it is only ever
+# replaced by a longer tuple, never appended to.
+_SPELLINGS: tuple[str, ...] = ()
+
+
 def tree_to_string(tree: RstTree) -> str:
     """Render a tree as ``(rel_NUC left right)`` with ``#k`` leaves."""
+    global _SPELLINGS
+    spellings = _SPELLINGS
+    known = len(spellings)
+    if known <= min(tree.last_edu, _INTERN_LIMIT - 1):
+        size = min(max(tree.last_edu + 1, 2 * known), _INTERN_LIMIT)
+        spellings = _SPELLINGS = spellings + tuple(map("#{}".format, range(known, size)))
+        known = size
     pieces: list[str] = []
     stack: list[RstTree | str] = [tree]
     while stack:
         node = stack.pop()
         if type(node) is str:
             pieces.append(node)
-        elif node.is_leaf:
-            pieces.append(f"#{node.first_edu}")
+        elif node.left is None:
+            k = node.first_edu
+            pieces.append(spellings[k] if k < known and type(k) is int else f"#{k}")
         else:
-            pieces.append(f"({node.label.merged}")  # type: ignore[union-attr]
+            pieces.append("(" + node.label.merged)  # type: ignore[union-attr]
             stack += (")", node.right, node.left)  # type: ignore[arg-type]
     # Labels hold no space or parenthesis, so " )" occurs only before a close.
     return " ".join(pieces).replace(" )", ")")
@@ -424,19 +438,19 @@ def tree_from_string(text: str) -> RstTree:
     One pass over the tokens with one stack: ``None`` marks an open
     bracket, which only a label may follow directly, then come the child
     nodes.  Each node is built by ``RstTree.internal``, which checks
-    adjacency, and each ``#k`` is the shared ``RstTree.leaf(k)``, found by
-    its text in ``_LEAF_TOKENS`` once it has been seen.  A leaf token is
-    ``#`` and ASCII digits with no leading zero, as tree_to_string writes
-    it.  Tokens
-    are brackets and the runs between brackets and whitespace (that of
-    ``str.split``, the same code points as the regular expression ``\\s``).
+    adjacency, from the label that ``core._INTERNED`` holds for its text if
+    any, and each ``#k`` is the shared ``RstTree.leaf(k)``, found by its
+    text in ``_LEAF_TOKENS`` once it has been seen.  A leaf token is ``#``
+    and ASCII digits with no leading zero, as tree_to_string writes it.
+    Tokens are brackets and the runs between brackets and whitespace (that
+    of ``str.split``, the same code points as the regular expression ``\\s``).
     An error ends with the 1-based character offset of the token it showed
     at (a bad label, or children that do not meet, at the bracket closing
     their frame), or one past the end for a string that ends too soon.
     """
     stack: list = []  # None (an open bracket), label strings and nodes
     root: RstTree | None = None
-    seen_leaf = _LEAF_TOKENS.get
+    seen_leaf, interned = _LEAF_TOKENS.get, _INTERNED.get
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     rest = iter(tokens)
     try:
@@ -454,7 +468,7 @@ def tree_from_string(text: str) -> RstTree:
                 # third from the top these four are the whole innermost frame.
                 if type(name) is not str or left is None or right is None:
                     raise RstError("tree string: expected (label left right)")
-                node = RstTree.internal(left, right, name)
+                node = RstTree.internal(left, right, interned(name, name))
             elif tok[0] == "#":
                 node = seen_leaf(tok)
                 if node is None:

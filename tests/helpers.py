@@ -12,7 +12,8 @@ character at a time, rs3 forests from a resolver that classifies every
 child when its parent is built, records from tokenizing one EDU at a
 time, and sentence statistics from a scan over every EDU.
 The package reads ``.rs3`` and never writes it: the rs3 fixture writer is
-here, beside ``write_corpus`` for canonical fixture files.
+here, beside ``write_corpus`` for canonical fixture files and
+``write_workload_inputs`` for the benchmark workloads' inputs.
 Trees are written in tests as nested ``(left, right, label)`` descriptions
 (:func:`build_tree`).
 """
@@ -1277,3 +1278,90 @@ def dump_remap_table(table: RemapTable, path) -> None:
     """Write a remap table as rule text, the inverse of ``load_remap_table``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(table.as_text())
+
+
+# ---------------------------------------------------------------------------
+# The benchmark workloads' inputs, at small scale
+# ---------------------------------------------------------------------------
+
+WORKLOAD_LABELS = (*TEST_LABELS, "background_NS", "contrast_NN")
+_WORDS = ("the", "river", "said", "that", "we", "would", "go", "north", "after",
+          "rain", "и", "мир", "because", "nobody", "knew", "why")
+
+
+def workload_document(rng: random.Random, doc_id: str, n: int, genre: str = "news",
+                      split: str = "train") -> DocumentRecord:
+    """A seeded document of ``n`` EDUs, each a few words that end in a comma
+    or a full stop; a sentence starts after each full stop."""
+    tokens: list[str] = []
+    edus, sents = [], [0]
+    for i in range(n):
+        first = len(tokens)
+        tokens += rng.choices(_WORDS, k=rng.randint(1, 5))
+        if i == n - 1 or rng.random() < 0.4:
+            tokens.append(".")
+            if i < n - 1:
+                sents.append(len(tokens))
+        else:
+            tokens.append(",")
+        edus.append(EduSpan(first, len(tokens) - 1))
+    starts = list(itertools.accumulate((len(t) + 1 for t in tokens[:-1]), initial=0))
+    return DocumentRecord(doc_id=doc_id, genre=genre, lang="en", tokens=tuple(tokens),
+                          char_starts=tuple(starts), edus=tuple(edus),
+                          tree=random_tree(rng, n, WORKLOAD_LABELS),
+                          sentence_boundaries=tuple(sents), split=split)
+
+
+def write_workload_inputs(work, seed: int) -> None:
+    """Write the inputs of the three benchmark workloads into ``work``, under
+    the file names their stage command lines read, at a small scale:
+
+    * ``treebank-gum``: ``rs3/`` with ten one-tree ``GUM_<genre>_<k>.rs3``
+      files and one forest of eleven trees, three of them one EDU long (so
+      that sorting by id reorders its parts), and ``gum.sents`` for all;
+    * ``segmenter``: ``train.jsonl`` and ``test.jsonl``;
+    * ``beam-scores``: ``gold.jsonl``, its sorted inventory ``labels.txt``
+      and ``scores.jsonl``, a dump of every split and label query of each
+      document, drawn from a few small values so that equal scores, equal
+      sums and JSON integers are everywhere.
+    """
+    rng = random.Random(seed)
+    rs3 = work / "rs3"
+    rs3.mkdir()
+    sents = []
+    for k in range(10):
+        genre = ("news", "academic", "fiction", "interview")[k % 4]
+        doc = workload_document(rng, f"GUM_{genre}_{k}", rng.randint(2, 30), genre)
+        (rs3 / f"{doc.doc_id}.rs3").write_bytes(serialize_rs3(doc))
+        sents.append(f"{doc.doc_id}\t{' '.join(map(str, doc.sentence_boundaries))}\n")
+    parts = [workload_document(rng, f"p{i}", n, "whow")
+             for i, n in enumerate((3, 1, 5, 2, 1, 8, 4, 1, 2, 6, 3))]
+    (rs3 / "GUM_whow_forest.rs3").write_bytes(serialize_rs3_forest(parts))
+    sents += (f"GUM_whow_forest_part_{i}\t{' '.join(map(str, doc.sentence_boundaries))}\n"
+              for i, doc in enumerate(parts, start=1))
+    (work / "gum.sents").write_text("".join(sents), encoding="utf-8")
+
+    for split, count in (("train", 6), ("test", 6)):
+        docs = [workload_document(rng, f"{split}{i}", rng.randint(8, 24), split=split)
+                for i in range(count)]
+        write_corpus(docs, work / f"{split}.jsonl")
+
+    gold = [workload_document(rng, f"beam{i}", rng.randint(2, 16), split="test")
+            for i in range(8)]
+    write_corpus(gold, work / "gold.jsonl")
+    labels = sorted(label_histogram(gold))
+    (work / "labels.txt").write_text("".join(f"{x}\n" for x in labels), encoding="utf-8")
+    values = (0, 1, 2, 0.5, -1.5)
+    with open(work / "scores.jsonl", "w", encoding="utf-8") as fh:
+        for doc in gold:
+            n = len(doc.edus)
+            for start in range(n - 1):
+                for end in range(start + 2, n + 1):
+                    fh.write(json.dumps({"doc": doc.doc_id, "kind": "split", "start": start,
+                                         "end": end, "scores": rng.choices(
+                                             values, k=end - start - 1)}) + "\n")
+                    for split in range(start + 1, end):
+                        fh.write(json.dumps({"doc": doc.doc_id, "kind": "label",
+                                             "left": [start, split], "right": [split, end],
+                                             "scores": rng.choices(values, k=len(labels))})
+                                 + "\n")

@@ -1164,6 +1164,30 @@ class TestSinglePassParse:
         assert main(["parse", str(path), "-o", str(out), "--oracle"]) == 0
         assert out.read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("beam", ["1", "4"])
+    def test_a_single_edu_document_needs_no_scores(self, beam, tmp_path, capsys):
+        # decode asks nothing for a lone EDU, so a dump recorded from its
+        # queries holds no line for one
+        docs = [make_document("one", RstTree.leaf(0)),
+                make_document("two", random_tree(random.Random(5), 2))]
+        corpus, scores = tmp_path / "corpus.jsonl", tmp_path / "scores.jsonl"
+        write_corpus(docs, corpus)
+        inventory = tmp_path / "labels.txt"
+        inventory.write_text("".join(f"{x}\n" for x in TEST_LABELS), encoding="utf-8")
+        lines = [{"kind": "split", "start": 0, "end": 2, "scores": [0.5]},
+                 {"kind": "label", "left": [0, 1], "right": [1, 2],
+                  "scores": [0.0, 0.0, 0.0, 2.0, 0.0]}]
+        scores.write_text("".join(json.dumps({"doc": "two", **line}) + "\n"
+                                  for line in lines), encoding="utf-8")
+        out = tmp_path / "pred.jsonl"
+        assert main(["parse", str(corpus), "-o", str(out), "--scores", str(scores),
+                     "--inventory", str(inventory), "--beam", beam]) == 0
+        assert capsys.readouterr().out == f"parsed 2 documents -> {out}\n"
+        assert [doc.tree for doc in iter_canonical(out)] == [
+            RstTree.leaf(0),
+            RstTree.internal(RstTree.leaf(0), RstTree.leaf(1), TEST_LABELS[3]),
+        ]
+
     def test_zero_beam_is_a_user_error(self, tmp_path, capsys):
         # even when no document of the input needs a decode config
         docs = [make_document(f"s{i}", RstTree.leaf(0)) for i in range(3)]
@@ -1180,26 +1204,51 @@ class TestScalingGates:
     """A command that streams its corpus works in proportion to it and
     holds one document at a time: on the corpus repeated four times
     (``helpers.repeat_corpus``) it makes at most four times the calls, and
-    its peak grows by less than one document plus the id that each extra
-    document leaves in the reader's duplicate-id check."""
+    its peak grows by less than one document plus what the ``cli``
+    docstring lets it keep of each extra document: the id that the reader's
+    duplicate-id check keeps, and for some commands more (``KEPT``)."""
 
     COMMANDS = {
-        "parse --oracle": ["parse", "{corpus}", "--oracle"],
-        "parse --baseline": ["parse", "{corpus}", "--baseline", "joint_NN"],
-        "segment": ["segment", "{model}", "{corpus}"],
+        "parse --oracle": ["parse", "{corpus}", "--oracle", "-o", "{out}"],
+        "parse --baseline": ["parse", "{corpus}", "--baseline", "joint_NN", "-o", "{out}"],
+        "segment": ["segment", "{model}", "{corpus}", "-o", "{out}"],
+        "stats": ["stats", "{corpus}"],
+        "eval --end-to-end": ["eval", "{corpus}", "{corpus}", "--end-to-end"],
+        "preprocess": ["preprocess", "{corpus}", "-o", "{out}"],
+        # the corpus repeated is in the test split, so the training set is fixed
+        "train-segmenter --split": ["train-segmenter", "{mixed}", "--split", "train",
+                                    "--epochs", "1", "--buckets", "64", "-o", "{out}.npz"],
     }
+    # Bytes an extra document may leave beyond its id, which costs ~100:
+    # ``stats`` keeps its id in a second set and its token count, ``eval``
+    # reads it in both files, and ``preprocess`` keeps its canonical line
+    # in an (id, line) pair, ~200 bytes more than the line's text.
+    KEPT = {"stats": 512, "eval --end-to-end": 512, "preprocess": "line"}
 
     @pytest.fixture(scope="class")
     def work(self, tmp_path_factory):
         """24 seeded documents of 30 EDUs, the same repeated four times
-        (``.x4``), the largest alone (``largest.jsonl``) and a segmenter."""
+        (``.x4``), the largest alone (``largest.jsonl``), two training
+        documents before the 24 in the test split (``mixed.jsonl``) and
+        before those repeated four times (``mixed.x4``), and a segmenter."""
         work = tmp_path_factory.mktemp("scaling")
         rng = random.Random(30)
-        docs = [make_document(f"m{i}", random_tree(rng, 30), random_edus(rng, 30, 20))
-                for i in range(24)]
+
+        def document(doc_id):
+            tree, edus = random_tree(rng, 30), random_edus(rng, 30, 20)
+            return make_document(doc_id, tree, edus,
+                                 sents=[0, edus[10].first_token, edus[20].first_token])
+
+        docs = [document(f"m{i}") for i in range(24)]
         write_corpus(docs, work / "corpus.jsonl")
         repeat_corpus(work / "corpus.jsonl", 4, work / "corpus.x4")
         write_corpus([max(docs, key=lambda doc: len(doc.tokens))], work / "largest.jsonl")
+        write_corpus([doc.replace(split="test") for doc in docs], work / "test.jsonl")
+        repeat_corpus(work / "test.jsonl", 4, work / "test.x4")
+        write_corpus([document(f"t{i}") for i in range(2)], work / "train.jsonl")
+        for suffix in (".jsonl", ".x4"):
+            (work / f"mixed{suffix}").write_bytes((work / "train.jsonl").read_bytes()
+                                                  + (work / f"test{suffix}").read_bytes())
         extractor = crf_mod.HashedWindowFeatures(64)
         with open(work / "model.npz", "wb") as fh:
             crf_mod.save_model(crf_mod.CrfModel.create(extractor.dim), fh, extractor)
@@ -1207,19 +1256,25 @@ class TestScalingGates:
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_work_and_memory_grow_with_the_documents(self, command, work, capsys):
-        def run(corpus):
-            argv = [arg.format(corpus=work / corpus, model=work / "model.npz")
-                    for arg in self.COMMANDS[command]]
-            return lambda: _succeeds([*argv, "-o", str(work / "out.jsonl")])
+        out = work / "out"
 
-        run("corpus.jsonl")()  # warm caches
-        calls = profiled_calls(run("corpus.x4")) / profiled_calls(run("corpus.jsonl"))
-        grown = traced_peak(run("corpus.x4"))[1] - traced_peak(run("corpus.jsonl"))[1]
+        def run(suffix):
+            argv = [arg.format(corpus=work / f"corpus{suffix}", mixed=work / f"mixed{suffix}",
+                               model=work / "model.npz", out=out)
+                    for arg in self.COMMANDS[command]]
+            return lambda: _succeeds(argv)
+
+        run(".jsonl")()  # warm caches
+        kept = self.KEPT.get(command, 0)
+        if kept == "line":  # the mean line of the output, held in its pair
+            kept = out.stat().st_size / 24 + 256
+        calls = profiled_calls(run(".x4")) / profiled_calls(run(".jsonl"))
+        grown = traced_peak(run(".x4"))[1] - traced_peak(run(".jsonl"))[1]
         held = traced_peak(lambda: list(iter_canonical(work / "largest.jsonl")))[0]
         capsys.readouterr()
         assert calls <= 4.0
-        # an id costs ~100 bytes; the largest document held costs ~6 KB
-        assert grown < held + 72 * 128
+        # the largest document held costs ~8 KB
+        assert grown < held + 72 * (128 + kept)
 
 
 class TestDeeplyNestedJson:

@@ -13,8 +13,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from rstkit import decoder as decoder_mod
 from rstkit.cli import main
-from rstkit.core import RstError, RstTree, SchemaViolation
+from rstkit.core import RelationLabel, RstError, RstTree, SchemaViolation
 from rstkit.decoder import (
     DecodeConfig,
     OracleProvider,
@@ -1061,3 +1062,83 @@ class TestProviderRepresentations:
             decode(5, provider, CONFIG)
         with pytest.raises(RstError, match=message):
             tree_score(decode(5, base, CONFIG), provider, TEST_LABELS)
+
+
+class Refusing(ScoreProvider):
+    """A provider that fails any query."""
+
+    def split_scores(self, start, end):
+        raise AssertionError(f"split_scores{(start, end)} asked")
+
+    def label_scores(self, left, right):
+        raise AssertionError(f"label_scores{(left, right)} asked")
+
+
+def _decisions(path):
+    """The (start, end, split, label) decisions of a search path, last first."""
+    out = []
+    while path[1] is not None:
+        out.append(path[1])
+        path = path[2]
+    return out
+
+
+class TestGreedyWalk:
+    """``decoder._greedy`` walks one stack of pending ranges; it must keep
+    the score and decisions of the width-1 beam, ``_search(width=1)``, ask
+    the same queries, and agree with ``reference_search`` at width 1."""
+
+    RELATIONS = tuple(map(RelationLabel.from_merged, TEST_LABELS))
+    PROVIDERS = {
+        # equal maxima everywhere: float 0, 1 and 2
+        "equal maxima": IntegerProvider,
+        # once a path carries 1e16, ``base - s`` rounds distinct scores equal
+        "rounding ties": RoundingTieProvider,
+        # the same scores as Python ints, as a score dump's JSON integers
+        "integer scores": lambda seed: Served(IntegerProvider(seed),
+                                              lambda v: [int(x) for x in v]),
+        "numpy vectors": lambda seed: Served(RandomProvider(seed), np.array),
+        "tuples with ties": lambda seed: Served(EdgeSplitProvider(seed, True), tuple),
+        "edge splits": EdgeSplitProvider,
+    }
+
+    @pytest.mark.parametrize("kind", PROVIDERS)
+    def test_path_and_queries_match_the_width_1_search(self, kind):
+        for seed in range(120):
+            n = 2 + seed % 40  # up to 41 EDUs
+            greedy_log = QueryLog(self.PROVIDERS[kind](seed))
+            search_log = QueryLog(self.PROVIDERS[kind](seed))
+            greedy = decoder_mod._greedy(n, greedy_log, len(TEST_LABELS), {})
+            search = decoder_mod._search(n, search_log, len(TEST_LABELS), 1, {})
+            assert greedy[0] == search[0], (seed, greedy[0], search[0])
+            assert _decisions(greedy) == _decisions(search), seed
+            assert greedy_log.asked == search_log.asked, seed
+            assert set(greedy_log.asked.values()) == {1}, seed
+            score, expected = reference_search(n, greedy_log.base, TEST_LABELS, 1)
+            assert greedy[0] == score, (seed, greedy[0], score)
+            assert decoder_mod._tree(greedy, self.RELATIONS) == expected, seed
+
+    def test_answers_in_the_memo_are_not_asked_again(self):
+        # the width-1 search fills the memo with every answer the walk needs
+        for seed in range(20):
+            n = 2 + seed
+            memo = {}
+            first = decoder_mod._search(n, RandomProvider(seed), len(TEST_LABELS), 1, memo)
+            again = decoder_mod._greedy(n, Refusing(), len(TEST_LABELS), memo)
+            assert again[0] == first[0] and _decisions(again) == _decisions(first)
+
+    def test_decode_walks_greedily_and_runs_the_beam_only_above_width_1(
+        self, monkeypatch
+    ):
+        widths = []
+        search = decoder_mod._search
+
+        def spy(n, provider, n_labels, width, memo):
+            widths.append(width)
+            return search(n, provider, n_labels, width, memo)
+
+        monkeypatch.setattr(decoder_mod, "_search", spy)
+        for width in (1, 4):
+            config = DecodeConfig(TEST_LABELS, "beam" if width > 1 else "greedy", width)
+            decode(9, RandomProvider(width), config)
+        assert widths == [4]

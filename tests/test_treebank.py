@@ -732,6 +732,50 @@ class TestTreeStrings:
             assert leaf is RstTree.leaf(int(spelling[1:]))
             assert spelling == f"#{leaf.first_edu}"
 
+    def test_leaf_spellings_are_shared_and_capped(self, monkeypatch):
+        # tree_to_string takes "#k" from a table shared by every call; past
+        # the cap it spells the leaf anew, and the table never outgrows it
+        monkeypatch.setattr(treebank, "_SPELLINGS", ())
+        limit = core._INTERN_LIMIT
+        rng = random.Random(9)
+        for first in (0, 3, 40, limit - 5, limit - 1, limit, limit + 20, 10**6):
+            tree = random_tree(rng, rng.randint(1, 12), first=first)
+            assert tree_to_string(tree) == reference_tree_to_string(tree)
+        assert treebank._SPELLINGS == tuple(f"#{k}" for k in range(limit))
+        # a bool leaf is spelled as it always was, whatever the table holds
+        assert tree_to_string(RstTree.leaf(True)) == "#True"
+
+    def test_concurrent_renders_never_spell_a_wrong_leaf(self, monkeypatch):
+        # Threads race to grow the table; a lost update costs a copy, never
+        # a wrong spelling, and the table never outgrows the cap.
+        limit = core._INTERN_LIMIT
+        wrong: list[str] = []
+
+        def work(seed: int) -> None:
+            rng = random.Random(seed)
+            for _ in range(200):
+                tree = random_tree(rng, rng.randint(1, 6), first=rng.randrange(limit + 8))
+                if tree_to_string(tree) != reference_tree_to_string(tree):
+                    wrong.append(reference_tree_to_string(tree))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(4):
+                monkeypatch.setattr(treebank, "_SPELLINGS", ())  # grown anew each round
+                threads = [threading.Thread(target=work, args=(8 * round_ + k,))
+                           for k in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert len(treebank._SPELLINGS) <= limit
+        assert all(spelling == f"#{k}" for k, spelling in enumerate(treebank._SPELLINGS))
+
     def test_split_whitespace_is_the_regex_whitespace(self):
         # tree_from_string splits with str.split(); the reference tokenizes
         # with the regular expression \s.  They must skip the same code points.
