@@ -279,11 +279,11 @@ def cmd_stats(args) -> int:
 
     in_path = _input_path(args.input)
     sentences = tb_mod.read_sentence_file(_input_path(args.sents)) if args.sents else None
-    doc_ids: set[str] = set()
+    unknown = set(sentences or ())  # --sents ids that no document has matched yet
 
     def documents():
         for doc in tb_mod.iter_canonical(in_path):
-            doc_ids.add(doc.doc_id)
+            unknown.discard(doc.doc_id)
             yield doc
 
     # one streaming pass gives the whole-corpus row and every genre's row
@@ -293,9 +293,8 @@ def cmd_stats(args) -> int:
     rows = {in_path.stem: whole}
     if args.by_genre:
         rows.update((f"{in_path.stem}/{genre}", row) for genre, row in per_genre.items())
-    unknown = sorted(set(sentences or ()) - doc_ids)
     if unknown:
-        raise RstError(f"{args.sents}: unknown document ids {unknown}")
+        raise RstError(f"{args.sents}: unknown document ids {sorted(unknown)}")
     if args.csv:
         sys.stdout.write(metrics_mod.stats_csv(rows))
     else:

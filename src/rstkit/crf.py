@@ -18,13 +18,15 @@ Feature extraction is a pluggable contract: tokens -> features that give
 emission scores and the emission gradient, either SparseFeatures
 (fixed-width index and value rows) or a dense [seq_len, dim] float matrix.
 The shipped extractor hashes a lexical window (current, previous, next
-token) and adds punctuation indicators, eight sparse entries per token;
-comma features matter because Russian EDUs lean heavily on commas.
+token) and adds punctuation indicators, eight sparse entries per token,
+computed once per distinct token; comma features matter because Russian
+EDUs lean heavily on commas.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import zipfile
 import zlib
 from typing import Iterable, Protocol, Sequence, Union
@@ -153,7 +155,7 @@ def _gold_indices(model: CrfModel, gold: Sequence[str], seq_len: int) -> np.ndar
         raise RstError(f"gold length {len(gold)} != sequence length {seq_len}")
     index = {label: i for i, label in enumerate(model.labels)}
     try:
-        return np.array([index[g] for g in gold], dtype=np.intp)
+        return np.fromiter(map(index.__getitem__, gold), np.intp, seq_len)
     except KeyError as exc:
         raise RstError(f"unknown label {exc.args[0]!r}") from None
 
@@ -164,8 +166,14 @@ def _gold_indices(model: CrfModel, gold: Sequence[str], seq_len: int) -> np.ndar
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
+    """log(sum(exp(a))) along ``axis``, overwriting ``a``."""
+    m = a.max(axis=axis, keepdims=True)
+    a -= m
+    np.exp(a, out=a)
+    out = a.sum(axis=axis, keepdims=True)
+    np.log(out, out=out)
+    out += m
+    return out.squeeze(axis)
 
 
 def _log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,7 +183,7 @@ def _log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _max_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched matrix product in the max-plus semiring."""
-    return np.max(a[:, :, None, :] + b[None, :, :, :], axis=1)
+    return (a[:, :, None, :] + b[None, :, :, :]).max(axis=1)
 
 
 def _scan(mats: np.ndarray, combine, reverse: bool = False) -> np.ndarray:
@@ -298,12 +306,18 @@ class _Adam:
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.BETA1 * self.m[i] + (1 - self.BETA1) * g
-            self.v[i] = self.BETA2 * self.v[i] + (1 - self.BETA2) * g * g
-            m_hat = self.m[i] / (1 - self.BETA1**self.t)
-            v_hat = self.v[i] / (1 - self.BETA2**self.t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.BETA1
+            m += (1 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1 - self.BETA2) * g * g
+            step = m / (1 - self.BETA1**self.t)  # learning_rate * m_hat
+            step *= self.learning_rate
+            den = v / (1 - self.BETA2**self.t)  # sqrt(v_hat) + EPS
+            np.sqrt(den, out=den)
+            den += self.EPS
+            step /= den
+            p -= step
 
 
 def train(
@@ -394,6 +408,7 @@ def _buckets(prefix: str, words: list[bytes], n_buckets: int) -> list[int]:
 
 
 _SENT_FINAL = {".", "!", "?", ";", ":"}
+_alnum = re.compile(r"[^\W_]").search  # finds a character that str.isalnum accepts
 
 
 class SparseFeatures(_Value):
@@ -468,8 +483,9 @@ class HashedWindowFeatures(_Value):
     and next tokens (three disjoint bucket ranges) plus indicator features
     for punctuation class, comma, preceding comma, sentence-final
     punctuation and initial capitalization, as SparseFeatures rows of
-    width 8 (96 bytes per token).  Deterministic for a fixed configuration
-    (CRC32 hashing, no process salt).
+    width 8 (96 bytes per token), each computed once per distinct token and
+    gathered by position.  Deterministic for a fixed configuration (CRC32
+    hashing, no process salt).
     """
 
     __slots__ = _fields = ("n_buckets",)
@@ -489,20 +505,27 @@ class HashedWindowFeatures(_Value):
 
     def __call__(self, tokens: Sequence[str]) -> SparseFeatures:
         n, nb = len(tokens), self.n_buckets
-        lowered = [t.lower().encode("utf-8") for t in tokens]
+        words = list(dict.fromkeys(tokens))  # distinct, in first-occurrence order
+        index = dict(zip(words, range(len(words))))
+        # each token's word index, after <s> (len(words)) and before </s> (+ 1)
+        seq = np.empty(n + 2, dtype=np.intp)
+        seq[0], seq[-1] = len(words), len(words) + 1
+        seq[1:-1] = np.fromiter(map(index.__getitem__, tokens), np.intp, n)
+        keys = [x.lower().encode("utf-8") for x in words] + [b"<s>", b"</s>"]
+        table = np.array([_buckets(p, keys, nb) for p in ("c=", "p=", "n=")], np.int32)
+        table += np.arange(3, dtype=np.int32)[:, None] * nb  # disjoint bucket ranges
         idx = np.empty((n, 3 + self.N_FLAGS), dtype=np.int32)
-        idx[:, 0] = _buckets("c=", lowered, nb)
-        idx[:, 1] = _buckets("p=", ([b"<s>"] + lowered)[:n], nb)
-        idx[:, 2] = _buckets("n=", (lowered + [b"</s>"])[1:], nb)
-        idx[:, :3] += np.arange(3, dtype=np.int32) * nb  # disjoint bucket ranges
+        idx[:, 0] = table[0, seq[1:-1]]
+        idx[:, 1] = table[1, seq[:-2]]
+        idx[:, 2] = table[2, seq[2:]]
         idx[:, 3:] = np.arange(3 * nb, 3 * nb + self.N_FLAGS)
+        flags = np.array([[_alnum(x) is None for x in words], [x == "," for x in words],
+                          [x in _SENT_FINAL for x in words],
+                          [x[:1].isupper() for x in words]], dtype=bool)
         vals = np.zeros(idx.shape)
         vals[:, :3] = 1.0
-        vals[:, 3] = [not any(ch.isalnum() for ch in t) for t in tokens]
-        vals[:, 4] = [t == "," for t in tokens]
+        vals[:, [3, 4, 6, 7]] = flags[:, seq[1:-1]].T
         vals[1:, 5] = vals[:-1, 4]  # previous token is a comma
-        vals[:, 6] = [t in _SENT_FINAL for t in tokens]
-        vals[:, 7] = [t[:1].isupper() for t in tokens]
         return SparseFeatures(idx, vals, self.dim)
 
 
@@ -539,27 +562,39 @@ def save_model(
     np.savez(path, **payload)
 
 
+def _member(data, key: str) -> np.ndarray:
+    value = data[key]
+    if not isinstance(value, np.ndarray):  # np.load gives other members as bytes
+        raise RstError(f"member {key!r} is not an .npy array")
+    return value
+
+
+def _integer(data, key: str) -> int:
+    value = _member(data, key)
+    if value.shape != () or value.dtype.kind not in "iu":
+        raise RstError(f"{key} must be one integer, got {value.dtype} {value.shape}")
+    return int(value)
+
+
 def load_model(path) -> tuple[CrfModel, HashedWindowFeatures | None]:
-    """Read a model written by :func:`save_model`.
+    """Read a model that :func:`save_model` wrote to the file ``path``.
 
     Raises RstError naming ``path`` when the file is not a model archive,
-    lacks a key, or stores an ``n_buckets`` whose feature width differs
-    from the emission weights'.
+    lacks a key, holds a member that is not an ``.npy`` array, a parameter
+    block that does not cast safely to float64 or a ``version`` or
+    ``n_buckets`` that is not one integer, or stores an ``n_buckets`` whose
+    feature width differs from the emission weights'.
     """
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            version = int(data["version"])
+    try:  # np.load(path) leaks the file it opens when the zip reader fails
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+            version = _integer(data, "version")
             if version != _FORMAT_VERSION:
                 raise RstError(f"unsupported model format version {version}")
-            model = CrfModel(
-                labels=tuple(str(x) for x in data["labels"]),
-                emission=data["emission"],
-                transition=data["transition"],
-                start=data["start"],
-                stop=data["stop"],
-            )
+            model = CrfModel(tuple(str(x) for x in _member(data, "labels")), *(
+                _member(data, key).astype(np.float64, casting="safe")
+                for key in ("emission", "transition", "start", "stop")))
             extractor = (
-                HashedWindowFeatures(int(data["n_buckets"]))
+                HashedWindowFeatures(_integer(data, "n_buckets"))
                 if "n_buckets" in data
                 else None
             )

@@ -57,6 +57,7 @@ from bisect import bisect_right
 from math import isfinite
 from typing import Sequence
 
+from . import core
 from .core import JSON_TYPES, InputLines, RelationLabel, RstError, RstTree, _set, _Value
 
 __all__ = [
@@ -243,12 +244,22 @@ def _search(
 
 def _tree(path: tuple, relations: Sequence[RelationLabel]) -> RstTree:
     # The parent chain yields decisions in reverse pre-order: a node comes
-    # after both its subtrees, and its left subtree was finished last.
+    # after both its subtrees, and its left subtree was finished last.  The
+    # root, over (0, n), comes last; the n leaves are RstTree.leaf's.
+    root = path
+    while root[2][1] is not None:
+        root = root[2]
+    n = root[1][1]
+    leaves = core._LEAVES
+    if len(leaves) < n:  # grow the shared leaves; those past the limit are new
+        limit = core._INTERN_LIMIT
+        leaves = core._grow_leaves(min(n, limit) - 1) + tuple(
+            map(RstTree.leaf, range(limit, n)))
     built: list[RstTree] = []
     while path[1] is not None:
         start, end, split, label = path[1]
-        left = built.pop() if split - start >= 2 else RstTree.leaf(start)
-        right = built.pop() if end - split >= 2 else RstTree.leaf(split)
+        left = built.pop() if split - start >= 2 else leaves[start]
+        right = built.pop() if end - split >= 2 else leaves[split]
         built.append(RstTree.internal(left, right, relations[label]))
         path = path[2]
     return built.pop()

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the production code paths they check:
 Parseval counts come from an all-pairs matcher, CRF quantities from explicit
 path enumeration and from sequential per-token recursions over dense
-features, decoder optima from enumerating every binary tree and from a
-chart over all ranges, gradients from central finite differences,
+features, hashed window features from a per-token loop, Adam steps from
+out-of-place formulas, decoder optima from enumerating every binary tree
+and from a chart over all ranges, gradients from central finite differences,
 canonical records from a per-token loop with a shift-reduce tree parser,
 tree strings from a piece-by-piece renderer, canonical lines from
 ``json.dumps`` of plain lists, tokens from peeling every chunk one
@@ -31,6 +32,7 @@ import sys
 import tracemalloc
 import unicodedata
 import xml.etree.ElementTree as ET
+import zlib
 from array import array
 from collections import Counter
 from typing import Iterator, Sequence, Union
@@ -50,7 +52,13 @@ from rstkit.core import (
     enumerate_constituents,
     excerpt,
 )
-from rstkit.crf import CrfGradients, CrfModel, log_likelihood
+from rstkit.crf import (
+    CrfGradients,
+    CrfModel,
+    HashedWindowFeatures,
+    SparseFeatures,
+    log_likelihood,
+)
 from rstkit.preprocess import PreprocessReport, Preprocessor, RemapTable
 from rstkit.treebank import (
     Rs3Component,
@@ -431,6 +439,48 @@ def reference_log_likelihood(
     return gold_score - log_z, CrfGradients(
         grad_emission, grad_transition, grad_start, grad_stop
     )
+
+
+_SENT_FINAL = {".", "!", "?", ";", ":"}
+
+
+def _reference_buckets(prefix: str, words: list[bytes], n_buckets: int) -> list[int]:
+    return [zlib.crc32(prefix.encode("utf-8") + w) % n_buckets for w in words]
+
+
+def reference_features(
+    extractor: HashedWindowFeatures, tokens: Sequence[str]
+) -> SparseFeatures:
+    """``HashedWindowFeatures`` computed token by token: every token is
+    lowercased and hashed three times, and its flags are tested, wherever
+    it repeats."""
+    n, nb = len(tokens), extractor.n_buckets
+    lowered = [t.lower().encode("utf-8") for t in tokens]
+    idx = np.empty((n, 3 + extractor.N_FLAGS), dtype=np.int32)
+    idx[:, 0] = _reference_buckets("c=", lowered, nb)
+    idx[:, 1] = _reference_buckets("p=", ([b"<s>"] + lowered)[:n], nb)
+    idx[:, 2] = _reference_buckets("n=", (lowered + [b"</s>"])[1:], nb)
+    idx[:, :3] += np.arange(3, dtype=np.int32) * nb  # disjoint bucket ranges
+    idx[:, 3:] = np.arange(3 * nb, 3 * nb + extractor.N_FLAGS)
+    vals = np.zeros(idx.shape)
+    vals[:, :3] = 1.0
+    vals[:, 3] = [not any(ch.isalnum() for ch in t) for t in tokens]
+    vals[:, 4] = [t == "," for t in tokens]
+    vals[1:, 5] = vals[:-1, 4]  # previous token is a comma
+    vals[:, 6] = [t in _SENT_FINAL for t in tokens]
+    vals[:, 7] = [t[:1].isupper() for t in tokens]
+    return SparseFeatures(idx, vals, extractor.dim)
+
+
+def reference_adam_step(opt, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    """One step of ``crf._Adam`` with every term a new array."""
+    opt.t += 1
+    for i, (p, g) in enumerate(zip(params, grads)):
+        opt.m[i] = opt.BETA1 * opt.m[i] + (1 - opt.BETA1) * g
+        opt.v[i] = opt.BETA2 * opt.v[i] + (1 - opt.BETA2) * g * g
+        m_hat = opt.m[i] / (1 - opt.BETA1**opt.t)
+        v_hat = opt.v[i] / (1 - opt.BETA2**opt.t)
+        p -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.EPS)
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

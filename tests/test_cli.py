@@ -1220,9 +1220,9 @@ class TestScalingGates:
                                     "--epochs", "1", "--buckets", "64", "-o", "{out}.npz"],
     }
     # Bytes an extra document may leave beyond its id, which costs ~100:
-    # ``stats`` keeps its id in a second set and its token count, ``eval``
-    # reads it in both files, and ``preprocess`` keeps its canonical line
-    # in an (id, line) pair, ~200 bytes more than the line's text.
+    # ``stats`` keeps its token count, ``eval`` reads it in both files, and
+    # ``preprocess`` keeps its canonical line in an (id, line) pair, ~200
+    # bytes more than the line's text.
     KEPT = {"stats": 512, "eval --end-to-end": 512, "preprocess": "line"}
 
     @pytest.fixture(scope="class")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rstkit import crf
 from rstkit.core import EduSpan, RstError
 from rstkit.crf import (
     CrfModel,
@@ -25,9 +26,12 @@ from rstkit.crf import (
 )
 
 from helpers import (
+    _logsumexp,
     brute_force_log_z,
     enumerate_paths,
     finite_difference_grads,
+    reference_adam_step,
+    reference_features,
     reference_log_likelihood,
     reference_viterbi,
     relative_error,
@@ -364,6 +368,80 @@ class TestFeatures:
         assert document_labels(doc) == ["B", "I", "B", "I"]
         dataset = dataset_from_corpus([doc], HashedWindowFeatures(8))
         assert dataset[0][0].shape[0] == 4
+
+
+# Token lists on which the extractor's per-word tables must give the rows of
+# the per-token loop (helpers.reference_features).
+FEATURE_CASES = {
+    "empty": [],
+    "one token": ["Word"],
+    "repeated": ["the", "river", "the", ",", "the", "river", "."] * 3,
+    "all distinct": [f"w{i}" for i in range(40)],
+    "case variants": ["The", "the", "THE", "tHe", "the", "The"],
+    "cyrillic": ["Мир", "мир", ",", "и", "МИР", ".", "мир"],
+    "mixed scripts": ["Moscow-Москва", "x\u0663", "日本", "\u216b", "\u01c5emal", "ß",
+                      "\u1e9e"],
+    "punctuation only": ["...", "!?", "\u2014", "«", "»", ";", ":", "(", ")", "..."],
+    "commas first and last": [",", "a", ",", ",", "b", ","],
+    "underscores": ["_", "__", "a_b", "_x", "x_", "_", "-_-"],
+}
+
+
+class TestBitIdenticalFastPaths:
+    """The extractor's per-word tables, the in-place Adam step and the
+    in-place log-sum-exp equal their per-token and out-of-place oracles
+    bit for bit."""
+
+    def cases(self):
+        rng = random.Random(2027)
+        pool = [t for tokens in FEATURE_CASES.values() for t in tokens]
+        drawn = []
+        for _ in range(300):
+            n = rng.choice((1, 2, 3, rng.randint(4, 80)))
+            drawn.append([rng.choice(pool) if rng.random() < 0.7 else
+                          "".join(chr(rng.randrange(0x21, 0x3000))
+                                  for _ in range(rng.randint(1, 3)))
+                          for _ in range(n)])
+        return [*FEATURE_CASES.values(), *drawn]
+
+    @pytest.mark.parametrize("n_buckets", [1, 7, 1024])
+    def test_rows_equal_the_per_token_loop(self, n_buckets):
+        extractor = HashedWindowFeatures(n_buckets)
+        for tokens in self.cases():
+            got, want = extractor(tokens), reference_features(extractor, tokens)
+            assert got.idx.dtype == want.idx.dtype == np.int32
+            assert got.vals.dtype == want.vals.dtype
+            assert np.array_equal(got.idx, want.idx), tokens
+            assert np.array_equal(got.vals, want.vals), tokens
+
+    def test_alnum_pattern_agrees_with_isalnum_on_every_code_point(self):
+        alnum = crf._alnum
+        assert not [c for c in range(0x110000)
+                    if (alnum(chr(c)) is None) == chr(c).isalnum()]
+
+    @pytest.mark.parametrize("l2", [0.0, 0.1])
+    def test_adam_step_equals_the_out_of_place_formulas(self, l2):
+        rng = np.random.default_rng(31)
+        model = random_model(rng, n_labels=2, dim=12)
+        ours = [model.emission, model.transition, model.start, model.stop]
+        theirs = [p.copy() for p in ours]
+        opt, ref = (crf._Adam([p.shape for p in ours], 0.2) for _ in range(2))
+        for _ in range(5):
+            # steps as train() builds them; the gradients hold zeros of both signs
+            grads = [rng.normal(size=p.shape) * (rng.random(size=p.shape) < 0.7)
+                     for p in ours]
+            opt.step(ours, [-g + l2 * p for g, p in zip(grads, ours)])
+            reference_adam_step(ref, theirs, [-g + l2 * p for g, p in zip(grads, theirs)])
+            for a, b in zip([*ours, *opt.m, *opt.v], [*theirs, *ref.m, *ref.v]):
+                assert a.tobytes() == b.tobytes()
+
+    def test_logsumexp_equals_the_out_of_place_formula(self):
+        rng = np.random.default_rng(3)
+        for shape in ((2, 2, 2, 9), (3, 5), (4,)):
+            a = rng.normal(scale=300, size=shape)  # exp underflows to 0 in places
+            for axis in range(a.ndim):
+                want = _logsumexp(a, axis)
+                assert crf._logsumexp(a.copy(), axis).tobytes() == want.tobytes()
 
 
 class TestPersistence:

@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from rstkit import core
 from rstkit import decoder as decoder_mod
 from rstkit.cli import main
 from rstkit.core import RelationLabel, RstError, RstTree, SchemaViolation
@@ -1142,3 +1143,17 @@ class TestGreedyWalk:
             config = DecodeConfig(TEST_LABELS, "beam" if width > 1 else "greedy", width)
             decode(9, RandomProvider(width), config)
         assert widths == [4]
+
+    def test_trees_share_the_leaves_below_the_intern_limit(self, monkeypatch):
+        # _tree takes its leaves from core._LEAVES, grown from empty here
+        monkeypatch.setattr(core, "_LEAVES", ())
+        monkeypatch.setattr(core, "_INTERN_LIMIT", 4)
+        for n in (2, 3, 4, 5, 9):
+            for width in (1, 3):
+                config = DecodeConfig(TEST_LABELS, "beam" if width > 1 else "greedy", width)
+                tree = decode(n, RandomProvider(n), config)
+                assert tree == reference_search(n, RandomProvider(n), TEST_LABELS, width)[1]
+                found = leaves(tree)
+                assert [leaf.first_edu for leaf in found] == list(range(n))
+                assert [leaf is RstTree.leaf(i) for i, leaf in enumerate(found)] == [
+                    i < 4 for i in range(n)], (n, width)

@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import zipfile
@@ -26,11 +27,13 @@ from pathlib import Path
 
 import pytest
 
+import rstkit
 from rstkit.cli import main
 
 from helpers import write_workload_inputs
 
 GOLDEN_PATH = Path(__file__).with_name("golden_outputs.json")
+SRC = Path(rstkit.__file__).parents[1]
 SEED = 101
 SCORES = ["--scores", "scores.jsonl", "--inventory", "labels.txt"]
 
@@ -98,6 +101,26 @@ def run_workload(name: str, work: Path) -> dict[str, dict[str, object]]:
 def test_stage_outputs_match_the_golden_digests(name, tmp_path):
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     assert run_workload(name, tmp_path) == golden[name]
+
+
+def test_segmenter_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """The segmenter chain, each stage a process of its own, gives the same
+    exit codes, stdout and output bytes under two hash seeds: its feature
+    tables are dicts keyed by token, whose order must not reach a file."""
+    runs = []
+    for hash_seed in ("0", "1"):
+        work = tmp_path / hash_seed
+        work.mkdir()
+        write_workload_inputs(work, SEED)
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+        runs.append([])
+        for stage, argv, outputs in WORKLOADS["segmenter"]:
+            proc = subprocess.run([sys.executable, "-m", "rstkit.cli", *argv], cwd=work,
+                                  env=env, capture_output=True, timeout=120)
+            runs[-1].append((stage, proc.returncode, proc.stdout, proc.stderr,
+                             [_digest(work / out) for out in outputs]))
+    assert runs[0] == runs[1]
+    assert [run[1] for run in runs[0]] == [0, 0, 0, 0]
 
 
 if __name__ == "__main__":
