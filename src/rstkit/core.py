@@ -169,8 +169,10 @@ _INTERN_LIMIT = 4096
 class RelationLabel(_Value):
     """A coarse relation name paired with a nuclearity pattern.
 
-    Relation names are case-folded to lowercase; the nuclearity suffix is
-    stored separately so that merged ``relation_NUC`` strings round-trip.
+    Relation names are case-folded to lowercase, hold none of the
+    characters ``()_``, space, tab, CR and LF, and do not start with ``#``,
+    which marks a leaf in tree strings.  The nuclearity suffix is stored
+    separately so that merged ``relation_NUC`` strings round-trip.
     ``merged``, the ``relation_NUC`` form (e.g. ``elaboration_NS``), is
     computed once on construction and takes no part in equality or repr.
     """
@@ -186,6 +188,8 @@ class RelationLabel(_Value):
             raise RstError("relation name must be non-empty")
         if any(ch in _FORBIDDEN_RELATION_CHARS for ch in relation):
             raise RstError(f"relation name {relation!r} contains a reserved character")
+        if relation[0] == "#":  # tree strings mark a leaf with '#'
+            raise RstError(f"relation name {relation!r} starts with '#'")
         _set(self, "relation", relation)
         _set(self, "nuclearity", nuclearity)
         _set(self, "merged", f"{relation}_{nuclearity.value}")
@@ -516,7 +520,7 @@ class DocumentRecord(_Value):
             raise RstError(f"{self.doc_id}: char offsets must be non-negative ints")
         if not all(map(lt, starts, starts[1:])):
             raise RstError(f"{self.doc_id}: char offsets not increasing")
-        self._check_edu_partition()
+        _check_edu_partition(self.edus, len(texts), self.doc_id)
         if self.tree is not None:
             self._check_tree(self.tree)
         if self.sentence_boundaries is not None:
@@ -555,26 +559,26 @@ class DocumentRecord(_Value):
         if bounds[-1] >= len(self.tokens):
             raise RstError(f"{self.doc_id}: bad sentence boundaries")
 
-    def _check_edu_partition(self) -> None:
-        if not self.edus:
-            raise RstError(f"{self.doc_id}: document has no EDUs")
-        expected = 0
-        for edu in self.edus:
-            if edu.first_token != expected:
-                raise RstError(
-                    f"{self.doc_id}: EDU spans do not partition the tokens "
-                    f"(expected start {expected}, got {edu.first_token})"
-                )
-            expected = edu.last_token + 1
-        if expected != len(self.tokens):
-            raise RstError(
-                f"{self.doc_id}: EDUs cover {expected} tokens, "
-                f"document has {len(self.tokens)}"
-            )
-
     @property
     def n_tokens(self) -> int:
         return len(self.tokens)
+
+
+def _check_edu_partition(edus: Sequence[EduSpan], n_tokens: int, owner: str) -> None:
+    """Raise RstError, its message starting ``owner: ``, unless ``edus`` are
+    non-empty and tile the tokens 0 .. n_tokens - 1 in order."""
+    if not edus:
+        raise RstError(f"{owner}: document has no EDUs")
+    expected = 0
+    for edu in edus:
+        if edu.first_token != expected:
+            raise RstError(
+                f"{owner}: EDU spans do not partition the tokens "
+                f"(expected start {expected}, got {edu.first_token})"
+            )
+        expected = edu.last_token + 1
+    if expected != n_tokens:
+        raise RstError(f"{owner}: EDUs cover {expected} tokens, document has {n_tokens}")
 
 
 class Corpus(_Value):

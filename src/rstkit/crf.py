@@ -14,11 +14,10 @@ Viterbi are one associative scan over the per-token transition matrices
 (Hillis-Steele doubling, O(log T) numpy calls), in the log-sum-exp and the
 max-plus semiring respectively.
 
-Feature extraction is a pluggable contract: tokens -> features that give
-emission scores and the emission gradient, either SparseFeatures
-(fixed-width index and value rows) or a dense [seq_len, dim] float matrix.
-The shipped extractor hashes a lexical window (current, previous, next
-token) and adds punctuation indicators, eight sparse entries per token,
+Features are SparseFeatures: fixed-width index and value rows that give
+emission scores and the emission gradient without building the matrix.
+HashedWindowFeatures builds them: it hashes a lexical window (current,
+previous, next token) and adds punctuation indicators, eight entries per token,
 computed once per distinct token; comma features matter because Russian
 EDUs lean heavily on commas.
 """
@@ -29,7 +28,7 @@ import math
 import re
 import zipfile
 import zlib
-from typing import Iterable, Protocol, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,9 +36,7 @@ from .core import DocumentRecord, EduSpan, RstError, _Value
 
 __all__ = [
     "CrfModel",
-    "CrfGradients",
     "TrainConfig",
-    "FeatureExtractor",
     "HashedWindowFeatures",
     "SparseFeatures",
     "viterbi",
@@ -56,22 +53,16 @@ __all__ = [
 DEFAULT_LABELS = ("B", "I")
 
 
-# Features of one sequence: sparse rows, or a dense [seq_len, dim] matrix.
-Features = Union["SparseFeatures", np.ndarray]
-
-class FeatureExtractor(Protocol):
-    def __call__(self, tokens: Sequence[str]) -> Features: ...
-
-
 class CrfModel(_Value):
-    """Parameters of a linear-chain CRF: ``emission`` is ``[num_labels,
-    feature_dim]``, ``transition`` ``[num_labels, num_labels]`` (from ->
-    to), ``start`` and ``stop`` ``[num_labels]``.  A single writer may
-    mutate them, so the model is unhashable."""
+    """Parameters of a linear-chain CRF: ``emission`` is ``[labels,
+    feature_dim]``, ``transition`` ``[labels, labels]`` (from -> to),
+    ``start`` and ``stop`` ``[labels]``.  A single writer may mutate
+    them, so a model compares by identity and is unhashable."""
 
     __slots__ = _fields = ("labels", "emission", "transition", "start", "stop")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
+    __eq__ = object.__eq__
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, labels: Sequence[str], emission: np.ndarray,
@@ -90,10 +81,6 @@ class CrfModel(_Value):
             if not np.all(np.isfinite(arr)):
                 raise RstError("model parameters must be finite")
         self._fill(locals())
-
-    @property
-    def num_labels(self) -> int:
-        return len(self.labels)
 
     @property
     def feature_dim(self) -> int:
@@ -125,29 +112,18 @@ class CrfModel(_Value):
         )
 
 
-class CrfGradients(_Value):
-    """Gradient of the log-likelihood w.r.t. every parameter block."""
-
-    __slots__ = _fields = ("emission", "transition", "start", "stop")
-
-    def __init__(self, emission: np.ndarray, transition: np.ndarray,
-                 start: np.ndarray, stop: np.ndarray) -> None:
-        self._fill(locals())
-
-
-def _check_features(
-    model: CrfModel, features: Features
-) -> SparseFeatures | _DenseFeatures:
+def _check_features(model: CrfModel, features: SparseFeatures) -> None:
     if not isinstance(features, SparseFeatures):
-        features = _DenseFeatures(np.asarray(features, dtype=float))
-    if len(features.shape) != 2 or features.shape[1] != model.feature_dim:
+        raise RstError(
+            f"features must be SparseFeatures, got {type(features).__name__}"
+        )
+    if features.shape[1] != model.feature_dim:
         raise RstError(
             f"features must be [seq_len, {model.feature_dim}], "
             f"got {features.shape}"
         )
     if features.shape[0] < 1:
         raise RstError("sequence must have at least one position")
-    return features
 
 
 def _gold_indices(model: CrfModel, gold: Sequence[str], seq_len: int) -> np.ndarray:
@@ -214,9 +190,9 @@ def _step_matrices(model: CrfModel, emissions: np.ndarray) -> np.ndarray:
     return mats
 
 
-def viterbi(model: CrfModel, features: Features) -> list[str]:
+def viterbi(model: CrfModel, features: SparseFeatures) -> list[str]:
     """Highest-scoring label path; ties resolve to the lower label index."""
-    features = _check_features(model, features)
+    _check_features(model, features)
     mats = _step_matrices(model, features.scores(model.emission))
     v = _scan(mats, _max_matmul)[0]  # [labels, seq_len]
     # back[t][j]: best label at t before label j at t + 1 (first max = lowest)
@@ -230,15 +206,16 @@ def viterbi(model: CrfModel, features: Features) -> list[str]:
 
 
 def log_likelihood(
-    model: CrfModel, features: Features, gold: Sequence[str]
-) -> tuple[float, CrfGradients]:
-    """log p(gold | features) and its exact gradient.
+    model: CrfModel, features: SparseFeatures, gold: Sequence[str]
+) -> tuple[float, list[np.ndarray]]:
+    """log p(gold | features) and its exact gradient, one block per
+    parameter in the order emission, transition, start, stop.
 
     The forward and backward vectors are log-semiring scans, so the
     partition function never leaves log space; gradients are observed
     counts minus expected counts from the forward-backward marginals.
     """
-    features = _check_features(model, features)
+    _check_features(model, features)
     emissions = features.scores(model.emission)  # [labels, seq_len]
     n, seq_len = emissions.shape
     gold_idx = _gold_indices(model, gold, seq_len)
@@ -274,9 +251,7 @@ def log_likelihood(
     grad_transition = -pairwise.sum(axis=2)
     np.add.at(grad_transition, (gold_idx[:-1], gold_idx[1:]), 1.0)
 
-    return gold_score - log_z, CrfGradients(
-        grad_emission, grad_transition, grad_start, grad_stop
-    )
+    return gold_score - log_z, [grad_emission, grad_transition, grad_start, grad_stop]
 
 
 class TrainConfig(_Value):
@@ -322,7 +297,7 @@ class _Adam:
 
 def train(
     model: CrfModel,
-    dataset: Sequence[tuple[Features, Sequence[str]]],
+    dataset: Sequence[tuple[SparseFeatures, Sequence[str]]],
     config: TrainConfig = TrainConfig(),
 ) -> tuple[CrfModel, list[float]]:
     """Minimize the per-sequence negative log-likelihood with Adam.
@@ -346,13 +321,7 @@ def train(
             features, gold = dataset[i]
             ll, grads = log_likelihood(model, features, gold)
             total += -ll
-            steps = [
-                -grads.emission + config.l2 * model.emission,
-                -grads.transition + config.l2 * model.transition,
-                -grads.start + config.l2 * model.start,
-                -grads.stop + config.l2 * model.stop,
-            ]
-            opt.step(params, steps)
+            opt.step(params, [-g + config.l2 * p for g, p in zip(grads, params)])
         curve.append(total / len(dataset))
     return model, curve
 
@@ -390,8 +359,8 @@ def document_labels(doc: DocumentRecord) -> list[str]:
 
 
 def dataset_from_corpus(
-    corpus_docs: Iterable[DocumentRecord], extractor: FeatureExtractor
-) -> list[tuple[Features, list[str]]]:
+    corpus_docs: Iterable[DocumentRecord], extractor: HashedWindowFeatures
+) -> list[tuple[SparseFeatures, list[str]]]:
     return [(extractor(doc.tokens), document_labels(doc)) for doc in corpus_docs]
 
 
@@ -455,25 +424,6 @@ class SparseFeatures(_Value):
             cols.ravel(), weights.ravel(), minlength=n_labels * self.dim
         )
         return flat.reshape(n_labels, self.dim)
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        np.add.at(out, (np.arange(self.shape[0])[:, None], self.idx), self.vals)
-        return out
-
-
-class _DenseFeatures:
-    """A dense ``[seq_len, dim]`` matrix behind SparseFeatures' two operations."""
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        self.matrix = matrix
-        self.shape = matrix.shape
-
-    def scores(self, weights: np.ndarray) -> np.ndarray:
-        return weights @ self.matrix.T
-
-    def backprop(self, residual: np.ndarray) -> np.ndarray:
-        return residual @ self.matrix
 
 
 class HashedWindowFeatures(_Value):

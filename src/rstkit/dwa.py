@@ -66,7 +66,6 @@ class DwaScheduler:
         self.history: list[deque[float]] = [
             deque(maxlen=2 * window) for _ in range(num_tasks)
         ]
-        self.iteration = 0
 
     def _validate(self, losses: Sequence[float]) -> list[float]:
         if len(losses) != self.num_tasks:
@@ -100,7 +99,6 @@ class DwaScheduler:
         weights = self.weights()
         for k, value in enumerate(values):
             self.history[k].appendleft(value)
-        self.iteration += 1
         return weights
 
 

@@ -32,6 +32,7 @@ from .core import (
     Nuclearity,
     RstError,
     RstTree,
+    _check_edu_partition,
     _Value,
 )
 
@@ -42,7 +43,6 @@ __all__ = [
     "parseval",
     "segmentation_f1",
     "end_to_end_eval",
-    "corpus_stats",
     "genre_breakdown",
     "format_parseval_table",
     "parseval_csv",
@@ -195,24 +195,14 @@ def parseval(
     )
 
 
-def _check_partition(edus: Sequence[EduSpan], n_tokens: int, side: str) -> None:
-    expected = 0
-    for edu in edus:
-        if edu.first_token != expected:
-            raise RstError(f"{side} EDUs leave a gap at token {expected}")
-        expected = edu.last_token + 1
-    if expected != n_tokens:
-        raise RstError(f"{side} EDUs cover {expected} of {n_tokens} tokens")
-
-
 def segmentation_f1(
     gold_edus: Sequence[EduSpan],
     pred_edus: Sequence[EduSpan],
     n_tokens: int,
 ) -> MetricCounts:
     """Boundary F1 over EDU-initial tokens, excluding the forced token 0."""
-    _check_partition(gold_edus, n_tokens, "gold")
-    _check_partition(pred_edus, n_tokens, "predicted")
+    _check_edu_partition(gold_edus, n_tokens, "gold")
+    _check_edu_partition(pred_edus, n_tokens, "predicted")
     gold_bounds = {e.first_token for e in gold_edus} - {0}
     pred_bounds = {e.first_token for e in pred_edus} - {0}
     return MetricCounts(
@@ -371,27 +361,9 @@ def genre_breakdown(
     sentences: Mapping[str, Sequence[int]] | None = None,
     spanned: bool = True,
 ) -> tuple[CorpusStats, dict[str, CorpusStats]]:
-    """The :func:`corpus_stats` row of all documents and the rows of each
-    genre, keyed and ordered by genre name, from one pass over the
-    documents that keeps only each one's token count."""
-    tallies: defaultdict[str, _Tally] = defaultdict(_Tally)
-    for doc in corpus_docs:
-        tallies[doc.genre].add(doc, sentences, spanned)
-    if not tallies:
-        raise RstError("statistics need at least one document")
-    whole, rows = _Tally(), {}
-    for genre in sorted(tallies):
-        whole += tallies[genre]
-        rows[genre] = tallies[genre].stats()
-    return whole.stats(), rows
-
-
-def corpus_stats(
-    corpus_docs: Iterable[DocumentRecord],
-    sentences: Mapping[str, Sequence[int]] | None = None,
-    spanned: bool = True,
-) -> CorpusStats:
-    """Aggregate tree statistics over documents.
+    """Aggregate tree statistics: the row of all documents and the rows of
+    each genre, keyed and ordered by genre name, from one pass over the
+    documents that keeps only each one's token count.
 
     ``sentences`` optionally overrides the per-document sentence boundaries:
     sentence-initial token indices, starting at 0 and strictly increasing
@@ -402,7 +374,16 @@ def corpus_stats(
     the all-sentence variant is also reported.  With ``spanned=False`` no
     boundaries are needed.
     """
-    return genre_breakdown(corpus_docs, sentences, spanned)[0]
+    tallies: defaultdict[str, _Tally] = defaultdict(_Tally)
+    for doc in corpus_docs:
+        tallies[doc.genre].add(doc, sentences, spanned)
+    if not tallies:
+        raise RstError("statistics need at least one document")
+    whole, rows = _Tally(), {}
+    for genre in sorted(tallies):
+        whole += tallies[genre]
+        rows[genre] = tallies[genre].stats()
+    return whole.stats(), rows
 
 
 # ---------------------------------------------------------------------------

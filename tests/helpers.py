@@ -53,7 +53,6 @@ from rstkit.core import (
     excerpt,
 )
 from rstkit.crf import (
-    CrfGradients,
     CrfModel,
     HashedWindowFeatures,
     SparseFeatures,
@@ -308,8 +307,23 @@ def oracle_counts(
 
 # ---------------------------------------------------------------------------
 # CRF oracles: explicit path enumeration, finite differences and the
-# sequential per-token recursions
+# sequential per-token recursions, all over dense feature matrices
 # ---------------------------------------------------------------------------
+
+
+def rows(matrix) -> SparseFeatures:
+    """A dense ``[seq_len, dim]`` matrix as full-width SparseFeatures: row t
+    holds every column, in order, with the matrix's values."""
+    matrix = np.asarray(matrix, dtype=float)
+    seq_len, dim = matrix.shape
+    return SparseFeatures(np.tile(np.arange(dim, dtype=np.int32), (seq_len, 1)), matrix, dim)
+
+
+def toarray(features: SparseFeatures) -> np.ndarray:
+    """The dense ``[seq_len, dim]`` matrix of sparse rows."""
+    out = np.zeros(features.shape)
+    np.add.at(out, (np.arange(out.shape[0])[:, None], features.idx), features.vals)
+    return out
 
 
 def enumerate_paths(
@@ -318,7 +332,7 @@ def enumerate_paths(
     emissions = np.asarray(features, dtype=float) @ model.emission.T
     seq_len = emissions.shape[0]
     scored = []
-    for path in itertools.product(range(model.num_labels), repeat=seq_len):
+    for path in itertools.product(range(len(model.labels)), repeat=seq_len):
         score = float(model.start[path[0]] + emissions[0, path[0]])
         for t in range(1, seq_len):
             score += float(
@@ -340,11 +354,15 @@ def finite_difference_grads(
     features: np.ndarray,
     gold: Sequence[str],
     h: float = 1e-5,
-) -> dict[str, np.ndarray]:
-    def value(m: CrfModel) -> float:
-        return log_likelihood(m, features, gold)[0]
+) -> list[np.ndarray]:
+    """Central differences of the log-likelihood, one block per parameter
+    in the order of ``log_likelihood``'s gradient."""
+    sparse = rows(features)
 
-    grads = {}
+    def value(m: CrfModel) -> float:
+        return log_likelihood(m, sparse, gold)[0]
+
+    grads = []
     for name in ("emission", "transition", "start", "stop"):
         arr = getattr(model, name)
         grad = np.zeros_like(arr)
@@ -357,7 +375,7 @@ def finite_difference_grads(
             getattr(minus, name)[idx] -= h
             grad[idx] = (value(plus) - value(minus)) / (2.0 * h)
             it.iternext()
-        grads[name] = grad
+        grads.append(grad)
     return grads
 
 
@@ -367,11 +385,11 @@ def reference_viterbi(model: CrfModel, features: np.ndarray) -> list[str]:
     emissions = np.asarray(features, dtype=float) @ model.emission.T
     seq_len = emissions.shape[0]
     v = model.start + emissions[0]
-    back = np.zeros((seq_len, model.num_labels), dtype=int)
+    back = np.zeros((seq_len, len(model.labels)), dtype=int)
     for t in range(1, seq_len):
         scores = v[:, None] + model.transition  # prev x cur
         back[t] = np.argmax(scores, axis=0)  # first max = lowest prev index
-        v = scores[back[t], np.arange(model.num_labels)] + emissions[t]
+        v = scores[back[t], np.arange(len(model.labels))] + emissions[t]
     v = v + model.stop
     path = np.zeros(seq_len, dtype=int)
     path[-1] = int(np.argmax(v))
@@ -387,7 +405,7 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 def reference_log_likelihood(
     model: CrfModel, features: np.ndarray, gold: Sequence[str]
-) -> tuple[float, CrfGradients]:
+) -> tuple[float, list[np.ndarray]]:
     """Sequential forward-backward over a dense feature matrix: one
     log-sum-exp per token and direction, and per-token gold and pairwise
     sums."""
@@ -436,9 +454,7 @@ def reference_log_likelihood(
         grad_transition -= pairwise
         grad_transition[gold_idx[t - 1], gold_idx[t]] += 1.0
 
-    return gold_score - log_z, CrfGradients(
-        grad_emission, grad_transition, grad_start, grad_stop
-    )
+    return gold_score - log_z, [grad_emission, grad_transition, grad_start, grad_stop]
 
 
 _SENT_FINAL = {".", "!", "?", ";", ":"}
@@ -1415,3 +1431,29 @@ def write_workload_inputs(work, seed: int) -> None:
                                              "left": [start, split], "right": [split, end],
                                              "scores": rng.choices(values, k=len(labels))})
                                  + "\n")
+
+
+# Cyrillic lowercase letters whose uppercase is one letter that lowercases back.
+_CYRILLIC = "абвгдежзийклмнопрстуфхцчшщъыьэюяѐёђѓєѕіїјљњћќѝўџ"
+
+
+def cyrillic_twin(rs3_dir) -> dict[str, str]:
+    """Rewrite every ``.rs3`` file in ``rs3_dir`` with each letter of its
+    segment texts mapped one-to-one onto a Cyrillic letter, case kept, and
+    return the map.  A Cyrillic letter maps to itself and any other letter,
+    lowercased, to the next Cyrillic letter that no segment uses; ids,
+    relation names and everything outside the segment texts stay as they
+    are."""
+    paths = sorted(rs3_dir.glob("*.rs3"))
+    trees = [ET.parse(path) for path in paths]
+    segments = [seg for tree in trees for seg in tree.iter("segment")]
+    used = sorted({ch.lower() for seg in segments for ch in seg.text or "" if ch.isalpha()})
+    free = iter(ch for ch in _CYRILLIC if ch not in used)
+    table = {ch: ch if ch in _CYRILLIC else next(free) for ch in used}
+    table.update({ch.upper(): twin.upper() for ch, twin in table.items()})
+    assert len(set(table.values())) == len(table)  # one-to-one, case included
+    for seg in segments:
+        seg.text = "".join(table.get(ch, ch) for ch in seg.text or "")
+    for path, tree in zip(paths, trees):
+        tree.write(path, encoding="utf-8", xml_declaration=True)
+    return table

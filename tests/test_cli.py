@@ -25,7 +25,7 @@ from rstkit import treebank as tb_mod
 from rstkit.cli import main
 from rstkit.core import DocumentRecord, EduSpan, RstTree
 from rstkit.decoder import DecodeConfig, OracleProvider, ScoreProvider, ScoreTable, decode
-from rstkit.metrics import corpus_stats, genre_breakdown, stats_csv
+from rstkit.metrics import genre_breakdown, stats_csv
 from rstkit.treebank import iter_canonical, write_record
 
 from helpers import (
@@ -169,6 +169,25 @@ class TestConvert:
         assert main(["convert", str(rs3), "-o", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"rstkit: error: {rs3}: multinuc group 4: child 2 has {has}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("name", ["#note", " #Note "])
+    def test_relation_name_starting_with_a_hash_is_a_user_error(self, tmp_path, capsys,
+                                                                name):
+        # '#' marks a leaf in tree strings, so "(#note_NS #0 #1)" reads back
+        # as nothing; convert must refuse the name, not write that tree.
+        rs3 = tmp_path / "demo_news_9.rs3"
+        rs3.write_text(
+            f'<rst><header><relations><rel name="{name}" type="rst"/></relations>'
+            '</header><body>'
+            '<segment id="1">a.</segment>'
+            f'<segment id="2" parent="1" relname="{name}">b.</segment>'
+            '</body></rst>', encoding="utf-8")
+        out = tmp_path / "x.jsonl"
+        assert main(["convert", str(rs3), "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"rstkit: error: {rs3}: relation name '#note' starts with '#'\n")
         assert captured.out == "" and not out.exists()
 
 
@@ -354,9 +373,10 @@ class TestStats:
             flags = ["--sents", str(sents)]
         else:
             sentences, flags = None, ["--no-spanned"]
-        whole = corpus_stats(docs, sentences, spanned)
+        whole = genre_breakdown(docs, sentences, spanned)[0]
         per_genre = {
-            genre: corpus_stats([d for d in docs if d.genre == genre], sentences, spanned)
+            genre: genre_breakdown(
+                [d for d in docs if d.genre == genre], sentences, spanned)[0]
             for genre in sorted({d.genre for d in docs})
         }
         assert genre_breakdown(iter(docs), sentences, spanned) == (whole, per_genre)
@@ -640,6 +660,20 @@ class TestParseAndEval:
                      "--inventory", str(inventory)])
         assert code == 1
         assert "'foo'" in capsys.readouterr().err
+        assert not pred.exists()
+
+    def test_inventory_label_starting_with_a_hash_is_rejected_before_output(
+        self, gold_file, tmp_path, capsys
+    ):
+        inventory = tmp_path / "inventory.txt"
+        inventory.write_text("\n".join([*TEST_LABELS, "#x_NN"]) + "\n", encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        assert main(["parse", str(gold_file), "-o", str(pred), "--oracle",
+                     "--inventory", str(inventory)]) == 1
+        line = len(TEST_LABELS) + 1
+        assert capsys.readouterr().err == (
+            f"rstkit: error: {inventory}: line {line}: "
+            "relation name '#x' starts with '#'\n")
         assert not pred.exists()
 
     def test_repeated_inventory_label_is_rejected_before_output(

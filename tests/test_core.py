@@ -42,6 +42,13 @@ class TestRelationLabel:
         assert label.relation == "elaboration"
         assert label.merged == "elaboration_NS"
 
+    @pytest.mark.parametrize("relation", ["#x", " #X", "#"])
+    def test_relation_name_must_not_start_with_a_hash(self, relation):
+        # '#' marks a leaf in tree strings; the check runs after strip and lowercase
+        with pytest.raises(RstError, match="relation name '#x?' starts with '#'"):
+            RelationLabel(relation, "NN")
+        assert RelationLabel("x#", "NN").merged == "x#_NN"
+
     def test_merged_round_trip(self):
         assert RelationLabel.from_merged("joint_NN") == RelationLabel(
             "joint", Nuclearity.NN
@@ -54,6 +61,7 @@ class TestRelationLabel:
         "a b_NS": "relation name 'a b' contains a reserved character",
         "": "not a relation_NUC label (length 0): ''",
         "(x)_NS": "relation name '(x)' contains a reserved character",
+        "#x_NN": "relation name '#x' starts with '#'",
     }
 
     @pytest.mark.parametrize("bad", ["elaboration", "x_NX", "_NS", "a b_NS", ""])
@@ -67,7 +75,7 @@ class TestRelationLabel:
         assert RelationLabel.from_merged(merged) is label
         assert label == RelationLabel.from_merged(label.merged)
 
-    @pytest.mark.parametrize("bad", ["elaboration", "x_NX", "a b_NS", "(x)_NS"])
+    @pytest.mark.parametrize("bad", ["elaboration", "x_NX", "a b_NS", "(x)_NS", "#x_NN"])
     def test_malformed_merged_raises_on_every_call(self, bad):
         for _ in range(3):
             with pytest.raises(RstError, match=re.escape(self.MERGED_ERRORS[bad])):
@@ -430,6 +438,9 @@ class TestValueTypes:
         assert model.start.tolist() == [1.0, 1.0]
         with pytest.raises(TypeError, match="unhashable type: 'CrfModel'"):
             hash(model)
+        # arrays have no single truth value, so a model compares by identity
+        assert model == model and model != crf.CrfModel.create(3)
+        assert model != model.clone() and not model == model.clone()
         with pytest.raises(TypeError, match="unhashable type: 'RstTree'"):
             hash(RstTree.leaf(0))
         rows = np.zeros((2, 1), dtype=np.int32), np.ones((2, 1))

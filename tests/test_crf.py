@@ -35,7 +35,13 @@ from helpers import (
     reference_log_likelihood,
     reference_viterbi,
     relative_error,
+    rows,
+    toarray,
 )
+
+
+# The parameter blocks, in the order of log_likelihood's gradient.
+PARAMETERS = ("emission", "transition", "start", "stop")
 
 
 def random_model(rng: np.random.Generator, n_labels=2, dim=3) -> CrfModel:
@@ -54,7 +60,7 @@ class TestViterbi:
         features = rng.normal(size=(7, 4))
         model = CrfModel.create(4)
         model.emission[:] = rng.normal(size=model.emission.shape)
-        path = viterbi(model, features)
+        path = viterbi(model, rows(features))
         emissions = features @ model.emission.T
         expected = [model.labels[i] for i in emissions.argmax(axis=1)]
         assert path == expected
@@ -67,7 +73,7 @@ class TestViterbi:
             best_path, best_score = max(
                 enumerate_paths(model, features), key=lambda item: item[1]
             )
-            predicted = viterbi(model, features)
+            predicted = viterbi(model, rows(features))
             assert [model.labels[i] for i in best_path] == predicted
 
     def test_single_token(self):
@@ -75,12 +81,11 @@ class TestViterbi:
         model = random_model(rng)
         features = rng.normal(size=(1, 3))
         scores = model.start + features @ model.emission.T + model.stop
-        assert viterbi(model, features) == [model.labels[int(np.argmax(scores))]]
+        assert viterbi(model, rows(features)) == [model.labels[int(np.argmax(scores))]]
 
     def test_tie_break_prefers_lower_label_index(self):
         model = CrfModel.create(2)  # all-zero parameters: every path ties
-        features = np.zeros((3, 2))
-        assert viterbi(model, features) == ["B", "B", "B"]
+        assert viterbi(model, rows(np.zeros((3, 2)))) == ["B", "B", "B"]
 
     def test_viterbi_score_dominates_all_paths(self):
         rng = np.random.default_rng(3)
@@ -88,7 +93,7 @@ class TestViterbi:
             model = random_model(rng, n_labels=3, dim=2)
             features = rng.normal(size=(rng.integers(1, 6), 2))
             paths = enumerate_paths(model, features)
-            predicted = viterbi(model, features)
+            predicted = viterbi(model, rows(features))
             idx = tuple(model.labels.index(l) for l in predicted)
             (pred_score,) = [s for p, s in paths if p == idx]
             assert pred_score >= max(s for _, s in paths) - 1e-12
@@ -96,15 +101,25 @@ class TestViterbi:
     def test_dimension_mismatch(self):
         model = CrfModel.create(3)
         with pytest.raises(RstError, match=re.escape("features must be [seq_len, 3], got (2, 4)")):
-            viterbi(model, np.zeros((2, 4)))
+            viterbi(model, rows(np.zeros((2, 4))))
         with pytest.raises(RstError, match="sequence must have at least one position"):
-            viterbi(model, np.zeros((0, 3)))
+            viterbi(model, rows(np.zeros((0, 3))))
+
+    def test_features_other_than_sparse_rows_are_rejected(self):
+        model = CrfModel.create(3)
+        for features in (np.zeros((2, 3)), [[0.0] * 3] * 2, None):
+            name = type(features).__name__
+            message = f"features must be SparseFeatures, got {name}"
+            with pytest.raises(RstError, match=message):
+                viterbi(model, features)
+            with pytest.raises(RstError, match=message):
+                log_likelihood(model, features, ["B", "I"])
 
 
 class TestLogLikelihood:
     def test_uniform_single_token(self):
         model = CrfModel.create(1)  # feature dim 1, two labels, all zeros
-        ll, _ = log_likelihood(model, np.zeros((1, 1)), ["B"])
+        ll, _ = log_likelihood(model, rows(np.zeros((1, 1))), ["B"])
         assert ll == pytest.approx(-math.log(2), abs=1e-12)
 
     def test_log_z_matches_brute_force_two_tokens(self):
@@ -113,7 +128,7 @@ class TestLogLikelihood:
             model = random_model(rng)
             features = rng.normal(size=(2, 3))
             gold = [model.labels[i] for i in rng.integers(0, 2, size=2)]
-            ll, _ = log_likelihood(model, features, gold)
+            ll, _ = log_likelihood(model, rows(features), gold)
             (gold_score,) = [
                 s
                 for p, s in enumerate_paths(model, features)
@@ -136,7 +151,7 @@ class TestLogLikelihood:
                 assert total == pytest.approx(1.0, abs=1e-9)
                 # the production forward pass agrees with the enumeration
                 gold = [model.labels[0]] * seq_len
-                ll, _ = log_likelihood(model, features, gold)
+                ll, _ = log_likelihood(model, rows(features), gold)
                 (gold_score,) = [
                     s
                     for p, s in enumerate_paths(model, features)
@@ -152,15 +167,15 @@ class TestLogLikelihood:
             model = random_model(rng, n_labels=n_labels, dim=2)
             features = rng.normal(size=(seq_len, 2))
             gold = [model.labels[i] for i in rng.integers(0, n_labels, size=seq_len)]
-            _, grads = log_likelihood(model, features, gold)
+            _, grads = log_likelihood(model, rows(features), gold)
             numeric = finite_difference_grads(model, features, gold, h=1e-5)
-            for name in ("emission", "transition", "start", "stop"):
-                assert relative_error(getattr(grads, name), numeric[name]) < 1e-4
+            for name, got, want in zip(PARAMETERS, grads, numeric, strict=True):
+                assert relative_error(got, want) < 1e-4, name
 
     def test_gold_length_mismatch(self):
         model = CrfModel.create(2)
         with pytest.raises(RstError, match="gold length 2 != sequence length 3"):
-            log_likelihood(model, np.zeros((3, 2)), ["B", "I"])
+            log_likelihood(model, rows(np.zeros((3, 2))), ["B", "I"])
 
 
 def random_tokens(rng: np.random.Generator, seq_len: int) -> list[str]:
@@ -174,8 +189,7 @@ def assert_same_result(actual, expected, tolerance):
     relative to the largest magnitude in the block (at least 1)."""
     (ll_a, grads_a), (ll_b, grads_b) = actual, expected
     assert abs(ll_a - ll_b) <= tolerance * max(abs(ll_b), 1.0)
-    for name in ("emission", "transition", "start", "stop"):
-        a, b = getattr(grads_a, name), getattr(grads_b, name)
+    for name, a, b in zip(PARAMETERS, grads_a, grads_b, strict=True):
         scale = max(float(np.max(np.abs(b))), 1.0)
         assert float(np.max(np.abs(a - b))) <= tolerance * scale, name
 
@@ -185,20 +199,22 @@ class TestFastPathsAgainstOracles:
     matrix and the sequential per-token recursions."""
 
     def test_sparse_and_dense_features_agree(self):
+        # The extractor's 8-wide rows and the full-width rows of the same
+        # matrix agree through the scan at 1e-12; the sequential reference
+        # rounds in another order, which at 3 labels and 300 tokens differs
+        # by 1.07e-12 of the largest gradient entry.
         rng = np.random.default_rng(10)
         extractor = HashedWindowFeatures(32)
         for n_labels in (2, 3):
             for seq_len in (1, 2, 17, 300):
                 model = random_model(rng, n_labels=n_labels, dim=extractor.dim)
                 sparse = extractor(random_tokens(rng, seq_len))
-                dense = sparse.toarray()
+                dense = toarray(sparse)
                 gold = [model.labels[i] for i in rng.integers(0, n_labels, seq_len)]
-                assert_same_result(
-                    log_likelihood(model, sparse, gold),
-                    log_likelihood(model, dense, gold),
-                    1e-12,
-                )
-                assert viterbi(model, sparse) == viterbi(model, dense)
+                result = log_likelihood(model, sparse, gold)
+                assert_same_result(result, log_likelihood(model, rows(dense), gold), 1e-12)
+                assert_same_result(result, reference_log_likelihood(model, dense, gold), 1e-11)
+                assert viterbi(model, sparse) == reference_viterbi(model, dense)
 
     def test_scan_matches_sequential_reference_on_long_documents(self):
         rng = np.random.default_rng(11)
@@ -209,10 +225,10 @@ class TestFastPathsAgainstOracles:
             gold = [model.labels[i] for i in rng.integers(0, n_labels, seq_len)]
             assert_same_result(
                 log_likelihood(model, sparse, gold),
-                reference_log_likelihood(model, sparse.toarray(), gold),
+                reference_log_likelihood(model, toarray(sparse), gold),
                 1e-9,
             )
-            assert viterbi(model, sparse) == reference_viterbi(model, sparse.toarray())
+            assert viterbi(model, sparse) == reference_viterbi(model, toarray(sparse))
 
     def test_viterbi_equals_reference_on_tie_heavy_models(self):
         # Small integers keep every sum exact, so the scan and the
@@ -229,7 +245,7 @@ class TestFastPathsAgainstOracles:
                     stop=small(n_labels),
                 )
                 features = np.abs(small(seq_len, 2))
-                assert viterbi(model, features) == reference_viterbi(model, features)
+                assert viterbi(model, rows(features)) == reference_viterbi(model, features)
 
 
 def separable_dataset(n_docs=12, seq_len=14, seed=0):
@@ -243,7 +259,7 @@ def separable_dataset(n_docs=12, seq_len=14, seed=0):
         features = np.zeros((seq_len, 2))
         for t, label in enumerate(labels):
             features[t, 0 if label == "B" else 1] = 1.0
-        dataset.append((features, labels))
+        dataset.append((rows(features), labels))
     return dataset
 
 
@@ -323,14 +339,14 @@ class TestFeatures:
     def test_hashed_window_shape_and_determinism(self):
         extractor = HashedWindowFeatures(64)
         tokens = ["Over", "there", ",", "he", "said", "."]
-        a = extractor(tokens).toarray()
-        b = extractor(tokens).toarray()
+        a = toarray(extractor(tokens))
+        b = toarray(extractor(tokens))
         assert a.shape == (6, extractor.dim)
         assert np.array_equal(a, b)
 
     def test_comma_flags(self):
         extractor = HashedWindowFeatures(16)
-        matrix = extractor(["a", ",", "b"]).toarray()
+        matrix = toarray(extractor(["a", ",", "b"]))
         flags = 3 * 16
         assert matrix[1, flags + 1] == 1.0  # is-comma
         assert matrix[2, flags + 2] == 1.0  # previous token is a comma

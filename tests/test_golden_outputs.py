@@ -6,6 +6,9 @@ inputs of ``helpers.write_workload_inputs``.  The exit code, the stdout and
 every output file of each stage are digested and compared with
 ``golden_outputs.json``, so a change to any output byte fails here.  An
 ``.npz`` model is digested by its members, as the archive stamps the time.
+Two metamorphic relations run the chains again on changed inputs: the
+segmenter's under another hash seed, and the treebank's on a Cyrillic twin
+of its ``.rs3`` files.
 
 A change that is meant to alter an output records the file again with
 
@@ -29,8 +32,9 @@ import pytest
 
 import rstkit
 from rstkit.cli import main
+from rstkit.treebank import iter_canonical
 
-from helpers import write_workload_inputs
+from helpers import cyrillic_twin, write_workload_inputs
 
 GOLDEN_PATH = Path(__file__).with_name("golden_outputs.json")
 SRC = Path(rstkit.__file__).parents[1]
@@ -76,25 +80,34 @@ def _digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def run_workload(name: str, work: Path) -> dict[str, dict[str, object]]:
-    """Run ``name``'s chain in ``work`` and digest each stage's outputs."""
-    write_workload_inputs(work, SEED)
+def run_stages(name: str, work: Path) -> list[tuple[str, int, str]]:
+    """Run ``name``'s chain in ``work``: each stage's name, exit code and stdout."""
     cwd = os.getcwd()
     os.chdir(work)  # stdout names the output files as the command lines do
     try:
-        digests = {}
-        for stage, argv, outputs in WORKLOADS[name]:
+        results = []
+        for stage, argv, _ in WORKLOADS[name]:
             stdout = io.StringIO()
             with redirect_stdout(stdout):
                 code = main(argv)
-            digests[stage] = {
-                "exit": code,
-                "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
-                **{out: _digest(work / out) for out in outputs},
-            }
-        return digests
+            results.append((stage, code, stdout.getvalue()))
+        return results
     finally:
         os.chdir(cwd)
+
+
+def run_workload(name: str, work: Path) -> dict[str, dict[str, object]]:
+    """Run ``name``'s chain in ``work`` and digest each stage's outputs."""
+    write_workload_inputs(work, SEED)
+    return {
+        stage: {
+            "exit": code,
+            "stdout": hashlib.sha256(stdout.encode()).hexdigest(),
+            **{out: _digest(work / out) for out in outputs},
+        }
+        for (stage, code, stdout), (_, _, outputs)
+        in zip(run_stages(name, work), WORKLOADS[name])
+    }
 
 
 @pytest.mark.parametrize("name", list(WORKLOADS))
@@ -121,6 +134,34 @@ def test_segmenter_outputs_do_not_depend_on_the_hash_seed(tmp_path):
                              [_digest(work / out) for out in outputs]))
     assert runs[0] == runs[1]
     assert [run[1] for run in runs[0]] == [0, 0, 0, 0]
+
+
+def test_treebank_chain_is_blind_to_a_cyrillic_script_twin(tmp_path):
+    """Mapping every letter of the segment texts one-to-one onto Cyrillic
+    leaves the exit codes and stdout of convert, stats, parse --oracle and
+    eval as they were, and the converted records keep their trees, EDUs and
+    character offsets, with each token mapped letter by letter.  (The
+    segmenter is left out: its hashed word features change under the map.)"""
+    runs, records = [], []
+    for name in ("original", "twin"):
+        work = tmp_path / name
+        work.mkdir()
+        write_workload_inputs(work, SEED)
+        if name == "twin":
+            table = cyrillic_twin(work / "rs3")
+        runs.append(run_stages("treebank-gum", work))
+        records.append(list(iter_canonical(work / "conv.jsonl")))
+    assert runs[0] == runs[1]
+    assert [code for _, code, _ in runs[0]] == [0, 0, 0, 0]
+    original, twin = records
+    assert len(original) == len(twin) == 21
+    to_twin = str.maketrans(table)
+    for a, b in zip(original, twin):
+        assert (a.doc_id, a.tree, a.edus, a.char_starts) == (b.doc_id, b.tree, b.edus,
+                                                              b.char_starts)
+        assert [t.translate(to_twin) for t in a.tokens] == list(b.tokens)
+    assert not {ch for doc in twin for t in doc.tokens for ch in t if ch.isascii()
+                and ch.isalpha()}
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from rstkit.core import (
 from rstkit.core import Corpus
 from rstkit.metrics import (
     MetricCounts,
-    corpus_stats,
     end_to_end_eval,
     format_parseval_table,
     format_stats_table,
@@ -209,10 +208,17 @@ class TestSegmentationF1:
         assert scores.gold == 1
 
     def test_not_a_partition(self):
-        with pytest.raises(RstError, match="gold EDUs cover 2 of 3 tokens"):
+        with pytest.raises(RstError, match="gold: EDUs cover 2 tokens, document has 3"):
             segmentation_f1((EduSpan(0, 1),), (EduSpan(0, 0),), 3)
-        with pytest.raises(RstError, match="gold EDUs leave a gap at token 3"):
+        with pytest.raises(RstError, match=re.escape(
+                "gold: EDU spans do not partition the tokens (expected start 3, got 4)")):
             segmentation_f1((EduSpan(0, 2), EduSpan(4, 4)), (EduSpan(0, 4),), 5)
+        # an overlap is no gap: the message names the start it expected
+        with pytest.raises(RstError, match=re.escape(
+                "predicted: EDU spans do not partition the tokens (expected start 3, got 2)")):
+            segmentation_f1((EduSpan(0, 4),), (EduSpan(0, 2), EduSpan(2, 4)), 5)
+        with pytest.raises(RstError, match="predicted: document has no EDUs"):
+            segmentation_f1((EduSpan(0, 4),), (), 5)
 
 
 class TestEndToEnd:
@@ -378,7 +384,7 @@ class TestCorpusStats:
     def test_single_sentence_doc_fully_spanned(self):
         tree = build_tree((0, 1, "elaboration_NS"))
         doc = make_document("d", tree, sents=[0])
-        stats = corpus_stats([doc])
+        stats = genre_breakdown([doc])[0]
         assert stats.spanned_pct == 100.0
         assert stats.spanned_all_pct == 100.0
 
@@ -403,7 +409,7 @@ class TestCorpusStats:
             sents=[0, 2],
             genre="blogs",
         )
-        stats = corpus_stats([doc1, doc2])
+        stats = genre_breakdown([doc1, doc2])[0]
         assert stats.docs == 2
         assert stats.genres == 2
         assert stats.classes == 3
@@ -431,14 +437,14 @@ class TestCorpusStats:
             edus=(EduSpan(0, 1), EduSpan(2, 2), EduSpan(3, 4)),
             sents=[0, 3],
         )
-        stats = corpus_stats([doc])
+        stats = genre_breakdown([doc])[0]
         assert stats.spanned_pct == 0.0
 
     def test_missing_sentences(self):
         doc = make_document("d", build_tree((0, 1, "joint_NN")))
         with pytest.raises(RstError, match="d: sentence boundaries required"):
-            corpus_stats([doc])
-        stats = corpus_stats([doc], spanned=False)
+            genre_breakdown([doc])[0]
+        stats = genre_breakdown([doc], spanned=False)[0]
         assert stats.spanned_pct is None
 
     def test_relation_pairs_equal_internal_node_totals(self):
@@ -447,13 +453,13 @@ class TestCorpusStats:
             make_document(f"d{i}", random_tree(rng, rng.randint(2, 12)))
             for i in range(10)
         ]
-        stats = corpus_stats(docs, spanned=False)
+        stats = genre_breakdown(docs, spanned=False)[0]
         assert stats.relation_pairs == sum(d.tree.n_internal for d in docs)
         assert stats.edus == sum(d.tree.n_leaves for d in docs)
 
     def test_external_sentence_table_overrides(self):
         doc = make_document("d", build_tree((0, 1, "joint_NN")), sents=None)
-        stats = corpus_stats([doc], sentences={"d": (0,)})
+        stats = genre_breakdown([doc], sentences={"d": (0,)})[0]
         assert stats.spanned_pct is not None
 
     def test_genre_breakdown_single_genre_equals_aggregate(self):
@@ -465,7 +471,7 @@ class TestCorpusStats:
         corpus = Corpus(docs)
         whole, breakdown = genre_breakdown(corpus)
         assert list(breakdown) == ["news"]
-        assert breakdown["news"] == whole == corpus_stats(docs)
+        assert breakdown["news"] == whole == genre_breakdown(docs)[0]
 
     def test_median_equals_statistics_median(self):
         rng = random.Random(23)
@@ -489,7 +495,7 @@ class TestReportRendering:
 
     def test_stats_table(self):
         doc = make_document("d", build_tree((0, 1, "joint_NN")), sents=[0])
-        rows = {"corpus": corpus_stats([doc])}
+        rows = {"corpus": genre_breakdown([doc])[0]}
         table = format_stats_table(rows)
         assert "corpus" in table and "EDUs" in table
         assert "docs" in stats_csv(rows)
