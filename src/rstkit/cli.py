@@ -334,8 +334,6 @@ def cmd_segment(args) -> int:
     from . import crf as crf_mod
 
     model, extractor = crf_mod.load_model(_input_path(args.model))
-    if extractor is None:
-        raise RstError(f"{args.model}: model file does not carry feature settings")
     if model.labels != crf_mod.DEFAULT_LABELS:
         raise RstError(f"{args.model}: segmenter labels must be B, I; got {model.labels}")
     count = 0
@@ -400,6 +398,11 @@ def cmd_parse(args) -> int:
         fixed = None
     if fixed is not None:
         config_for(fixed)  # checks the labels before any output is opened
+    if args.baseline is not None:
+        try:  # only an inventory can lack the label
+            baseline = RightBranchingProvider(args.baseline, fixed)
+        except RstError as exc:
+            raise RstError(f"{args.inventory}: {exc}") from None
     score_table = ScoreTable.load(_input_path(args.scores)) if args.scores else None
 
     count = 0
@@ -412,13 +415,21 @@ def cmd_parse(args) -> int:
                 if labels is None:
                     nodes = doc.tree.internal_nodes()
                     labels = tuple(sorted({node.label.merged for node in nodes}))
-                provider = OracleProvider(doc.tree, labels)
+                try:  # only an inventory can lack a gold label
+                    provider = OracleProvider(doc.tree, labels)
+                except RstError as exc:
+                    raise RstError(f"{args.inventory}: {doc.doc_id}: {exc}") from None
             elif args.baseline is not None:
-                provider = RightBranchingProvider(args.baseline, labels)
+                provider = baseline
             elif len(doc.edus) > 1:  # decode asks a lone EDU nothing
                 provider = score_table.provider(doc.doc_id)  # type: ignore[union-attr]
             if len(doc.edus) > 1:
-                tree = decode(len(doc.edus), provider, config_for(labels))
+                try:
+                    tree = decode(len(doc.edus), provider, config_for(labels))
+                except RstError as exc:  # a range no line holds, a label vector's length
+                    if score_table is None:
+                        raise
+                    raise RstError(f"{args.scores}: {doc.doc_id}: {exc}") from None
                 del provider  # so the next run is read without this one held
             else:  # a lone EDU: its tree is a leaf with no label
                 tree = RstTree.leaf(0)

@@ -347,14 +347,8 @@ class RstTree(_Value):
             if node.left.left is not None:  # type: ignore[union-attr]
                 stack.append(node.left)  # type: ignore[arg-type]
 
-    def token_span(self, edus: Sequence[EduSpan] | None = None) -> tuple[int, int]:
-        """Inclusive token span of this node.
-
-        Without ``edus`` each EDU counts as a single pseudo-token, i.e. the
-        EDU-index span is returned.
-        """
-        if edus is None:
-            return self.first_edu, self.last_edu
+    def token_span(self, edus: Sequence[EduSpan]) -> tuple[int, int]:
+        """Inclusive token span of this node over the document's ``edus``."""
         return edus[self.first_edu].first_token, edus[self.last_edu].last_token
 
     def __eq__(self, other: object) -> bool:
@@ -423,16 +417,11 @@ class Constituent(_Value):
         return self.first_token, self.last_token
 
 
-def enumerate_constituents(
-    tree: RstTree,
-    edus: Sequence[EduSpan] | None = None,
-    include_root: bool = False,
-) -> list[Constituent]:
-    """List evaluation constituents, ordered by (span start, span length).
+def enumerate_constituents(tree: RstTree, edus: Sequence[EduSpan]) -> list[Constituent]:
+    """List evaluation constituents over the document's ``edus``, ordered
+    by (span start, span length).
 
-    One entry is produced per non-root node.  ``include_root`` adds a
-    ``(root span, N, span)`` entry, for sensitivity checks against scoring
-    schemes that count the root; the default convention excludes it.
+    One entry is produced per non-root node; the root is not counted.
     """
     entries: list[Constituent] = []
     for node in tree.internal_nodes():
@@ -448,9 +437,6 @@ def enumerate_constituents(
         for child, (role, carried) in zip((node.left, node.right), roles):
             start, end = child.token_span(edus)  # type: ignore[union-attr]
             entries.append(Constituent(start, end, role, carried))
-    if include_root:
-        start, end = tree.token_span(edus)
-        entries.append(Constituent(start, end, "N", SPAN_RELATION))
     entries.sort(key=lambda c: (c.first_token, c.last_token - c.first_token))
     return entries
 

@@ -87,20 +87,11 @@ class CrfModel(_Value):
         return self.emission.shape[1]
 
     @classmethod
-    def create(
-        cls,
-        feature_dim: int,
-        labels: Sequence[str] = DEFAULT_LABELS,
-    ) -> "CrfModel":
-        """Zero-initialized model."""
-        n = len(labels)
-        return cls(
-            labels=tuple(labels),
-            emission=np.zeros((n, feature_dim)),
-            transition=np.zeros((n, n)),
-            start=np.zeros(n),
-            stop=np.zeros(n),
-        )
+    def create(cls, feature_dim: int) -> "CrfModel":
+        """Zero-initialized model over :data:`DEFAULT_LABELS`."""
+        n = len(DEFAULT_LABELS)
+        return cls(DEFAULT_LABELS, np.zeros((n, feature_dim)), np.zeros((n, n)),
+                   np.zeros(n), np.zeros(n))
 
     def clone(self) -> "CrfModel":
         return CrfModel(
@@ -486,30 +477,27 @@ class HashedWindowFeatures(_Value):
 _FORMAT_VERSION = 1
 
 
-def save_model(
-    model: CrfModel, path, extractor: HashedWindowFeatures | None = None
-) -> None:
-    """Persist a model as a versioned NPZ archive.
+def save_model(model: CrfModel, path, extractor: HashedWindowFeatures) -> None:
+    """Persist a model and the extractor it was trained with as a versioned
+    NPZ archive.
 
     ``path`` is a binary file object or a file name, to which ``np.savez``
     appends ``.npz`` when it lacks that suffix.
 
-    Keys: ``version`` (int), ``labels`` (string array) and the four float64
-    parameter blocks in row-major order; ``n_buckets`` is stored when the
-    model was trained with the hashed-window extractor so that segmentation
-    can rebuild identical features.
+    Keys: ``version`` (int), ``labels`` (string array), the four float64
+    parameter blocks in row-major order and ``n_buckets`` (int), so that
+    segmentation can rebuild identical features.
     """
-    payload = {
-        "version": np.array(_FORMAT_VERSION),
-        "labels": np.array(model.labels),
-        "emission": model.emission.astype(np.float64),
-        "transition": model.transition.astype(np.float64),
-        "start": model.start.astype(np.float64),
-        "stop": model.stop.astype(np.float64),
-    }
-    if extractor is not None:
-        payload["n_buckets"] = np.array(extractor.n_buckets)
-    np.savez(path, **payload)
+    np.savez(
+        path,
+        version=np.array(_FORMAT_VERSION),
+        labels=np.array(model.labels),
+        emission=model.emission.astype(np.float64),
+        transition=model.transition.astype(np.float64),
+        start=model.start.astype(np.float64),
+        stop=model.stop.astype(np.float64),
+        n_buckets=np.array(extractor.n_buckets),
+    )
 
 
 def _member(data, key: str) -> np.ndarray:
@@ -526,8 +514,9 @@ def _integer(data, key: str) -> int:
     return int(value)
 
 
-def load_model(path) -> tuple[CrfModel, HashedWindowFeatures | None]:
-    """Read a model that :func:`save_model` wrote to the file ``path``.
+def load_model(path) -> tuple[CrfModel, HashedWindowFeatures]:
+    """Read a model and its extractor that :func:`save_model` wrote to the
+    file ``path``.
 
     Raises RstError naming ``path`` when the file is not a model archive,
     lacks a key, holds a member that is not an ``.npy`` array, a parameter
@@ -543,14 +532,10 @@ def load_model(path) -> tuple[CrfModel, HashedWindowFeatures | None]:
             model = CrfModel(tuple(str(x) for x in _member(data, "labels")), *(
                 _member(data, key).astype(np.float64, casting="safe")
                 for key in ("emission", "transition", "start", "stop")))
-            extractor = (
-                HashedWindowFeatures(_integer(data, "n_buckets"))
-                if "n_buckets" in data
-                else None
-            )
+            extractor = HashedWindowFeatures(_integer(data, "n_buckets"))
     except (RstError, KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise RstError(f"{path}: cannot read model: {exc}") from None
-    if extractor is not None and extractor.dim != model.feature_dim:
+    if extractor.dim != model.feature_dim:
         raise RstError(
             f"{path}: n_buckets {extractor.n_buckets} gives {extractor.dim} "
             f"features, but emission has {model.feature_dim}"

@@ -374,8 +374,7 @@ class RightBranchingProvider(ScoreProvider):
 class _TableProvider(ScoreProvider):
     """One document's run of a score dump, its vectors the lists json built."""
 
-    def __init__(self, doc_id: str, splits: dict, labels: dict) -> None:
-        self.doc_id = doc_id
+    def __init__(self, splits: dict, labels: dict) -> None:
         self._split_table = splits  # (start, end) -> list
         self._label_table = labels  # ((start, split), (split, end)) -> list
 
@@ -383,9 +382,7 @@ class _TableProvider(ScoreProvider):
         try:
             return self._split_table[(start, end)]
         except KeyError:
-            raise RstError(
-                f"{self.doc_id}: no split scores for range [{start}, {end})"
-            ) from None
+            raise RstError(f"no split scores for range [{start}, {end})") from None
 
     def label_scores(
         self, left: tuple[int, int], right: tuple[int, int]
@@ -393,9 +390,7 @@ class _TableProvider(ScoreProvider):
         try:
             return self._label_table[(left, right)]
         except KeyError:
-            raise RstError(
-                f"{self.doc_id}: no label scores for {left} + {right}"
-            ) from None
+            raise RstError(f"no label scores for {left} + {right}") from None
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -443,6 +438,11 @@ def _score_runs(path, seen: set):
                     start, stop = key = obj["start"], obj["end"]
                     if type(start) is not int or type(stop) is not int:
                         raise ValueError(f"indices must be integers, got {key!r}")
+                    if not 0 <= start < stop:
+                        raise ValueError("start and end must give a nonempty range from 0")
+                    if len(values) != stop - start - 1:
+                        raise ValueError(f"split scores must number end - start - 1, "
+                                         f"got {len(values)}")
                 elif kind == "label":
                     a, b = pair = obj["left"]
                     if type(a) is not int or type(b) is not int:
@@ -450,6 +450,8 @@ def _score_runs(path, seen: set):
                     c, d = pair = obj["right"]
                     if type(c) is not int or type(d) is not int:
                         raise ValueError(f"indices must be integers, got {pair!r}")
+                    if not 0 <= a < b == c < d:
+                        raise ValueError("left and right must be adjacent spans from 0")
                     key = (a, b), (c, d)
                 else:
                     raise ValueError(f"unknown kind {kind!r}")
@@ -482,11 +484,12 @@ class ScoreTable:
          "scores": [...]}
 
     so score dumps from any model can drive the decoder.  ``ID`` is a JSON
-    string, indices are JSON integers and ``scores`` a list of finite JSON
-    numbers that fit a double, none ``true``, ``false``, ``NaN`` or
-    ``Infinity``; a line that breaks a rule raises RstError naming it.
-    Split vectors must have length end-start-1; label vectors must match
-    the inventory size.  A vector is kept as the list ``json`` builds, so
+    string, indices are JSON integers, ``0 <= i < j`` and ``i < s < j``,
+    and ``scores`` a list of finite JSON numbers that fit a double, none
+    ``true``, ``false``, ``NaN`` or ``Infinity``, of length j-i-1 on a split
+    line; a line that breaks a rule raises RstError naming it.  Label
+    vectors must match the inventory size, which the decoder checks.  A
+    vector is kept as the list ``json`` builds, so
     an integer score stays an ``int``; the decoder turns it into a double
     exactly where it would turn the same number spelled as a float.  A
     document's lines form one contiguous run: a line for a document whose
@@ -517,7 +520,7 @@ class ScoreTable:
                 if doc == doc_id:
                     break
         if doc_id in self._ahead:
-            return _TableProvider(doc_id, *self._ahead.pop(doc_id))
+            return _TableProvider(*self._ahead.pop(doc_id))
         if doc_id in self._seen:
             raise RstError(f"scores for document {doc_id} were already handed out")
         raise RstError(f"no scores for document {doc_id}")

@@ -113,7 +113,7 @@ class ParsevalScores(_Value):
 
 
 def _span_table(
-    tree: RstTree, edus: Sequence[EduSpan] | None
+    tree: RstTree, edus: Sequence[EduSpan]
 ) -> dict[tuple[int, int], tuple[str, str]]:
     """``{(first_token, last_token): (role, relation)}`` for every non-root
     node, with the roles and relations of :func:`enumerate_constituents`.
@@ -121,11 +121,8 @@ def _span_table(
     Raises RstError when two nodes share a token span, which only EDUs
     that do not partition the tokens can cause.
     """
-    if edus is None:
-        starts = ends = range(tree.last_edu + 1)
-    else:
-        starts = [edu.first_token for edu in edus]
-        ends = [edu.last_token for edu in edus]
+    starts = [edu.first_token for edu in edus]
+    ends = [edu.last_token for edu in edus]
     table: dict[tuple[int, int], tuple[str, str]] = {}
     nn, ns = Nuclearity.NN, Nuclearity.NS  # enum attribute reads are slow
     # Only internal nodes go on the stack; each writes its children's rows.
@@ -156,17 +153,17 @@ def _span_table(
 def parseval(
     gold: RstTree,
     pred: RstTree,
-    gold_edus: Sequence[EduSpan] | None = None,
-    pred_edus: Sequence[EduSpan] | None = None,
+    gold_edus: Sequence[EduSpan],
+    pred_edus: Sequence[EduSpan],
 ) -> ParsevalScores:
     """Score one predicted tree against gold over token-offset constituents.
 
-    Both trees must cover the same token range (RstError
-    otherwise); pass the EDU spans to express constituents in token offsets,
-    or omit both to score in EDU-index space.  Each tree becomes one table
-    from token span to (role, relation), and the four metrics are counted
-    by lookup in it; :func:`~rstkit.core.enumerate_constituents` is the
-    reference listing of the same constituents.
+    The EDU spans express each tree's constituents in token offsets, and
+    both trees must cover the same token range (RstError otherwise).  Each
+    tree becomes one table from token span to (role, relation), and the
+    four metrics are counted by lookup in it;
+    :func:`~rstkit.core.enumerate_constituents` is the reference listing of
+    the same constituents.
     """
     if gold.token_span(gold_edus) != pred.token_span(pred_edus):
         raise RstError(

@@ -53,10 +53,10 @@ from .core import (
 # Tokenization
 # ---------------------------------------------------------------------------
 
-def tokenize(text: str, char_offset: int = 0) -> list[tuple[str, int]]:
+def tokenize(text: str) -> list[tuple[str, int]]:
     """Deterministic whitespace-plus-punctuation tokenizer.
 
-    Returns ``(text, char_start)`` pairs, offsets shifted by ``char_offset``.
+    Returns ``(text, char_start)`` pairs.
 
     Rules, applied identically to every language (Unicode-aware):
 
@@ -72,22 +72,21 @@ def tokenize(text: str, char_offset: int = 0) -> list[tuple[str, int]]:
     for chunk in text.split():
         start = text.find(chunk, end)  # from end, only whitespace precedes it
         end = start + len(chunk)
-        base = start + char_offset
         # Most chunks are whole tokens: no alphanumeric character is in a
         # P* or S* category, so alphanumeric ends are never peeled.
         if chunk.isalnum() or len(chunk) == 1 or (
                 chunk[0].isalnum() and chunk[-1].isalnum()):
-            tokens.append((chunk, base))
+            tokens.append((chunk, start))
             continue
         lo, hi = 0, len(chunk)  # peel punctuation (P*) and symbols (S*)
         while hi - lo > 1 and category(chunk[lo])[0] in "PS":
-            tokens.append((chunk[lo], base + lo))
+            tokens.append((chunk[lo], start + lo))
             lo += 1
         tail: list[tuple[str, int]] = []
         while hi - lo > 1 and category(chunk[hi - 1])[0] in "PS":
             hi -= 1
-            tail.append((chunk[hi], base + hi))
-        tokens.append((chunk[lo:hi], base + lo))
+            tail.append((chunk[hi], start + hi))
+        tokens.append((chunk[lo:hi], start + lo))
         tokens += tail[::-1]
     return tokens
 

@@ -292,11 +292,17 @@ def brute_force_parseval(
     }
 
 
+def unit_edus(tree: RstTree) -> tuple[EduSpan, ...]:
+    """One single-token EDU per EDU index up to ``tree``'s last, so that
+    token spans equal EDU-index spans."""
+    return tuple(EduSpan(i, i) for i in range(tree.last_edu + 1))
+
+
 def oracle_counts(
     gold: RstTree,
     pred: RstTree,
-    gold_edus: Sequence[EduSpan] | None = None,
-    pred_edus: Sequence[EduSpan] | None = None,
+    gold_edus: Sequence[EduSpan],
+    pred_edus: Sequence[EduSpan],
 ) -> dict[str, tuple[int, int, int]]:
     """(matched, gold, predicted) per metric from the all-pairs matcher."""
     gold_list = enumerate_constituents(gold, gold_edus)
@@ -700,8 +706,8 @@ def reference_score_line(line: str):
 
     The checks run in the reader's order: the JSON, the fields ``doc``,
     ``kind`` and ``scores``, a flat list holding no boolean, the conversion
-    of every value to a double, every value finite, the indices, then a
-    string ``doc``."""
+    of every value to a double, every value finite, the indices, their
+    ranges and a split vector's length, then a string ``doc``."""
     try:
         obj = json.loads(line)
         doc, kind, values = obj["doc"], obj["kind"], obj["scores"]
@@ -716,6 +722,11 @@ def reference_score_line(line: str):
             key = obj["start"], obj["end"]
             if any(type(index) is not int for index in key):
                 raise ValueError(f"indices must be integers, got {key!r}")
+            if key[0] < 0 or key[1] <= key[0]:
+                raise ValueError("start and end must give a nonempty range from 0")
+            if len(scores) != key[1] - key[0] - 1:
+                raise ValueError(f"split scores must number end - start - 1, "
+                                 f"got {len(scores)}")
         elif kind == "label":
             key = []
             for name in ("left", "right"):
@@ -723,7 +734,9 @@ def reference_score_line(line: str):
                 if type(a) is not int or type(b) is not int:
                     raise ValueError(f"indices must be integers, got {pair!r}")
                 key.append((a, b))
-            key = tuple(key)
+            (a, b), (c, d) = key = tuple(key)
+            if a < 0 or b <= a or c != b or d <= c:
+                raise ValueError("left and right must be adjacent spans from 0")
         else:
             raise ValueError(f"unknown kind {kind!r}")
         if type(doc) is not str:
@@ -913,14 +926,14 @@ def reference_tree_to_string(tree: RstTree) -> str:
     return text
 
 
-def reference_tokenize(text: str, char_offset: int = 0) -> list[tuple[str, int]]:
+def reference_tokenize(text: str) -> list[tuple[str, int]]:
     def splittable(ch: str) -> bool:
         return unicodedata.category(ch)[0] in ("P", "S")
 
     tokens: list[tuple[str, int]] = []
     for match in re.finditer(r"\S+", text):
         chunk = match.group()
-        base = match.start() + char_offset
+        base = match.start()
         lo, hi = 0, len(chunk)
         head: list[tuple[str, int]] = []
         tail: list[tuple[str, int]] = []
@@ -1085,7 +1098,7 @@ def reference_component_to_record(
     char_offset = 0
     for text in component.edu_texts:
         start = len(tokens)
-        tokens += tokenize(text, char_offset)
+        tokens += [(token, char + char_offset) for token, char in tokenize(text)]
         char_offset += len(text) + 1
         if len(tokens) == start:
             raise RstError(f"{doc_id}: EDU with no tokens")

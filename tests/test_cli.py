@@ -557,9 +557,10 @@ class TestSegmenterCommands:
         if defect == "not_npz":
             model.write_text("not a model archive\n", encoding="utf-8")
         elif defect == "labels":
-            crf_mod.save_model(
-                crf_mod.CrfModel.create(extractor.dim, labels=("X", "Y")), model, extractor
-            )
+            n = extractor.dim
+            xy = crf_mod.CrfModel(("X", "Y"), np.zeros((2, n)), np.zeros((2, 2)),
+                                  np.zeros(2), np.zeros(2))
+            crf_mod.save_model(xy, model, extractor)
         elif defect == "buckets":
             wider = crf_mod.HashedWindowFeatures(16)
             crf_mod.save_model(crf_mod.CrfModel.create(wider.dim), model, extractor)
@@ -686,6 +687,43 @@ class TestParseAndEval:
         assert main(["parse", str(gold_file), "-o", str(pred), "--oracle",
                      "--inventory", str(inventory)]) == 1
         assert "elaboration_NS" in capsys.readouterr().err
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("corpus", ["empty", "one_edu"])
+    def test_baseline_label_missing_from_the_inventory_is_rejected_before_output(
+        self, tmp_path, capsys, corpus
+    ):
+        # the check does not wait for a document that asks for the label
+        path = tmp_path / "corpus.jsonl"
+        write_corpus([make_document("one", RstTree.leaf(0))] if corpus == "one_edu" else [],
+                     path)
+        inventory = tmp_path / "inventory.txt"
+        inventory.write_text("".join(f"{x}\n" for x in TEST_LABELS), encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        assert main(["parse", str(path), "-o", str(pred), "--baseline", "foo_NS",
+                     "--inventory", str(inventory)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"rstkit: error: {inventory}: label foo_NS is not in the inventory\n"
+        assert len(err.encode()) <= 300
+        assert not pred.exists()
+
+    def test_gold_label_missing_from_the_inventory_names_the_document_and_the_file(
+        self, gold_file, tmp_path, capsys
+    ):
+        docs = list(iter_canonical(gold_file))
+        label = docs[1].tree.label.merged
+        inventory = tmp_path / "inventory.txt"
+        inventory.write_text("".join(f"{x}\n" for x in TEST_LABELS if x != label),
+                             encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        assert main(["parse", str(gold_file), "-o", str(pred), "--oracle",
+                     "--inventory", str(inventory)]) == 1
+        err = capsys.readouterr().err
+        first = next(doc.doc_id for doc in docs
+                     if label in {n.label.merged for n in doc.tree.internal_nodes()})
+        assert err == (f"rstkit: error: {inventory}: {first}: "
+                       f"gold label {label} missing from the inventory\n")
+        assert len(err.encode()) <= 300
         assert not pred.exists()
 
     def test_eval_rejects_repeated_gold_id(self, gold_file, tmp_path, capsys):
@@ -1087,6 +1125,41 @@ class TestSinglePassParse:
             f"rstkit: error: {scores}: line 4: bad score record (document 'doc0' "
             "has an earlier run of lines; its lines must be contiguous)\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("defect", ["split_length", "split_range", "label_spans",
+                                        "label_length", "moved_range"])
+    def test_a_bad_score_names_its_line_or_else_its_document(
+        self, gold_file, tmp_path, defect, capsys
+    ):
+        # The reader checks each line's ranges and split vector; decoding
+        # doc0 (two EDUs) finds a label vector that is not as long as the
+        # inventory, and a range that no line holds.
+        inventory = _inventory_file(gold_file, tmp_path)
+        n_labels = len(inventory.read_text(encoding="utf-8").split())
+        split = {"doc": "doc0", "kind": "split", "start": 0, "end": 2, "scores": [1.0]}
+        label = {"doc": "doc0", "kind": "label", "left": [0, 1], "right": [1, 2],
+                 "scores": [0.0] * n_labels}
+        split_changes, label_changes, problem = {
+            "split_length": ({"scores": [1.0, 0.0]}, {}, "line 1: bad score record "
+                             "(split scores must number end - start - 1, got 2)"),
+            "split_range": ({"start": -1}, {}, "line 1: bad score record "
+                            "(start and end must give a nonempty range from 0)"),
+            "label_spans": ({}, {"right": [2, 3]}, "line 2: bad score record "
+                            "(left and right must be adjacent spans from 0)"),
+            "label_length": ({}, {"scores": [0.0]}, "doc0: label_scores((0, 1), (1, 2)) "
+                             f"must have length {n_labels}, got length 1"),
+            "moved_range": ({"end": 3, "scores": [1.0, 0.0]}, {},
+                            "doc0: no split scores for range [0, 2)"),
+        }[defect]
+        split.update(split_changes)
+        label.update(label_changes)
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(f"{json.dumps(split)}\n{json.dumps(label)}\n", encoding="utf-8")
+        out = tmp_path / "pred.jsonl"
+        assert main(["parse", str(gold_file), "-o", str(out), "--scores", str(scores),
+                     "--inventory", str(inventory)]) == 1
+        assert capsys.readouterr().err == f"rstkit: error: {scores}: {problem}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
@@ -1722,12 +1795,16 @@ class TestInputErrorsNameTheFile:
         assert not out.exists()
 
     def test_model_without_feature_settings(self, gold_file, tmp_path, capsys):
+        # the archive of a model saved without its extractor
         model = tmp_path / "bare.npz"
-        crf_mod.save_model(crf_mod.CrfModel.create(8), model)
+        np.savez(model, version=np.array(1), labels=np.array(["B", "I"]),
+                 emission=np.zeros((2, 8)), transition=np.zeros((2, 2)),
+                 start=np.zeros(2), stop=np.zeros(2))
         out = tmp_path / "seg.jsonl"
         assert main(["segment", str(model), str(gold_file), "-o", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"{model}: model file does not carry feature settings" in err
+        assert capsys.readouterr().err == (
+            f"rstkit: error: {model}: cannot read model: "
+            "'n_buckets is not a file in the archive'\n")
         assert not out.exists()
 
 

@@ -33,6 +33,7 @@ from helpers import (
     make_document,
     random_edus,
     random_tree,
+    unit_edus,
 )
 
 
@@ -451,7 +452,8 @@ class TestValueTypes:
 
 class TestEnumerateConstituents:
     def test_single_leaf_has_no_constituents(self):
-        assert enumerate_constituents(build_tree(0)) == []
+        tree = build_tree(0)
+        assert enumerate_constituents(tree, unit_edus(tree)) == []
 
     def test_two_leaf_mononuclear(self):
         tree = build_tree((0, 1, "elaboration_NS"))
@@ -464,21 +466,15 @@ class TestEnumerateConstituents:
 
     def test_three_leaf_count(self):
         tree = build_tree(((0, 1, "joint_NN"), 2, "elaboration_NS"))
-        assert len(enumerate_constituents(tree)) == 4  # 2n - 2 for n = 3
+        assert len(enumerate_constituents(tree, unit_edus(tree))) == 4  # 2n - 2 for n = 3
 
     def test_sn_roles(self):
         tree = build_tree((0, 1, "attribution_SN"))
-        entries = enumerate_constituents(tree)
+        entries = enumerate_constituents(tree, unit_edus(tree))
         assert [(c.role, c.relation) for c in entries] == [
             ("S", "attribution"),
             ("N", "span"),
         ]
-
-    def test_include_root_adds_one_entry(self):
-        tree = build_tree((0, 1, "elaboration_NS"))
-        entries = enumerate_constituents(tree, include_root=True)
-        assert len(entries) == 3
-        assert (0, 1) in [c.span for c in entries]
 
 
 @st.composite
@@ -502,7 +498,7 @@ class TestTreeProperties:
         tree = build_tree(description)
         n = tree.n_leaves
         assert sum(1 for _ in tree.internal_nodes()) == n - 1
-        assert len(enumerate_constituents(tree)) == 2 * n - 2
+        assert len(enumerate_constituents(tree, unit_edus(tree))) == 2 * n - 2
         assert build_tree(describe(tree)) == tree
 
     @given(tree_descriptions(), st.integers(min_value=0, max_value=10_000))
@@ -540,7 +536,7 @@ class TestTreeProperties:
             )
         assert node.n_leaves == n
         assert sum(1 for _ in node.nodes()) == 2 * n - 1
-        assert len(enumerate_constituents(node)) == 2 * n - 2
+        assert len(enumerate_constituents(node, unit_edus(node))) == 2 * n - 2
         assert build_tree(describe(node)) == node
 
 

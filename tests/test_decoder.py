@@ -42,6 +42,7 @@ from helpers import (
     reference_score_line,
     reference_search,
     write_corpus,
+    unit_edus,
 )
 
 
@@ -217,7 +218,7 @@ class TestGreedyDecode:
         )
         assert tree == best
         assert not tree.left.is_leaf or tree.left.first_edu == 0
-        assert tree.left.token_span() == (0, 0)
+        assert tree.left.token_span(unit_edus(tree)) == (0, 0)
 
     def test_tie_break_earliest_split_lowest_label(self):
         class ZeroProvider(ScoreProvider):
@@ -278,7 +279,7 @@ class TestOracleProvider:
             predicted = decode(n, OracleProvider(gold, TEST_LABELS), CONFIG)
             assert predicted == gold
             if n > 1:
-                scores = parseval(gold, predicted)
+                scores = parseval(gold, predicted, unit_edus(gold), unit_edus(predicted))
                 assert scores.full.f1 == 100.0
 
     def test_beam_also_recovers_gold(self):
@@ -315,8 +316,9 @@ class TestRightBranchingProvider:
                 n, RightBranchingProvider("elaboration_NS", TEST_LABELS), CONFIG
             )
             oracle = decode(n, OracleProvider(gold, TEST_LABELS), CONFIG)
-            full_base = parseval(gold, baseline).full.f1
-            full_oracle = parseval(gold, oracle).full.f1
+            edus = unit_edus(gold)
+            full_base = parseval(gold, baseline, edus, edus).full.f1
+            full_oracle = parseval(gold, oracle, edus, edus).full.f1
             assert full_oracle == 100.0 >= full_base
 
     def test_unknown_majority_label(self):
@@ -601,7 +603,7 @@ class TestScoreTable:
             encoding="utf-8",
         )
         table = ScoreTable.load(path)
-        with pytest.raises(RstError, match=re.escape("d: no label scores for (0, 1) + (1, 3)")):
+        with pytest.raises(RstError, match=re.escape("no label scores for (0, 1) + (1, 3)")):
             decode(3, table.provider("d"), CONFIG)
 
     def test_bad_record(self, tmp_path):
@@ -920,6 +922,7 @@ class TestScoreLineOracle:
               '"scores_seen": null']
     BAD_INDICES = ["0.5", '"3"', "true", "null"]
     BAD_PAIRS = ["[0]", "[0, 1, 2]", "0", "[true, 1]", '"ab"', '{"a": 1, "b": 2}']
+    BAD_SPANS = ["[-1, 1]", "[1, 1]", "[0, 2]", "[2, 1]"]
 
     def _scores(self, rng):
         roll = rng.random()
@@ -941,11 +944,13 @@ class TestScoreLineOracle:
                   "scores": self._scores(rng)}
         bad = rng.random() < 0.1
         if kind == '"label"':
-            fields["left"] = rng.choice(self.BAD_PAIRS) if bad else "[0, 1]"
+            fields["left"] = rng.choice(self.BAD_PAIRS + self.BAD_SPANS) if bad else "[0, 1]"
             fields["right"] = "[1, 3]"
         else:
             fields["start"] = rng.choice(self.BAD_INDICES) if bad else "0"
-            fields["end"] = "3"
+            # mostly the end that fits a list of GOOD values
+            fields["end"] = (str(2 + fields["scores"].count(",")) if rng.random() < 0.9
+                             else rng.choice(["3", "0", "-1"]))
         if rng.random() < 0.05:
             del fields[rng.choice(sorted(fields))]
         items = [f'"{name}": {value}' for name, value in fields.items()]
@@ -980,7 +985,9 @@ class TestScoreLineOracle:
                      "must be real number, not str", "must be real number, not NoneType",
                      "must be real number, not list", "must be real number, not dict",
                      "int too large to convert to float", "scores must be finite",
-                     "indices must be integers", "doc must be a string"):
+                     "indices must be integers", "doc must be a string",
+                     "start and end must give", "split scores must number",
+                     "left and right must be adjacent"):
             assert sum(f"({text}" in error for error in errors) >= 10, text
 
 

@@ -6,9 +6,10 @@ inputs of ``helpers.write_workload_inputs``.  The exit code, the stdout and
 every output file of each stage are digested and compared with
 ``golden_outputs.json``, so a change to any output byte fails here.  An
 ``.npz`` model is digested by its members, as the archive stamps the time.
-Two metamorphic relations run the chains again on changed inputs: the
+Four metamorphic relations run the chains again on changed inputs: the
 segmenter's under another hash seed, and the treebank's on a Cyrillic twin
-of its ``.rs3`` files.
+of its ``.rs3`` files, on its canonical lines shuffled and on each of them
+written twice.
 
 A change that is meant to alter an output records the file again with
 
@@ -17,10 +18,12 @@ A change that is meant to alter an output records the file again with
 and says which digest changed and why.
 """
 
+import csv
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -34,7 +37,7 @@ import rstkit
 from rstkit.cli import main
 from rstkit.treebank import iter_canonical
 
-from helpers import cyrillic_twin, write_workload_inputs
+from helpers import cyrillic_twin, repeat_corpus, write_workload_inputs
 
 GOLDEN_PATH = Path(__file__).with_name("golden_outputs.json")
 SRC = Path(rstkit.__file__).parents[1]
@@ -80,20 +83,21 @@ def _digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def run_stages(name: str, work: Path) -> list[tuple[str, int, str]]:
-    """Run ``name``'s chain in ``work``: each stage's name, exit code and stdout."""
-    cwd = os.getcwd()
+def run(work: Path, argv: list[str]) -> tuple[int, str]:
+    """The exit code and stdout of ``argv`` run in ``work``."""
+    cwd, stdout = os.getcwd(), io.StringIO()
     os.chdir(work)  # stdout names the output files as the command lines do
     try:
-        results = []
-        for stage, argv, _ in WORKLOADS[name]:
-            stdout = io.StringIO()
-            with redirect_stdout(stdout):
-                code = main(argv)
-            results.append((stage, code, stdout.getvalue()))
-        return results
+        with redirect_stdout(stdout):
+            code = main(argv)
     finally:
         os.chdir(cwd)
+    return code, stdout.getvalue()
+
+
+def run_stages(name: str, work: Path) -> list[tuple[str, int, str]]:
+    """Run ``name``'s chain in ``work``: each stage's name, exit code and stdout."""
+    return [(stage, *run(work, argv)) for stage, argv, _ in WORKLOADS[name]]
 
 
 def run_workload(name: str, work: Path) -> dict[str, dict[str, object]]:
@@ -162,6 +166,75 @@ def test_treebank_chain_is_blind_to_a_cyrillic_script_twin(tmp_path):
         assert [t.translate(to_twin) for t in a.tokens] == list(b.tokens)
     assert not {ch for doc in twin for t in doc.tokens for ch in t if ch.isascii()
                 and ch.isalpha()}
+
+
+def _stdout(work: Path, argv: list[str]) -> str:
+    code, stdout = run(work, argv)
+    assert code == 0, argv
+    return stdout
+
+
+@pytest.fixture()
+def converted(tmp_path) -> Path:
+    """A directory with the ``treebank-gum`` inputs and ``conv.jsonl``."""
+    write_workload_inputs(tmp_path, SEED)
+    _stdout(tmp_path, ["convert", "rs3", "-o", "conv.jsonl"])
+    return tmp_path
+
+
+def test_treebank_chain_is_blind_to_the_order_of_canonical_lines(converted):
+    """Shuffled canonical lines give the same set of parse --oracle lines,
+    the same stats --by-genre --sents stdout, and the same eval --by-genre
+    stdout, whether the gold or the predicted lines are shuffled."""
+    lines = (converted / "conv.jsonl").read_bytes().splitlines(keepends=True)
+    shuffled = lines[:]
+    random.Random(SEED).shuffle(shuffled)
+    assert shuffled != lines
+    (converted / "shuf").mkdir()  # same file names, so stats names rows alike
+    (converted / "shuf" / "conv.jsonl").write_bytes(b"".join(shuffled))
+    for where in ("", "shuf/"):
+        _stdout(converted, ["parse", f"{where}conv.jsonl", "-o", f"{where}pred.jsonl",
+                         "--oracle"])
+    pred = (converted / "pred.jsonl").read_bytes().splitlines()
+    assert sorted(pred) == sorted((converted / "shuf" / "pred.jsonl").read_bytes()
+                                  .splitlines())
+    assert len(set(pred)) == len(lines)
+    assert len({_stdout(converted, ["stats", f"{where}conv.jsonl", "--by-genre", "--sents",
+                                 "gum.sents"]) for where in ("", "shuf/")}) == 1
+    assert len({_stdout(converted, ["eval", gold, pred, "--by-genre"]) for gold, pred in (
+        ("conv.jsonl", "pred.jsonl"), ("shuf/conv.jsonl", "pred.jsonl"),
+        ("conv.jsonl", "shuf/pred.jsonl"))}) == 1
+
+
+def _csv_rows(text: str) -> list[dict[str, str]]:
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def test_writing_every_treebank_document_twice_doubles_the_counts(converted):
+    """repeat_corpus with k=2 doubles the document, EDU and relation counts
+    of stats and the matched, gold and predicted counts of eval, and leaves
+    every other column, every F1 among them, as it was."""
+    twice = converted / "twice"
+    twice.mkdir()
+    _stdout(converted, ["parse", "conv.jsonl", "-o", "pred.jsonl", "--baseline",
+                     "elaboration_NS"])
+    for name in ("conv.jsonl", "pred.jsonl"):
+        repeat_corpus(converted / name, 2, twice / name)
+    doubled = {
+        "stats": {"docs", "EDUs", "rel pairs", "non-span const"},
+        "eval": {"matched", "gold", "predicted"},
+    }
+    for command, argv in (("stats", ["stats", "conv.jsonl", "--no-spanned", "--csv"]),
+                          ("eval", ["eval", "conv.jsonl", "pred.jsonl", "--csv"])):
+        once = _csv_rows(_stdout(converted, argv))
+        two = _csv_rows(_stdout(twice, argv))
+        assert len(once) == len(two) > 0
+        assert set(once[0]) >= doubled[command]
+        for a, b in zip(once, two):
+            for column, value in a.items():
+                want = str(2 * int(value)) if column in doubled[command] else value
+                assert b[column] == want, (command, a["name"], column)
+    assert {row["f1"] for row in once} - {"100.0000"}  # F1 that a mix-up would move
 
 
 if __name__ == "__main__":

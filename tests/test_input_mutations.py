@@ -10,7 +10,11 @@ the mutated line, and leaves no output file.
 
 A mutation cuts a line at a random byte (the line keeps at least one byte,
 so it is cut, not removed), repeats a line, or replaces a line by ``[]``,
-``null`` or a Cyrillic word.
+``null`` or a Cyrillic word.  A value mutation changes one value of a
+canonical line (a token offset, an EDU bound or a sentence boundary) or of
+a score line (a score, an index or the length of the vector) to ``NaN``,
+``Infinity``, ``1e400``, ``-1``, ``1.5``, ``true``, ``null``, ``"3"``,
+``[]`` or an index out of range.
 """
 
 import json
@@ -142,4 +146,66 @@ def test_a_mutated_line_exits_one_naming_it_or_passes(inputs, fmt, kind, tmp_pat
             assert err.count("\n") == 1 and len(err.encode("utf-8")) <= 300, case
             prefix = f"rstkit: error: {re.escape(str(path))}: line {line}: "
             assert re.match(prefix, err), f"{case}\n{err}"
+            assert not out.exists(), case
+
+
+VALUES = ("NaN", "Infinity", "1e400", "-1", "1.5", "true", "null", '"3"', "[]")
+VALUE_ROUNDS = 150  # cases per format, about 0.6 s in all
+
+
+def _mutate_value(rng, data: bytes, fmt: str) -> tuple[bytes, int]:
+    """``data`` with one value of one line changed, and the 1-based number
+    of that line."""
+    lines = data.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    obj = json.loads(lines[i])
+    if fmt == "canonical":
+        n = len(obj["tokens"])
+        holder, key = rng.choice([(pair, 1) for pair in obj["tokens"]]
+                                 + [(edu, k) for edu in obj["edus"] for k in (0, 1)]
+                                 + [(obj["sents"], k) for k in range(len(obj["sents"]))])
+    else:
+        n = obj["end"] if obj["kind"] == "split" else obj["right"][1]
+        vector = obj["scores"]
+        if rng.random() < 0.2:  # the vector's length
+            if vector and rng.random() < 0.5:
+                vector.pop(rng.randrange(len(vector)))
+            else:
+                vector.insert(rng.randrange(len(vector) + 1), 0.0)
+            lines[i] = f"{json.dumps(obj, ensure_ascii=False)}\n".encode("utf-8")
+            return b"".join(lines), i + 1
+        indices = ([(obj, "start"), (obj, "end")] if obj["kind"] == "split"
+                   else [(obj[side], k) for side in ("left", "right") for k in (0, 1)])
+        holder, key = rng.choice([(vector, k) for k in range(len(vector))] + indices)
+    # and indices at and past the end of the document's tokens or EDUs
+    value = rng.choice(VALUES + (str(n), str(n + 1), str(2**63)))
+    holder[key] = "\x00"
+    text = json.dumps(obj, ensure_ascii=False).replace('"\\u0000"', value)
+    lines[i] = f"{text}\n".encode("utf-8")
+    return b"".join(lines), i + 1
+
+
+@pytest.mark.parametrize("fmt", ["canonical", "scores"])
+def test_a_mutated_value_exits_one_naming_its_line_or_passes(inputs, fmt, tmp_path,
+                                                             capsys):
+    text, argv = inputs[fmt]
+    rng = random.Random(f"{SEED}:{fmt}:value")
+    for round_ in range(VALUE_ROUNDS):
+        data, line = _mutate_value(rng, text.encode("utf-8"), fmt)
+        path = tmp_path / f"{fmt}_{round_}.in"
+        path.write_bytes(data)
+        out = tmp_path / f"{fmt}_{round_}.out"
+        code = main([{"FILE": str(path), "OUT": str(out)}.get(a, a) for a in argv])
+        err = capsys.readouterr().err
+        case = f"{fmt} value line {line}: {data.splitlines()[line - 1]!r}"
+        assert code in (0, 1), f"{case}\n{err}"
+        if code == 1:
+            assert err.count("\n") == 1 and len(err.encode("utf-8")) <= 300, case
+            named = [f"rstkit: error: {path}: line {line}: "]
+            if fmt == "scores":
+                # Decoding the document finds a label vector that is not as
+                # long as the inventory, and a range that no line holds.
+                doc = json.loads(data.splitlines()[line - 1])["doc"]
+                named.append(f"rstkit: error: {path}: {doc}: ")
+            assert err.startswith(tuple(named)), f"{case}\n{err}"
             assert not out.exists(), case

@@ -34,14 +34,18 @@ from helpers import (
     random_partition,
     random_tree,
     reference_spanned_sentence_counts,
+    unit_edus,
 )
 
 
-def assert_matches_oracle(gold_tree, pred_tree, gold_edus=None, pred_edus=None):
-    scores = parseval(gold_tree, pred_tree, gold_edus, pred_edus)
+def assert_matches_oracle(gold_tree, pred_tree, edus=None):
+    """Parseval of two trees over the same ``edus``, unit EDUs by default,
+    checked against the all-pairs matcher."""
+    edus = unit_edus(gold_tree) if edus is None else edus
+    scores = parseval(gold_tree, pred_tree, edus, edus)
     oracle = brute_force_parseval(
-        enumerate_constituents(gold_tree, gold_edus),
-        enumerate_constituents(pred_tree, pred_edus),
+        enumerate_constituents(gold_tree, edus),
+        enumerate_constituents(pred_tree, edus),
     )
     assert scores.span.matched == oracle["S"]
     assert scores.nuclearity.matched == oracle["N"]
@@ -102,16 +106,16 @@ class TestParseval:
         for _ in range(40):
             n = rng.randint(2, 20)
             gold_edus = random_edus(rng, n)
-            assert_matches_oracle(
-                random_tree(rng, n), random_tree(rng, n), gold_edus, gold_edus
-            )
+            assert_matches_oracle(random_tree(rng, n), random_tree(rng, n), gold_edus)
 
     def test_micro_accumulation(self):
+        edus = (EduSpan(0, 0), EduSpan(1, 1))
         a = parseval(
-            build_tree((0, 1, "joint_NN")), build_tree((0, 1, "joint_NN"))
+            build_tree((0, 1, "joint_NN")), build_tree((0, 1, "joint_NN")), edus, edus
         )
         b = parseval(
-            build_tree((0, 1, "elaboration_NS")), build_tree((0, 1, "attribution_SN"))
+            build_tree((0, 1, "elaboration_NS")), build_tree((0, 1, "attribution_SN")),
+            edus, edus,
         )
         total = a + b
         assert total.span.gold == 4
@@ -163,7 +167,9 @@ class TestParsevalDifferential:
             n = rng.randint(1, 60)
             gold = random_tree(rng, n)
             pred = perturb_tree(rng, gold, p_resplit=0.3, p_relabel=0.5)
-            assert counts_of(parseval(gold, pred)) == oracle_counts(gold, pred)
+            edus = unit_edus(gold)
+            assert counts_of(parseval(gold, pred, edus, edus)) == oracle_counts(
+                gold, pred, edus, edus)
 
     @pytest.mark.parametrize("collapsed_side", ["gold", "pred"])
     def test_nodes_collapsed_onto_one_span_raise(self, collapsed_side):
@@ -341,13 +347,16 @@ class TestHandScoredFixtures:
         assert scores.full.matched == 0 and scores.full.f1 == 0.0
 
     def test_case_6_micro_accumulation_over_two_documents(self):
+        edus_a = (EduSpan(0, 0), EduSpan(1, 1), EduSpan(2, 2))
         doc_a = parseval(
             build_tree(((0, 1, "joint_NN"), 2, "elaboration_NS")),
             build_tree(((0, 1, "joint_NN"), 2, "condition_NS")),
+            edus_a, edus_a,
         )
         doc_b = parseval(
             build_tree((0, 1, "elaboration_NS")),
             build_tree((0, 1, "elaboration_SN")),
+            edus_a[:2], edus_a[:2],
         )
         total = doc_a + doc_b
         assert (total.span.matched, total.span.gold, total.span.predicted) == (6, 6, 6)
@@ -484,9 +493,11 @@ class TestCorpusStats:
 
 class TestReportRendering:
     def test_parseval_table_one_decimal(self):
+        edus = (EduSpan(0, 0), EduSpan(1, 1), EduSpan(2, 2))
         scores = parseval(
             build_tree(((0, 1, "joint_NN"), 2, "elaboration_NS")),
             build_tree((0, (1, 2, "joint_NN"), "elaboration_NS")),
+            edus, edus,
         )
         text = format_parseval_table({"system": (None, scores)})
         assert "75.0" in text and "25.0" in text
